@@ -23,7 +23,10 @@ def _parse_mix(text: str) -> dict[str, float]:
     mix = {}
     for part in text.split(","):
         name, _, weight = part.partition("=")
-        mix[name.strip()] = float(weight)
+        try:
+            mix[name.strip()] = float(weight)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected name=weight, got {part!r}") from None
     return mix
 
 
@@ -35,7 +38,7 @@ def _load_config(args) -> GenerationConfig:
     if getattr(args, "n", None) is not None:
         config.n_dialogs = args.n
     if getattr(args, "mix", None):
-        config.sampler_mix = _parse_mix(args.mix)
+        config.sampler_mix = args.mix
     if getattr(args, "seed", None) is not None:
         config.rng_seed = args.seed
     if getattr(args, "workers", None) is not None:
@@ -162,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seeds_required=True)
     p.add_argument("--config", help="GenerationConfig JSON file")
     p.add_argument("--n", type=int, help="number of dialogs")
-    p.add_argument("--mix", help="sampler mix, e.g. golden=0.4,markov=0.6")
+    p.add_argument("--mix", type=_parse_mix, help="sampler mix, e.g. golden=0.4,markov=0.6")
     p.add_argument("--seed", type=int, help="rng seed")
     p.add_argument("--workers", type=int, help="parallel workers")
     p.add_argument("--model", help="pre-fitted goal model JSON (skips fitting)")

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from random import Random
 
-from .acts import SYSTEM, USER, slot_names_for, turn_acts_string, value_bearing
+from .acts import END, SYSTEM, USER, slot_names_for, turn_acts_string, value_bearing
 from .goals import (
     MarkovGoalModel,
     UserGoal,
@@ -40,10 +40,11 @@ from .nlg import (
     realize_response,
     realize_system_backoff,
     realize_user,
+    sample_response_args,
 )
 from .schema import SchemaBundle
-from .system_agent import init_system, next_system_turn
-from .user_agent import SystemView, init_user, next_user_turn
+from .system_agent import SystemTurnOutput, init_system, next_system_turn
+from .user_agent import init_user, next_user_turn
 
 SAMPLERS = ("base", "golden", "markov")
 
@@ -90,7 +91,13 @@ class GenerationConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "GenerationConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise GenerationError(f"config is not valid JSON: {e}") from None
+        if not isinstance(doc, dict):
+            raise GenerationError("config must be a JSON object")
+        return cls.from_dict(doc)
 
 
 @dataclass
@@ -152,10 +159,10 @@ def run_dialog(
         raise GenerationError(f"invalid goal: {problems[0]}")
     alloc = VarAllocator()
     user = init_user(goal, bundle, config, rng)
-    system = init_system(bundle, offer_model)
+    system = init_system(offer_model)
     dialog = Dialog(metadata=dict(metadata or {}))
     stats = {"corrections": 0, "abandonments": 0, "offers_made": 0, "offers_accepted": 0}
-    view = SystemView()
+    view = SystemTurnOutput()
     truncated = False
     while True:
         uout = next_user_turn(user, view, bundle, config, rng)
@@ -169,7 +176,6 @@ def run_dialog(
                 payload=UserUtterance(text=text, spans=spans, acts=uout.acts),
             )
         )
-        stats["corrections"] = user.corrections_used
         if len(dialog.turns) >= config.max_turns:
             truncated = True
             break
@@ -209,17 +215,13 @@ def run_dialog(
             stats["offers_made"] += 1
         if sout.offer_accepted:
             stats["offers_accepted"] += 1
-        view = SystemView(
-            acts=[a for plan in sout.nlg for a in plan.acts],
-            calls=sout.results,
-            offer=sout.offer,
-            confirm=sout.confirm,
-        )
+        view = sout
         if len(dialog.turns) >= config.max_turns:
             truncated = len(dialog.turns) > config.max_turns or not system.closed
             break
         if system.closed:
             break
+    stats["corrections"] = user.corrections_used
     stats["abandonments"] = user.abandonments
     if truncated:
         del dialog.turns[config.max_turns :]
@@ -274,13 +276,7 @@ def run_base_dialog(
             name = index.response_by_signature.get(turn_acts_string(p.acts)) if p.acts else None
             if name is not None:
                 resp = index.responses[name]
-                values = {}
-                for spec in resp.args:
-                    catalog = bundle.catalog(spec.entity_type)
-                    values[spec.name] = (
-                        catalog[rng.randrange(len(catalog))] if catalog else spec.name
-                    )
-                text = realize_response(resp, values, rng)
+                text = realize_response(resp, sample_response_args(resp, bundle, rng), rng)
             else:
                 text = p.text
             payload = NlgResponse(text=text, acts=list(p.acts))
@@ -317,7 +313,13 @@ def prepare_batch(
         problems = validate_goal(goal, bundle)
         if problems:
             raise GenerationError(f"seed {i} yields an invalid goal: {problems[0]}")
-    if model is None and goals:
+    if model is not None:
+        named = {*model.start, *model.binding_stats, *model.transition}
+        named.update(*model.transition.values())
+        unknown = sorted(api for api in named - {END} if bundle.api(api) is None)
+        if unknown:
+            raise GenerationError(f"goal model names APIs the schema does not define: {unknown}")
+    elif goals:
         model = fit_markov(goals)
     index = build_template_index(bundle, seeds)
     return BatchContext(

@@ -81,8 +81,6 @@ class MarkovGoalModel:
                         "bound": st.bound,
                         "returns": st.returns,
                         "sources": st.sources,
-                        "p_return": (st.returns / st.bound) if st.bound else 0.0,
-                        "p_user": ((st.bound - st.returns) / st.bound) if st.bound else 0.0,
                     }
                     for arg, st in args.items()
                 }
@@ -93,20 +91,25 @@ class MarkovGoalModel:
 
     @classmethod
     def from_json(cls, text: str) -> "MarkovGoalModel":
-        doc = json.loads(text)
-        stats = {
-            api: {
-                arg: ArgStats(
-                    occurrences=raw["occurrences"],
-                    bound=raw["bound"],
-                    returns=raw["returns"],
-                    sources=dict(raw["sources"]),
-                )
-                for arg, raw in args.items()
+        try:
+            doc = json.loads(text)
+            stats = {
+                api: {
+                    arg: ArgStats(
+                        occurrences=raw["occurrences"],
+                        bound=raw["bound"],
+                        returns=raw["returns"],
+                        sources=dict(raw["sources"]),
+                    )
+                    for arg, raw in args.items()
+                }
+                for api, args in doc["binding_stats"].items()
             }
-            for api, args in doc["binding_stats"].items()
-        }
-        return cls(start=doc["start"], transition=doc["transition"], binding_stats=stats)
+            start = dict(doc["start"])
+            transition = {api: dict(row) for api, row in doc["transition"].items()}
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise SamplerError(f"malformed goal model: {e!r}") from None
+        return cls(start=start, transition=transition, binding_stats=stats)
 
 
 def extract_goals(seeds: list[Dialog], bundle: SchemaBundle) -> list[UserGoal]:

@@ -22,7 +22,6 @@ from .acts import (
     parse_act_list,
     slot_names_for,
     turn_acts_string,
-    value_bearing,
 )
 from .schema import OBJECT, SchemaBundle, var_prefix
 
@@ -81,9 +80,6 @@ class ApiCall:
 class NlgResponse:
     text: str
     acts: list[DialogAct] = field(default_factory=list)
-    # generation-time fields; the line grammar does not carry them
-    template: str | None = field(default=None, compare=False)
-    args: dict[str, ValueRef] = field(default_factory=dict, compare=False)
 
 
 @dataclass
@@ -226,13 +222,14 @@ def _parse_dialog_lines(
         raise MarkupError("first turn must be user-side", numbered[0][0])
     dialog = Dialog(turns=turns, metadata=metadata)
     if bundle is not None:
-        _link(dialog, bundle, {ln: no for no, (ln, _) in enumerate(numbered)})
+        _link(dialog, bundle)
     return dialog
 
 
-def _link(dialog: Dialog, bundle: SchemaBundle, _line_of=None) -> None:
+def _link(dialog: Dialog, bundle: SchemaBundle) -> None:
     """Resolve var references and infer span entity types from API usage."""
-    intro: dict[str, tuple[int, EntitySpan | None]] = {}
+    # var -> (introducing turn, its span, or the return type of its call)
+    intro: dict[str, tuple[int, EntitySpan | str]] = {}
     for turn in dialog.turns:
         p = turn.payload
         if isinstance(p, UserUtterance):
@@ -270,55 +267,36 @@ def _link(dialog: Dialog, bundle: SchemaBundle, _line_of=None) -> None:
                     raise MarkupError(
                         f"unresolved reference ${valref.var} in turn {turn.index}"
                     )
-                _, span = intro[valref.var]
-                if span is not None:
-                    if span.entity_type is None:
-                        span.entity_type = spec.entity_type
-                    elif span.entity_type != spec.entity_type:
-                        raise MarkupError(
-                            f"${valref.var} is a {span.entity_type} but "
-                            f"{p.api}.{arg_name} takes {spec.entity_type}"
-                        )
-                else:
-                    ret_type = _return_type_of(dialog, bundle, valref.var)
-                    if ret_type is not None and ret_type != spec.entity_type:
-                        raise MarkupError(
-                            f"${valref.var} is a {ret_type} but "
-                            f"{p.api}.{arg_name} takes {spec.entity_type}"
-                        )
+                source = intro[valref.var][1]
+                if isinstance(source, EntitySpan) and source.entity_type is None:
+                    source.entity_type = spec.entity_type
+                    continue
+                var_type = source.entity_type if isinstance(source, EntitySpan) else source
+                if var_type != spec.entity_type:
+                    raise MarkupError(
+                        f"${valref.var} is a {var_type} but "
+                        f"{p.api}.{arg_name} takes {spec.entity_type}"
+                    )
             if p.return_var in intro:
                 raise MarkupError(f"var {p.return_var!r} reintroduced in turn {turn.index}")
-            intro[p.return_var] = (turn.index, None)
-    # spans never consumed by a call: fall back to the var-prefix convention
+            intro[p.return_var] = (turn.index, api.return_type)
+    # by now a span is typed by its var prefix or by the call that consumed it
     for turn in dialog.turns:
         p = turn.payload
         if not isinstance(p, UserUtterance):
             continue
         for span in p.spans:
             if span.entity_type is None:
-                m = _PREFIX_RE.match(span.var_id)
-                et = bundle.entity_type_for_prefix(m.group(1)) if m else None
-                if et is None:
-                    raise MarkupError(
-                        f"cannot infer entity type for span var {span.var_id!r} "
-                        f"in turn {turn.index}"
-                    )
-                span.entity_type = et.name
+                raise MarkupError(
+                    f"cannot infer entity type for span var {span.var_id!r} "
+                    f"in turn {turn.index}"
+                )
             et = bundle.entity_type(span.entity_type)
             if et is not None and et.kind == OBJECT:
                 raise MarkupError(
                     f"object-kind type {et.name!r} cannot appear as a user value "
                     f"(turn {turn.index})"
                 )
-
-
-def _return_type_of(dialog: Dialog, bundle: SchemaBundle, var: str) -> str | None:
-    for turn in dialog.turns:
-        p = turn.payload
-        if isinstance(p, ApiCall) and p.return_var == var:
-            api = bundle.api(p.api)
-            return api.return_type if api else None
-    return None
 
 
 def parse_dialog(text: str, bundle: SchemaBundle | None = None) -> Dialog:

@@ -203,6 +203,18 @@ def realize_response(
     return _SLOT_RE.sub(sub, template)
 
 
+def sample_response_args(
+    defn: ResponseTemplateDef, bundle: SchemaBundle, rng: Random
+) -> dict[str, str]:
+    """One catalog draw per response arg, in arg order; an arg whose type
+    has no catalog is filled with its own name."""
+    values = {}
+    for spec in defn.args:
+        catalog = bundle.catalog(spec.entity_type)
+        values[spec.name] = catalog[rng.randrange(len(catalog))] if catalog else spec.name
+    return values
+
+
 def realize_system_backoff(acts: list[DialogAct], values: list[str | None]) -> str:
     """Canned text for system act groups with no schema response template."""
     parts = []

@@ -1,10 +1,13 @@
-"""Heuristic system policy.
+"""Heuristic system policy, and the system→user turn protocol.
 
 The system builds a frame per user intent, elicits missing required
 arguments one at a time, fills return-valued arguments from the dialog
 context, simulates API calls (sampling results instead of executing),
 confirms flagged APIs before calling, re-calls after post-call corrections,
 and makes proactive offers sampled from the fitted goal-transition model.
+
+Each turn yields a SystemTurnOutput, which the engine renders and the user
+policy reads as its view of the turn; the protocol types live here.
 """
 from __future__ import annotations
 
@@ -14,8 +17,8 @@ from random import Random
 from .acts import END, SYSTEM, DialogAct
 from .goals import MarkovGoalModel
 from .markup import VarAllocator
+from .nlg import sample_response_args
 from .schema import ApiDef, SchemaBundle
-from .user_agent import CallResult, ConfirmView, ConfirmedArg, OfferView, OfferedArg
 
 COLLECTING = "collecting"
 CALLED_OK = "called_ok"
@@ -30,8 +33,42 @@ class Frame:
     status: str = COLLECTING
     return_var: str | None = None
     confirmed: bool = False
-    requested: set = field(default_factory=set)
     recall_pending: bool = False
+
+
+@dataclass
+class CallResult:
+    api: str
+    ok: bool
+    return_var: str | None = None
+    recall: bool = False
+
+
+@dataclass
+class OfferedArg:
+    arg: str
+    var: str
+    surface: str | None
+    entity_type: str
+
+
+@dataclass
+class OfferView:
+    api: str
+    args: list[OfferedArg] = field(default_factory=list)
+
+
+@dataclass
+class ConfirmedArg:
+    arg: str
+    surface: str | None
+    entity_type: str
+
+
+@dataclass
+class ConfirmView:
+    api: str
+    args: list[ConfirmedArg] = field(default_factory=list)
 
 
 @dataclass
@@ -70,6 +107,10 @@ class SystemNlg:
 
 @dataclass
 class SystemTurnOutput:
+    """One system turn, as rendered and as the user sees it. Call results
+    are bookkeeping only: they advance the user's goal cursor and identify
+    offered return values."""
+
     calls: list[SystemCall] = field(default_factory=list)
     results: list[CallResult] = field(default_factory=list)
     nlg: list[SystemNlg] = field(default_factory=list)
@@ -78,7 +119,7 @@ class SystemTurnOutput:
     offer_accepted: bool = False
 
 
-def init_system(bundle: SchemaBundle, offer_model: MarkovGoalModel | None = None) -> SystemState:
+def init_system(offer_model: MarkovGoalModel | None = None) -> SystemState:
     return SystemState(offer_model=offer_model)
 
 
@@ -156,21 +197,14 @@ def propose_offer(
     return OfferView(api=api_name, args=offered), acts
 
 
-def _latest_var_of_type(state: SystemState, entity_type: str) -> str | None:
+def _latest_var_of_type(
+    state: SystemState, entity_type: str, origin: str | None = None
+) -> str | None:
     latest = None
     for var, cv in state.context.items():
-        if cv.entity_type == entity_type:
+        if cv.entity_type == entity_type and (origin is None or cv.origin == origin):
             latest = var
     return latest
-
-
-def _sample_response_args(api: ApiDef, bundle: SchemaBundle, rng: Random) -> dict[str, str]:
-    resp = bundle.response(api.response_template)
-    values = {}
-    for spec in resp.args:
-        catalog = bundle.catalog(spec.entity_type)
-        values[spec.name] = catalog[rng.randrange(len(catalog))] if catalog else spec.name
-    return values
 
 
 def _announce(api: ApiDef, bundle: SchemaBundle, rng: Random) -> SystemNlg:
@@ -178,7 +212,7 @@ def _announce(api: ApiDef, bundle: SchemaBundle, rng: Random) -> SystemNlg:
     return SystemNlg(
         acts=list(resp.acts),
         response_name=resp.name,
-        arg_values=_sample_response_args(api, bundle, rng),
+        arg_values=sample_response_args(resp, bundle, rng),
     )
 
 
@@ -202,12 +236,8 @@ def _do_call(
         out.nlg.append(_announce(api, bundle, rng))
     else:
         out.results.append(CallResult(frame.api, False, None, recall))
-        out.nlg.append(
-            SystemNlg(
-                acts=[DialogAct("failure", SYSTEM, intent=frame.api)],
-                backoff_values=[None],
-            )
-        )
+        failure = DialogAct("failure", SYSTEM, intent=frame.api)
+        out.nlg.append(SystemNlg(acts=[failure], backoff_values=[None]))
 
 
 def next_system_turn(
@@ -298,76 +328,55 @@ def next_system_turn(
     frame = _active_frame(state)
     if frame is not None:
         api = bundle.api(frame.api)
-        if api is None:
-            frame.status = CALLED_FAILED
-            out.results.append(CallResult(frame.api, False, None))
-            out.nlg.append(
-                SystemNlg(
-                    acts=[DialogAct("failure", SYSTEM, intent=frame.api)],
-                    backoff_values=[None],
-                )
+        for spec in api.args:
+            if spec.name in frame.filled:
+                continue
+            var = _latest_var_of_type(state, spec.entity_type, "return")
+            if var is not None:
+                frame.filled[spec.name] = var
+        missing = [s for s in api.args if s.required and s.name not in frame.filled]
+        if missing:
+            spec = missing[0]
+            request = DialogAct(
+                "request", SYSTEM, entity=spec.entity_type, api=api.name, arg=spec.name
             )
-        else:
-            for spec in api.args:
-                if spec.name in frame.filled:
-                    continue
-                var = _latest_return_of_type(state, spec.entity_type)
-                if var is not None:
-                    frame.filled[spec.name] = var
-            missing = [s for s in api.args if s.required and s.name not in frame.filled]
-            if missing:
-                spec = missing[0]
-                frame.requested.add(spec.name)
-                out.nlg.append(
-                    SystemNlg(
-                        acts=[
-                            DialogAct(
-                                "request",
-                                SYSTEM,
-                                entity=spec.entity_type,
-                                api=api.name,
-                                arg=spec.name,
-                            )
-                        ],
-                        backoff_values=[None],
-                    )
-                )
-            elif api.confirm_before_call and not frame.confirmed:
-                if confirming is frame and confirm_affirmed and not confirm_touched:
-                    frame.confirmed = True
-                    state.awaiting_confirm = None
-                    _do_call(frame, bundle, config, rng, alloc, state, out, recall=False)
-                    if frame.status == CALLED_OK:
-                        progressed_api = frame.api
-                else:
-                    acts = [DialogAct("confirm", SYSTEM, intent=api.name)]
-                    confirmed_args = []
-                    for spec in api.args:
-                        if spec.name not in frame.filled:
-                            continue
-                        surface = frame.surfaces.get(spec.name)
-                        acts.append(
-                            DialogAct(
-                                "confirm",
-                                SYSTEM,
-                                entity=spec.entity_type,
-                                api=api.name,
-                                arg=spec.name,
-                            )
-                        )
-                        confirmed_args.append(ConfirmedArg(spec.name, surface, spec.entity_type))
-                    out.confirm = ConfirmView(api=api.name, args=confirmed_args)
-                    state.awaiting_confirm = state.frames.index(frame)
-                    out.nlg.append(
-                        SystemNlg(
-                            acts=acts,
-                            backoff_values=[None] + [a.surface for a in confirmed_args],
-                        )
-                    )
-            else:
+            out.nlg.append(SystemNlg(acts=[request], backoff_values=[None]))
+        elif api.confirm_before_call and not frame.confirmed:
+            if confirming is frame and confirm_affirmed and not confirm_touched:
+                frame.confirmed = True
+                state.awaiting_confirm = None
                 _do_call(frame, bundle, config, rng, alloc, state, out, recall=False)
                 if frame.status == CALLED_OK:
                     progressed_api = frame.api
+            else:
+                acts = [DialogAct("confirm", SYSTEM, intent=api.name)]
+                confirmed_args = []
+                for spec in api.args:
+                    if spec.name not in frame.filled:
+                        continue
+                    surface = frame.surfaces.get(spec.name)
+                    acts.append(
+                        DialogAct(
+                            "confirm",
+                            SYSTEM,
+                            entity=spec.entity_type,
+                            api=api.name,
+                            arg=spec.name,
+                        )
+                    )
+                    confirmed_args.append(ConfirmedArg(spec.name, surface, spec.entity_type))
+                out.confirm = ConfirmView(api=api.name, args=confirmed_args)
+                state.awaiting_confirm = state.frames.index(frame)
+                out.nlg.append(
+                    SystemNlg(
+                        acts=acts,
+                        backoff_values=[None] + [a.surface for a in confirmed_args],
+                    )
+                )
+        else:
+            _do_call(frame, bundle, config, rng, alloc, state, out, recall=False)
+            if frame.status == CALLED_OK:
+                progressed_api = frame.api
     # proactive offer after a fresh successful call
     if (
         progressed_api is not None
@@ -386,11 +395,3 @@ def next_system_turn(
                 )
             )
     return out
-
-
-def _latest_return_of_type(state: SystemState, entity_type: str) -> str | None:
-    latest = None
-    for var, cv in state.context.items():
-        if cv.origin == "return" and cv.entity_type == entity_type:
-            latest = var
-    return latest

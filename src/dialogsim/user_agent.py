@@ -7,6 +7,10 @@ mind about an already-revealed value, and drops intents (plus everything
 depending on them) when the system reports a failure. A change of mind may
 also come on the turn the goal completes, before the bye; the bye is then
 held back by one turn, until the user has seen the re-call result.
+
+The user reads the system's SystemTurnOutput directly: requests come from
+the acts of its nlg plans, call results drive the goal cursor. The protocol
+types live in system_agent, which produces them.
 """
 from __future__ import annotations
 
@@ -16,53 +20,7 @@ from random import Random
 from .acts import USER, DialogAct, slot_names_for
 from .goals import ReturnRef, UserGoal, UserValue
 from .schema import SchemaBundle
-
-
-@dataclass
-class CallResult:
-    api: str
-    ok: bool
-    return_var: str | None = None
-    recall: bool = False
-
-
-@dataclass
-class OfferedArg:
-    arg: str
-    var: str
-    surface: str | None
-    entity_type: str
-
-
-@dataclass
-class OfferView:
-    api: str
-    args: list[OfferedArg] = field(default_factory=list)
-
-
-@dataclass
-class ConfirmedArg:
-    arg: str
-    surface: str | None
-    entity_type: str
-
-
-@dataclass
-class ConfirmView:
-    api: str
-    args: list[ConfirmedArg] = field(default_factory=list)
-
-
-@dataclass
-class SystemView:
-    """What the user sees of the last system turn. Call results are
-    bookkeeping visibility only: they advance the goal cursor and identify
-    offered return values."""
-
-    acts: list[DialogAct] = field(default_factory=list)
-    calls: list[CallResult] = field(default_factory=list)
-    offer: OfferView | None = None
-    confirm: ConfirmView | None = None
+from .system_agent import SystemTurnOutput
 
 
 @dataclass
@@ -159,7 +117,7 @@ def _truncated_geometric(rng: Random, p: float, maximum: int) -> int:
 
 
 def next_user_turn(
-    state: UserState, view: SystemView, bundle: SchemaBundle, config, rng: Random
+    state: UserState, view: SystemTurnOutput, bundle: SchemaBundle, config, rng: Random
 ) -> UserTurnOutput:
     acts: list[DialogAct] = []
     values: list[str] = []  # aligned with entity-bearing inform acts
@@ -170,7 +128,7 @@ def next_user_turn(
 
     # 1. bookkeeping: calls advance or abandon the current intent
     was_done = state.done
-    for call in view.calls:
+    for call in view.results:
         if call.recall or state.done:
             continue
         intent = state.current()
@@ -247,7 +205,7 @@ def next_user_turn(
     # 4. answer an argument request with the goal's (possibly corrected) value
     if not state.done:
         intent = state.current()
-        for act in view.acts:
+        for act in (a for plan in view.nlg for a in plan.acts):
             if act.name != "request" or act.api != intent.api:
                 continue
             binding = intent.bindings.get(act.arg)

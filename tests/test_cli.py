@@ -126,3 +126,59 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["generate"])  # --schema/--seeds required
     assert err.value.code == 2
+
+
+def _assert_one_error_line(err):
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(start={"NoSuchApi": 1.0}),
+        lambda doc: doc["transition"]["FindMovies"].update(NoSuchApi=0.5),
+        lambda doc: doc["transition"].update(NoSuchApi={"END": 1.0}),
+        lambda doc: doc["binding_stats"].update(NoSuchApi={}),
+        lambda doc: doc.pop("start"),
+        None,
+    ],
+    ids=["start", "transition-target", "transition-row", "binding-stats", "missing-key",
+         "not-json"],
+)
+def test_generate_rejects_bad_model(data_paths, tmp_path, capsys, edit):
+    schema, seeds = data_paths
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--schema", str(schema), "--seeds", str(seeds),
+                 "--out", str(model_path)]) == 0
+    if edit is None:
+        model_path.write_text("{not json", encoding="utf-8")
+    else:
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        edit(doc)
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["generate", "--schema", str(schema), "--seeds", str(seeds),
+                 "--n", "5", "--model", str(model_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+
+
+def test_generate_bad_mix_is_usage_error(data_paths, capsys):
+    schema, seeds = data_paths
+    with pytest.raises(SystemExit) as err:
+        main(["generate", "--schema", str(schema), "--seeds", str(seeds), "--mix", "golden"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "--mix" in stderr and "Traceback" not in stderr
+
+
+def test_generate_malformed_config(data_paths, tmp_path, capsys):
+    schema, seeds = data_paths
+    config = tmp_path / "config.json"
+    config.write_text('{"p_correct": 0.0,', encoding="utf-8")
+    assert main(["generate", "--schema", str(schema), "--seeds", str(seeds),
+                 "--config", str(config)]) == 1
+    _assert_one_error_line(capsys.readouterr().err)

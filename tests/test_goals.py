@@ -1,3 +1,4 @@
+import json
 from random import Random
 
 import pytest
@@ -286,7 +287,15 @@ def test_sampler_errors():
 
 def test_model_json_round_trip(demo_bundle, demo_seeds):
     model = fit_markov(extract_goals(demo_seeds, demo_bundle))
-    back = MarkovGoalModel.from_json(model.to_json())
-    assert back.start == model.start
-    assert back.transition == model.transition
-    assert back.binding_stats == model.binding_stats
+    doc = json.loads(model.to_json())
+    stats = [st for args in doc["binding_stats"].values() for st in args.values()]
+    assert all("p_return" not in st and "p_user" not in st for st in stats)
+    # older dumps also carried the derived p_return/p_user; they still load
+    for st in stats:
+        st["p_return"] = st["returns"] / st["bound"] if st["bound"] else 0.0
+        st["p_user"] = (st["bound"] - st["returns"]) / st["bound"] if st["bound"] else 0.0
+    for text in (model.to_json(), json.dumps(doc, indent=2)):
+        back = MarkovGoalModel.from_json(text)
+        assert back.start == model.start
+        assert back.transition == model.transition
+        assert back.binding_stats == model.binding_stats

@@ -194,3 +194,45 @@ def test_literal_bindings_parse(demo_bundle):
     assert serialize_dialog(parse_dialog(text, demo_bundle)).endswith(
         'call: FindMovies(location="Sunnyvale") -> movieList0'
     )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "U-1: in [Sunnyvale|location0]\n"
+            "S-2: call: FindMovies(location=$location0) -> movieList0\n"
+            "S-3: call: FindMovies(location=$movieList0) -> movieList1",
+            "$movieList0 is a movieList but FindMovies.location takes location",
+        ),
+        (
+            "U-1: [Sunnyvale|location0] at [Tenet|movieTitle0]\n"
+            "S-2: call: SelectShow(showTime=$location0,movieTitle=$movieTitle0) -> showInfo0",
+            "$location0 is a location but SelectShow.showTime takes Time",
+        ),
+        (
+            "U-1: [Sunnyvale|location0] or [Berkeley|location0]",
+            "var 'location0' reintroduced in turn 1",
+        ),
+        (
+            "U-1: in [Sunnyvale|location0]\n"
+            "S-2: call: FindMovies(location=$location0) -> movieList0\n"
+            "S-3: call: FindMovies(location=$location0) -> movieList0",
+            "var 'movieList0' reintroduced in turn 3",
+        ),
+        (
+            "U-1: maybe [Sunnyvale|place0]",
+            "cannot infer entity type for span var 'place0' in turn 1",
+        ),
+        (
+            "U-1: that [list|movieList0]",
+            "object-kind type 'movieList' cannot appear as a user value (turn 1)",
+        ),
+    ],
+    ids=["return-type", "span-type", "span-reintroduced", "return-reintroduced",
+         "uninferable", "object-span"],
+)
+def test_link_errors(demo_bundle, text, message):
+    with pytest.raises(MarkupError) as err:
+        parse_dialog(text, demo_bundle)
+    assert message in str(err.value)

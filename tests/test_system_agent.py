@@ -35,7 +35,7 @@ def _turn(state, acts, inform_vars, bundle, config=None, rng=None, alloc=None):
 
 
 def test_complete_frame_calls_and_announces(demo_bundle):
-    state = init_system(demo_bundle)
+    state = init_system()
     acts = [
         _inform_intent("FindMovies"),
         _inform("location", "FindMovies", "location"),
@@ -52,7 +52,7 @@ def test_complete_frame_calls_and_announces(demo_bundle):
 
 
 def test_missing_required_arg_requested(demo_bundle):
-    state = init_system(demo_bundle)
+    state = init_system()
     out = _turn(state, [_inform_intent("FindMovies")], {}, demo_bundle)
     assert out.calls == []
     (plan,) = out.nlg
@@ -61,7 +61,7 @@ def test_missing_required_arg_requested(demo_bundle):
 
 
 def test_return_value_autofill_from_context(demo_bundle):
-    state = init_system(demo_bundle)
+    state = init_system()
     _turn(
         state,
         [_inform_intent("FindMovies"), _inform("location", "FindMovies", "location")],
@@ -83,7 +83,7 @@ def test_return_value_autofill_from_context(demo_bundle):
 
 
 def test_bye_gets_closing(demo_bundle):
-    state = init_system(demo_bundle)
+    state = init_system()
     out = _turn(state, [DialogAct("bye", "user")], {}, demo_bundle)
     assert state.closed
     (plan,) = out.nlg
@@ -91,7 +91,7 @@ def test_bye_gets_closing(demo_bundle):
 
 
 def test_confirm_before_call_flow(demo_bundle):
-    state = init_system(demo_bundle)
+    state = init_system()
     _turn(
         state,
         [_inform_intent("SelectShow"), _inform("Time", "SelectShow", "showTime"),
@@ -125,7 +125,7 @@ def test_failure_rate_zero_and_forced(demo_bundle):
     alloc = VarAllocator()
     rng = Random(1)
     ok_config = GenerationConfig(api_failure_rate=0)
-    state = init_system(demo_bundle)
+    state = init_system()
     for _ in range(2000):
         frame = Frame(api="FindMovies", filled={"location": "location0"})
         ok, var = simulate_api_call(frame, demo_bundle, ok_config, rng, alloc, state)
@@ -139,7 +139,7 @@ def test_failure_rate_zero_and_forced(demo_bundle):
 def test_failure_rate_frequency(demo_bundle):
     rng = Random(123)
     config = GenerationConfig(api_failure_rate=0.25)
-    state = init_system(demo_bundle)
+    state = init_system()
     alloc = VarAllocator()
     n = 10_000
     failures = 0
@@ -153,7 +153,7 @@ def test_failure_rate_frequency(demo_bundle):
 def test_offer_follows_fitted_transition(demo_bundle, demo_seeds_annotated):
     goals = extract_goals(demo_seeds_annotated[:1], demo_bundle)
     model = fit_markov(goals)  # P(SelectShow | FindMovies) = 1
-    state = init_system(demo_bundle, model)
+    state = init_system(model)
     state.context["movieList0"] = __import__(
         "dialogsim.system_agent", fromlist=["ContextVar"]
     ).ContextVar("movieList", None, "return")
@@ -168,19 +168,19 @@ def test_offer_follows_fitted_transition(demo_bundle, demo_seeds_annotated):
 
 def test_no_offer_when_row_is_terminal(demo_bundle, demo_seeds_annotated):
     model = fit_markov(extract_goals(demo_seeds_annotated[:1], demo_bundle))
-    state = init_system(demo_bundle, model)
+    state = init_system(model)
     assert propose_offer(state, model, demo_bundle, Random(0), "BookTickets") is None
 
 
 def test_denied_offer_never_repeated(demo_bundle, demo_seeds_annotated):
     model = fit_markov(extract_goals(demo_seeds_annotated[:1], demo_bundle))
-    state = init_system(demo_bundle, model)
+    state = init_system(model)
     state.denied_offers.add("SelectShow")
     assert propose_offer(state, model, demo_bundle, Random(0), "FindMovies") is None
 
 
 def test_post_call_correction_triggers_recall(demo_bundle):
-    state = init_system(demo_bundle)
+    state = init_system()
     alloc = VarAllocator()
     _turn(
         state,

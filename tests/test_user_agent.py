@@ -2,15 +2,14 @@ from random import Random
 
 from dialogsim.engine import GenerationConfig
 from dialogsim.goals import extract_goals
-from dialogsim.user_agent import (
+from dialogsim.system_agent import (
     CallResult,
     OfferView,
     OfferedArg,
-    SystemView,
-    abandon_intent,
-    init_user,
-    next_user_turn,
+    SystemNlg,
+    SystemTurnOutput,
 )
+from dialogsim.user_agent import abandon_intent, init_user, next_user_turn
 
 
 def _table2_goal(demo_bundle, demo_seeds):
@@ -27,7 +26,7 @@ def test_initial_agenda_starts_with_intent(demo_bundle, demo_seeds):
     goal = _table2_goal(demo_bundle, demo_seeds)
     state = init_user(goal, demo_bundle, GenerationConfig(), Random(0))
     assert state.agenda[0] == ("intent", None)
-    out = next_user_turn(state, SystemView(), demo_bundle, GenerationConfig(p_correct=0), Random(0))
+    out = next_user_turn(state, SystemTurnOutput(), demo_bundle, GenerationConfig(p_correct=0), Random(0))
     assert _acts(out)[0] == "inform(intent:FindMovies)"
 
 
@@ -56,8 +55,8 @@ def test_offer_reply_matches_correction_pattern(demo_bundle, demo_seeds):
     goal = _table2_goal(demo_bundle, demo_seeds)
     config = GenerationConfig(p_correct=0, multi_act_p=0)
     state = init_user(goal, demo_bundle, config, Random(0))
-    view = SystemView(
-        calls=[CallResult("FindMovies", True, "movieList0")],
+    view = SystemTurnOutput(
+        results=[CallResult("FindMovies", True, "movieList0")],
         offer=OfferView(
             api="SelectShow",
             args=[
@@ -83,7 +82,7 @@ def test_offer_for_wrong_api_denied(demo_bundle, demo_seeds):
     goal = _table2_goal(demo_bundle, demo_seeds)
     config = GenerationConfig(p_correct=0, multi_act_p=0)
     state = init_user(goal, demo_bundle, config, Random(0))
-    view = SystemView(offer=OfferView(api="BookTickets", args=[]))
+    view = SystemTurnOutput(offer=OfferView(api="BookTickets", args=[]))
     out = next_user_turn(state, view, demo_bundle, config, Random(1))
     assert _acts(out)[0] == "deny(intent:BookTickets)"
 
@@ -94,7 +93,7 @@ def test_bye_when_goal_exhausted(demo_bundle, demo_seeds):
     state = init_user(goal, demo_bundle, config, Random(0))
     state.done = True
     state.agenda = []
-    out = next_user_turn(state, SystemView(), demo_bundle, config, Random(0))
+    out = next_user_turn(state, SystemTurnOutput(), demo_bundle, config, Random(0))
     assert _acts(out) == ["bye()"]
 
 
@@ -107,7 +106,7 @@ def test_request_answered_with_goal_value(demo_bundle, demo_seeds):
     state.agenda = []
     state.intent_informed = True
     request = DialogAct("request", "system", entity="location", api="FindMovies", arg="location")
-    out = next_user_turn(state, SystemView(acts=[request]), demo_bundle, config, Random(0))
+    out = next_user_turn(state, SystemTurnOutput(nlg=[SystemNlg(acts=[request])]), demo_bundle, config, Random(0))
     assert _acts(out) == ["inform(entity:location)"]
     assert out.slot_values == {"location": "Sunnyvale"}
 
@@ -116,10 +115,10 @@ def test_forced_corrections_every_later_turn(demo_bundle, demo_seeds):
     goal = _table2_goal(demo_bundle, demo_seeds)
     config = GenerationConfig(p_correct=1.0, max_corrections=2, multi_act_p=1.0)
     state = init_user(goal, demo_bundle, config, Random(0))
-    first = next_user_turn(state, SystemView(), demo_bundle, config, Random(5))
+    first = next_user_turn(state, SystemTurnOutput(), demo_bundle, config, Random(5))
     # values informed this turn are not yet correctable
     assert not any(a.name == "deny" for a in first.acts)
-    second = next_user_turn(state, SystemView(), demo_bundle, config, Random(6))
+    second = next_user_turn(state, SystemTurnOutput(), demo_bundle, config, Random(6))
     names = [a.name for a in second.acts]
     deny_at = names.index("deny")
     assert names[deny_at + 1] == "inform"
@@ -134,7 +133,7 @@ def test_correction_values_come_from_alternatives(demo_bundle, demo_seeds):
         state = init_user(goal, demo_bundle, config, Random(trial))
         rng = Random(trial + 1)
         for _ in range(4):
-            out = next_user_turn(state, SystemView(), demo_bundle, config, rng)
+            out = next_user_turn(state, SystemTurnOutput(), demo_bundle, config, rng)
             values = iter(out.slot_values.items())
         for (i, arg), value in state.informed.items():
             binding = goal.intents[i].bindings[arg]
@@ -164,7 +163,7 @@ def test_single_intent_failure_is_terminal(demo_bundle, demo_seeds):
     goal = extract_goals([demo_seeds[4]], demo_bundle)[0]
     config = GenerationConfig(p_correct=0)
     state = init_user(goal, demo_bundle, config, Random(0))
-    view = SystemView(calls=[CallResult("SelectShow", False, None)])
+    view = SystemTurnOutput(results=[CallResult("SelectShow", False, None)])
     state.intent_informed = True
     out = next_user_turn(state, view, demo_bundle, config, Random(0))
     assert state.dead == {0, 1}
@@ -179,11 +178,11 @@ def test_change_of_mind_on_completed_goal_holds_bye(demo_bundle, demo_seeds):
     config = GenerationConfig(p_correct=1.0, multi_act_p=1.0)
     state = init_user(goal, demo_bundle, config, Random(0))
     rng = Random(1)
-    first = next_user_turn(state, SystemView(), demo_bundle, config, rng)
+    first = next_user_turn(state, SystemTurnOutput(), demo_bundle, config, rng)
     assert "deny" not in [a.name for a in first.acts]
     # the call succeeds and completes the goal: the user changes its mind
     # instead of saying bye
-    done = SystemView(calls=[CallResult("FindMovies", True, "movieList0")])
+    done = SystemTurnOutput(results=[CallResult("FindMovies", True, "movieList0")])
     out = next_user_turn(state, done, demo_bundle, config, rng)
     assert state.done and not state.bye_sent
     entity, arg = out.acts[1].entity, out.acts[1].arg
@@ -191,7 +190,7 @@ def test_change_of_mind_on_completed_goal_holds_bye(demo_bundle, demo_seeds):
     assert out.slot_values == {entity: state.alternatives[(0, arg)]}
     assert state.cursor == 0
     # the re-call result comes back: now the bye, and nothing else
-    recall = SystemView(calls=[CallResult("FindMovies", True, "movieList1", recall=True)])
+    recall = SystemTurnOutput(results=[CallResult("FindMovies", True, "movieList1", recall=True)])
     out = next_user_turn(state, recall, demo_bundle, config, rng)
     assert _acts(out) == ["bye()"]
     assert state.bye_sent and state.cursor == 0
