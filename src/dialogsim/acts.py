@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 USER = "user"
 SYSTEM = "system"
@@ -131,10 +132,19 @@ def parse_act(text: str, side: str) -> DialogAct:
 
 
 def parse_act_list(text: str, side: str) -> list[DialogAct]:
+    """Parse a comma-joined act list into a fresh list the caller may mutate."""
+    return list(_parse_act_tuple(text, side))
+
+
+# A corpus repeats a few distinct act lists (bounded by the act vocabulary
+# and max_acts_per_turn) thousands of times. The acts are frozen, so the
+# cached tuple is shared safely; a parse that raises is not cached.
+@lru_cache(maxsize=4096)
+def _parse_act_tuple(text: str, side: str) -> tuple[DialogAct, ...]:
     text = text.strip()
     if not text:
-        return []
-    return [parse_act(part, side) for part in text.split(",")]
+        return ()
+    return tuple(parse_act(part, side) for part in text.split(","))
 
 
 class MissingActsError(ValueError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from random import Random
@@ -53,6 +54,21 @@ class GenerationError(RuntimeError):
     pass
 
 
+_KINDS = {int: "an integer", float: "a number", dict: "an object of numbers"}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _usable_weights(dist: dict) -> bool:
+    """Finite non-negative numbers with a positive finite total."""
+    weights = list(dist.values())
+    return all(_is_number(w) and 0 <= w < math.inf for w in weights) and (
+        0 < sum(weights) < math.inf
+    )
+
+
 @dataclass
 class GenerationConfig:
     n_dialogs: int = 1
@@ -74,9 +90,8 @@ class GenerationConfig:
     def validate(self) -> None:
         if self.n_dialogs < 1:
             raise GenerationError("n_dialogs must be >= 1")
-        weights = [self.sampler_mix.get(s, 0.0) for s in SAMPLERS]
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise GenerationError("sampler mix weights must be non-negative and sum > 0")
+        if not _usable_weights({s: self.sampler_mix.get(s, 0.0) for s in SAMPLERS}):
+            raise GenerationError("sampler mix weights must be finite, non-negative and sum > 0")
         for key in self.sampler_mix:
             if key not in SAMPLERS:
                 raise GenerationError(f"unknown sampler {key!r} in mix")
@@ -87,6 +102,19 @@ class GenerationConfig:
         unknown = set(doc) - known
         if unknown:
             raise GenerationError(f"unknown config keys: {sorted(unknown)}")
+        defaults = cls()
+        for key, value in doc.items():
+            default = getattr(defaults, key)
+            if isinstance(default, dict):
+                ok = isinstance(value, dict) and all(map(_is_number, value.values()))
+            elif isinstance(default, int):
+                ok = isinstance(value, int) and not isinstance(value, bool)
+            else:
+                ok = _is_number(value)
+            if not ok:
+                raise GenerationError(
+                    f"config key {key!r} must be {_KINDS[type(default)]}, got {value!r}"
+                )
         return cls(**doc)
 
     @classmethod
@@ -319,6 +347,15 @@ def prepare_batch(
         unknown = sorted(api for api in named - {END} if bundle.api(api) is None)
         if unknown:
             raise GenerationError(f"goal model names APIs the schema does not define: {unknown}")
+        # an empty transition row ends the chain; every other draw needs a weight
+        bad = [] if _usable_weights(model.start) else ["start"]
+        bad += [
+            f"transition[{api!r}]"
+            for api, row in model.transition.items()
+            if row and not _usable_weights(row)
+        ]
+        if bad:
+            raise GenerationError(f"goal model has no usable weights in {', '.join(bad)}")
     elif goals:
         model = fit_markov(goals)
     index = build_template_index(bundle, seeds)

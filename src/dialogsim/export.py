@@ -7,7 +7,8 @@ leading/trailing punctuation detached into separate tokens.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 from .acts import turn_acts_string
 from .markup import ApiCall, Dialog, EntitySpan, NlgResponse, UserUtterance
@@ -15,6 +16,7 @@ from .nlg import TemplateIndex
 from .schema import SchemaBundle
 
 _PUNCT = set(".,!?;:\"'()[]")
+_WORD_RE = re.compile(r"\S+")  # `\s` is the same test as str.isspace
 
 
 @dataclass
@@ -24,38 +26,23 @@ class Token:
     end: int
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainingExample:
     kind: str  # "ner" | "action_prediction" | "argument_filling"
     context: list[str]
     input: list[str] | str
     labels: list[str] | str | dict[str, str]
-    meta: dict[str, str] = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "kind": self.kind,
-                "context": self.context,
-                "input": self.input,
-                "labels": self.labels,
-                **({"meta": self.meta} if self.meta else {}),
-            }
+            {"kind": self.kind, "context": self.context, "input": self.input, "labels": self.labels}
         )
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        start, end = i, j
+    for word in _WORD_RE.finditer(text):
+        start, end = word.span()
         while start < end - 1 and text[start] in _PUNCT:
             tokens.append(Token(text[start], start, start + 1))
             start += 1
@@ -65,7 +52,6 @@ def tokenize(text: str) -> list[Token]:
             end -= 1
         tokens.append(Token(text[start:end], start, end))
         tokens.extend(reversed(trailing))
-        i = j
     return tokens
 
 
@@ -112,17 +98,19 @@ def _turn_line(turn_payload) -> str:
     return f"S: nlg: {turn_payload.text}"
 
 
-def ner_examples(dialog: Dialog) -> list[TrainingExample]:
+def _context_lines(dialog: Dialog) -> list[str]:
+    """One context line per turn; turn k's examples see lines[:k]."""
+    return [_turn_line(turn.payload) for turn in dialog.turns]
+
+
+def ner_examples(dialog: Dialog, lines: list[str] | None = None) -> list[TrainingExample]:
+    lines = _context_lines(dialog) if lines is None else lines
     out = []
-    context: list[str] = []
-    for turn in dialog.turns:
+    for k, turn in enumerate(dialog.turns):
         p = turn.payload
         if isinstance(p, UserUtterance):
             tokens, tags = iob_tags(p.text, p.spans)
-            out.append(
-                TrainingExample(kind="ner", context=list(context), input=tokens, labels=tags)
-            )
-        context.append(_turn_line(p))
+            out.append(TrainingExample(kind="ner", context=lines[:k], input=tokens, labels=tags))
     return out
 
 
@@ -134,34 +122,34 @@ def _action_name(p, index: TemplateIndex) -> str | None:
     return None
 
 
-def ap_examples(dialog: Dialog, index: TemplateIndex) -> list[TrainingExample]:
+def ap_examples(
+    dialog: Dialog, index: TemplateIndex, lines: list[str] | None = None
+) -> list[TrainingExample]:
     """One example per system action that names a schema API or response
     template; backoff-rendered turns (canned offers, requests without a
     schema response) have no action vocabulary entry and are skipped."""
+    lines = _context_lines(dialog) if lines is None else lines
     out = []
-    context: list[str] = []
-    for turn in dialog.turns:
-        p = turn.payload
+    for k, turn in enumerate(dialog.turns):
         if turn.side == "system":
-            name = _action_name(p, index)
+            name = _action_name(turn.payload, index)
             if name is not None:
                 out.append(
                     TrainingExample(
                         kind="action_prediction",
-                        context=list(context),
-                        input=context[-1] if context else "",
+                        context=lines[:k],
+                        input=lines[k - 1] if k else "",
                         labels=name,
                     )
                 )
-        context.append(_turn_line(p))
     return out
 
 
-def af_examples(dialog: Dialog) -> list[TrainingExample]:
+def af_examples(dialog: Dialog, lines: list[str] | None = None) -> list[TrainingExample]:
     """Argument sources for each API call: arg name -> in-context var id."""
+    lines = _context_lines(dialog) if lines is None else lines
     out = []
-    context: list[str] = []
-    for turn in dialog.turns:
+    for k, turn in enumerate(dialog.turns):
         p = turn.payload
         if isinstance(p, ApiCall):
             labels = {
@@ -169,13 +157,9 @@ def af_examples(dialog: Dialog) -> list[TrainingExample]:
             }
             out.append(
                 TrainingExample(
-                    kind="argument_filling",
-                    context=list(context),
-                    input=p.api,
-                    labels=labels,
+                    kind="argument_filling", context=lines[:k], input=p.api, labels=labels
                 )
             )
-        context.append(_turn_line(p))
     return out
 
 
@@ -184,7 +168,8 @@ def export_training(
 ) -> dict[str, list[TrainingExample]]:
     examples = {"ner": [], "action_prediction": [], "argument_filling": []}
     for dialog in corpus:
-        examples["ner"].extend(ner_examples(dialog))
-        examples["action_prediction"].extend(ap_examples(dialog, index))
-        examples["argument_filling"].extend(af_examples(dialog))
+        lines = _context_lines(dialog)
+        examples["ner"].extend(ner_examples(dialog, lines))
+        examples["action_prediction"].extend(ap_examples(dialog, index, lines))
+        examples["argument_filling"].extend(af_examples(dialog, lines))
     return examples

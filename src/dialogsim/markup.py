@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .acts import (
     USER,
     SYSTEM,
+    ActError,
     DialogAct,
     parse_act_list,
     slot_names_for,
@@ -123,6 +124,15 @@ def _split_acts_suffix(text: str) -> tuple[str, str | None]:
     return text, None
 
 
+def _suffix_acts(suffix: str | None, side: str, line_no: int) -> list[DialogAct]:
+    if suffix is None:
+        return []
+    try:
+        return parse_act_list(suffix, side)
+    except ActError as e:
+        raise MarkupError(str(e), line_no) from None
+
+
 def _parse_user_text(raw: str, line_no: int) -> UserUtterance:
     body, acts_suffix = _split_acts_suffix(raw)
     text_parts: list[str] = []
@@ -149,8 +159,7 @@ def _parse_user_text(raw: str, line_no: int) -> UserUtterance:
     text = "".join(text_parts)
     if "[" in text or "]" in text:
         raise MarkupError(f"malformed entity span in {body!r}", line_no)
-    acts = parse_act_list(acts_suffix, USER) if acts_suffix is not None else []
-    return UserUtterance(text=text, spans=spans, acts=acts)
+    return UserUtterance(text=text, spans=spans, acts=_suffix_acts(acts_suffix, USER, line_no))
 
 
 def _parse_valref(token: str, line_no: int) -> ValueRef:
@@ -211,8 +220,7 @@ def _parse_dialog_lines(
             payload = _parse_call(body, line_no)
         elif body.startswith("nlg:"):
             text, acts_suffix = _split_acts_suffix(body[len("nlg:") :].lstrip())
-            acts = parse_act_list(acts_suffix, SYSTEM) if acts_suffix is not None else []
-            payload = NlgResponse(text=text, acts=acts)
+            payload = NlgResponse(text=text, acts=_suffix_acts(acts_suffix, SYSTEM, line_no))
         else:
             raise MarkupError(f"system turn must be 'call:' or 'nlg:', got {body!r}", line_no)
         turns.append(Turn(index=index, side=side, payload=payload))

@@ -108,6 +108,7 @@ class SchemaBundle:
     _responses: dict[str, ResponseTemplateDef] = field(
         default_factory=dict, compare=False, repr=False
     )
+    _prefixes: dict[str, EntityType] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         self._reindex()
@@ -132,6 +133,10 @@ class SchemaBundle:
         for name, base in BUILTIN_CATALOGS.items():
             extra = tuple(v for v in extensions[name] if v not in base)
             self._types[name] = EntityType(name=name, kind=BUILTIN, catalog=base + extra)
+        self._prefixes = {}
+        for et in self._types.values():
+            if et.name:  # an unnamed type has no var prefix
+                self._prefixes.setdefault(var_prefix(et.name), et)
 
     def entity_type(self, name: str) -> EntityType | None:
         return self._types.get(name)
@@ -151,10 +156,7 @@ class SchemaBundle:
 
     def entity_type_for_prefix(self, prefix: str) -> EntityType | None:
         """Resolve a var-id prefix back to its entity type (see var_prefix)."""
-        for et in self._types.values():
-            if var_prefix(et.name) == prefix:
-                return et
-        return None
+        return self._prefixes.get(prefix)
 
 
 def var_prefix(type_name: str) -> str:

@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from dialogsim import acts
 from dialogsim.acts import (
     ActError,
     DialogAct,
@@ -115,6 +116,20 @@ def test_parse_act_rejects_unknown():
         parse_act("failure(entity:x)", "system")  # failure takes an intent
     with pytest.raises(ActError):
         validate_act(DialogAct("bye", "user", intent="X"))
+
+
+def test_parse_act_list_memo_returns_fresh_equal_lists():
+    text = "inform(intent:FindMovies),inform(entity:Time@FindMovies.timeLowerBound)"
+    first = parse_act_list(text, "user")
+    second = parse_act_list(text, "user")
+    assert first == second and first is not second
+    first.append(DialogAct("bye", "user"))  # a caller's edit does not reach the cache
+    assert parse_act_list(text, "user") == second
+    acts._parse_act_tuple.cache_clear()
+    cold = parse_act_list(text, "user")
+    assert cold == second
+    assert [(a.api, a.arg) for a in cold] == [(a.api, a.arg) for a in second]
+    assert parse_act_list(" ", "user") == []
 
 
 def test_role_suffix_only_when_ambiguous():

@@ -143,9 +143,17 @@ def _assert_one_error_line(err):
         lambda doc: doc["binding_stats"].update(NoSuchApi={}),
         lambda doc: doc.pop("start"),
         None,
+        lambda doc: doc.update(start={}),
+        lambda doc: doc.update(start={"FindMovies": 0.0, "SelectShow": 0}),
+        lambda doc: doc.update(start={"FindMovies": -1.0, "SelectShow": 2.0}),
+        lambda doc: doc.update(start={"FindMovies": "1"}),
+        lambda doc: doc["transition"].update(
+            FindMovies={k: 0.0 for k in doc["transition"]["FindMovies"]}
+        ),
     ],
     ids=["start", "transition-target", "transition-row", "binding-stats", "missing-key",
-         "not-json"],
+         "not-json", "start-empty", "start-zero", "start-negative", "start-not-number",
+         "transition-zero"],
 )
 def test_generate_rejects_bad_model(data_paths, tmp_path, capsys, edit):
     schema, seeds = data_paths
@@ -182,3 +190,55 @@ def test_generate_malformed_config(data_paths, tmp_path, capsys):
     assert main(["generate", "--schema", str(schema), "--seeds", str(seeds),
                  "--config", str(config)]) == 1
     _assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n_dialogs": "5"},
+        {"n_dialogs": True},
+        {"max_turns": 2.5},
+        {"p_correct": "high"},
+        {"p_correct": None},
+        {"sampler_mix": [1]},
+        {"sampler_mix": {"golden": "1"}},
+        {"sampler_mix": {"golden": True, "markov": 1}},
+    ],
+    ids=["int-as-string", "int-as-bool", "int-as-float", "float-as-string", "float-as-null",
+         "mix-not-object", "mix-string-weight", "mix-bool-weight"],
+)
+def test_generate_rejects_config_value_type(data_paths, tmp_path, capsys, doc):
+    schema, seeds = data_paths
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["generate", "--schema", str(schema), "--seeds", str(seeds),
+                 "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+    assert repr(next(iter(doc))) in captured.err
+
+
+@pytest.mark.parametrize("mix", ["golden=nan,markov=1", "golden=inf"], ids=["nan", "inf"])
+def test_generate_rejects_non_finite_mix(data_paths, capsys, mix):
+    schema, seeds = data_paths
+    assert main(["generate", "--schema", str(schema), "--seeds", str(seeds),
+                 "--n", "5", "--mix", mix]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+
+
+@pytest.mark.parametrize("command", ["metrics", "export-training", "generate"])
+def test_bad_acts_suffix_is_one_error_line(data_paths, tmp_path, capsys, command):
+    schema, _ = data_paths
+    corpus = tmp_path / "bad.txt"
+    corpus.write_text("U-1: hello |acts: frobnicate()\n", encoding="utf-8")
+    if command == "generate":
+        args = [command, "--schema", str(schema), "--seeds", str(corpus), "--n", "1"]
+    else:
+        args = [command, "--schema", str(schema), "--out", str(tmp_path / "out"), str(corpus)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert "line 1" in err and "frobnicate" in err

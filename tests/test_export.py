@@ -1,7 +1,11 @@
 import json
+import string
+
+import pytest
 
 from dialogsim.engine import GenerationConfig, run_batch
 from dialogsim.export import (
+    _PUNCT,
     af_examples,
     ap_examples,
     export_training,
@@ -10,7 +14,13 @@ from dialogsim.export import (
     spans_from_tags,
     tokenize,
 )
-from dialogsim.markup import ApiCall, annotate_seed_acts, parse_dialog
+from dialogsim.markup import (
+    ApiCall,
+    annotate_seed_acts,
+    parse_corpus,
+    parse_dialog,
+    serialize_corpus,
+)
 from dialogsim.nlg import build_template_index
 
 
@@ -19,6 +29,68 @@ def test_tokenizer_detaches_punctuation():
     assert tokens == ["What", "movies", "are", "playing", "in", "Sunnyvale", "after", "2", "PM", "?"]
     assert [t.text for t in tokenize('He said "17:00 sharp!"')] == [
         "He", "said", '"', "17:00", "sharp", "!", '"',
+    ]
+
+
+def _char_scan_tokenize(text):
+    """Reference: the per-character tokenizer that `tokenize` replaced."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace():
+            j += 1
+        start, end = i, j
+        while start < end - 1 and text[start] in _PUNCT:
+            tokens.append((text[start], start, start + 1))
+            start += 1
+        trailing = []
+        while end - 1 > start and text[end - 1] in _PUNCT:
+            trailing.append((text[end - 1], end - 1, end))
+            end -= 1
+        tokens.append((text[start:end], start, end))
+        tokens.extend(reversed(trailing))
+        i = j
+    return tokens
+
+
+def test_tokenize_matches_character_scan():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # every str.isspace character, plus zero-width ones that are not spaces
+    spaces = "".join(c for c in map(chr, range(0x3001)) if c.isspace()) + "\u200b\ufeff"
+    alphabet = string.ascii_letters + "".join(sorted(_PUNCT)) + spaces
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.text(alphabet=alphabet, max_size=40))
+    def check(text):
+        assert [(t.text, t.start, t.end) for t in tokenize(text)] == _char_scan_tokenize(text)
+
+    check()
+
+
+def test_export_same_from_memory_and_from_corpus_file(demo_bundle, demo_seeds):
+    result = run_batch(demo_bundle, demo_seeds, GenerationConfig(n_dialogs=200, rng_seed=9))
+    reparsed = parse_corpus(serialize_corpus(result.dialogs), demo_bundle)
+    index = build_template_index(demo_bundle, [])
+
+    def jsonl(dialogs):
+        examples = export_training(dialogs, demo_bundle, index)
+        return {kind: [row.to_json() for row in rows] for kind, rows in examples.items()}
+
+    from_file = jsonl(reparsed)
+    assert jsonl(result.dialogs) == from_file
+    assert all(from_file.values())
+    # the per-dialog builders, each making its own context lines, agree
+    assert [e.to_json() for d in reparsed for e in ner_examples(d)] == from_file["ner"]
+    assert [e.to_json() for d in reparsed for e in ap_examples(d, index)] == from_file[
+        "action_prediction"
+    ]
+    assert [e.to_json() for d in reparsed for e in af_examples(d)] == from_file[
+        "argument_filling"
     ]
 
 

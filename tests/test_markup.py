@@ -236,3 +236,19 @@ def test_link_errors(demo_bundle, text, message):
     with pytest.raises(MarkupError) as err:
         parse_dialog(text, demo_bundle)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("U-1: hello |acts: frobnicate()", 1),
+        ("U-1: hello\nS-2: nlg: ok |acts: inform(intent:FindMovies)", 2),
+    ],
+    ids=["user", "system"],
+)
+def test_bad_acts_suffix_is_markup_error(demo_bundle, text, line):
+    # the second parse meets the memoized act-list parser: errors are not cached
+    for _ in range(2):
+        with pytest.raises(MarkupError) as err:
+            parse_corpus(text, demo_bundle)
+        assert err.value.line == line

@@ -36,6 +36,20 @@ def test_dangling_type_reference(demo_schema_text):
     assert "movieList" in str(err.value)
 
 
+def test_var_prefix_lookup_keeps_first_match(demo_schema_text):
+    doc = json.loads(demo_schema_text)
+    # "time" shares its var prefix with the builtin Time, which is indexed
+    # after the domain types; an unnamed type must not break the index
+    doc["domains"][0]["entity_types"] += [
+        {"name": "time", "kind": "catalog", "catalog": ["noon"]},
+        {"kind": "catalog", "catalog": ["x"]},
+    ]
+    bundle = loads_schema(json.dumps(doc))
+    assert bundle.entity_type_for_prefix("location").name == "location"
+    assert bundle.entity_type_for_prefix("time").name == "time"
+    assert bundle.entity_type_for_prefix("nope") is None
+
+
 def test_validate_demo_is_clean(demo_bundle):
     assert validate_schema(demo_bundle) == []
 
