@@ -159,16 +159,15 @@ def sequence_string(dialog) -> str:
     un-annotated seed dialogs are rejected rather than silently skipped.
     """
     parts: list[str] = []
-    for turn in dialog.turns:
-        payload = turn.payload
-        if not hasattr(payload, "acts"):
+    for n, turn in enumerate(dialog.turns, start=1):
+        if not hasattr(turn, "acts"):
             continue
-        if not payload.acts:
+        if not turn.acts:
             raise MissingActsError(
-                f"turn {turn.index} carries no dialog acts; "
+                f"turn {n} carries no dialog acts; "
                 "annotate the dialog before computing its act sequence"
             )
-        parts.append(turn_acts_string(payload.acts))
+        parts.append(turn_acts_string(turn.acts))
     return ",".join(parts)
 
 

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from random import Random
 
-from .acts import END, SYSTEM, USER, slot_names_for, turn_acts_string, value_bearing
+from .acts import END, slot_names_for, turn_acts_string, value_bearing
 from .goals import (
     MarkovGoalModel,
     UserGoal,
@@ -29,7 +29,6 @@ from .markup import (
     ApiCall,
     Dialog,
     NlgResponse,
-    Turn,
     UserUtterance,
     VarAllocator,
     annotate_seed_acts,
@@ -55,6 +54,16 @@ class GenerationError(RuntimeError):
 
 
 _KINDS = {int: "an integer", float: "a number", dict: "an object of numbers"}
+_MINIMUMS = {
+    "n_dialogs": 1,
+    "max_turns": 1,
+    "max_corrections": 0,
+    "max_acts_per_turn": 1,
+    "max_len": 1,
+    "max_attempts": 1,
+    "workers": 1,
+}
+_PROBABILITIES = ("p_correct", "multi_act_p", "api_failure_rate", "p_offer")
 
 
 def _is_number(value) -> bool:
@@ -88,8 +97,12 @@ class GenerationConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        if self.n_dialogs < 1:
-            raise GenerationError("n_dialogs must be >= 1")
+        for key, low in _MINIMUMS.items():
+            if getattr(self, key) < low:
+                raise GenerationError(f"{key} must be >= {low}, got {getattr(self, key)!r}")
+        for key in _PROBABILITIES:
+            if not 0 <= getattr(self, key) <= 1:
+                raise GenerationError(f"{key} must be in [0, 1], got {getattr(self, key)!r}")
         if not _usable_weights({s: self.sampler_mix.get(s, 0.0) for s in SAMPLERS}):
             raise GenerationError("sampler mix weights must be finite, non-negative and sum > 0")
         for key in self.sampler_mix:
@@ -197,13 +210,7 @@ def run_dialog(
         if not uout.acts:
             raise GenerationError("user policy produced an empty turn")
         text, spans = realize_user(uout.acts, uout.slot_values, index, rng, alloc)
-        dialog.turns.append(
-            Turn(
-                index=len(dialog.turns) + 1,
-                side=USER,
-                payload=UserUtterance(text=text, spans=spans, acts=uout.acts),
-            )
-        )
+        dialog.turns.append(UserUtterance(text=text, spans=spans, acts=uout.acts))
         if len(dialog.turns) >= config.max_turns:
             truncated = True
             break
@@ -216,14 +223,10 @@ def run_dialog(
         sout = next_system_turn(system, uout.acts, inform_vars, bundle, config, rng, alloc)
         for call in sout.calls:
             dialog.turns.append(
-                Turn(
-                    index=len(dialog.turns) + 1,
-                    side=SYSTEM,
-                    payload=ApiCall(
-                        api=call.api,
-                        bindings={a: ref(v) for a, v in call.bindings.items()},
-                        return_var=call.return_var,
-                    ),
+                ApiCall(
+                    api=call.api,
+                    bindings={a: ref(v) for a, v in call.bindings.items()},
+                    return_var=call.return_var,
                 )
             )
         for plan in sout.nlg:
@@ -232,13 +235,7 @@ def run_dialog(
                 text = realize_response(resp, plan.arg_values, rng)
             else:
                 text = _render_policy_nlg(plan, index, rng)
-            dialog.turns.append(
-                Turn(
-                    index=len(dialog.turns) + 1,
-                    side=SYSTEM,
-                    payload=NlgResponse(text=text, acts=plan.acts),
-                )
-            )
+            dialog.turns.append(NlgResponse(text=text, acts=plan.acts))
         if sout.offer is not None:
             stats["offers_made"] += 1
         if sout.offer_accepted:
@@ -270,8 +267,7 @@ def run_base_dialog(
     alloc = VarAllocator()
     var_map: dict[str, str] = {}
     out = Dialog(metadata=dict(metadata or {}))
-    for turn in seed.turns:
-        p = turn.payload
+    for p in seed.turns:
         if isinstance(p, UserUtterance):
             # each span var is introduced exactly once, so values need no
             # cross-turn consistency map
@@ -288,7 +284,7 @@ def run_base_dialog(
             text, new_spans = realize_user(p.acts, slot_values, index, rng, alloc)
             for old, new in zip(spans, new_spans):
                 var_map[old.var_id] = new.var_id
-            payload = UserUtterance(text=text, spans=new_spans, acts=list(p.acts))
+            out.turns.append(UserUtterance(text=text, spans=new_spans, acts=list(p.acts)))
         elif isinstance(p, ApiCall):
             api = bundle.api(p.api)
             new_ret = alloc.new(api.return_type)
@@ -299,7 +295,7 @@ def run_base_dialog(
                 else:
                     bindings[arg] = valref
             var_map[p.return_var] = new_ret
-            payload = ApiCall(api=p.api, bindings=bindings, return_var=new_ret)
+            out.turns.append(ApiCall(api=p.api, bindings=bindings, return_var=new_ret))
         else:
             name = index.response_by_signature.get(turn_acts_string(p.acts)) if p.acts else None
             if name is not None:
@@ -307,8 +303,7 @@ def run_base_dialog(
                 text = realize_response(resp, sample_response_args(resp, bundle, rng), rng)
             else:
                 text = p.text
-            payload = NlgResponse(text=text, acts=list(p.acts))
-        out.turns.append(Turn(index=len(out.turns) + 1, side=turn.side, payload=payload))
+            out.turns.append(NlgResponse(text=text, acts=list(p.acts)))
     return out
 
 

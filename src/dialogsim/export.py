@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 
 from .acts import turn_acts_string
-from .markup import ApiCall, Dialog, EntitySpan, NlgResponse, UserUtterance
+from .markup import ApiCall, Dialog, EntitySpan, NlgResponse, Turn, UserUtterance
 from .nlg import TemplateIndex
 from .schema import SchemaBundle
 
@@ -89,32 +89,31 @@ def spans_from_tags(text: str, tokens: list[str], tags: list[str]) -> list[tuple
     return out
 
 
-def _turn_line(turn_payload) -> str:
-    if isinstance(turn_payload, UserUtterance):
-        return f"U: {turn_payload.text}"
-    if isinstance(turn_payload, ApiCall):
-        args = ",".join(f"{a}={v}" for a, v in turn_payload.bindings.items())
-        return f"S: call: {turn_payload.api}({args}) -> {turn_payload.return_var}"
-    return f"S: nlg: {turn_payload.text}"
+def _turn_line(p: Turn) -> str:
+    if isinstance(p, UserUtterance):
+        return f"U: {p.text}"
+    if isinstance(p, ApiCall):
+        args = ",".join(f"{a}={v}" for a, v in p.bindings.items())
+        return f"S: call: {p.api}({args}) -> {p.return_var}"
+    return f"S: nlg: {p.text}"
 
 
 def _context_lines(dialog: Dialog) -> list[str]:
     """One context line per turn; turn k's examples see lines[:k]."""
-    return [_turn_line(turn.payload) for turn in dialog.turns]
+    return [_turn_line(p) for p in dialog.turns]
 
 
 def ner_examples(dialog: Dialog, lines: list[str] | None = None) -> list[TrainingExample]:
     lines = _context_lines(dialog) if lines is None else lines
     out = []
-    for k, turn in enumerate(dialog.turns):
-        p = turn.payload
+    for k, p in enumerate(dialog.turns):
         if isinstance(p, UserUtterance):
             tokens, tags = iob_tags(p.text, p.spans)
             out.append(TrainingExample(kind="ner", context=lines[:k], input=tokens, labels=tags))
     return out
 
 
-def _action_name(p, index: TemplateIndex) -> str | None:
+def _action_name(p: Turn, index: TemplateIndex) -> str | None:
     if isinstance(p, ApiCall):
         return p.api
     if isinstance(p, NlgResponse) and p.acts:
@@ -130,18 +129,17 @@ def ap_examples(
     schema response) have no action vocabulary entry and are skipped."""
     lines = _context_lines(dialog) if lines is None else lines
     out = []
-    for k, turn in enumerate(dialog.turns):
-        if turn.side == "system":
-            name = _action_name(turn.payload, index)
-            if name is not None:
-                out.append(
-                    TrainingExample(
-                        kind="action_prediction",
-                        context=lines[:k],
-                        input=lines[k - 1] if k else "",
-                        labels=name,
-                    )
+    for k, p in enumerate(dialog.turns):
+        name = _action_name(p, index)
+        if name is not None:
+            out.append(
+                TrainingExample(
+                    kind="action_prediction",
+                    context=lines[:k],
+                    input=lines[k - 1] if k else "",
+                    labels=name,
                 )
+            )
     return out
 
 
@@ -149,8 +147,7 @@ def af_examples(dialog: Dialog, lines: list[str] | None = None) -> list[Training
     """Argument sources for each API call: arg name -> in-context var id."""
     lines = _context_lines(dialog) if lines is None else lines
     out = []
-    for k, turn in enumerate(dialog.turns):
-        p = turn.payload
+    for k, p in enumerate(dialog.turns):
         if isinstance(p, ApiCall):
             labels = {
                 arg: valref.var for arg, valref in p.bindings.items() if valref.var is not None

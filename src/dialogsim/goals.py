@@ -117,14 +117,14 @@ def extract_goals(seeds: list[Dialog], bundle: SchemaBundle) -> list[UserGoal]:
     wherever a call consumed an earlier call's return value."""
     goals = []
     for i, seed in enumerate(seeds):
-        calls = [t.payload for t in seed.turns if isinstance(t.payload, ApiCall)]
+        calls = [t for t in seed.turns if isinstance(t, ApiCall)]
         if not calls:
             log.warning("seed %d has no API calls; skipped", i)
             continue
         surfaces: dict[str, EntitySpan] = {}
         for turn in seed.turns:
-            if isinstance(turn.payload, UserUtterance):
-                for span in turn.payload.spans:
+            if isinstance(turn, UserUtterance):
+                for span in turn.spans:
                     surfaces[span.var_id] = span
         return_of = {c.return_var: idx for idx, c in enumerate(calls)}
         intents = []

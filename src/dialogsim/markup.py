@@ -9,6 +9,12 @@ One turn per line:
 `<valref>` is `$<var>` or a double-quoted literal (literals appear only in
 seed dialogs, before linking). Files hold many dialogs separated by blank
 lines; `#`-prefixed `key=value` lines carry per-dialog metadata.
+
+In memory a dialog is its metadata plus the list of turn payloads in order:
+`UserUtterance`, `ApiCall` or `NlgResponse`. Neither the turn number nor the
+side is stored. The number `<n>` is the turn's position plus one, and the
+side follows from the type: a `UserUtterance` is a user turn, the others
+are system turns.
 """
 from __future__ import annotations
 
@@ -83,11 +89,7 @@ class NlgResponse:
     acts: list[DialogAct] = field(default_factory=list)
 
 
-@dataclass
-class Turn:
-    index: int
-    side: str
-    payload: UserUtterance | ApiCall | NlgResponse
+Turn = UserUtterance | ApiCall | NlgResponse
 
 
 @dataclass
@@ -198,7 +200,6 @@ def _parse_dialog_lines(
 ) -> Dialog:
     metadata: dict[str, str] = {}
     turns: list[Turn] = []
-    expected = 1
     for line_no, line in numbered:
         if line.startswith("#"):
             m = _META_RE.match(line)
@@ -208,25 +209,22 @@ def _parse_dialog_lines(
         m = _TURN_RE.match(line)
         if m is None:
             raise MarkupError(f"not a turn line: {line!r}", line_no)
-        side = USER if m.group(1) == "U" else SYSTEM
-        index = int(m.group(2))
+        index, expected = int(m.group(2)), len(turns) + 1
         if index != expected:
             raise MarkupError(f"turn index {index} out of order (expected {expected})", line_no)
-        expected += 1
         body = m.group(3)
-        if side == USER:
-            payload: UserUtterance | ApiCall | NlgResponse = _parse_user_text(body, line_no)
+        if m.group(1) == "U":
+            turns.append(_parse_user_text(body, line_no))
         elif body.startswith("call:"):
-            payload = _parse_call(body, line_no)
+            turns.append(_parse_call(body, line_no))
         elif body.startswith("nlg:"):
             text, acts_suffix = _split_acts_suffix(body[len("nlg:") :].lstrip())
-            payload = NlgResponse(text=text, acts=_suffix_acts(acts_suffix, SYSTEM, line_no))
+            turns.append(NlgResponse(text=text, acts=_suffix_acts(acts_suffix, SYSTEM, line_no)))
         else:
             raise MarkupError(f"system turn must be 'call:' or 'nlg:', got {body!r}", line_no)
-        turns.append(Turn(index=index, side=side, payload=payload))
     if not turns:
         raise MarkupError("dialog has no turns")
-    if turns[0].side != USER:
+    if not isinstance(turns[0], UserUtterance):
         raise MarkupError("first turn must be user-side", numbered[0][0])
     dialog = Dialog(turns=turns, metadata=metadata)
     if bundle is not None:
@@ -238,21 +236,20 @@ def _link(dialog: Dialog, bundle: SchemaBundle) -> None:
     """Resolve var references and infer span entity types from API usage."""
     # var -> (introducing turn, its span, or the return type of its call)
     intro: dict[str, tuple[int, EntitySpan | str]] = {}
-    for turn in dialog.turns:
-        p = turn.payload
+    for n, p in enumerate(dialog.turns, start=1):
         if isinstance(p, UserUtterance):
             last_end = 0
             for span in sorted(p.spans, key=lambda s: s.start):
                 if span.start < last_end:
-                    raise MarkupError(f"overlapping spans in turn {turn.index}")
+                    raise MarkupError(f"overlapping spans in turn {n}")
                 last_end = span.end
                 if p.text[span.start : span.end] != span.surface:
                     raise MarkupError(
                         f"span surface {span.surface!r} does not match utterance text "
-                        f"in turn {turn.index}"
+                        f"in turn {n}"
                     )
                 if span.var_id in intro:
-                    raise MarkupError(f"var {span.var_id!r} reintroduced in turn {turn.index}")
+                    raise MarkupError(f"var {span.var_id!r} reintroduced in turn {n}")
                 if span.entity_type is None:
                     # a prefix that names an entity type is a declaration;
                     # other prefixes leave the type to be inferred from usage
@@ -260,21 +257,19 @@ def _link(dialog: Dialog, bundle: SchemaBundle) -> None:
                     declared = bundle.entity_type_for_prefix(m.group(1)) if m else None
                     if declared is not None:
                         span.entity_type = declared.name
-                intro[span.var_id] = (turn.index, span)
+                intro[span.var_id] = (n, span)
         elif isinstance(p, ApiCall):
             api = bundle.api(p.api)
             if api is None:
-                raise MarkupError(f"unknown API {p.api!r} in turn {turn.index}")
+                raise MarkupError(f"unknown API {p.api!r} in turn {n}")
             for arg_name, valref in p.bindings.items():
                 spec = api.arg(arg_name)
                 if spec is None:
                     raise MarkupError(f"API {p.api} has no argument {arg_name!r}")
                 if valref.var is None:
                     continue
-                if valref.var not in intro or intro[valref.var][0] >= turn.index:
-                    raise MarkupError(
-                        f"unresolved reference ${valref.var} in turn {turn.index}"
-                    )
+                if valref.var not in intro or intro[valref.var][0] >= n:
+                    raise MarkupError(f"unresolved reference ${valref.var} in turn {n}")
                 source = intro[valref.var][1]
                 if isinstance(source, EntitySpan) and source.entity_type is None:
                     source.entity_type = spec.entity_type
@@ -286,24 +281,22 @@ def _link(dialog: Dialog, bundle: SchemaBundle) -> None:
                         f"{p.api}.{arg_name} takes {spec.entity_type}"
                     )
             if p.return_var in intro:
-                raise MarkupError(f"var {p.return_var!r} reintroduced in turn {turn.index}")
-            intro[p.return_var] = (turn.index, api.return_type)
+                raise MarkupError(f"var {p.return_var!r} reintroduced in turn {n}")
+            intro[p.return_var] = (n, api.return_type)
     # by now a span is typed by its var prefix or by the call that consumed it
-    for turn in dialog.turns:
-        p = turn.payload
+    for n, p in enumerate(dialog.turns, start=1):
         if not isinstance(p, UserUtterance):
             continue
         for span in p.spans:
             if span.entity_type is None:
                 raise MarkupError(
-                    f"cannot infer entity type for span var {span.var_id!r} "
-                    f"in turn {turn.index}"
+                    f"cannot infer entity type for span var {span.var_id!r} in turn {n}"
                 )
             et = bundle.entity_type(span.entity_type)
             if et is not None and et.kind == OBJECT:
                 raise MarkupError(
                     f"object-kind type {et.name!r} cannot appear as a user value "
-                    f"(turn {turn.index})"
+                    f"(turn {n})"
                 )
 
 
@@ -335,8 +328,7 @@ def load_corpus(path, bundle: SchemaBundle | None = None) -> list[Dialog]:
 
 def serialize_dialog(dialog: Dialog) -> str:
     lines = [f"# {k}={v}" for k, v in dialog.metadata.items()]
-    for turn in dialog.turns:
-        p = turn.payload
+    for n, p in enumerate(dialog.turns, start=1):
         if isinstance(p, UserUtterance):
             parts = []
             pos = 0
@@ -345,14 +337,14 @@ def serialize_dialog(dialog: Dialog) -> str:
                 parts.append(f"[{span.surface}|{span.var_id}]")
                 pos = span.end
             parts.append(p.text[pos:])
-            line = f"U-{turn.index}: {''.join(parts)}"
+            line = f"U-{n}: {''.join(parts)}"
             if p.acts:
                 line += f" |acts: {turn_acts_string(p.acts)}"
         elif isinstance(p, ApiCall):
             args = ",".join(f"{name}={valref}" for name, valref in p.bindings.items())
-            line = f"S-{turn.index}: call: {p.api}({args}) -> {p.return_var}"
+            line = f"S-{n}: call: {p.api}({args}) -> {p.return_var}"
         else:
-            line = f"S-{turn.index}: nlg: {p.text}"
+            line = f"S-{n}: nlg: {p.text}"
             if p.acts:
                 line += f" |acts: {turn_acts_string(p.acts)}"
         lines.append(line)
@@ -392,12 +384,12 @@ def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
     nlg turns directly after a call get the API's response-template acts; a
     final nlg line closing the dialog gets bye().
     """
-    calls: list[tuple[int, ApiCall]] = []  # (position in turns, payload)
+    calls: list[tuple[int, ApiCall]] = []  # (position in turns, call)
     user_positions: list[int] = []
-    for pos, turn in enumerate(dialog.turns):
-        if isinstance(turn.payload, ApiCall):
-            calls.append((pos, turn.payload))
-        elif turn.side == USER:
+    for pos, p in enumerate(dialog.turns):
+        if isinstance(p, ApiCall):
+            calls.append((pos, p))
+        elif isinstance(p, UserUtterance):
             user_positions.append(pos)
 
     consuming: dict[str, tuple[str, str]] = {}
@@ -411,9 +403,8 @@ def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
                 consuming[valref.var] = (call.api, arg_name)
 
     last_user = user_positions[-1] if user_positions else -1
-    for pos, turn in enumerate(dialog.turns):
-        p = turn.payload
-        if turn.side == USER:
+    for pos, p in enumerate(dialog.turns):
+        if isinstance(p, UserUtterance):
             if p.acts:
                 continue
             acts: list[DialogAct] = []
@@ -434,7 +425,7 @@ def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
                 acts.append(DialogAct("bye", USER))
             p.acts = acts
         elif isinstance(p, NlgResponse) and not p.acts:
-            prev = dialog.turns[pos - 1].payload if pos > 0 else None
+            prev = dialog.turns[pos - 1] if pos > 0 else None
             if isinstance(prev, ApiCall):
                 api = bundle.api(prev.api)
                 resp = bundle.response(api.response_template) if api else None

@@ -13,7 +13,7 @@ from random import Random
 
 from .acts import DialogAct, slot_names_for, turn_acts_string, value_bearing
 from .markup import Dialog, EntitySpan, UserUtterance, VarAllocator, delexicalize_turn
-from .schema import ResponseTemplateDef, SchemaBundle, UtteranceTemplateDef
+from .schema import SLOT_RE, ResponseTemplateDef, SchemaBundle, UtteranceTemplateDef
 
 
 class RealizationError(RuntimeError):
@@ -47,12 +47,9 @@ def build_template_index(bundle: SchemaBundle, seeds: list[Dialog]) -> TemplateI
             )
     for seed in seeds:
         for turn in seed.turns:
-            if isinstance(turn.payload, UserUtterance) and turn.payload.acts:
-                add_user(delexicalize_turn(turn.payload))
+            if isinstance(turn, UserUtterance) and turn.acts:
+                add_user(delexicalize_turn(turn))
     return index
-
-
-_SLOT_RE = re.compile(r"\{([A-Za-z][A-Za-z0-9]*)\}")
 
 
 def _fill_template(
@@ -65,7 +62,7 @@ def _fill_template(
     spans: dict[str, EntitySpan] = {}
     pos = 0
     out = 0
-    for m in _SLOT_RE.finditer(template):
+    for m in SLOT_RE.finditer(template):
         slot = m.group(1)
         if slot not in slot_values:
             raise RealizationError(f"template {template!r} wants unknown slot {{{slot}}}")
@@ -166,7 +163,7 @@ def realize_user(
             )
             # a single-act template names its one slot after the bare type;
             # the turn-level slot may carry a repeat suffix
-            tslot = _SLOT_RE.search(template).group(1)
+            tslot = SLOT_RE.search(template).group(1)
             text, spans = _fill_template(
                 template, {tslot: slot_values[slot]}, {tslot: slot_types[slot]}, alloc
             )
@@ -200,7 +197,7 @@ def realize_response(
             raise RealizationError(f"response {defn.name} has no value for {{{name}}}")
         return arg_values[name]
 
-    return _SLOT_RE.sub(sub, template)
+    return SLOT_RE.sub(sub, template)
 
 
 def sample_response_args(

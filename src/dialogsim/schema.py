@@ -7,6 +7,7 @@ component.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from .acts import SYSTEM, USER, DialogAct, parse_act_list, turn_acts_string
@@ -22,6 +23,12 @@ BUILTIN_CATALOGS: dict[str, tuple[str, ...]] = {
     "Date": ("today", "tomorrow", "Friday", "June 5", "next Monday"),
     "Address": ("123 Main St", "55 5th Ave", "9 Elm Road"),
 }
+
+
+# entity type names and template slot names: a letter, then letters or
+# digits; var ids in the markup are a type name plus a counter
+_NAME = r"[A-Za-z][A-Za-z0-9]*"
+SLOT_RE = re.compile(r"\{(%s)\}" % _NAME)
 
 
 class SchemaError(ValueError):
@@ -266,19 +273,6 @@ def load_schema(path) -> SchemaBundle:
         return loads_schema(f.read())
 
 
-def _slots_of(template: str) -> list[str]:
-    slots, i = [], 0
-    while True:
-        start = template.find("{", i)
-        if start < 0:
-            return slots
-        end = template.find("}", start)
-        if end < 0:
-            return slots
-        slots.append(template[start + 1 : end])
-        i = end + 1
-
-
 def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
     """Check every cross-reference and invariant; returns diagnostics only."""
     diags: list[Diagnostic] = []
@@ -286,11 +280,20 @@ def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
     def err(loc, msg):
         diags.append(Diagnostic("error", loc, msg))
 
+    def slots_of(template: str, loc: str) -> list[str]:
+        stray = SLOT_RE.sub("", template)
+        if "{" in stray or "}" in stray:
+            err(loc, f"brace outside a {{slot}} in {template!r} (a slot name is a letter, "
+                "then letters or digits)")
+        return SLOT_RE.findall(template)
+
     seen_types: set[str] = set()
     seen_apis: set[str] = set()
     for dom in bundle.domains:
         for et in dom.entity_types:
             loc = f"{dom.name}.{et.name}"
+            if not re.fullmatch(_NAME, et.name):
+                err(loc, f"entity type name {et.name!r} is not a letter, then letters or digits")
             if et.kind not in (CATALOG, OBJECT, BUILTIN):
                 err(loc, f"unknown entity kind {et.kind!r}")
             if et.kind == BUILTIN and et.name not in BUILTIN_CATALOGS:
@@ -307,6 +310,12 @@ def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
                 err(loc, "object-kind type must not carry a catalog")
             if len(set(et.catalog)) != len(et.catalog) or any(not v for v in et.catalog):
                 err(loc, "catalog entries must be unique, non-empty strings")
+            for value in et.catalog:
+                # a value must fit in a `[surface|var]` span on one markup line
+                if isinstance(value, str) and (
+                    any(c in value for c in "[]|") or "".join(value.splitlines()) != value
+                ):
+                    err(loc, f"catalog value {value!r} contains '[', ']', '|' or a line break")
 
         def check_args(args, loc):
             for a in args:
@@ -331,14 +340,14 @@ def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
                 err(loc, "response template needs at least one template string")
             arg_names = {a.name for a in resp.args}
             for t in resp.templates:
-                for slot in _slots_of(t):
+                for slot in slots_of(t, loc):
                     if slot not in arg_names:
                         err(loc, f"template slot {{{slot}}} names no arg of this definition")
 
         for ut in dom.utterance_templates:
             loc = f"{dom.name} utterance {ut.template!r}"
             n_value_acts = sum(1 for a in ut.acts if a.name == "inform" and a.entity is not None)
-            n_slots = len(_slots_of(ut.template))
+            n_slots = len(slots_of(ut.template, loc))
             if n_slots != n_value_acts:
                 err(loc, f"{n_slots} slots but {n_value_acts} entity-bearing acts")
     return diags

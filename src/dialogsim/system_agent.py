@@ -31,7 +31,6 @@ class Frame:
     filled: dict[str, str] = field(default_factory=dict)  # arg -> var id
     surfaces: dict[str, str] = field(default_factory=dict)  # arg -> spoken surface
     status: str = COLLECTING
-    return_var: str | None = None
     confirmed: bool = False
     recall_pending: bool = False
 
@@ -94,7 +93,6 @@ class SystemCall:
     api: str
     bindings: dict[str, str]  # arg -> var id
     return_var: str
-    recall: bool = False
 
 
 @dataclass
@@ -162,7 +160,6 @@ def simulate_api_call(
         surface = et.catalog[rng.randrange(len(et.catalog))]
     state.context[var] = ContextVar(api.return_type, surface, "return")
     frame.status = CALLED_OK
-    frame.return_var = var
     return True, var
 
 
@@ -229,9 +226,7 @@ def _do_call(
     ok, var = simulate_api_call(frame, bundle, config, rng, alloc, state)
     api = bundle.api(frame.api)
     if ok:
-        out.calls.append(
-            SystemCall(api=frame.api, bindings=dict(frame.filled), return_var=var, recall=recall)
-        )
+        out.calls.append(SystemCall(api=frame.api, bindings=dict(frame.filled), return_var=var))
         out.results.append(CallResult(frame.api, True, var, recall))
         out.nlg.append(_announce(api, bundle, rng))
     else:

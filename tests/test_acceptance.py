@@ -100,7 +100,7 @@ def test_base_ceiling(per_sampler_corpora, _demo_seeds_raw):
 
 @criterion(3, "plug-in entropy equals brute force within 1e-9")
 def test_entropy_oracle():
-    from dialogsim.markup import Dialog, Turn
+    from dialogsim.markup import Dialog
     from dialogsim.acts import DialogAct
 
     def corpus_from_counts(counts):
@@ -108,7 +108,7 @@ def test_entropy_oracle():
         for tag, n in counts.items():
             payload = UserUtterance(text=tag, acts=[DialogAct("inform", "user", intent=tag)])
             corpus.extend(
-                Dialog(turns=[Turn(1, "user", payload)]) for _ in range(n)
+                Dialog(turns=[payload]) for _ in range(n)
             )
         return corpus
 
@@ -213,7 +213,7 @@ def test_interplay_soundness(demo_bundle, demo_seeds_annotated, flow_bundle, flo
     result = run_batch(demo_bundle, copy.deepcopy(demo_seeds_annotated), quiet)
     assert result.stats["truncations"] == 0
     for dialog in result.dialogs:
-        calls = [t for t in dialog.turns if isinstance(t.payload, ApiCall)]
+        calls = [t for t in dialog.turns if isinstance(t, ApiCall)]
         assert len(calls) == int(dialog.metadata["goal_len"])
 
     single = UserGoal(intents=extract_goals([flow_seed], flow_bundle)[0].intents[:1])
@@ -222,7 +222,7 @@ def test_interplay_soundness(demo_bundle, demo_seeds_annotated, flow_bundle, flo
     for i in range(500):
         dialog, stats = run_dialog(single, flow_bundle, failing, Random(i), index)
         assert stats["abandonments"] == 1
-        assert not any(isinstance(t.payload, ApiCall) for t in dialog.turns)
+        assert not any(isinstance(t, ApiCall) for t in dialog.turns)
 
     # hand-built chain: Y needs X's return, Z needs Y's; dropping X drops all
     chained = extract_goals([flow_seed], flow_bundle)[0]
@@ -265,27 +265,27 @@ def test_correction_soundness(flow_bundle, flow_seed):
     for trial in range(200):
         dialog, stats = run_dialog(goal, flow_bundle, config, Random(trial), index)
         assert stats["corrections"] == 1
-        calls = [t.payload for t in dialog.turns if isinstance(t.payload, ApiCall)]
+        calls = [t for t in dialog.turns if isinstance(t, ApiCall)]
         assert len(calls) == 2 and calls[0].api == calls[1].api == "FindMovies"
         # the deny(entity:T),inform(entity:T) pattern, with the informed span
         # becoming the re-call's binding
         corrected = [
             (turn, i)
             for turn in dialog.turns
-            if isinstance(turn.payload, UserUtterance)
-            for i, act in enumerate(turn.payload.acts)
+            if isinstance(turn, UserUtterance)
+            for i, act in enumerate(turn.acts)
             if act.name == "deny" and act.entity is not None
         ]
         assert len(corrected) == 1
         turn, i = corrected[0]
-        deny, inform = turn.payload.acts[i], turn.payload.acts[i + 1]
+        deny, inform = turn.acts[i], turn.acts[i + 1]
         assert inform.name == "inform" and inform.entity == deny.entity
         corrected_arg = inform.arg
         new_var = [
             s.var_id
             for s, a in zip(
-                turn.payload.spans,
-                [a for a in turn.payload.acts if a.name == "inform" and a.entity],
+                turn.spans,
+                [a for a in turn.acts if a.name == "inform" and a.entity],
             )
             if a is inform
         ][0]
@@ -335,10 +335,9 @@ def test_export_integrity(demo_bundle, mixed_run):
     checked = 0
     dialog_iter = iter(corpus)
     for dialog in corpus:
-        for turn in dialog.turns:
-            if not isinstance(turn.payload, UserUtterance):
+        for utt in dialog.turns:
+            if not isinstance(utt, UserUtterance):
                 continue
-            utt = turn.payload
             tokens, tags = iob_tags(utt.text, utt.spans)
             rebuilt = spans_from_tags(utt.text, tokens, tags)
             assert sorted(rebuilt) == sorted(
@@ -361,8 +360,7 @@ def test_export_integrity(demo_bundle, mixed_run):
     af_by_dialog = iter(examples["argument_filling"])
     for dialog in corpus:
         introduced = set()
-        for turn in dialog.turns:
-            p = turn.payload
+        for p in dialog.turns:
             if isinstance(p, UserUtterance):
                 introduced.update(s.var_id for s in p.spans)
             elif isinstance(p, ApiCall):

@@ -16,7 +16,7 @@ from dialogsim.acts import (
     validate_act,
 )
 from dialogsim.engine import GenerationConfig, run_base_dialog
-from dialogsim.markup import Dialog, NlgResponse, Turn, UserUtterance
+from dialogsim.markup import Dialog, NlgResponse, UserUtterance
 from dialogsim.nlg import build_template_index
 
 
@@ -32,10 +32,6 @@ def test_act_to_string_bare():
 def test_act_to_string_entity():
     act = DialogAct("offer", "system", entity="movieTitle")
     assert act_to_string(act) == "offer(entity:movieTitle)"
-
-
-def _turn(index, side, payload):
-    return Turn(index=index, side=side, payload=payload)
 
 
 def test_correction_exchange_sequence():
@@ -54,8 +50,8 @@ def test_correction_exchange_sequence():
     ]
     dialog = Dialog(
         turns=[
-            _turn(1, "system", NlgResponse(text="would you like to book Tenet at 4 PM", acts=system)),
-            _turn(2, "user", UserUtterance(text="no thank you, book it at 17:00", acts=user)),
+            NlgResponse(text="would you like to book Tenet at 4 PM", acts=system),
+            UserUtterance(text="no thank you, book it at 17:00", acts=user),
         ]
     )
     assert sequence_string(dialog) == (
@@ -74,14 +70,14 @@ def test_sequence_ignores_catalog_values(demo_bundle, demo_seeds_annotated):
     seed = demo_seeds_annotated[0]
     a = run_base_dialog(seed, demo_bundle, index, Random(1))
     b = run_base_dialog(seed, demo_bundle, index, Random(2))
-    texts_a = [t.payload.text for t in a.turns if hasattr(t.payload, "text")]
-    texts_b = [t.payload.text for t in b.turns if hasattr(t.payload, "text")]
+    texts_a = [t.text for t in a.turns if hasattr(t, "text")]
+    texts_b = [t.text for t in b.turns if hasattr(t, "text")]
     assert texts_a != texts_b  # different catalog draws
     assert sequence_string(a) == sequence_string(b)
 
 
 def test_missing_acts_rejected():
-    dialog = Dialog(turns=[_turn(1, "user", UserUtterance(text="hi", acts=[]))])
+    dialog = Dialog(turns=[UserUtterance(text="hi", acts=[])])
     with pytest.raises(MissingActsError):
         sequence_string(dialog)
 

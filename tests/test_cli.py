@@ -242,3 +242,108 @@ def test_bad_acts_suffix_is_one_error_line(data_paths, tmp_path, capsys, command
     err = capsys.readouterr().err
     _assert_one_error_line(err)
     assert "line 1" in err and "frobnicate" in err
+
+
+@pytest.mark.parametrize(
+    "domain_edit",
+    [
+        lambda dom: dom["utterance_templates"].append(
+            {"acts": ["inform(entity:location)"], "template": "around {the location}"}
+        ),
+        lambda dom: dom["response_templates"][1]["templates"].append("{ticketType} tickets}"),
+    ],
+    ids=["utterance-slot-with-space", "response-stray-brace"],
+)
+def test_template_brace_outside_slot(data_paths, tmp_path, capsys, domain_edit):
+    schema, seeds = data_paths
+    doc = json.loads(schema.read_text(encoding="utf-8"))
+    domain_edit(doc["domains"][0])
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--schema", str(broken)]) == 1
+    assert "brace outside a {slot}" in capsys.readouterr().out
+    assert main(["generate", "--schema", str(broken), "--seeds", str(seeds),
+                 "--n", "200", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"max_turns": 0},
+        {"workers": 0},
+        {"workers": -1},
+        {"max_acts_per_turn": 0},
+        {"max_len": 0},
+        {"max_attempts": 0},
+        {"max_corrections": -1},
+        {"p_correct": 7},
+        {"p_correct": -0.5},
+        {"multi_act_p": 1.5},
+        {"api_failure_rate": 2.0},
+        {"p_offer": -1},
+    ],
+    ids=lambda doc: "%s=%s" % next(iter(doc.items())),
+)
+def test_generate_rejects_config_value_range(data_paths, tmp_path, capsys, doc):
+    schema, seeds = data_paths
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["generate", "--schema", str(schema), "--seeds", str(seeds),
+                 "--n", "3", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+    assert next(iter(doc)) in captured.err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_generate_rejects_workers_flag_below_one(data_paths, capsys, workers):
+    schema, seeds = data_paths
+    assert main(["generate", "--schema", str(schema), "--seeds", str(seeds),
+                 "--n", "3", "--workers", workers]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+    assert "workers" in captured.err
+
+
+# SHA-256 of the CLI output for the demo schema and seeds at --n 300 --seed 42.
+# A change that alters output on purpose updates these digests and says why.
+GOLDEN = {
+    "generate": "cf2b0ac60942e5e591b3db54adf5202b060c912d57313a1d6cb8c91803c119c5",
+    "generate --mix base=1": "f5a48f1adb9a3a800902f28de7d1098e4e29793ed41593f06bd2a4ce946be718",
+    "generate p_correct=0": "d683e12d57a391a151aacbaaea46299dc52345b83e7a3ea06f97a75c033146df",
+    "export-training": "1daea6d8d5a01b57552a71d35b897cd546022b8cb5c96b02732c44bb22bbbac9",
+    "metrics": "3482ac429c76728d5b9677eb918250ffded11ce1f80186e2afc86c07485c6995",
+}
+
+
+def test_output_bytes_are_pinned(data_paths, tmp_path, capsys):
+    schema, seeds = data_paths
+    no_corrections = tmp_path / "no_corrections.json"
+    no_corrections.write_text('{"p_correct": 0.0}', encoding="utf-8")
+    generate = ["generate", "--schema", str(schema), "--seeds", str(seeds),
+                "--n", "300", "--seed", "42"]
+    corpus = tmp_path / "corpus.txt"
+    digests = {}
+    for name, extra in [
+        ("generate", []),
+        ("generate --mix base=1", ["--mix", "base=1"]),
+        ("generate p_correct=0", ["--config", str(no_corrections)]),
+    ]:
+        assert main(generate + extra) == 0
+        text = capsys.readouterr().out
+        digests[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        if name == "generate":
+            corpus.write_text(text, encoding="utf-8")
+    train = tmp_path / "train"
+    assert main(["export-training", "--schema", str(schema), "--out", str(train), str(corpus)]) == 0
+    jsonl = b"".join(path.read_bytes() for path in sorted(train.glob("*.jsonl")))
+    digests["export-training"] = hashlib.sha256(jsonl).hexdigest()
+    capsys.readouterr()
+    assert main(["metrics", "--schema", str(schema), str(corpus)]) == 0
+    digests["metrics"] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digests == GOLDEN

@@ -38,7 +38,7 @@ def test_happy_path_trace(flow_bundle, flow_seed):
         "inform(entity:bookingRef),"
         "bye(),bye()"
     )
-    calls = [t.payload for t in dialog.turns if isinstance(t.payload, ApiCall)]
+    calls = [t for t in dialog.turns if isinstance(t, ApiCall)]
     assert [c.api for c in calls] == ["FindMovies", "SelectShow", "BookTickets"]
     assert str(calls[1].bindings["movies"]) == f"${calls[0].return_var}"
     assert str(calls[2].bindings["show"]) == f"${calls[1].return_var}"
@@ -52,12 +52,13 @@ def test_forced_failure_abandons(flow_bundle, flow_seed):
     dialog, stats = run_dialog(goal, flow_bundle, config, Random(0), index)
     assert stats["abandonments"] == 1
     kinds = [
-        "call" if isinstance(t.payload, ApiCall) else t.side for t in dialog.turns
+        "call" if isinstance(t, ApiCall) else "user" if isinstance(t, UserUtterance) else "system"
+        for t in dialog.turns
     ]
     assert "call" not in kinds  # failed attempts produce no call line
     failure_turns = [
         t for t in dialog.turns
-        if isinstance(t.payload, NlgResponse) and any(a.name == "failure" for a in t.payload.acts)
+        if isinstance(t, NlgResponse) and any(a.name == "failure" for a in t.acts)
     ]
     assert len(failure_turns) == 1
     assert sequence_string(dialog).endswith("failure(intent:FindMovies),bye(),bye()")
@@ -120,7 +121,7 @@ def test_completion_with_variations_disabled(demo_bundle, demo_seeds):
     result = run_batch(demo_bundle, demo_seeds, config)
     assert result.stats["truncations"] == 0
     for dialog in result.dialogs:
-        calls = [t.payload for t in dialog.turns if isinstance(t.payload, ApiCall)]
+        calls = [t for t in dialog.turns if isinstance(t, ApiCall)]
         assert len(calls) == int(dialog.metadata["goal_len"])
         assert sequence_string(dialog).endswith("bye(),bye()")
 
@@ -129,11 +130,10 @@ def test_annotation_completeness(demo_bundle, demo_seeds):
     config = GenerationConfig(n_dialogs=200, rng_seed=13)
     result = run_batch(demo_bundle, demo_seeds, config)
     for dialog in result.dialogs:
-        for turn in dialog.turns:
-            p = turn.payload
+        for n, p in enumerate(dialog.turns, start=1):
             if isinstance(p, ApiCall):
                 continue
-            assert p.acts, f"turn {turn.index} lacks acts"
+            assert p.acts, f"turn {n} lacks acts"
             if isinstance(p, UserUtterance):
                 informs = [a for a in p.acts if a.name == "inform" and a.entity]
                 assert len(informs) == len(p.spans)
@@ -144,8 +144,7 @@ def test_reference_discipline(demo_bundle, demo_seeds):
     result = run_batch(demo_bundle, demo_seeds, config)
     for dialog in result.dialogs:
         introduced = set()
-        for turn in dialog.turns:
-            p = turn.payload
+        for p in dialog.turns:
             if isinstance(p, UserUtterance):
                 introduced.update(s.var_id for s in p.spans)
             elif isinstance(p, ApiCall):
@@ -195,9 +194,9 @@ def test_corrections_and_bye_interplay(demo_bundle, demo_seeds):
         if dialog.metadata.get("truncated") != "true":
             assert sequence_string(dialog).endswith("bye(),bye()")
         for turn in dialog.turns:
-            if not isinstance(turn.payload, UserUtterance):
+            if not isinstance(turn, UserUtterance):
                 continue
-            acts = turn.payload.acts
+            acts = turn.acts
             assert acts
             corrects = any(a.name == "deny" and a.entity is not None for a in acts)
             assert not (corrects and any(a.name == "bye" for a in acts))

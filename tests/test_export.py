@@ -96,7 +96,7 @@ def test_export_same_from_memory_and_from_corpus_file(demo_bundle, demo_seeds):
 
 def test_ner_tags_for_table2_opening(demo_bundle, demo_seeds):
     seed = demo_seeds[0]
-    utt = seed.turns[0].payload
+    utt = seed.turns[0]
     tokens, tags = iob_tags(utt.text, utt.spans)
     assert tokens == ["What", "movies", "are", "playing", "in", "Sunnyvale", "after", "2", "PM", "?"]
     assert tags == ["O", "O", "O", "O", "O", "B-location", "O", "B-Time", "I-Time", "O"]
@@ -104,10 +104,9 @@ def test_ner_tags_for_table2_opening(demo_bundle, demo_seeds):
 
 def test_iob_round_trip_on_seed_spans(demo_bundle, demo_seeds):
     for seed in demo_seeds:
-        for turn in seed.turns:
-            if not hasattr(turn.payload, "spans"):
+        for utt in seed.turns:
+            if not hasattr(utt, "spans"):
                 continue
-            utt = turn.payload
             tokens, tags = iob_tags(utt.text, utt.spans)
             rebuilt = spans_from_tags(utt.text, tokens, tags)
             expected = sorted((s.start, s.end, s.entity_type) for s in utt.spans)
@@ -144,8 +143,7 @@ def test_af_labels_resolve_in_context(demo_bundle, demo_seeds):
     for dialog in result.dialogs:
         examples = iter(af_examples(dialog))
         introduced = set()
-        for turn in dialog.turns:
-            p = turn.payload
+        for p in dialog.turns:
             if hasattr(p, "spans"):
                 introduced.update(s.var_id for s in p.spans)
             elif isinstance(p, ApiCall):

@@ -23,7 +23,7 @@ def test_parse_user_line_spans(demo_bundle):
         "S-2: call: FindMovies(location=$location0,timeLowerBound=$time0) -> movieList0"
     )
     dialog = parse_dialog(text, demo_bundle)
-    utt = dialog.turns[0].payload
+    utt = dialog.turns[0]
     assert utt.text == "What movie are playing in Sunnyvale after 2 PM?"
     assert [(s.surface, s.var_id, s.entity_type) for s in utt.spans] == [
         ("Sunnyvale", "location0", "location"),
@@ -37,7 +37,7 @@ def test_parse_call_line(demo_bundle):
         "U-1: in [Sunnyvale|location0] after [2 PM|time0]\n"
         "S-2: call: FindMovies(location=$location0,timeLowerBound=$time0) -> movieList0"
     )
-    call = parse_dialog(text, demo_bundle).turns[1].payload
+    call = parse_dialog(text, demo_bundle).turns[1]
     assert call.api == "FindMovies"
     assert str(call.bindings["location"]) == "$location0"
     assert str(call.bindings["timeLowerBound"]) == "$time0"
@@ -146,38 +146,38 @@ def test_overlapping_spans_rejected(demo_bundle):
             EntitySpan("Sunny", "location1", "location", 3, 8),
         ],
     )
-    from dialogsim.markup import Dialog, Turn, _link
+    from dialogsim.markup import Dialog, _link
 
     with pytest.raises(MarkupError) as err:
-        _link(Dialog(turns=[Turn(1, "user", utt)]), demo_bundle)
+        _link(Dialog(turns=[utt]), demo_bundle)
     assert "overlapping" in str(err.value)
 
 
 def test_annotate_seed_acts_table2(demo_bundle, demo_seeds):
     seed = annotate_seed_acts(demo_seeds[0], demo_bundle)
-    first = [act_to_string(a) for a in seed.turns[0].payload.acts]
+    first = [act_to_string(a) for a in seed.turns[0].acts]
     assert first == [
         "inform(intent:FindMovies)",
         "inform(entity:location)",
         "inform(entity:Time)",
     ]
-    roles = [(a.api, a.arg) for a in seed.turns[0].payload.acts[1:]]
+    roles = [(a.api, a.arg) for a in seed.turns[0].acts[1:]]
     assert roles == [("FindMovies", "location"), ("FindMovies", "timeLowerBound")]
     # closing user turn and system response annotations
-    assert [act_to_string(a) for a in seed.turns[8].payload.acts] == ["bye()"]
-    announce = seed.turns[2].payload.acts
+    assert [act_to_string(a) for a in seed.turns[8].acts] == ["bye()"]
+    announce = seed.turns[2].acts
     assert [act_to_string(a) for a in announce] == [
         "inform(entity:movieTitle)",
         "inform(entity:theater)",
         "inform(entity:Time)",
     ]
-    assert [act_to_string(a) for a in seed.turns[9].payload.acts] == ["bye()"]
+    assert [act_to_string(a) for a in seed.turns[9].acts] == ["bye()"]
 
 
 def test_explicit_acts_override_inference(demo_bundle, demo_seeds):
     seed = annotate_seed_acts(demo_seeds[1], demo_bundle)
-    assert [act_to_string(a) for a in seed.turns[0].payload.acts] == ["inform(intent:FindMovies)"]
-    assert [act_to_string(a) for a in seed.turns[1].payload.acts] == ["request(entity:location)"]
+    assert [act_to_string(a) for a in seed.turns[0].acts] == ["inform(intent:FindMovies)"]
+    assert [act_to_string(a) for a in seed.turns[1].acts] == ["request(entity:location)"]
 
 
 def test_metadata_round_trip(demo_bundle):
@@ -189,7 +189,7 @@ def test_metadata_round_trip(demo_bundle):
 
 def test_literal_bindings_parse(demo_bundle):
     text = 'U-1: hello there\nS-2: call: FindMovies(location="Sunnyvale") -> movieList0'
-    call = parse_dialog(text, demo_bundle).turns[1].payload
+    call = parse_dialog(text, demo_bundle).turns[1]
     assert call.bindings["location"].literal == "Sunnyvale"
     assert serialize_dialog(parse_dialog(text, demo_bundle)).endswith(
         'call: FindMovies(location="Sunnyvale") -> movieList0'

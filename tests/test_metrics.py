@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from dialogsim.markup import Dialog, NlgResponse, Turn, UserUtterance, parse_dialog
+from dialogsim.markup import Dialog, NlgResponse, UserUtterance, parse_dialog
 from dialogsim.acts import DialogAct
 from dialogsim.metrics import (
     entropy,
@@ -18,11 +18,9 @@ def _dialog_with_sequence(tag: str, n_turns: int = 1) -> Dialog:
     turns = []
     for i in range(n_turns):
         if i % 2 == 0:
-            payload = UserUtterance(text=tag, acts=[DialogAct("inform", "user", intent=tag)])
-            turns.append(Turn(index=i + 1, side="user", payload=payload))
+            turns.append(UserUtterance(text=tag, acts=[DialogAct("inform", "user", intent=tag)]))
         else:
-            payload = NlgResponse(text=tag, acts=[DialogAct("bye", "system")])
-            turns.append(Turn(index=i + 1, side="system", payload=payload))
+            turns.append(NlgResponse(text=tag, acts=[DialogAct("bye", "system")]))
     return Dialog(turns=turns)
 
 

@@ -5,6 +5,8 @@ import pytest
 from dialogsim.schema import (
     BUILTIN_CATALOGS,
     Diagnostic,
+    EntityType,
+    SchemaBundle,
     SchemaError,
     loads_schema,
     serialize_schema,
@@ -40,11 +42,13 @@ def test_var_prefix_lookup_keeps_first_match(demo_schema_text):
     doc = json.loads(demo_schema_text)
     # "time" shares its var prefix with the builtin Time, which is indexed
     # after the domain types; an unnamed type must not break the index
+    # (validation rejects one, so it is added to the loaded bundle)
     doc["domains"][0]["entity_types"] += [
         {"name": "time", "kind": "catalog", "catalog": ["noon"]},
-        {"kind": "catalog", "catalog": ["x"]},
     ]
-    bundle = loads_schema(json.dumps(doc))
+    domains = loads_schema(json.dumps(doc)).domains
+    domains[0].entity_types.append(EntityType(name="", kind="catalog", catalog=("x",)))
+    bundle = SchemaBundle(domains=domains)
     assert bundle.entity_type_for_prefix("location").name == "location"
     assert bundle.entity_type_for_prefix("time").name == "time"
     assert bundle.entity_type_for_prefix("nope") is None
@@ -61,6 +65,37 @@ def test_empty_catalog_rejected():
     with pytest.raises(SchemaError) as err:
         loads_schema(text)
     assert "empty catalog" in str(err.value)
+
+
+@pytest.mark.parametrize("name", [None, "", "movie_theater", "two words", "9lives"])
+def test_entity_type_name_must_fit_a_var_id(demo_schema_text, name):
+    # generated var ids are the type name plus a counter, and the markup's
+    # `[surface|var]` span takes only letters and digits
+    doc = json.loads(demo_schema_text)
+    entity = {"kind": "catalog", "catalog": ["x"]}
+    if name is not None:
+        entity["name"] = name
+    doc["domains"][0]["entity_types"].append(entity)
+    with pytest.raises(SchemaError) as err:
+        loads_schema(json.dumps(doc))
+    assert [d.message for d in err.value.diagnostics] == [
+        f"entity type name {name or ''!r} is not a letter, then letters or digits"
+    ]
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["Café [West]", "Odd |acts: x]", "a|b", "two\nlines", "trailing\n", "cr\rlf", "sep\u2028arated"],
+)
+def test_catalog_value_the_markup_cannot_carry(demo_schema_text, value):
+    doc = json.loads(demo_schema_text)
+    theaters = next(t for t in doc["domains"][0]["entity_types"] if t["name"] == "theater")
+    theaters["catalog"].append(value)
+    with pytest.raises(SchemaError) as err:
+        loads_schema(json.dumps(doc))
+    assert [d.message for d in err.value.diagnostics] == [
+        f"catalog value {value!r} contains '[', ']', '|' or a line break"
+    ]
 
 
 def test_duplicate_arg_name(demo_schema_text):

@@ -196,7 +196,7 @@ def test_post_call_correction_triggers_recall(demo_bundle):
     ]
     out = _turn(state, correction, {1: ("location1", "Berkeley")}, demo_bundle, alloc=alloc)
     (call,) = out.calls
-    assert call.recall
+    assert [r.recall for r in out.results] == [True]
     assert call.bindings["location"] == "location1"
     assert call.return_var != "movieList0"
     assert out.nlg[0].response_name == "announce_movies"
