@@ -3,54 +3,92 @@
 Examples are derived purely from the markup, so a corpus file round-trips
 into the same training data. Tokenization is whitespace splitting with
 leading/trailing punctuation detached into separate tokens.
+
+Every example of a dialog shares one context: the dialog's turn lines, each
+JSON-encoded once, so an example holds only its turn number `k` and sees
+the first `k` lines. `TrainingExample.to_json` writes one JSONL line as
+`json.dumps` with its defaults would: the keys `kind`, `context`, `input`,
+`labels` in that order, `", "` between items, `": "` after keys, and every
+string escaped to ASCII by `json.encoder.encode_basestring_ascii`.
 """
 from __future__ import annotations
 
-import json
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
+from json.encoder import encode_basestring_ascii as _encode
 
 from .acts import turn_acts_string
-from .markup import ApiCall, Dialog, EntitySpan, NlgResponse, Turn, UserUtterance
+from .markup import ApiCall, Dialog, EntitySpan, Turn, UserUtterance
 from .nlg import TemplateIndex
 from .schema import SchemaBundle
 
 _PUNCT = set(".,!?;:\"'()[]")
-_WORD_RE = re.compile(r"\S+")  # `\s` is the same test as str.isspace
 
 
-@dataclass
-class Token:
-    text: str
-    start: int
-    end: int
+@dataclass(slots=True)
+class _Context:
+    """One dialog's context lines, JSON-encoded once and joined with ", ";
+    `joined[:cuts[k]]` is the encoding of `lines[:k]`."""
+
+    lines: list[str]
+    joined: str
+    cuts: list[int]
+
+    @classmethod
+    def of(cls, dialog: Dialog) -> _Context:
+        lines = [_turn_line(p) for p in dialog.turns]
+        encoded = [_encode(line) for line in lines]
+        cuts = [0, *(end - 2 for end in accumulate(len(e) + 2 for e in encoded))]
+        return cls(lines, ", ".join(encoded), cuts)
 
 
 @dataclass(slots=True)
 class TrainingExample:
     kind: str  # "ner" | "action_prediction" | "argument_filling"
-    context: list[str]
     input: list[str] | str
     labels: list[str] | str | dict[str, str]
+    shared: _Context = field(repr=False)
+    k: int  # the example sees the first k context lines
+
+    @property
+    def context(self) -> list[str]:
+        return self.shared.lines[: self.k]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"kind": self.kind, "context": self.context, "input": self.input, "labels": self.labels}
+        context = self.shared.joined[: self.shared.cuts[self.k]]
+        return (
+            f'{{"kind": {_encode(self.kind)}, "context": [{context}], '
+            f'"input": {_json(self.input)}, "labels": {_json(self.labels)}}}'
         )
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    for word in _WORD_RE.finditer(text):
-        start, end = word.span()
-        while start < end - 1 and text[start] in _PUNCT:
-            tokens.append(Token(text[start], start, start + 1))
+def _json(value: str | list[str] | dict[str, str]) -> str:
+    if isinstance(value, str):
+        return _encode(value)
+    if isinstance(value, list):
+        return "[%s]" % ", ".join(map(_encode, value))
+    return "{%s}" % ", ".join(f"{_encode(a)}: {_encode(v)}" for a, v in value.items())
+
+
+def tokenize(text: str) -> list[tuple[str, int, int]]:
+    """(token text, start, end) per token."""
+    tokens: list[tuple[str, int, int]] = []
+    end = 0
+    for word in text.split():  # splits where str.isspace is true
+        start = text.find(word, end)  # only whitespace lies between
+        end = start + len(word)
+        if word[0] not in _PUNCT and word[-1] not in _PUNCT:
+            tokens.append((word, start, end))
+            continue
+        last = end
+        while start < last - 1 and text[start] in _PUNCT:
+            tokens.append((text[start], start, start + 1))
             start += 1
-        trailing: list[Token] = []
-        while end - 1 > start and text[end - 1] in _PUNCT:
-            trailing.append(Token(text[end - 1], end - 1, end))
-            end -= 1
-        tokens.append(Token(text[start:end], start, end))
+        trailing = []
+        while last - 1 > start and text[last - 1] in _PUNCT:
+            trailing.append((text[last - 1], last - 1, last))
+            last -= 1
+        tokens.append((text[start:last], start, last))
         tokens.extend(reversed(trailing))
     return tokens
 
@@ -61,25 +99,24 @@ def iob_tags(text: str, spans: list[EntitySpan]) -> tuple[list[str], list[str]]:
     tags = ["O"] * len(tokens)
     for span in spans:
         inside = False
-        for k, tok in enumerate(tokens):
-            if tok.start >= span.start and tok.end <= span.end:
+        for k, (_, start, end) in enumerate(tokens):
+            if start >= span.start and end <= span.end:
                 tags[k] = ("I-" if inside else "B-") + (span.entity_type or "value")
                 inside = True
-    return [t.text for t in tokens], tags
+    return [t[0] for t in tokens], tags
 
 
 def spans_from_tags(text: str, tokens: list[str], tags: list[str]) -> list[tuple[int, int, str]]:
     """Invert iob_tags: contiguous B/I runs back to (start, end, type)."""
-    positions = tokenize(text)
     out = []
     current: tuple[int, int, str] | None = None
-    for tok, tag in zip(positions, tags):
+    for (_, start, end), tag in zip(tokenize(text), tags):
         if tag.startswith("B-"):
             if current:
                 out.append(current)
-            current = (tok.start, tok.end, tag[2:])
+            current = (start, end, tag[2:])
         elif tag.startswith("I-") and current is not None:
-            current = (current[0], tok.end, current[2])
+            current = (current[0], end, current[2])
         else:
             if current:
                 out.append(current)
@@ -98,75 +135,44 @@ def _turn_line(p: Turn) -> str:
     return f"S: nlg: {p.text}"
 
 
-def _context_lines(dialog: Dialog) -> list[str]:
-    """One context line per turn; turn k's examples see lines[:k]."""
-    return [_turn_line(p) for p in dialog.turns]
-
-
-def ner_examples(dialog: Dialog, lines: list[str] | None = None) -> list[TrainingExample]:
-    lines = _context_lines(dialog) if lines is None else lines
-    out = []
-    for k, p in enumerate(dialog.turns):
-        if isinstance(p, UserUtterance):
-            tokens, tags = iob_tags(p.text, p.spans)
-            out.append(TrainingExample(kind="ner", context=lines[:k], input=tokens, labels=tags))
-    return out
-
-
-def _action_name(p: Turn, index: TemplateIndex) -> str | None:
-    if isinstance(p, ApiCall):
-        return p.api
-    if isinstance(p, NlgResponse) and p.acts:
-        return index.response_by_signature.get(turn_acts_string(p.acts))
-    return None
-
-
-def ap_examples(
-    dialog: Dialog, index: TemplateIndex, lines: list[str] | None = None
-) -> list[TrainingExample]:
-    """One example per system action that names a schema API or response
-    template; backoff-rendered turns (canned offers, requests without a
-    schema response) have no action vocabulary entry and are skipped."""
-    lines = _context_lines(dialog) if lines is None else lines
-    out = []
-    for k, p in enumerate(dialog.turns):
-        name = _action_name(p, index)
-        if name is not None:
-            out.append(
-                TrainingExample(
-                    kind="action_prediction",
-                    context=lines[:k],
-                    input=lines[k - 1] if k else "",
-                    labels=name,
-                )
-            )
-    return out
-
-
-def af_examples(dialog: Dialog, lines: list[str] | None = None) -> list[TrainingExample]:
-    """Argument sources for each API call: arg name -> in-context var id."""
-    lines = _context_lines(dialog) if lines is None else lines
-    out = []
-    for k, p in enumerate(dialog.turns):
-        if isinstance(p, ApiCall):
-            labels = {
-                arg: valref.var for arg, valref in p.bindings.items() if valref.var is not None
-            }
-            out.append(
-                TrainingExample(
-                    kind="argument_filling", context=lines[:k], input=p.api, labels=labels
-                )
-            )
-    return out
-
-
 def export_training(
-    corpus: list[Dialog], bundle: SchemaBundle, index: TemplateIndex
+    corpus: list[Dialog], bundle: SchemaBundle | None, index: TemplateIndex
 ) -> dict[str, list[TrainingExample]]:
+    """NER examples for user turns. AP examples for each system action that
+    names a schema API or response template; backoff-rendered turns (canned
+    offers, requests without a schema response) have no action vocabulary
+    entry and are skipped. AF examples map each API call's arg names to the
+    in-context var ids they were filled from. `bundle` is not read."""
     examples = {"ner": [], "action_prediction": [], "argument_filling": []}
+    ner, ap, af = examples.values()
     for dialog in corpus:
-        lines = _context_lines(dialog)
-        examples["ner"].extend(ner_examples(dialog, lines))
-        examples["action_prediction"].extend(ap_examples(dialog, index, lines))
-        examples["argument_filling"].extend(af_examples(dialog, lines))
+        shared = _Context.of(dialog)
+        for k, p in enumerate(dialog.turns):
+            if isinstance(p, UserUtterance):
+                tokens, tags = iob_tags(p.text, p.spans)
+                ner.append(TrainingExample("ner", tokens, tags, shared, k))
+                continue
+            if isinstance(p, ApiCall):
+                name = p.api
+                labels = {a: v.var for a, v in p.bindings.items() if v.var is not None}
+                af.append(TrainingExample("argument_filling", p.api, labels, shared, k))
+            elif p.acts:
+                name = index.response_by_signature.get(turn_acts_string(p.acts))
+            else:
+                name = None
+            if name is not None:
+                previous = shared.lines[k - 1] if k else ""
+                ap.append(TrainingExample("action_prediction", previous, name, shared, k))
     return examples
+
+
+def ner_examples(dialog: Dialog) -> list[TrainingExample]:
+    return export_training([dialog], None, TemplateIndex())["ner"]
+
+
+def ap_examples(dialog: Dialog, index: TemplateIndex) -> list[TrainingExample]:
+    return export_training([dialog], None, index)["action_prediction"]
+
+
+def af_examples(dialog: Dialog) -> list[TrainingExample]:
+    return export_training([dialog], None, TemplateIndex())["argument_filling"]

@@ -273,6 +273,11 @@ def load_schema(path) -> SchemaBundle:
         return loads_schema(f.read())
 
 
+def _breaks(text: str) -> bool:
+    """True if `text` holds a character that `str.splitlines` breaks on."""
+    return "".join(text.splitlines()) != text
+
+
 def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
     """Check every cross-reference and invariant; returns diagnostics only."""
     diags: list[Diagnostic] = []
@@ -312,9 +317,7 @@ def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
                 err(loc, "catalog entries must be unique, non-empty strings")
             for value in et.catalog:
                 # a value must fit in a `[surface|var]` span on one markup line
-                if isinstance(value, str) and (
-                    any(c in value for c in "[]|") or "".join(value.splitlines()) != value
-                ):
+                if isinstance(value, str) and (any(c in value for c in "[]|") or _breaks(value)):
                     err(loc, f"catalog value {value!r} contains '[', ']', '|' or a line break")
 
         def check_args(args, loc):
@@ -340,12 +343,17 @@ def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
                 err(loc, "response template needs at least one template string")
             arg_names = {a.name for a in resp.args}
             for t in resp.templates:
+                if _breaks(t):
+                    err(loc, f"template {t!r} contains a line break")
                 for slot in slots_of(t, loc):
                     if slot not in arg_names:
                         err(loc, f"template slot {{{slot}}} names no arg of this definition")
 
         for ut in dom.utterance_templates:
             loc = f"{dom.name} utterance {ut.template!r}"
+            # the text becomes one markup line, where brackets delimit spans
+            if "[" in ut.template or "]" in ut.template or _breaks(ut.template):
+                err(loc, "template contains '[', ']' or a line break")
             n_value_acts = sum(1 for a in ut.acts if a.name == "inform" and a.entity is not None)
             n_slots = len(slots_of(ut.template, loc))
             if n_slots != n_value_acts:

@@ -270,6 +270,28 @@ def test_template_brace_outside_slot(data_paths, tmp_path, capsys, domain_edit):
 
 
 @pytest.mark.parametrize(
+    "domain_edit",
+    [
+        lambda dom: dom["utterance_templates"][0].update(template="I want to see a [new] movie"),
+        lambda dom: dom["response_templates"][2]["templates"].append("Booked.\nEnjoy!"),
+    ],
+    ids=["utterance-bracket", "response-line-break"],
+)
+def test_template_the_markup_cannot_carry(data_paths, tmp_path, capsys, domain_edit):
+    schema, seeds = data_paths
+    doc = json.loads(schema.read_text(encoding="utf-8"))
+    domain_edit(doc["domains"][0])
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["generate", "--schema", str(broken), "--seeds", str(seeds),
+                 "--n", "200", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+    assert "template" in captured.err
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"max_turns": 0},

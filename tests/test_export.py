@@ -3,6 +3,7 @@ import string
 
 import pytest
 
+from dialogsim.acts import SYSTEM, DialogAct, turn_acts_string
 from dialogsim.engine import GenerationConfig, run_batch
 from dialogsim.export import (
     _PUNCT,
@@ -16,18 +17,23 @@ from dialogsim.export import (
 )
 from dialogsim.markup import (
     ApiCall,
+    Dialog,
+    EntitySpan,
+    NlgResponse,
+    UserUtterance,
+    ValueRef,
     annotate_seed_acts,
     parse_corpus,
     parse_dialog,
     serialize_corpus,
 )
-from dialogsim.nlg import build_template_index
+from dialogsim.nlg import TemplateIndex, build_template_index
 
 
 def test_tokenizer_detaches_punctuation():
-    tokens = [t.text for t in tokenize("What movies are playing in Sunnyvale after 2 PM?")]
+    tokens = [t[0] for t in tokenize("What movies are playing in Sunnyvale after 2 PM?")]
     assert tokens == ["What", "movies", "are", "playing", "in", "Sunnyvale", "after", "2", "PM", "?"]
-    assert [t.text for t in tokenize('He said "17:00 sharp!"')] == [
+    assert [t[0] for t in tokenize('He said "17:00 sharp!"')] == [
         "He", "said", '"', "17:00", "sharp", "!", '"',
     ]
 
@@ -67,7 +73,7 @@ def test_tokenize_matches_character_scan():
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(st.text(alphabet=alphabet, max_size=40))
     def check(text):
-        assert [(t.text, t.start, t.end) for t in tokenize(text)] == _char_scan_tokenize(text)
+        assert [t for t in tokenize(text)] == _char_scan_tokenize(text)
 
     check()
 
@@ -168,3 +174,75 @@ def test_ner_examples_carry_context(demo_bundle, demo_seeds_annotated):
     assert len(examples) == 4  # four user turns in the seed
     assert examples[1].context[0].startswith("U: ")
     assert examples[1].context[1].startswith("S: call: FindMovies")
+
+
+def _json_dumps_of(example):
+    return json.dumps(
+        {
+            "kind": example.kind,
+            "context": example.context,
+            "input": example.input,
+            "labels": example.labels,
+        }
+    )
+
+
+def test_to_json_matches_json_dumps_on_any_text():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # any code point, lone surrogates included, plus the characters JSON escapes
+    char = st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t\u2028\ud800\udfffé€😀'),
+        st.characters(codec=None, exclude_categories=()),
+    )
+    text = st.text(char, max_size=12)
+    acts = [DialogAct(name="offer", side=SYSTEM, entity="Time")]
+
+    @st.composite
+    def utterance(draw):
+        t = draw(text)
+        spans = []
+        if t and draw(st.booleans()):
+            start = draw(st.integers(0, len(t) - 1))
+            end = draw(st.integers(start + 1, len(t)))
+            spans.append(EntitySpan(t[start:end], draw(text), draw(text), start, end))
+        return UserUtterance(t, spans)
+
+    call = st.builds(
+        ApiCall,
+        api=text,
+        bindings=st.dictionaries(
+            text, st.one_of(st.builds(ValueRef, var=text), st.builds(ValueRef, literal=text)),
+            max_size=3,
+        ),
+        return_var=text,
+    )
+    nlg = st.builds(NlgResponse, text=text, acts=st.sampled_from([[], acts]))
+    dialogs = st.lists(
+        st.builds(Dialog, turns=st.lists(st.one_of(utterance(), call, nlg), max_size=6)),
+        max_size=3,
+    )
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
+    @hypothesis.given(dialogs, text)
+    def check(corpus, response_name):
+        index = TemplateIndex(response_by_signature={turn_acts_string(acts): response_name})
+        for rows in export_training(corpus, None, index).values():
+            for example in rows:
+                assert example.to_json() == _json_dumps_of(example)
+
+    check()
+
+
+def test_mutating_context_leaves_examples_unchanged(demo_bundle, demo_seeds_annotated):
+    index = build_template_index(demo_bundle, [])
+    examples = export_training(demo_seeds_annotated[:1], demo_bundle, index)
+    siblings = [e for rows in examples.values() for e in rows]
+    before = [e.to_json() for e in siblings]
+    target = examples["ner"][2]
+    context = target.context
+    target.context.append("x")
+    target.context.clear()
+    assert context and target.context == context
+    assert [e.to_json() for e in siblings] == before
+    assert [e.to_json() for e in siblings] == [_json_dumps_of(e) for e in siblings]

@@ -98,6 +98,36 @@ def test_catalog_value_the_markup_cannot_carry(demo_schema_text, value):
     ]
 
 
+@pytest.mark.parametrize(
+    "template", ["I want to see a [new] movie", "a ] b", "two\nlines", "cr\rlf", "sep\u2028arated"]
+)
+def test_utterance_template_the_markup_cannot_carry(demo_schema_text, template):
+    doc = json.loads(demo_schema_text)
+    doc["domains"][0]["utterance_templates"][0]["template"] = template
+    with pytest.raises(SchemaError) as err:
+        loads_schema(json.dumps(doc))
+    assert [d.message for d in err.value.diagnostics] == [
+        "template contains '[', ']' or a line break"
+    ]
+
+
+@pytest.mark.parametrize("template", ["Enjoy\nthe show!", "done\r", "file\x1cseparator"])
+def test_response_template_with_a_line_break(demo_schema_text, template):
+    doc = json.loads(demo_schema_text)
+    doc["domains"][0]["response_templates"][2]["templates"].append(template)
+    with pytest.raises(SchemaError) as err:
+        loads_schema(json.dumps(doc))
+    assert [d.message for d in err.value.diagnostics] == [
+        f"template {template!r} contains a line break"
+    ]
+
+
+def test_response_template_may_hold_brackets(demo_schema_text):
+    doc = json.loads(demo_schema_text)
+    doc["domains"][0]["response_templates"][2]["templates"].append("Booked [row 5]!")
+    loads_schema(json.dumps(doc))
+
+
 def test_duplicate_arg_name(demo_schema_text):
     doc = json.loads(demo_schema_text)
     api = doc["domains"][0]["apis"][0]
