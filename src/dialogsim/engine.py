@@ -202,7 +202,6 @@ def run_dialog(
     user = init_user(goal, bundle, config, rng)
     system = init_system(offer_model)
     dialog = Dialog(metadata=dict(metadata or {}))
-    stats = {"corrections": 0, "abandonments": 0, "offers_made": 0, "offers_accepted": 0}
     view = SystemTurnOutput()
     truncated = False
     while True:
@@ -221,14 +220,10 @@ def run_dialog(
                 span = next(span_iter)
                 inform_vars[pos] = (span.var_id, span.surface)
         sout = next_system_turn(system, uout.acts, inform_vars, bundle, config, rng, alloc)
-        for call in sout.calls:
-            dialog.turns.append(
-                ApiCall(
-                    api=call.api,
-                    bindings={a: ref(v) for a, v in call.bindings.items()},
-                    return_var=call.return_var,
-                )
-            )
+        for call in sout.results:
+            if call.ok:
+                bindings = {a: ref(v) for a, v in call.bindings.items()}
+                dialog.turns.append(ApiCall(call.api, bindings, call.return_var))
         for plan in sout.nlg:
             if plan.response_name is not None:
                 resp = bundle.response(plan.response_name)
@@ -236,18 +231,18 @@ def run_dialog(
             else:
                 text = _render_policy_nlg(plan, index, rng)
             dialog.turns.append(NlgResponse(text=text, acts=plan.acts))
-        if sout.offer is not None:
-            stats["offers_made"] += 1
-        if sout.offer_accepted:
-            stats["offers_accepted"] += 1
         view = sout
         if len(dialog.turns) >= config.max_turns:
             truncated = len(dialog.turns) > config.max_turns or not system.closed
             break
         if system.closed:
             break
-    stats["corrections"] = user.corrections_used
-    stats["abandonments"] = user.abandonments
+    stats = {
+        "corrections": user.corrections_used,
+        "abandonments": user.abandonments,
+        "offers_made": system.offers_made,
+        "offers_accepted": system.offers_accepted,
+    }
     if truncated:
         del dialog.turns[config.max_turns :]
         dialog.metadata["truncated"] = "true"

@@ -7,7 +7,14 @@ confirms flagged APIs before calling, re-calls after post-call corrections,
 and makes proactive offers sampled from the fitted goal-transition model.
 
 Each turn yields a SystemTurnOutput, which the engine renders and the user
-policy reads as its view of the turn; the protocol types live here.
+policy reads as its view of the turn; the protocol types live here. The
+protocol carries each fact once:
+- one CallResult per call attempt; a successful one (``ok``) also carries
+  the bindings and return var, and is the turn's API-call line;
+- one ApiView for offers and confirms alike, whose ArgViews name each arg's
+  var, surface and entity type; it is built together with its act group.
+Counters of the system's own events (offers made and accepted) live on
+SystemState, as the user's live on UserState.
 """
 from __future__ import annotations
 
@@ -41,10 +48,11 @@ class CallResult:
     ok: bool
     return_var: str | None = None
     recall: bool = False
+    bindings: dict[str, str] = field(default_factory=dict)  # arg -> var id; empty if failed
 
 
 @dataclass
-class OfferedArg:
+class ArgView:
     arg: str
     var: str
     surface: str | None
@@ -52,22 +60,11 @@ class OfferedArg:
 
 
 @dataclass
-class OfferView:
+class ApiView:
+    """An offered or confirmed API call, with the args the system filled."""
+
     api: str
-    args: list[OfferedArg] = field(default_factory=list)
-
-
-@dataclass
-class ConfirmedArg:
-    arg: str
-    surface: str | None
-    entity_type: str
-
-
-@dataclass
-class ConfirmView:
-    api: str
-    args: list[ConfirmedArg] = field(default_factory=list)
+    args: list[ArgView] = field(default_factory=list)
 
 
 @dataclass
@@ -82,17 +79,12 @@ class SystemState:
     frames: list[Frame] = field(default_factory=list)
     context: dict[str, ContextVar] = field(default_factory=dict)
     denied_offers: set = field(default_factory=set)
-    pending_offer: OfferView | None = None
-    awaiting_confirm: int | None = None  # frame index
+    pending_offer: ApiView | None = None
+    awaiting_confirm: Frame | None = None
     offer_model: MarkovGoalModel | None = None
     closed: bool = False
-
-
-@dataclass
-class SystemCall:
-    api: str
-    bindings: dict[str, str]  # arg -> var id
-    return_var: str
+    offers_made: int = 0
+    offers_accepted: int = 0
 
 
 @dataclass
@@ -105,16 +97,14 @@ class SystemNlg:
 
 @dataclass
 class SystemTurnOutput:
-    """One system turn, as rendered and as the user sees it. Call results
-    are bookkeeping only: they advance the user's goal cursor and identify
-    offered return values."""
+    """One system turn, as rendered and as the user sees it. The user reads
+    call results as bookkeeping only: they advance its goal cursor and
+    identify offered return values."""
 
-    calls: list[SystemCall] = field(default_factory=list)
     results: list[CallResult] = field(default_factory=list)
     nlg: list[SystemNlg] = field(default_factory=list)
-    offer: OfferView | None = None
-    confirm: ConfirmView | None = None
-    offer_accepted: bool = False
+    offer: ApiView | None = None
+    confirm: ApiView | None = None
 
 
 def init_system(offer_model: MarkovGoalModel | None = None) -> SystemState:
@@ -163,17 +153,22 @@ def simulate_api_call(
     return True, var
 
 
+def _view_and_plan(kind: str, api: str, args: list[ArgView]) -> tuple[ApiView, SystemNlg]:
+    """An offer or confirm: the view the user answers, and its act group
+    `kind(intent) kind(entity)...` with the arg surfaces as backoff values."""
+    acts = [DialogAct(kind, SYSTEM, intent=api)]
+    acts += [DialogAct(kind, SYSTEM, entity=a.entity_type, api=api, arg=a.arg) for a in args]
+    plan = SystemNlg(acts=acts, backoff_values=[None] + [a.surface for a in args])
+    return ApiView(api, args), plan
+
+
 def propose_offer(
-    state: SystemState,
-    offer_model: MarkovGoalModel,
-    bundle: SchemaBundle,
-    rng: Random,
-    last_api: str,
-) -> tuple[OfferView, list[DialogAct]] | None:
+    state: SystemState, bundle: SchemaBundle, rng: Random, last_api: str
+) -> tuple[ApiView, SystemNlg] | None:
     """Offer the next API drawn from the transition row of the API just
     fulfilled (END mass dropped, previously denied offers excluded), with
     args pre-filled from type-compatible context vars."""
-    row = offer_model.transition.get(last_api, {})
+    row = state.offer_model.transition.get(last_api, {})
     candidates = {
         api: p for api, p in row.items() if api != END and api not in state.denied_offers and p > 0
     }
@@ -181,17 +176,12 @@ def propose_offer(
         return None
     apis = list(candidates)
     api_name = rng.choices(apis, weights=[candidates[a] for a in apis])[0]
-    api = bundle.api(api_name)
-    offered: list[OfferedArg] = []
-    for spec in api.args:
+    args = []
+    for spec in bundle.api(api_name).args:
         var = _latest_var_of_type(state, spec.entity_type)
         if var is not None:
-            cv = state.context[var]
-            offered.append(OfferedArg(spec.name, var, cv.surface, spec.entity_type))
-    acts = [DialogAct("offer", SYSTEM, intent=api_name)]
-    for oa in offered:
-        acts.append(DialogAct("offer", SYSTEM, entity=oa.entity_type, api=api_name, arg=oa.arg))
-    return OfferView(api=api_name, args=offered), acts
+            args.append(ArgView(spec.name, var, state.context[var].surface, spec.entity_type))
+    return _view_and_plan("offer", api_name, args)
 
 
 def _latest_var_of_type(
@@ -224,13 +214,10 @@ def _do_call(
     recall: bool,
 ) -> None:
     ok, var = simulate_api_call(frame, bundle, config, rng, alloc, state)
-    api = bundle.api(frame.api)
+    out.results.append(CallResult(frame.api, ok, var, recall, dict(frame.filled) if ok else {}))
     if ok:
-        out.calls.append(SystemCall(api=frame.api, bindings=dict(frame.filled), return_var=var))
-        out.results.append(CallResult(frame.api, True, var, recall))
-        out.nlg.append(_announce(api, bundle, rng))
+        out.nlg.append(_announce(bundle.api(frame.api), bundle, rng))
     else:
-        out.results.append(CallResult(frame.api, False, None, recall))
         failure = DialogAct("failure", SYSTEM, intent=frame.api)
         out.nlg.append(SystemNlg(acts=[failure], backoff_values=[None]))
 
@@ -258,9 +245,7 @@ def next_system_turn(
 
     offer = state.pending_offer
     state.pending_offer = None
-    confirming = (
-        state.frames[state.awaiting_confirm] if state.awaiting_confirm is not None else None
-    )
+    confirming = state.awaiting_confirm
     confirm_affirmed = False
     confirm_touched = False
     offer_accepted_frame: Frame | None = None
@@ -271,11 +256,11 @@ def next_system_turn(
                 frame = Frame(api=offer.api)
                 state.frames.append(frame)
                 offer_accepted_frame = frame
-                out.offer_accepted = True
-                for oa in offer.args:
-                    frame.filled[oa.arg] = oa.var
-                    if oa.surface is not None:
-                        frame.surfaces[oa.arg] = oa.surface
+                state.offers_accepted += 1
+                for a in offer.args:
+                    frame.filled[a.arg] = a.var
+                    if a.surface is not None:
+                        frame.surfaces[a.arg] = a.surface
             if confirming is not None and act.intent == confirming.api:
                 confirm_affirmed = True
         elif act.name == "deny" and act.intent is not None:
@@ -344,30 +329,14 @@ def next_system_turn(
                 if frame.status == CALLED_OK:
                     progressed_api = frame.api
             else:
-                acts = [DialogAct("confirm", SYSTEM, intent=api.name)]
-                confirmed_args = []
-                for spec in api.args:
-                    if spec.name not in frame.filled:
-                        continue
-                    surface = frame.surfaces.get(spec.name)
-                    acts.append(
-                        DialogAct(
-                            "confirm",
-                            SYSTEM,
-                            entity=spec.entity_type,
-                            api=api.name,
-                            arg=spec.name,
-                        )
-                    )
-                    confirmed_args.append(ConfirmedArg(spec.name, surface, spec.entity_type))
-                out.confirm = ConfirmView(api=api.name, args=confirmed_args)
-                state.awaiting_confirm = state.frames.index(frame)
-                out.nlg.append(
-                    SystemNlg(
-                        acts=acts,
-                        backoff_values=[None] + [a.surface for a in confirmed_args],
-                    )
-                )
+                args = [
+                    ArgView(s.name, frame.filled[s.name], frame.surfaces.get(s.name), s.entity_type)
+                    for s in api.args
+                    if s.name in frame.filled
+                ]
+                out.confirm, plan = _view_and_plan("confirm", api.name, args)
+                state.awaiting_confirm = frame
+                out.nlg.append(plan)
         else:
             _do_call(frame, bundle, config, rng, alloc, state, out, recall=False)
             if frame.status == CALLED_OK:
@@ -378,15 +347,10 @@ def next_system_turn(
         and state.offer_model is not None
         and rng.random() < config.p_offer
     ):
-        proposal = propose_offer(state, state.offer_model, bundle, rng, progressed_api)
+        proposal = propose_offer(state, bundle, rng, progressed_api)
         if proposal is not None:
-            view, acts = proposal
-            state.pending_offer = view
-            out.offer = view
-            out.nlg.append(
-                SystemNlg(
-                    acts=acts,
-                    backoff_values=[None] + [oa.surface for oa in view.args],
-                )
-            )
+            out.offer, plan = proposal
+            state.pending_offer = out.offer
+            state.offers_made += 1
+            out.nlg.append(plan)
     return out

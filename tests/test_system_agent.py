@@ -22,6 +22,10 @@ def _inform(entity, api, arg):
     return DialogAct("inform", "user", entity=entity, api=api, arg=arg)
 
 
+def _calls(out):
+    return [r for r in out.results if r.ok]
+
+
 def _turn(state, acts, inform_vars, bundle, config=None, rng=None, alloc=None):
     return next_system_turn(
         state,
@@ -42,8 +46,8 @@ def test_complete_frame_calls_and_announces(demo_bundle):
         _inform("Time", "FindMovies", "timeLowerBound"),
     ]
     out = _turn(state, acts, {1: ("location0", "Sunnyvale"), 2: ("time0", "2 PM")}, demo_bundle)
-    assert len(out.calls) == 1
-    call = out.calls[0]
+    assert len(_calls(out)) == 1
+    call = _calls(out)[0]
     assert call.api == "FindMovies"
     assert call.bindings == {"location": "location0", "timeLowerBound": "time0"}
     assert call.return_var == "movieList0"
@@ -54,7 +58,7 @@ def test_complete_frame_calls_and_announces(demo_bundle):
 def test_missing_required_arg_requested(demo_bundle):
     state = init_system()
     out = _turn(state, [_inform_intent("FindMovies")], {}, demo_bundle)
-    assert out.calls == []
+    assert _calls(out) == []
     (plan,) = out.nlg
     assert [act_to_string(a) for a in plan.acts] == ["request(entity:location)"]
     assert (plan.acts[0].api, plan.acts[0].arg) == ("FindMovies", "location")
@@ -78,7 +82,7 @@ def test_return_value_autofill_from_context(demo_bundle):
         {1: ("time0", "4 PM"), 2: ("movieTitle0", "Tenet")},
         demo_bundle,
     )
-    (call,) = out.calls
+    (call,) = _calls(out)
     assert call.bindings["movies"] == "movieList0"
 
 
@@ -106,7 +110,7 @@ def test_confirm_before_call_flow(demo_bundle):
         {1: ("count0", "two"), 2: ("ticketType0", "child")},
         demo_bundle,
     )
-    assert out.calls == []
+    assert _calls(out) == []
     assert out.confirm is not None and out.confirm.api == "BookTickets"
     assert [a.arg for a in out.confirm.args] == ["show", "count", "ticketType"]
     affirm = [
@@ -116,7 +120,7 @@ def test_confirm_before_call_flow(demo_bundle):
         DialogAct("affirm", "user", entity="ticketType", api="BookTickets", arg="ticketType"),
     ]
     out2 = _turn(state, affirm, {}, demo_bundle)
-    (call,) = out2.calls
+    (call,) = _calls(out2)
     assert call.api == "BookTickets"
     assert call.bindings["count"] == "count0"
 
@@ -157,26 +161,26 @@ def test_offer_follows_fitted_transition(demo_bundle, demo_seeds_annotated):
     state.context["movieList0"] = __import__(
         "dialogsim.system_agent", fromlist=["ContextVar"]
     ).ContextVar("movieList", None, "return")
-    proposal = propose_offer(state, model, demo_bundle, Random(0), "FindMovies")
+    proposal = propose_offer(state, demo_bundle, Random(0), "FindMovies")
     assert proposal is not None
-    view, acts = proposal
+    view, plan = proposal
     assert view.api == "SelectShow"
     assert [(a.arg) for a in view.args] == ["movies"]
     assert view.args[0].var == "movieList0"
-    assert act_to_string(acts[0]) == "offer(intent:SelectShow)"
+    assert act_to_string(plan.acts[0]) == "offer(intent:SelectShow)"
 
 
 def test_no_offer_when_row_is_terminal(demo_bundle, demo_seeds_annotated):
     model = fit_markov(extract_goals(demo_seeds_annotated[:1], demo_bundle))
     state = init_system(model)
-    assert propose_offer(state, model, demo_bundle, Random(0), "BookTickets") is None
+    assert propose_offer(state, demo_bundle, Random(0), "BookTickets") is None
 
 
 def test_denied_offer_never_repeated(demo_bundle, demo_seeds_annotated):
     model = fit_markov(extract_goals(demo_seeds_annotated[:1], demo_bundle))
     state = init_system(model)
     state.denied_offers.add("SelectShow")
-    assert propose_offer(state, model, demo_bundle, Random(0), "FindMovies") is None
+    assert propose_offer(state, demo_bundle, Random(0), "FindMovies") is None
 
 
 def test_post_call_correction_triggers_recall(demo_bundle):
@@ -195,7 +199,7 @@ def test_post_call_correction_triggers_recall(demo_bundle):
         _inform("location", "FindMovies", "location"),
     ]
     out = _turn(state, correction, {1: ("location1", "Berkeley")}, demo_bundle, alloc=alloc)
-    (call,) = out.calls
+    (call,) = _calls(out)
     assert [r.recall for r in out.results] == [True]
     assert call.bindings["location"] == "location1"
     assert call.return_var != "movieList0"

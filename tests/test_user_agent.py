@@ -3,9 +3,9 @@ from random import Random
 from dialogsim.engine import GenerationConfig
 from dialogsim.goals import extract_goals
 from dialogsim.system_agent import (
+    ApiView,
+    ArgView,
     CallResult,
-    OfferView,
-    OfferedArg,
     SystemNlg,
     SystemTurnOutput,
 )
@@ -57,11 +57,11 @@ def test_offer_reply_matches_correction_pattern(demo_bundle, demo_seeds):
     state = init_user(goal, demo_bundle, config, Random(0))
     view = SystemTurnOutput(
         results=[CallResult("FindMovies", True, "movieList0")],
-        offer=OfferView(
+        offer=ApiView(
             api="SelectShow",
             args=[
-                OfferedArg("showTime", "time0", "2 PM", "Time"),
-                OfferedArg("movies", "movieList0", None, "movieList"),
+                ArgView("showTime", "time0", "2 PM", "Time"),
+                ArgView("movies", "movieList0", None, "movieList"),
             ],
         ),
     )
@@ -82,7 +82,7 @@ def test_offer_for_wrong_api_denied(demo_bundle, demo_seeds):
     goal = _table2_goal(demo_bundle, demo_seeds)
     config = GenerationConfig(p_correct=0, multi_act_p=0)
     state = init_user(goal, demo_bundle, config, Random(0))
-    view = SystemTurnOutput(offer=OfferView(api="BookTickets", args=[]))
+    view = SystemTurnOutput(offer=ApiView(api="BookTickets", args=[]))
     out = next_user_turn(state, view, demo_bundle, config, Random(1))
     assert _acts(out)[0] == "deny(intent:BookTickets)"
 
