@@ -4,9 +4,10 @@ The user walks a fixed goal, intent by intent: it reveals the current
 intent's user-provided values a few acts at a time, answers system
 requests/confirms/offers against the goal truth, occasionally changes its
 mind about an already-revealed value, and drops intents (plus everything
-depending on them) when the system reports a failure. A change of mind may
-also come on the turn the goal completes, before the bye; the bye is then
-held back by one turn, until the user has seen the re-call result.
+depending on them) when the system reports a failure, a failed re-call
+after a change of mind included. A change of mind may also come on the turn
+the goal completes, before the bye; the bye is then held back by one turn,
+until the user has seen the re-call result.
 
 The user reads the system's SystemTurnOutput directly: requests come from
 the acts of its nlg plans, call results drive the goal cursor. The protocol
@@ -40,6 +41,7 @@ class UserState:
     done: bool = False
     dead: set = field(default_factory=set)
     corrections_used: int = 0
+    last_correction: int | None = None  # intent corrected on the previous turn
     returns_seen: dict[int, str] = field(default_factory=dict)
     intent_informed: bool = False
     bye_sent: bool = False
@@ -91,7 +93,8 @@ def _advance(state: UserState, bundle: SchemaBundle) -> None:
 
 def abandon_intent(state: UserState, failed_index: int, bundle: SchemaBundle) -> UserState:
     """Drop the failed intent and every later intent whose ReturnRef chain
-    (transitively) depends on it, then move on if anything survives."""
+    (transitively) depends on it; move on if the current intent is among
+    them."""
     removed = {failed_index}
     for j in range(failed_index + 1, len(state.goal.intents)):
         if j in state.dead:
@@ -105,7 +108,8 @@ def abandon_intent(state: UserState, failed_index: int, bundle: SchemaBundle) ->
             removed.add(j)
     state.dead |= removed
     state.abandonments += 1
-    _advance(state, bundle)
+    if state.cursor in removed:
+        _advance(state, bundle)
     return state
 
 
@@ -126,10 +130,16 @@ def next_user_turn(
         acts.append(DialogAct("inform", USER, entity=entity_type, api=api, arg=arg))
         values.append(surface)
 
-    # 1. bookkeeping: calls advance or abandon the current intent
+    # 1. bookkeeping: calls advance or abandon the current intent; a failed
+    # re-call abandons the intent corrected on the previous turn
     was_done = state.done
+    corrected, state.last_correction = state.last_correction, None
     for call in view.results:
-        if call.recall or state.done:
+        if call.recall:
+            if not call.ok and corrected is not None and corrected not in state.dead:
+                abandon_intent(state, corrected, bundle)
+            continue
+        if state.done:
             continue
         intent = state.current()
         if call.api != intent.api:
@@ -242,7 +252,6 @@ def next_user_turn(
     # A goal that completed this turn still gets one chance before the bye;
     # there the draw is skipped when p_correct is 0, so that runs without
     # corrections keep the random stream of the bye turn.
-    corrected = False
     if (
         not was_done
         and (not state.done or config.p_correct > 0)
@@ -271,11 +280,11 @@ def next_user_turn(
             state.informed[(i, arg)] = alt
             state.corrected.add((i, arg))
             state.corrections_used += 1
-            corrected = True
+            state.last_correction = i
 
     # 7. close when the goal is exhausted; a correction holds the bye back
     # to the next turn, after the re-call
-    if state.done and not state.bye_sent and not corrected:
+    if state.done and not state.bye_sent and state.last_correction is None:
         acts.append(DialogAct("bye", USER))
         state.bye_sent = True
 

@@ -335,11 +335,11 @@ def test_generate_rejects_workers_flag_below_one(data_paths, capsys, workers):
 # SHA-256 of the CLI output for the demo schema and seeds at --n 300 --seed 42.
 # A change that alters output on purpose updates these digests and says why.
 GOLDEN = {
-    "generate": "cf2b0ac60942e5e591b3db54adf5202b060c912d57313a1d6cb8c91803c119c5",
+    "generate": "35be3f7685b35b195ec14c093e490f302eeaaf9ed5b492ec3328ec8537b69695",
     "generate --mix base=1": "f5a48f1adb9a3a800902f28de7d1098e4e29793ed41593f06bd2a4ce946be718",
     "generate p_correct=0": "d683e12d57a391a151aacbaaea46299dc52345b83e7a3ea06f97a75c033146df",
-    "export-training": "1daea6d8d5a01b57552a71d35b897cd546022b8cb5c96b02732c44bb22bbbac9",
-    "metrics": "3482ac429c76728d5b9677eb918250ffded11ce1f80186e2afc86c07485c6995",
+    "export-training": "f6032b41b698ddfa8e1be9ec14cad5329dae461332026f72f9825004ab4e5a98",
+    "metrics": "e876f2ec49e10f65b1c0a5e85ff77e985550d82e671c5887bddd98d68ccaf704",
 }
 
 

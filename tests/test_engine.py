@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from dialogsim import system_agent
 from dialogsim.acts import sequence_string
 from dialogsim.engine import (
     GenerationConfig,
@@ -62,6 +63,28 @@ def test_forced_failure_abandons(flow_bundle, flow_seed):
     ]
     assert len(failure_turns) == 1
     assert sequence_string(dialog).endswith("failure(intent:FindMovies),bye(),bye()")
+
+
+def test_failed_recall_abandons_corrected_intent(flow_bundle, flow_seed, monkeypatch):
+    # every re-call fails: the user drops the corrected intent and the
+    # intents that depend on its result, and never books
+    real = system_agent.simulate_api_call
+
+    def fail_recalls(frame, *args):
+        if frame.status != system_agent.COLLECTING:
+            frame.status = system_agent.CALLED_FAILED
+            return False, None
+        return real(frame, *args)
+
+    monkeypatch.setattr(system_agent, "simulate_api_call", fail_recalls)
+    goal = extract_goals([flow_seed], flow_bundle)[0]
+    index = build_template_index(flow_bundle, [flow_seed])
+    config = _quiet_config(p_correct=1.0, max_corrections=1)
+    for seed in range(5):
+        dialog, stats = run_dialog(goal, flow_bundle, config, Random(seed), index)
+        assert (stats["corrections"], stats["abandonments"]) == (1, 1)
+        assert "BookTickets" not in [t.api for t in dialog.turns if isinstance(t, ApiCall)]
+        assert sequence_string(dialog).endswith("bye(),bye()")
 
 
 def test_empty_goal_rejected(flow_bundle, flow_seed):

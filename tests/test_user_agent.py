@@ -195,3 +195,35 @@ def test_change_of_mind_on_completed_goal_holds_bye(demo_bundle, demo_seeds):
     assert _acts(out) == ["bye()"]
     assert state.bye_sent and state.cursor == 0
     assert state.corrections_used == 1
+
+
+def test_failed_recall_abandons_corrected_intent(demo_bundle, demo_seeds):
+    goal = _table2_goal(demo_bundle, demo_seeds)
+    config = GenerationConfig(p_correct=1.0, multi_act_p=1.0)
+    state = init_user(goal, demo_bundle, config, Random(0))
+    rng = Random(1)
+    next_user_turn(state, SystemTurnOutput(), demo_bundle, config, rng)
+    # FindMovies succeeds; the user moves on to SelectShow and changes its
+    # mind about a FindMovies value
+    found = SystemTurnOutput(results=[CallResult("FindMovies", True, "movieList0")])
+    out = next_user_turn(state, found, demo_bundle, config, rng)
+    assert state.cursor == 1 and "deny" in [a.name for a in out.acts]
+    # the re-call fails: FindMovies and everything built on it are dropped
+    failed = SystemTurnOutput(results=[CallResult("FindMovies", False, None, recall=True)])
+    out = next_user_turn(state, failed, demo_bundle, config, rng)
+    assert state.dead == {0, 1, 2}
+    assert state.abandonments == 1
+    assert state.done
+    assert _acts(out) == ["bye()"]
+
+
+def test_abandon_earlier_intent_keeps_cursor(demo_bundle, demo_seeds):
+    # refine-search seed: the current second FindMovies does not depend on
+    # the first, so dropping the first leaves the cursor where it is
+    goal = extract_goals([demo_seeds[3]], demo_bundle)[0]
+    state = init_user(goal, demo_bundle, GenerationConfig(), Random(0))
+    state.cursor = 1
+    abandon_intent(state, 0, demo_bundle)
+    assert state.dead == {0}
+    assert state.cursor == 1
+    assert not state.done
