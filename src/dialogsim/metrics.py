@@ -29,11 +29,6 @@ class VariationReport:
         return json.dumps(asdict(self), indent=2)
 
 
-def _require_nonempty(corpus: list[Dialog]) -> None:
-    if not corpus:
-        raise ValueError("corpus is empty")
-
-
 def nearest_rank(sorted_values: list[float], p: float) -> float:
     """Nearest-rank percentile: the ceil(p/100 * n)-th smallest value."""
     n = len(sorted_values)
@@ -42,7 +37,8 @@ def nearest_rank(sorted_values: list[float], p: float) -> float:
 
 
 def turn_stats(corpus: list[Dialog]) -> tuple[float, float, float]:
-    _require_nonempty(corpus)
+    if not corpus:
+        raise ValueError("corpus is empty")
     counts = sorted(len(d.turns) for d in corpus)
     mean = sum(counts) / len(counts)
     return mean, nearest_rank(counts, 75), nearest_rank(counts, 95)
@@ -54,30 +50,27 @@ def sequence_counts(corpus: list[Dialog]) -> Counter:
 
 def entropy(corpus: list[Dialog]) -> float:
     """Plug-in entropy (nats) of the empirical act-sequence distribution."""
-    _require_nonempty(corpus)
-    counts = sequence_counts(corpus)
-    n = sum(counts.values())
-    return -sum((c / n) * math.log(c / n) for c in counts.values())
+    return variation_report(corpus).entropy_nats
 
 
 def unique_sequences(corpus: list[Dialog]) -> tuple[int, float]:
-    _require_nonempty(corpus)
-    counts = sequence_counts(corpus)
-    return len(counts), len(counts) / len(corpus)
+    report = variation_report(corpus)
+    return report.unique_sequences, report.fraction_unique
 
 
 def variation_report(corpus: list[Dialog]) -> VariationReport:
-    _require_nonempty(corpus)
-    mean, p75, p95 = turn_stats(corpus)
-    unique, fraction = unique_sequences(corpus)
+    """Every measure, with each dialog's act sequence built once."""
+    mean, p75, p95 = turn_stats(corpus)  # rejects an empty corpus
+    counts = sequence_counts(corpus)
+    n = len(corpus)
     return VariationReport(
-        n_dialogs=len(corpus),
+        n_dialogs=n,
         turns_mean=mean,
         turns_p75=p75,
         turns_p95=p95,
-        unique_sequences=unique,
-        fraction_unique=fraction,
-        entropy_nats=entropy(corpus),
+        unique_sequences=len(counts),
+        fraction_unique=len(counts) / n,
+        entropy_nats=-sum((c / n) * math.log(c / n) for c in counts.values()),
     )
 
 
