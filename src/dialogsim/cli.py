@@ -71,7 +71,10 @@ def cmd_generate(args) -> int:
 def cmd_metrics(args) -> int:
     bundle = load_schema(args.schema)
     corpus = load_corpus(args.corpus, bundle)
-    report = variation_report(corpus)
+    try:
+        report = variation_report(corpus)
+    except ValueError as e:  # an empty corpus, or a turn that carries no acts
+        raise MarkupError(f"{args.corpus}: {e}") from None
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
         print(report_table({"corpus": report}))

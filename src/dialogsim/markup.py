@@ -218,7 +218,9 @@ def _parse_dialog_lines(
         elif body.startswith("call:"):
             turns.append(_parse_call(body, line_no))
         elif body.startswith("nlg:"):
-            text, acts_suffix = _split_acts_suffix(body[len("nlg:") :].lstrip())
+            # serialize_dialog writes `nlg: <text>`; the text may itself start
+            # with whitespace, or be empty
+            text, acts_suffix = _split_acts_suffix(body.removeprefix("nlg:").removeprefix(" "))
             turns.append(NlgResponse(text=text, acts=_suffix_acts(acts_suffix, SYSTEM, line_no)))
         else:
             raise MarkupError(f"system turn must be 'call:' or 'nlg:', got {body!r}", line_no)

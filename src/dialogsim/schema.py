@@ -341,6 +341,9 @@ def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
             check_args(resp.args, loc)
             if not resp.templates:
                 err(loc, "response template needs at least one template string")
+            if not resp.acts:
+                # its nlg lines would carry no acts for metrics and export to read
+                err(loc, "response template declares no acts")
             arg_names = {a.name for a in resp.args}
             for t in resp.templates:
                 if _breaks(t):

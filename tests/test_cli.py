@@ -291,6 +291,40 @@ def test_template_the_markup_cannot_carry(data_paths, tmp_path, capsys, domain_e
     assert "template" in captured.err
 
 
+def test_response_without_acts_is_rejected(data_paths, tmp_path, capsys):
+    # its nlg lines would carry no acts, and `metrics` on the corpus failed
+    schema, seeds = data_paths
+    doc = json.loads(schema.read_text(encoding="utf-8"))
+    (response,) = [
+        r for r in doc["domains"][0]["response_templates"] if r["name"] == "announce_booking"
+    ]
+    response["acts"] = []
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--schema", str(broken)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and "declares no acts" in lines[0]
+    assert main(["generate", "--schema", str(broken), "--seeds", str(seeds),
+                 "--n", "50", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+
+
+@pytest.mark.parametrize("corpus", ["seeds", "empty"])
+def test_metrics_bad_corpus_is_one_error_line(data_paths, tmp_path, capsys, corpus):
+    # the packaged seeds carry no acts on their turns; an empty file has no
+    # dialogs to report on
+    schema, seeds = data_paths
+    path = seeds if corpus == "seeds" else tmp_path / "empty.txt"
+    if corpus == "empty":
+        path.write_text("", encoding="utf-8")
+    assert main(["metrics", "--schema", str(schema), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -7,6 +7,7 @@ from dialogsim.engine import GenerationConfig, run_batch
 from dialogsim.markup import (
     EntitySpan,
     MarkupError,
+    NlgResponse,
     UserUtterance,
     annotate_seed_acts,
     delexicalize_turn,
@@ -79,6 +80,14 @@ def test_generated_round_trip_small(demo_bundle, demo_seeds):
     result = run_batch(demo_bundle, demo_seeds, config)
     for dialog in result.dialogs:
         assert parse_dialog(serialize_dialog(dialog), demo_bundle) == dialog
+
+
+@pytest.mark.parametrize("text", ["", " leading space", "\t", "Booked |acts: now"])
+def test_nlg_text_round_trips_exactly(text):
+    bye = DialogAct("bye", "system")
+    dialog = parse_dialog("U-1: bye |acts: bye()")
+    dialog.turns.append(NlgResponse(text, [bye]))
+    assert parse_dialog(serialize_dialog(dialog)) == dialog
 
 
 def test_turn_index_must_increase(demo_bundle):

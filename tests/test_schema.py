@@ -1,7 +1,13 @@
+import copy
 import json
 
 import pytest
 
+from dialogsim.engine import GenerationConfig, run_batch
+from dialogsim.export import export_training
+from dialogsim.markup import parse_corpus, serialize_corpus
+from dialogsim.metrics import variation_report
+from dialogsim.nlg import build_template_index
 from dialogsim.schema import (
     BUILTIN_CATALOGS,
     Diagnostic,
@@ -122,6 +128,21 @@ def test_response_template_with_a_line_break(demo_schema_text, template):
     ]
 
 
+@pytest.mark.parametrize(
+    "edit", [lambda r: r.update(acts=[]), lambda r: r.pop("acts")], ids=["empty", "missing"]
+)
+def test_response_template_without_acts(demo_schema_text, edit):
+    doc = json.loads(demo_schema_text)
+    response = doc["domains"][0]["response_templates"][2]
+    assert response["name"] == "announce_booking"
+    edit(response)
+    with pytest.raises(SchemaError) as err:
+        loads_schema(json.dumps(doc))
+    assert [(d.location, d.message) for d in err.value.diagnostics] == [
+        ("TicketBooking.announce_booking", "response template declares no acts")
+    ]
+
+
 def test_response_template_may_hold_brackets(demo_schema_text):
     doc = json.loads(demo_schema_text)
     doc["domains"][0]["response_templates"][2]["templates"].append("Booked [row 5]!")
@@ -179,3 +200,51 @@ def test_parse_error_carries_position():
 def test_diagnostic_format():
     d = Diagnostic("error", "D.x", "boom")
     assert str(d) == "error: D.x: boom"
+
+
+def test_every_accepted_schema_round_trips(demo_schema_text, demo_seeds_text):
+    """Mutate the demo schema's template texts and act lists: a schema that
+    loads yields corpora that parse back to themselves, report and export."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    base = json.loads(demo_schema_text)
+    domain = base["domains"][0]
+    texts = [("response_templates", i, j) for i, r in enumerate(domain["response_templates"])
+             for j in range(len(r["templates"]))]
+    texts += [("utterance_templates", i, None) for i in range(len(domain["utterance_templates"]))]
+    markup = st.sampled_from(["[", "]", "|", " |acts: ", "|acts:", "\n", "\u2028", " ", "\t"])
+    chunk = st.lists(st.one_of(markup, st.text(max_size=3)), max_size=3).map("".join)
+    # (template, insert position or None to replace the whole text, inserted text)
+    text_edit = st.tuples(st.sampled_from(texts), st.one_of(st.none(), st.integers(0, 60)), chunk)
+    acts_edit = st.sampled_from([(kind, i) for kind, i, _ in texts])
+
+    def edited(text_edits, acts_edits):
+        doc = copy.deepcopy(base)
+        templates = doc["domains"][0]
+        for (kind, i, j), at, piece in text_edits:
+            owner = templates[kind][i]
+            old = owner["template"] if j is None else owner["templates"][j]
+            new = piece if at is None else old[:at] + piece + old[at:]
+            if j is None:
+                owner["template"] = new
+            else:
+                owner["templates"][j] = new
+        for kind, i in acts_edits:
+            templates[kind][i]["acts"] = []
+        return json.dumps(doc)
+
+    config = GenerationConfig(n_dialogs=12, sampler_mix={"base": 1, "golden": 1, "markov": 2})
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(st.lists(text_edit, max_size=4), st.lists(acts_edit, max_size=2))
+    def check(text_edits, acts_edits):
+        try:
+            bundle = loads_schema(edited(text_edits, acts_edits))
+        except SchemaError:
+            return
+        corpus = run_batch(bundle, parse_corpus(demo_seeds_text, bundle), config).dialogs
+        assert parse_corpus(serialize_corpus(corpus), bundle) == corpus
+        variation_report(corpus)
+        export_training(corpus, bundle, build_template_index(bundle, []))
+
+    check()
