@@ -257,10 +257,10 @@ def next_system_turn(
                 state.frames.append(frame)
                 offer_accepted_frame = frame
                 state.offers_accepted += 1
-                for a in offer.args:
-                    frame.filled[a.arg] = a.var
-                    if a.surface is not None:
-                        frame.surfaces[a.arg] = a.surface
+                for oa in offer.args:
+                    frame.filled[oa.arg] = oa.var
+                    if oa.surface is not None:
+                        frame.surfaces[oa.arg] = oa.surface
             if confirming is not None and act.intent == confirming.api:
                 confirm_affirmed = True
         elif act.name == "deny" and act.intent is not None:

@@ -223,12 +223,9 @@ def test_every_accepted_schema_round_trips(demo_schema_text, demo_seeds_text):
         templates = doc["domains"][0]
         for (kind, i, j), at, piece in text_edits:
             owner = templates[kind][i]
-            old = owner["template"] if j is None else owner["templates"][j]
-            new = piece if at is None else old[:at] + piece + old[at:]
-            if j is None:
-                owner["template"] = new
-            else:
-                owner["templates"][j] = new
+            holder, key = (owner, "template") if j is None else (owner["templates"], j)
+            old = holder[key]
+            holder[key] = piece if at is None else old[:at] + piece + old[at:]
         for kind, i in acts_edits:
             templates[kind][i]["acts"] = []
         return json.dumps(doc)
