@@ -372,6 +372,7 @@ GOLDEN = {
     "generate": "35be3f7685b35b195ec14c093e490f302eeaaf9ed5b492ec3328ec8537b69695",
     "generate --mix base=1": "f5a48f1adb9a3a800902f28de7d1098e4e29793ed41593f06bd2a4ce946be718",
     "generate p_correct=0": "d683e12d57a391a151aacbaaea46299dc52345b83e7a3ea06f97a75c033146df",
+    "generate stress": "bc378ba3a4b2ed70eba56f31b7628fa23f3abccd9454d6a9cd13957c92577033",
     "export-training": "f6032b41b698ddfa8e1be9ec14cad5329dae461332026f72f9825004ab4e5a98",
     "metrics": "e876f2ec49e10f65b1c0a5e85ff77e985550d82e671c5887bddd98d68ccaf704",
 }
@@ -381,6 +382,12 @@ def test_output_bytes_are_pinned(data_paths, tmp_path, capsys):
     schema, seeds = data_paths
     no_corrections = tmp_path / "no_corrections.json"
     no_corrections.write_text('{"p_correct": 0.0}', encoding="utf-8")
+    # many corrections, offers and failed calls: covers the offer-deny,
+    # failed-call and re-call paths of both policies
+    stress = tmp_path / "stress.json"
+    stress.write_text(
+        '{"p_correct": 0.6, "p_offer": 0.9, "api_failure_rate": 0.3}', encoding="utf-8"
+    )
     generate = ["generate", "--schema", str(schema), "--seeds", str(seeds),
                 "--n", "300", "--seed", "42"]
     corpus = tmp_path / "corpus.txt"
@@ -389,6 +396,7 @@ def test_output_bytes_are_pinned(data_paths, tmp_path, capsys):
         ("generate", []),
         ("generate --mix base=1", ["--mix", "base=1"]),
         ("generate p_correct=0", ["--config", str(no_corrections)]),
+        ("generate stress", ["--config", str(stress)]),
     ]:
         assert main(generate + extra) == 0
         text = capsys.readouterr().out
