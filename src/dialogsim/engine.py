@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from random import Random
 
-from .acts import END, slot_names_for, turn_acts_string, value_bearing
+from .acts import END, turn_acts_string
 from .goals import (
     MarkovGoalModel,
     UserGoal,
@@ -24,6 +24,7 @@ from .goals import (
     sample_golden,
     sample_markov,
     validate_goal,
+    weighted_choice,
 )
 from .markup import (
     ApiCall,
@@ -208,18 +209,12 @@ def run_dialog(
         uout = next_user_turn(user, view, bundle, config, rng)
         if not uout.acts:
             raise GenerationError("user policy produced an empty turn")
-        text, spans = realize_user(uout.acts, uout.slot_values, index, rng, alloc)
+        text, spans = realize_user(uout.acts, uout.values, index, rng, alloc)
         dialog.turns.append(UserUtterance(text=text, spans=spans, acts=uout.acts))
         if len(dialog.turns) >= config.max_turns:
             truncated = True
             break
-        inform_vars = {}
-        span_iter = iter(spans)
-        for pos, act in enumerate(uout.acts):
-            if act.name == "inform" and act.entity is not None:
-                span = next(span_iter)
-                inform_vars[pos] = (span.var_id, span.surface)
-        sout = next_system_turn(system, uout.acts, inform_vars, bundle, config, rng, alloc)
+        sout = next_system_turn(system, uout.acts, spans, bundle, config, rng, alloc)
         for call in sout.results:
             if call.ok:
                 bindings = {a: ref(v) for a, v in call.bindings.items()}
@@ -238,7 +233,7 @@ def run_dialog(
         if system.closed:
             break
     stats = {
-        "corrections": user.corrections_used,
+        "corrections": len(user.corrected),
         "abandonments": user.abandonments,
         "offers_made": system.offers_made,
         "offers_accepted": system.offers_accepted,
@@ -273,10 +268,7 @@ def run_base_dialog(
                 surfaces.append(
                     catalog[rng.randrange(len(catalog))] if catalog else span.surface
                 )
-            value_acts = value_bearing(p.acts)
-            slots = slot_names_for([a.entity for a in value_acts])
-            slot_values = dict(zip(slots, surfaces))
-            text, new_spans = realize_user(p.acts, slot_values, index, rng, alloc)
+            text, new_spans = realize_user(p.acts, surfaces, index, rng, alloc)
             for old, new in zip(spans, new_spans):
                 var_map[old.var_id] = new.var_id
             out.turns.append(UserUtterance(text=text, spans=new_spans, acts=list(p.acts)))
@@ -354,21 +346,10 @@ def prepare_batch(
     )
 
 
-def _pick_sampler(mix: dict[str, float], rng: Random) -> str:
-    weights = [mix.get(s, 0.0) for s in SAMPLERS]
-    total = sum(weights)
-    r = rng.random() * total
-    acc = 0.0
-    for name, w in zip(SAMPLERS, weights):
-        acc += w
-        if r < acc:
-            return name
-    return SAMPLERS[-1]
-
-
 def generate_one(ctx: BatchContext, i: int) -> tuple[Dialog, dict[str, int]]:
     rng = derive_rng(ctx.config.rng_seed, i)
-    sampler = _pick_sampler(ctx.config.sampler_mix, rng)
+    mix = ctx.config.sampler_mix
+    sampler = weighted_choice(rng, {s: mix.get(s, 0.0) for s in SAMPLERS})
     metadata = {"sampler": sampler, "dialog": str(i), "rng_seed": str(ctx.config.rng_seed)}
     if sampler == "base":
         pick = rng.randrange(len(ctx.seeds))

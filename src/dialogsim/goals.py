@@ -275,9 +275,9 @@ def fit_markov(goals: list[UserGoal]) -> MarkovGoalModel:
     return MarkovGoalModel(start=start, transition=transition, binding_stats=stats)
 
 
-def _weighted_choice(rng: Random, dist: dict[str, float]) -> str:
-    items = list(dist.items())
-    return rng.choices([k for k, _ in items], weights=[w for _, w in items])[0]
+def weighted_choice(rng: Random, dist: dict[str, float]) -> str:
+    """One key of `dist`, drawn with probability proportional to its weight."""
+    return rng.choices(list(dist), weights=list(dist.values()))[0]
 
 
 def sample_markov(
@@ -295,12 +295,12 @@ def sample_markov(
     if max_len < 1:
         raise SamplerError("max_len must be >= 1")
     for _ in range(max_attempts):
-        seq = [_weighted_choice(rng, model.start)]
+        seq = [weighted_choice(rng, model.start)]
         while len(seq) < max_len:
             row = model.transition.get(seq[-1])
             if not row:
                 break
-            step = _weighted_choice(rng, row)
+            step = weighted_choice(rng, row)
             if step == END:
                 break
             seq.append(step)

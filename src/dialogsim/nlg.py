@@ -119,53 +119,52 @@ def _user_fragment(act: DialogAct, value: str | None) -> str:
 
 def realize_user(
     acts: list[DialogAct],
-    slot_values: dict[str, str],
+    values: list[str],
     index: TemplateIndex,
     rng: Random,
     alloc: VarAllocator,
 ) -> tuple[str, list[EntitySpan]]:
     """Surface form plus entity spans (in act order) for a user turn.
 
+    `values` holds one surface per entity-bearing inform act, in act order;
+    the slot names (T, T2, ... on repeated types) are derived from the acts.
     Exact-signature templates are sampled uniformly; otherwise each act is
     rendered on its own — through a single-act template when one exists,
     through a canned fragment when not — and the pieces joined.
     """
-    value_acts = value_bearing(acts)
-    slots = slot_names_for([a.entity for a in value_acts])
-    slot_types = dict(zip(slots, (a.entity for a in value_acts)))
-    if set(slots) != set(slot_values):
-        raise RealizationError(
-            f"slot values {sorted(slot_values)} do not match acts {sorted(slots)}"
-        )
+    types = [a.entity for a in value_bearing(acts)]
+    if len(values) != len(types):
+        raise RealizationError(f"{len(values)} values for {len(types)} entity informs")
     signature = turn_acts_string(acts)
     candidates = index.user.get(signature)
     if candidates:
+        slots = slot_names_for(types)
         defn = candidates[rng.randrange(len(candidates))]
-        text, spans = _fill_template(defn.template, slot_values, slot_types, alloc)
+        text, spans = _fill_template(
+            defn.template, dict(zip(slots, values)), dict(zip(slots, types)), alloc
+        )
         return text, [spans[s] for s in slots]
 
     # backoff: per-act fragments joined in act order
     parts: list[str] = []
     spans_out: list[EntitySpan] = []
     out = 0
-    slot_iter = iter(slots)
+    value_iter = iter(values)
     for i, act in enumerate(acts):
         if i > 0:
             parts.append(", ")
             out += 2
         if act.name == "inform" and act.entity is not None:
-            slot = next(slot_iter)
             single = index.user.get(turn_acts_string([act]))
             template = (
                 single[rng.randrange(len(single))].template
                 if single
                 else "{%s}" % act.entity
             )
-            # a single-act template names its one slot after the bare type;
-            # the turn-level slot may carry a repeat suffix
+            # a single-act template names its one slot after the bare type
             tslot = SLOT_RE.search(template).group(1)
             text, spans = _fill_template(
-                template, {tslot: slot_values[slot]}, {tslot: slot_types[slot]}, alloc
+                template, {tslot: next(value_iter)}, {tslot: act.entity}, alloc
             )
             span = spans[tslot]
             span.start += out

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .acts import END, SYSTEM, DialogAct
-from .goals import MarkovGoalModel
-from .markup import VarAllocator
+from .goals import MarkovGoalModel, weighted_choice
+from .markup import EntitySpan, VarAllocator
 from .nlg import sample_response_args
 from .schema import ApiDef, SchemaBundle
 
@@ -174,8 +174,7 @@ def propose_offer(
     }
     if not candidates:
         return None
-    apis = list(candidates)
-    api_name = rng.choices(apis, weights=[candidates[a] for a in apis])[0]
+    api_name = weighted_choice(rng, candidates)
     args = []
     for spec in bundle.api(api_name).args:
         var = _latest_var_of_type(state, spec.entity_type)
@@ -225,7 +224,7 @@ def _do_call(
 def next_system_turn(
     state: SystemState,
     user_acts: list[DialogAct],
-    inform_vars: dict[int, tuple[str, str]],  # act position -> (var id, surface)
+    spans: list[EntitySpan],  # one per entity-bearing inform act, in act order
     bundle: SchemaBundle,
     config,
     rng: Random,
@@ -248,14 +247,13 @@ def next_system_turn(
     confirming = state.awaiting_confirm
     confirm_affirmed = False
     confirm_touched = False
-    offer_accepted_frame: Frame | None = None
+    span_iter = iter(spans)
 
-    for pos, act in enumerate(user_acts):
+    for act in user_acts:
         if act.name == "affirm" and act.intent is not None:
             if offer is not None and act.intent == offer.api:
                 frame = Frame(api=offer.api)
                 state.frames.append(frame)
-                offer_accepted_frame = frame
                 state.offers_accepted += 1
                 for oa in offer.args:
                     frame.filled[oa.arg] = oa.var
@@ -267,32 +265,27 @@ def next_system_turn(
             if offer is not None and act.intent == offer.api:
                 state.denied_offers.add(act.intent)
         elif act.name == "deny" and act.entity is not None:
-            if offer_accepted_frame is not None and act.api == offer_accepted_frame.api:
-                offer_accepted_frame.filled.pop(act.arg, None)
-                offer_accepted_frame.surfaces.pop(act.arg, None)
-            else:
-                frame = _frame_for_role(state, act.api) if act.api else None
-                if frame is not None:
-                    frame.filled.pop(act.arg, None)
-                    frame.surfaces.pop(act.arg, None)
-                    if frame is confirming:
-                        confirm_touched = True
+            # an offer accepted earlier in this turn is the api's collecting frame
+            frame = _frame_for_role(state, act.api) if act.api else None
+            if frame is not None:
+                frame.filled.pop(act.arg, None)
+                frame.surfaces.pop(act.arg, None)
+                if frame is confirming:
+                    confirm_touched = True
         elif act.name == "inform" and act.intent is not None:
             if _active_frame(state, act.intent) is None:
                 state.frames.append(Frame(api=act.intent))
         elif act.name == "inform" and act.entity is not None:
-            if pos not in inform_vars:
-                continue
-            var, surface = inform_vars[pos]
-            state.context[var] = ContextVar(act.entity, surface, "span")
+            span = next(span_iter)
+            state.context[span.var_id] = ContextVar(act.entity, span.surface, "span")
             if act.api is None:
                 continue
             frame = _frame_for_role(state, act.api)
             if frame is None:
                 frame = Frame(api=act.api)
                 state.frames.append(frame)
-            frame.filled[act.arg] = var
-            frame.surfaces[act.arg] = surface
+            frame.filled[act.arg] = span.var_id
+            frame.surfaces[act.arg] = span.surface
             if frame.status in (CALLED_OK, CALLED_FAILED):
                 frame.recall_pending = True
             elif frame is confirming:

@@ -11,14 +11,16 @@ until the user has seen the re-call result.
 
 The user reads the system's SystemTurnOutput directly: requests come from
 the acts of its nlg plans, call results drive the goal cursor. The protocol
-types live in system_agent, which produces them.
+types live in system_agent, which produces them. A user turn is its acts
+plus one surface value per entity-bearing inform act, in act order; NLG
+names the slots and the system reads the resulting spans in the same order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
 
-from .acts import USER, DialogAct, slot_names_for
+from .acts import USER, DialogAct
 from .goals import ReturnRef, UserGoal, UserValue
 from .schema import SchemaBundle
 from .system_agent import SystemTurnOutput
@@ -27,7 +29,7 @@ from .system_agent import SystemTurnOutput
 @dataclass
 class UserTurnOutput:
     acts: list[DialogAct]
-    slot_values: dict[str, str]  # slot name -> surface, aligned with inform acts
+    values: list[str]  # one surface per entity-bearing inform act, in act order
 
 
 @dataclass
@@ -40,10 +42,8 @@ class UserState:
     alternatives: dict[tuple[int, str], str] = field(default_factory=dict)
     done: bool = False
     dead: set = field(default_factory=set)
-    corrections_used: int = 0
     last_correction: int | None = None  # intent corrected on the previous turn
     returns_seen: dict[int, str] = field(default_factory=dict)
-    intent_informed: bool = False
     bye_sent: bool = False
     abandonments: int = 0
 
@@ -76,7 +76,6 @@ def _seed_agenda(state: UserState, bundle: SchemaBundle) -> None:
     for spec in api.args:
         if isinstance(intent.bindings.get(spec.name), UserValue):
             state.agenda.append(("inform", spec.name))
-    state.intent_informed = False
 
 
 def _advance(state: UserState, bundle: SchemaBundle) -> None:
@@ -167,19 +166,18 @@ def next_user_turn(
                 )
                 inform(ca.entity_type, intent.api, ca.arg, truth)
 
-    # 3. respond to a proactive offer: accept only the goal's next intent
+    # 3. respond to a proactive offer: accept only the goal's next intent,
+    # and only before the user has named it
     if view.offer is not None:
         accept = (
             not state.done
-            and not state.intent_informed
+            and ("intent", None) in state.agenda
             and view.offer.api == state.current().api
         )
         if accept:
             intent = state.current()
             acts.append(DialogAct("affirm", USER, intent=intent.api))
-            state.intent_informed = True
-            if ("intent", None) in state.agenda:
-                state.agenda.remove(("intent", None))
+            state.agenda.remove(("intent", None))
             for oa in view.offer.args:
                 binding = intent.bindings.get(oa.arg)
                 if isinstance(binding, ReturnRef):
@@ -237,7 +235,6 @@ def next_user_turn(
             intent = state.current()
             if kind == "intent":
                 acts.append(DialogAct("inform", USER, intent=intent.api))
-                state.intent_informed = True
                 emitted += 1
             else:
                 if (state.cursor, arg) in state.informed:
@@ -255,7 +252,7 @@ def next_user_turn(
     if (
         not was_done
         and (not state.done or config.p_correct > 0)
-        and state.corrections_used < config.max_corrections
+        and len(state.corrected) < config.max_corrections
         and rng.random() < config.p_correct
     ):
         latest = {}
@@ -279,7 +276,6 @@ def next_user_turn(
             inform(entity_type, intent.api, arg, alt)
             state.informed[(i, arg)] = alt
             state.corrected.add((i, arg))
-            state.corrections_used += 1
             state.last_correction = i
 
     # 7. close when the goal is exhausted; a correction holds the bye back
@@ -288,6 +284,4 @@ def next_user_turn(
         acts.append(DialogAct("bye", USER))
         state.bye_sent = True
 
-    value_acts = [a for a in acts if a.name == "inform" and a.entity is not None]
-    slots = slot_names_for([a.entity for a in value_acts])
-    return UserTurnOutput(acts=acts, slot_values=dict(zip(slots, values)))
+    return UserTurnOutput(acts=acts, values=values)

@@ -53,7 +53,7 @@ def test_realize_booking_turn(demo_bundle, demo_seeds_annotated):
     seen = set()
     for _ in range(50):
         text, spans = realize_user(
-            acts, {"count": "two", "ticketType": "adult"}, index, rng, VarAllocator()
+            acts, ["two", "adult"], index, rng, VarAllocator()
         )
         seen.add(text)
         assert [s.surface for s in spans] == ["two", "adult"]
@@ -66,7 +66,7 @@ def test_no_slot_template_is_constant(demo_bundle, demo_seeds_annotated):
     index = build_template_index(demo_bundle, demo_seeds_annotated)
     acts = [DialogAct("inform", "user", intent="SelectShow")]
     outputs = {
-        realize_user(acts, {}, index, Random(i), VarAllocator())[0] for i in range(100)
+        realize_user(acts, [], index, Random(i), VarAllocator())[0] for i in range(100)
     }
     assert outputs == {"I want to pick a showing"}
 
@@ -92,7 +92,7 @@ def test_uniform_template_choice():
     acts = [DialogAct("inform", "user", entity="city")]
     rng = Random(99)
     counts = Counter(
-        realize_user(acts, {"city": "Rome"}, index, rng, VarAllocator())[0] for _ in range(1000)
+        realize_user(acts, ["Rome"], index, rng, VarAllocator())[0] for _ in range(1000)
     )
     assert len(counts) == 4
     for n in counts.values():
@@ -108,7 +108,7 @@ def test_backoff_spans_are_exact(demo_bundle):
         DialogAct("inform", "user", entity="movieTitle", api="SelectShow", arg="movieTitle"),
     ]
     text, spans = realize_user(
-        acts, {"Time": "17:00", "movieTitle": "Up"}, index, Random(0), VarAllocator()
+        acts, ["17:00", "Up"], index, Random(0), VarAllocator()
     )
     assert [s.surface for s in spans] == ["17:00", "Up"]
     for span in spans:
@@ -120,7 +120,7 @@ def test_slot_value_mismatch_rejected(demo_bundle, demo_seeds_annotated):
     index = build_template_index(demo_bundle, demo_seeds_annotated)
     acts = [DialogAct("inform", "user", entity="count")]
     with pytest.raises(RealizationError):
-        realize_user(acts, {"wrong": "x"}, index, Random(0), VarAllocator())
+        realize_user(acts, ["x", "y"], index, Random(0), VarAllocator())
 
 
 def test_realize_response_fills_args(demo_bundle):

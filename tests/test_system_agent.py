@@ -3,7 +3,7 @@ from random import Random
 from dialogsim.acts import DialogAct, act_to_string
 from dialogsim.engine import GenerationConfig
 from dialogsim.goals import extract_goals, fit_markov
-from dialogsim.markup import VarAllocator
+from dialogsim.markup import EntitySpan, VarAllocator
 from dialogsim.system_agent import (
     Frame,
     SystemState,
@@ -26,11 +26,16 @@ def _calls(out):
     return [r for r in out.results if r.ok]
 
 
-def _turn(state, acts, inform_vars, bundle, config=None, rng=None, alloc=None):
+def _spans(*pairs):
+    """One span per (var id, surface) pair, for the turn's entity informs."""
+    return [EntitySpan(surface, var, None, 0, len(surface)) for var, surface in pairs]
+
+
+def _turn(state, acts, spans, bundle, config=None, rng=None, alloc=None):
     return next_system_turn(
         state,
         acts,
-        inform_vars,
+        spans,
         bundle,
         config or GenerationConfig(api_failure_rate=0, p_offer=0),
         rng or Random(0),
@@ -45,7 +50,7 @@ def test_complete_frame_calls_and_announces(demo_bundle):
         _inform("location", "FindMovies", "location"),
         _inform("Time", "FindMovies", "timeLowerBound"),
     ]
-    out = _turn(state, acts, {1: ("location0", "Sunnyvale"), 2: ("time0", "2 PM")}, demo_bundle)
+    out = _turn(state, acts, _spans(("location0", "Sunnyvale"), ("time0", "2 PM")), demo_bundle)
     assert len(_calls(out)) == 1
     call = _calls(out)[0]
     assert call.api == "FindMovies"
@@ -57,7 +62,7 @@ def test_complete_frame_calls_and_announces(demo_bundle):
 
 def test_missing_required_arg_requested(demo_bundle):
     state = init_system()
-    out = _turn(state, [_inform_intent("FindMovies")], {}, demo_bundle)
+    out = _turn(state, [_inform_intent("FindMovies")], [], demo_bundle)
     assert _calls(out) == []
     (plan,) = out.nlg
     assert [act_to_string(a) for a in plan.acts] == ["request(entity:location)"]
@@ -69,7 +74,7 @@ def test_return_value_autofill_from_context(demo_bundle):
     _turn(
         state,
         [_inform_intent("FindMovies"), _inform("location", "FindMovies", "location")],
-        {1: ("location0", "Sunnyvale")},
+        _spans(("location0", "Sunnyvale")),
         demo_bundle,
     )
     out = _turn(
@@ -79,7 +84,7 @@ def test_return_value_autofill_from_context(demo_bundle):
             _inform("Time", "SelectShow", "showTime"),
             _inform("movieTitle", "SelectShow", "movieTitle"),
         ],
-        {1: ("time0", "4 PM"), 2: ("movieTitle0", "Tenet")},
+        _spans(("time0", "4 PM"), ("movieTitle0", "Tenet")),
         demo_bundle,
     )
     (call,) = _calls(out)
@@ -88,7 +93,7 @@ def test_return_value_autofill_from_context(demo_bundle):
 
 def test_bye_gets_closing(demo_bundle):
     state = init_system()
-    out = _turn(state, [DialogAct("bye", "user")], {}, demo_bundle)
+    out = _turn(state, [DialogAct("bye", "user")], [], demo_bundle)
     assert state.closed
     (plan,) = out.nlg
     assert [act_to_string(a) for a in plan.acts] == ["bye()"]
@@ -100,14 +105,14 @@ def test_confirm_before_call_flow(demo_bundle):
         state,
         [_inform_intent("SelectShow"), _inform("Time", "SelectShow", "showTime"),
          _inform("movieTitle", "SelectShow", "movieTitle")],
-        {1: ("time0", "8 PM"), 2: ("movieTitle0", "Soul")},
+        _spans(("time0", "8 PM"), ("movieTitle0", "Soul")),
         demo_bundle,
     )
     out = _turn(
         state,
         [_inform_intent("BookTickets"), _inform("count", "BookTickets", "count"),
          _inform("ticketType", "BookTickets", "ticketType")],
-        {1: ("count0", "two"), 2: ("ticketType0", "child")},
+        _spans(("count0", "two"), ("ticketType0", "child")),
         demo_bundle,
     )
     assert _calls(out) == []
@@ -119,7 +124,7 @@ def test_confirm_before_call_flow(demo_bundle):
         DialogAct("affirm", "user", entity="count", api="BookTickets", arg="count"),
         DialogAct("affirm", "user", entity="ticketType", api="BookTickets", arg="ticketType"),
     ]
-    out2 = _turn(state, affirm, {}, demo_bundle)
+    out2 = _turn(state, affirm, [], demo_bundle)
     (call,) = _calls(out2)
     assert call.api == "BookTickets"
     assert call.bindings["count"] == "count0"
@@ -189,7 +194,7 @@ def test_post_call_correction_triggers_recall(demo_bundle):
     _turn(
         state,
         [_inform_intent("FindMovies"), _inform("location", "FindMovies", "location")],
-        {1: ("location0", "Sunnyvale")},
+        _spans(("location0", "Sunnyvale")),
         demo_bundle,
         alloc=alloc,
     )
@@ -198,7 +203,7 @@ def test_post_call_correction_triggers_recall(demo_bundle):
         DialogAct("deny", "user", entity="location", api="FindMovies", arg="location"),
         _inform("location", "FindMovies", "location"),
     ]
-    out = _turn(state, correction, {1: ("location1", "Berkeley")}, demo_bundle, alloc=alloc)
+    out = _turn(state, correction, _spans(("location1", "Berkeley")), demo_bundle, alloc=alloc)
     (call,) = _calls(out)
     assert [r.recall for r in out.results] == [True]
     assert call.bindings["location"] == "location1"

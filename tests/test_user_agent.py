@@ -66,7 +66,6 @@ def test_offer_reply_matches_correction_pattern(demo_bundle, demo_seeds):
         ),
     )
     state.cursor = 0
-    state.intent_informed = True
     state.returns_seen = {}
     out = next_user_turn(state, view, demo_bundle, config, Random(1))
     assert _acts(out)[:4] == [
@@ -75,7 +74,7 @@ def test_offer_reply_matches_correction_pattern(demo_bundle, demo_seeds):
         "inform(entity:Time)",
         "affirm(entity:movieList)",
     ]
-    assert out.slot_values["Time"] == "4 PM"
+    assert out.values[0] == "4 PM"  # the inform(entity:Time) above
 
 
 def test_offer_for_wrong_api_denied(demo_bundle, demo_seeds):
@@ -104,11 +103,10 @@ def test_request_answered_with_goal_value(demo_bundle, demo_seeds):
     config = GenerationConfig(p_correct=0, multi_act_p=0)
     state = init_user(goal, demo_bundle, config, Random(0))
     state.agenda = []
-    state.intent_informed = True
     request = DialogAct("request", "system", entity="location", api="FindMovies", arg="location")
     out = next_user_turn(state, SystemTurnOutput(nlg=[SystemNlg(acts=[request])]), demo_bundle, config, Random(0))
     assert _acts(out) == ["inform(entity:location)"]
-    assert out.slot_values == {"location": "Sunnyvale"}
+    assert out.values == ["Sunnyvale"]
 
 
 def test_forced_corrections_every_later_turn(demo_bundle, demo_seeds):
@@ -123,7 +121,7 @@ def test_forced_corrections_every_later_turn(demo_bundle, demo_seeds):
     deny_at = names.index("deny")
     assert names[deny_at + 1] == "inform"
     assert second.acts[deny_at].entity == second.acts[deny_at + 1].entity
-    assert state.corrections_used == 1
+    assert len(state.corrected) == 1
 
 
 def test_correction_values_come_from_alternatives(demo_bundle, demo_seeds):
@@ -134,7 +132,7 @@ def test_correction_values_come_from_alternatives(demo_bundle, demo_seeds):
         rng = Random(trial + 1)
         for _ in range(4):
             out = next_user_turn(state, SystemTurnOutput(), demo_bundle, config, rng)
-            values = iter(out.slot_values.items())
+            values = iter(out.values)
         for (i, arg), value in state.informed.items():
             binding = goal.intents[i].bindings[arg]
             assert value in (binding.surface, state.alternatives.get((i, arg)))
@@ -164,7 +162,6 @@ def test_single_intent_failure_is_terminal(demo_bundle, demo_seeds):
     config = GenerationConfig(p_correct=0)
     state = init_user(goal, demo_bundle, config, Random(0))
     view = SystemTurnOutput(results=[CallResult("SelectShow", False, None)])
-    state.intent_informed = True
     out = next_user_turn(state, view, demo_bundle, config, Random(0))
     assert state.dead == {0, 1}
     assert state.done
@@ -187,14 +184,14 @@ def test_change_of_mind_on_completed_goal_holds_bye(demo_bundle, demo_seeds):
     assert state.done and not state.bye_sent
     entity, arg = out.acts[1].entity, out.acts[1].arg
     assert _acts(out) == [f"deny(entity:{entity})", f"inform(entity:{entity})"]
-    assert out.slot_values == {entity: state.alternatives[(0, arg)]}
+    assert out.values == [state.alternatives[(0, arg)]]
     assert state.cursor == 0
     # the re-call result comes back: now the bye, and nothing else
     recall = SystemTurnOutput(results=[CallResult("FindMovies", True, "movieList1", recall=True)])
     out = next_user_turn(state, recall, demo_bundle, config, rng)
     assert _acts(out) == ["bye()"]
     assert state.bye_sent and state.cursor == 0
-    assert state.corrections_used == 1
+    assert len(state.corrected) == 1
 
 
 def test_failed_recall_abandons_corrected_intent(demo_bundle, demo_seeds):
