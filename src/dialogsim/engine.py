@@ -215,11 +215,11 @@ def run_dialog(
             truncated = True
             break
         sout = next_system_turn(system, uout.acts, spans, bundle, config, rng, alloc)
-        for call in sout.results:
-            if call.ok:
+        for plan in sout.nlg:
+            call = plan.result
+            if call is not None and call.ok:
                 bindings = {a: ref(v) for a, v in call.bindings.items()}
                 dialog.turns.append(ApiCall(call.api, bindings, call.return_var))
-        for plan in sout.nlg:
             if plan.response_name is not None:
                 resp = bundle.response(plan.response_name)
                 text = realize_response(resp, plan.arg_values, rng)

@@ -9,8 +9,10 @@ and makes proactive offers sampled from the fitted goal-transition model.
 Each turn yields a SystemTurnOutput, which the engine renders and the user
 policy reads as its view of the turn; the protocol types live here. The
 protocol carries each fact once:
-- one CallResult per call attempt; a successful one (``ok``) also carries
-  the bindings and return var, and is the turn's API-call line;
+- one CallResult per call attempt, riding on the SystemNlg line that
+  announces the call or reports its failure; a successful one (``ok``) also
+  carries the bindings and return var, and is the API-call line written
+  just before that announcement;
 - one ApiView for offers and confirms alike, whose ArgViews name each arg's
   var, surface and entity type; it is built together with its act group.
 Counters of the system's own events (offers made and accepted) live on
@@ -93,6 +95,7 @@ class SystemNlg:
     response_name: str | None = None
     arg_values: dict[str, str] = field(default_factory=dict)
     backoff_values: list[str | None] = field(default_factory=list)
+    result: CallResult | None = None  # the call this line announces or reports failed
 
 
 @dataclass
@@ -101,7 +104,6 @@ class SystemTurnOutput:
     call results as bookkeeping only: they advance its goal cursor and
     identify offered return values."""
 
-    results: list[CallResult] = field(default_factory=list)
     nlg: list[SystemNlg] = field(default_factory=list)
     offer: ApiView | None = None
     confirm: ApiView | None = None
@@ -213,12 +215,13 @@ def _do_call(
     recall: bool,
 ) -> None:
     ok, var = simulate_api_call(frame, bundle, config, rng, alloc, state)
-    out.results.append(CallResult(frame.api, ok, var, recall, dict(frame.filled) if ok else {}))
     if ok:
-        out.nlg.append(_announce(bundle.api(frame.api), bundle, rng))
+        plan = _announce(bundle.api(frame.api), bundle, rng)
     else:
         failure = DialogAct("failure", SYSTEM, intent=frame.api)
-        out.nlg.append(SystemNlg(acts=[failure], backoff_values=[None]))
+        plan = SystemNlg(acts=[failure], backoff_values=[None])
+    plan.result = CallResult(frame.api, ok, var, recall, dict(frame.filled) if ok else {})
+    out.nlg.append(plan)
 
 
 def next_system_turn(

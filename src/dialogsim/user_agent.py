@@ -10,7 +10,8 @@ the goal completes, before the bye; the bye is then held back by one turn,
 until the user has seen the re-call result.
 
 The user reads the system's SystemTurnOutput directly: requests come from
-the acts of its nlg plans, call results drive the goal cursor. The protocol
+the acts of its nlg plans, and the call results those plans carry drive the
+goal cursor. The protocol
 types live in system_agent, which produces them. A user turn is its acts
 plus one surface value per entity-bearing inform act, in act order; NLG
 names the slots and the system reads the resulting spans in the same order.
@@ -133,7 +134,7 @@ def next_user_turn(
     # re-call abandons the intent corrected on the previous turn
     was_done = state.done
     corrected, state.last_correction = state.last_correction, None
-    for call in view.results:
+    for call in (plan.result for plan in view.nlg if plan.result is not None):
         if call.recall:
             if not call.ok and corrected is not None and corrected not in state.dead:
                 abandon_intent(state, corrected, bundle)

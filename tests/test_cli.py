@@ -369,11 +369,11 @@ def test_generate_rejects_workers_flag_below_one(data_paths, capsys, workers):
 # SHA-256 of the CLI output for the demo schema and seeds at --n 300 --seed 42.
 # A change that alters output on purpose updates these digests and says why.
 GOLDEN = {
-    "generate": "35be3f7685b35b195ec14c093e490f302eeaaf9ed5b492ec3328ec8537b69695",
+    "generate": "d325c572622c798f6210508e40780a3381fb65fa84ebe8b45f06213b4858392d",
     "generate --mix base=1": "f5a48f1adb9a3a800902f28de7d1098e4e29793ed41593f06bd2a4ce946be718",
     "generate p_correct=0": "d683e12d57a391a151aacbaaea46299dc52345b83e7a3ea06f97a75c033146df",
-    "generate stress": "bc378ba3a4b2ed70eba56f31b7628fa23f3abccd9454d6a9cd13957c92577033",
-    "export-training": "f6032b41b698ddfa8e1be9ec14cad5329dae461332026f72f9825004ab4e5a98",
+    "generate stress": "82faf6bc70e813fec2c48969893ef07aa9ba1523749f5f54c5a6b0158bbd3a77",
+    "export-training": "f1e0223763c6149dfd28cd63836a8c47ab3eeb10a3eef3fe5d38931004e240ed",
     "metrics": "e876f2ec49e10f65b1c0a5e85ff77e985550d82e671c5887bddd98d68ccaf704",
 }
 

@@ -223,3 +223,20 @@ def test_corrections_and_bye_interplay(demo_bundle, demo_seeds):
             assert acts
             corrects = any(a.name == "deny" and a.entity is not None for a in acts)
             assert not (corrects and any(a.name == "bye" for a in acts))
+
+
+def test_call_line_is_followed_by_its_announcement(demo_bundle, demo_seeds):
+    # a turn may hold a re-call and a fresh call; each call line still sits
+    # directly before the line that announces its result
+    config = GenerationConfig(n_dialogs=300, rng_seed=42, p_correct=0.6)
+    result = run_batch(demo_bundle, demo_seeds, config)
+    checked = 0
+    for dialog in result.dialogs:
+        if dialog.metadata.get("truncated") == "true":
+            continue
+        for turn, nxt in zip(dialog.turns, dialog.turns[1:] + [None]):
+            if isinstance(turn, ApiCall):
+                resp = demo_bundle.response(demo_bundle.api(turn.api).response_template)
+                assert isinstance(nxt, NlgResponse) and nxt.acts == list(resp.acts)
+                checked += 1
+    assert checked > 1000

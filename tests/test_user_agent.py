@@ -16,6 +16,11 @@ def _table2_goal(demo_bundle, demo_seeds):
     return extract_goals(demo_seeds[:1], demo_bundle)[0]
 
 
+def _reporting(*results):
+    """The nlg lines of a system turn that report these call results."""
+    return [SystemNlg(acts=[], result=r) for r in results]
+
+
 def _acts(output):
     from dialogsim.acts import act_to_string
 
@@ -56,7 +61,7 @@ def test_offer_reply_matches_correction_pattern(demo_bundle, demo_seeds):
     config = GenerationConfig(p_correct=0, multi_act_p=0)
     state = init_user(goal, demo_bundle, config, Random(0))
     view = SystemTurnOutput(
-        results=[CallResult("FindMovies", True, "movieList0")],
+        nlg=_reporting(CallResult("FindMovies", True, "movieList0")),
         offer=ApiView(
             api="SelectShow",
             args=[
@@ -161,7 +166,7 @@ def test_single_intent_failure_is_terminal(demo_bundle, demo_seeds):
     goal = extract_goals([demo_seeds[4]], demo_bundle)[0]
     config = GenerationConfig(p_correct=0)
     state = init_user(goal, demo_bundle, config, Random(0))
-    view = SystemTurnOutput(results=[CallResult("SelectShow", False, None)])
+    view = SystemTurnOutput(nlg=_reporting(CallResult("SelectShow", False, None)))
     out = next_user_turn(state, view, demo_bundle, config, Random(0))
     assert state.dead == {0, 1}
     assert state.done
@@ -179,7 +184,7 @@ def test_change_of_mind_on_completed_goal_holds_bye(demo_bundle, demo_seeds):
     assert "deny" not in [a.name for a in first.acts]
     # the call succeeds and completes the goal: the user changes its mind
     # instead of saying bye
-    done = SystemTurnOutput(results=[CallResult("FindMovies", True, "movieList0")])
+    done = SystemTurnOutput(nlg=_reporting(CallResult("FindMovies", True, "movieList0")))
     out = next_user_turn(state, done, demo_bundle, config, rng)
     assert state.done and not state.bye_sent
     entity, arg = out.acts[1].entity, out.acts[1].arg
@@ -187,7 +192,7 @@ def test_change_of_mind_on_completed_goal_holds_bye(demo_bundle, demo_seeds):
     assert out.values == [state.alternatives[(0, arg)]]
     assert state.cursor == 0
     # the re-call result comes back: now the bye, and nothing else
-    recall = SystemTurnOutput(results=[CallResult("FindMovies", True, "movieList1", recall=True)])
+    recall = SystemTurnOutput(nlg=_reporting(CallResult("FindMovies", True, "movieList1", recall=True)))
     out = next_user_turn(state, recall, demo_bundle, config, rng)
     assert _acts(out) == ["bye()"]
     assert state.bye_sent and state.cursor == 0
@@ -202,11 +207,11 @@ def test_failed_recall_abandons_corrected_intent(demo_bundle, demo_seeds):
     next_user_turn(state, SystemTurnOutput(), demo_bundle, config, rng)
     # FindMovies succeeds; the user moves on to SelectShow and changes its
     # mind about a FindMovies value
-    found = SystemTurnOutput(results=[CallResult("FindMovies", True, "movieList0")])
+    found = SystemTurnOutput(nlg=_reporting(CallResult("FindMovies", True, "movieList0")))
     out = next_user_turn(state, found, demo_bundle, config, rng)
     assert state.cursor == 1 and "deny" in [a.name for a in out.acts]
     # the re-call fails: FindMovies and everything built on it are dropped
-    failed = SystemTurnOutput(results=[CallResult("FindMovies", False, None, recall=True)])
+    failed = SystemTurnOutput(nlg=_reporting(CallResult("FindMovies", False, None, recall=True)))
     out = next_user_turn(state, failed, demo_bundle, config, rng)
     assert state.dead == {0, 1, 2}
     assert state.abandonments == 1
