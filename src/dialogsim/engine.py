@@ -72,11 +72,15 @@ def _is_number(value) -> bool:
 
 
 def _usable_weights(dist: dict) -> bool:
-    """Finite non-negative numbers with a positive finite total."""
-    weights = list(dist.values())
-    return all(_is_number(w) and 0 <= w < math.inf for w in weights) and (
-        0 < sum(weights) < math.inf
-    )
+    """Numbers that convert to finite non-negative floats, with a positive
+    finite total."""
+    if not all(map(_is_number, dist.values())):
+        return False
+    try:
+        weights = [float(w) for w in dist.values()]
+    except OverflowError:  # an integer too large for a float
+        return False
+    return all(0 <= w < math.inf for w in weights) and 0 < sum(weights) < math.inf
 
 
 @dataclass

@@ -411,3 +411,26 @@ def test_output_bytes_are_pinned(data_paths, tmp_path, capsys):
     assert main(["metrics", "--schema", str(schema), str(corpus)]) == 0
     digests["metrics"] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digests == GOLDEN
+
+
+@pytest.mark.parametrize("source", ["config", "model"])
+def test_generate_rejects_weight_too_large_for_a_float(data_paths, tmp_path, capsys, source):
+    schema, seeds = data_paths
+    huge = 10**400
+    path = tmp_path / f"{source}.json"
+    args = ["generate", "--schema", str(schema), "--seeds", str(seeds), "--n", "3"]
+    if source == "config":
+        path.write_text(json.dumps({"sampler_mix": {"golden": huge}}), encoding="utf-8")
+        args += ["--config", str(path)]
+    else:
+        assert main(["fit", "--schema", str(schema), "--seeds", str(seeds),
+                     "--out", str(path)]) == 0
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["start"]["FindMovies"] = huge
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        args += ["--model", str(path)]
+    capsys.readouterr()
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from random import Random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from dialogsim import system_agent
 from dialogsim.acts import sequence_string
 from dialogsim.engine import (
+    SAMPLERS,
     GenerationConfig,
     GenerationError,
     derive_rng,
@@ -191,6 +193,49 @@ def test_config_validation():
         GenerationConfig(sampler_mix={"bogus": 1.0}).validate()
     with pytest.raises(GenerationError):
         GenerationConfig.from_dict({"not_a_key": 1})
+
+
+def test_config_from_any_json_raises_only_generation_error():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # unbounded integers, many beyond the float range, and JSON's NaN/Infinity
+    integer = st.one_of(st.integers(), st.integers(2**1023, 2**1100))
+    number = st.one_of(integer, st.floats())
+    value = st.recursive(
+        st.one_of(st.none(), st.booleans(), number, st.text(max_size=4)),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from([*SAMPLERS, "other"]), inner, max_size=4),
+        max_leaves=6,
+    )
+    # values of the right type, often in range, so that draws get past the
+    # type checks and reach validate's range and weight checks
+    typed = {
+        dict: st.dictionaries(
+            st.sampled_from([*SAMPLERS, "other"]), st.one_of(st.floats(0, 9), number), max_size=4
+        ),
+        int: st.one_of(st.integers(0, 9), integer),
+        float: st.one_of(st.floats(0, 1), number),
+    }
+    defaults = GenerationConfig()
+    # the mix, the one nested value, is drawn as often as all other keys
+    names = [f.name for f in fields(GenerationConfig)] + ["unknown"]
+    item = (st.just("sampler_mix") | st.sampled_from(names)).flatmap(
+        lambda key: st.tuples(
+            st.just(key),
+            st.one_of(typed[type(getattr(defaults, key))], value) if key != "unknown" else value,
+        )
+    )
+    docs = st.lists(item, max_size=4).map(dict)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(docs)
+    def check(doc):
+        try:
+            GenerationConfig.from_dict(doc).validate()
+        except GenerationError:
+            pass
+
+    check()
 
 
 def test_goldens_need_seeds(demo_bundle):

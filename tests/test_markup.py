@@ -82,6 +82,40 @@ def test_generated_round_trip_small(demo_bundle, demo_seeds):
         assert parse_dialog(serialize_dialog(dialog), demo_bundle) == dialog
 
 
+def test_parse_corpus_raises_only_markup_error(demo_bundle, demo_seeds_annotated):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    seeds = [serialize_dialog(d).splitlines() for d in demo_seeds_annotated]
+    tokens = st.sampled_from(
+        ["U-1: ", "S-2: ", "U-3:", "call: ", "nlg: ", " |acts: ", " -> ", "[", "]", "|", "$",
+         '"', "(", ")", ",", "=", ":", "#", "# id=x", "\n", "\n\n", " ", "inform(entity:Time)",
+         "affirm(intent:SelectShow)", "bye()", "entity:", "location0", "movieList0",
+         "FindMovies", "showTime", "Time", "\u2028", "\x1c"]
+    )
+    piece = tokens | st.text(max_size=3)
+
+    @st.composite
+    def corpora(draw):
+        """A seed dialog with a few pieces spliced in, then junk lines."""
+        lines = list(draw(st.sampled_from(seeds)))
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(lines) - 1))
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + draw(piece) + lines[i][at + draw(st.integers(0, 4)) :]
+        lines += draw(st.lists(st.lists(piece, max_size=6).map("".join), max_size=1))
+        return "\n".join(lines)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(corpora(), st.booleans())
+    def check(text, linked):
+        try:
+            parse_corpus(text, demo_bundle if linked else None)
+        except MarkupError:
+            pass
+
+    check()
+
+
 @pytest.mark.parametrize("text", ["", " leading space", "\t", "Booked |acts: now"])
 def test_nlg_text_round_trips_exactly(text):
     bye = DialogAct("bye", "system")
