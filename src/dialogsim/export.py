@@ -165,14 +165,3 @@ def export_training(
                 ap.append(TrainingExample("action_prediction", previous, name, shared, k))
     return examples
 
-
-def ner_examples(dialog: Dialog) -> list[TrainingExample]:
-    return export_training([dialog], None, TemplateIndex())["ner"]
-
-
-def ap_examples(dialog: Dialog, index: TemplateIndex) -> list[TrainingExample]:
-    return export_training([dialog], None, index)["action_prediction"]
-
-
-def af_examples(dialog: Dialog) -> list[TrainingExample]:
-    return export_training([dialog], None, TemplateIndex())["argument_filling"]

@@ -7,11 +7,8 @@ from dialogsim.acts import SYSTEM, DialogAct, turn_acts_string
 from dialogsim.engine import GenerationConfig, run_batch
 from dialogsim.export import (
     _PUNCT,
-    af_examples,
-    ap_examples,
     export_training,
     iob_tags,
-    ner_examples,
     spans_from_tags,
     tokenize,
 )
@@ -90,14 +87,11 @@ def test_export_same_from_memory_and_from_corpus_file(demo_bundle, demo_seeds):
     from_file = jsonl(reparsed)
     assert jsonl(result.dialogs) == from_file
     assert all(from_file.values())
-    # the per-dialog builders, each making its own context lines, agree
-    assert [e.to_json() for d in reparsed for e in ner_examples(d)] == from_file["ner"]
-    assert [e.to_json() for d in reparsed for e in ap_examples(d, index)] == from_file[
-        "action_prediction"
-    ]
-    assert [e.to_json() for d in reparsed for e in af_examples(d)] == from_file[
-        "argument_filling"
-    ]
+    # one dialog at a time, each making its own context lines, agrees
+    for kind, rows in from_file.items():
+        assert [
+            e.to_json() for d in reparsed for e in export_training([d], None, index)[kind]
+        ] == rows
 
 
 def test_ner_tags_for_table2_opening(demo_bundle, demo_seeds):
@@ -121,20 +115,23 @@ def test_iob_round_trip_on_seed_spans(demo_bundle, demo_seeds):
 
 def test_ap_label_after_opening_turn(demo_bundle, demo_seeds_annotated):
     index = build_template_index(demo_bundle, [])
-    examples = ap_examples(demo_seeds_annotated[0], index)
+    examples = export_training(demo_seeds_annotated[:1], None, index)["action_prediction"]
     assert examples[0].labels == "FindMovies"
     assert examples[0].context == ["U: What movies are playing in Sunnyvale after 2 PM?"]
 
 
 def test_ap_labels_resolve_responses(demo_bundle, demo_seeds_annotated):
     index = build_template_index(demo_bundle, [])
-    labels = {e.labels for e in ap_examples(demo_seeds_annotated[0], index)}
+    examples = export_training(demo_seeds_annotated[:1], None, index)["action_prediction"]
+    labels = {e.labels for e in examples}
     assert "announce_movies" in labels
     assert "closing" in labels
 
 
 def test_af_labels_for_booking_call(demo_bundle, demo_seeds_annotated):
-    examples = af_examples(demo_seeds_annotated[0])
+    examples = export_training(demo_seeds_annotated[:1], None, TemplateIndex())[
+        "argument_filling"
+    ]
     booking = [e for e in examples if e.input == "BookTickets"]
     assert booking[0].labels == {
         "show": "showInfo0",
@@ -147,7 +144,7 @@ def test_af_labels_resolve_in_context(demo_bundle, demo_seeds):
     config = GenerationConfig(n_dialogs=100, rng_seed=31)
     result = run_batch(demo_bundle, demo_seeds, config)
     for dialog in result.dialogs:
-        examples = iter(af_examples(dialog))
+        examples = iter(export_training([dialog], None, TemplateIndex())["argument_filling"])
         introduced = set()
         for p in dialog.turns:
             if hasattr(p, "spans"):
@@ -170,7 +167,7 @@ def test_training_example_jsonl_round_trip(demo_bundle, demo_seeds_annotated):
 
 
 def test_ner_examples_carry_context(demo_bundle, demo_seeds_annotated):
-    examples = ner_examples(demo_seeds_annotated[0])
+    examples = export_training(demo_seeds_annotated[:1], None, TemplateIndex())["ner"]
     assert len(examples) == 4  # four user turns in the seed
     assert examples[1].context[0].startswith("U: ")
     assert examples[1].context[1].startswith("S: call: FindMovies")
