@@ -11,10 +11,10 @@ until the user has seen the re-call result.
 
 The user reads the system's SystemTurnOutput directly: requests come from
 the acts of its nlg plans, and the call results those plans carry drive the
-goal cursor. The protocol
-types live in system_agent, which produces them. A user turn is its acts
-plus one surface value per entity-bearing inform act, in act order; NLG
-names the slots and the system reads the resulting spans in the same order.
+goal cursor. The protocol types live in system_agent, which produces them.
+A user turn is its acts plus one surface value per entity-bearing inform
+act, in act order; NLG names the slots and the system reads the resulting
+spans in the same order.
 """
 from __future__ import annotations
 
