@@ -373,36 +373,65 @@ GOLDEN = {
     "generate --mix base=1": "f5a48f1adb9a3a800902f28de7d1098e4e29793ed41593f06bd2a4ce946be718",
     "generate p_correct=0": "d683e12d57a391a151aacbaaea46299dc52345b83e7a3ea06f97a75c033146df",
     "generate stress": "82faf6bc70e813fec2c48969893ef07aa9ba1523749f5f54c5a6b0158bbd3a77",
+    "generate max_turns=12": "67201687bae863f62103e4a0b2c156c6cad7640294b14c369a692c9f97313320",
     "export-training": "f1e0223763c6149dfd28cd63836a8c47ab3eeb10a3eef3fe5d38931004e240ed",
     "metrics": "e876f2ec49e10f65b1c0a5e85ff77e985550d82e671c5887bddd98d68ccaf704",
+}
+# the stderr stats line of each generate row, verbatim
+STATS_LINES = {
+    "generate": (
+        '{"corrections": 210, "abandonments": 41, "offers_made": 172, "offers_accepted": 121,'
+        ' "truncations": 0, "base": 0, "golden": 122, "markov": 178}'
+    ),
+    "generate --mix base=1": (
+        '{"corrections": 0, "abandonments": 0, "offers_made": 0, "offers_accepted": 0,'
+        ' "truncations": 0, "base": 300, "golden": 0, "markov": 0}'
+    ),
+    "generate p_correct=0": (
+        '{"corrections": 0, "abandonments": 40, "offers_made": 183, "offers_accepted": 129,'
+        ' "truncations": 0, "base": 0, "golden": 122, "markov": 178}'
+    ),
+    "generate stress": (
+        '{"corrections": 397, "abandonments": 266, "offers_made": 331, "offers_accepted": 218,'
+        ' "truncations": 0, "base": 0, "golden": 122, "markov": 178}'
+    ),
+    "generate max_turns=12": (
+        '{"corrections": 149, "abandonments": 29, "offers_made": 168, "offers_accepted": 100,'
+        ' "truncations": 247, "base": 0, "golden": 122, "markov": 178}'
+    ),
 }
 
 
 def test_output_bytes_are_pinned(data_paths, tmp_path, capsys):
     schema, seeds = data_paths
-    no_corrections = tmp_path / "no_corrections.json"
-    no_corrections.write_text('{"p_correct": 0.0}', encoding="utf-8")
-    # many corrections, offers and failed calls: covers the offer-deny,
-    # failed-call and re-call paths of both policies
-    stress = tmp_path / "stress.json"
-    stress.write_text(
-        '{"p_correct": 0.6, "p_offer": 0.9, "api_failure_rate": 0.3}', encoding="utf-8"
-    )
+    configs = {
+        "no_corrections": {"p_correct": 0.0},
+        # many corrections, offers and failed calls: covers the offer-deny,
+        # failed-call and re-call paths of both policies
+        "stress": {"p_correct": 0.6, "p_offer": 0.9, "api_failure_rate": 0.3},
+        # most dialogs hit the turn limit: covers truncation
+        "short": {"max_turns": 12},
+    }
+    for name, doc in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
     generate = ["generate", "--schema", str(schema), "--seeds", str(seeds),
                 "--n", "300", "--seed", "42"]
     corpus = tmp_path / "corpus.txt"
     digests = {}
+    stats = {}
     for name, extra in [
         ("generate", []),
         ("generate --mix base=1", ["--mix", "base=1"]),
-        ("generate p_correct=0", ["--config", str(no_corrections)]),
-        ("generate stress", ["--config", str(stress)]),
+        ("generate p_correct=0", ["--config", str(tmp_path / "no_corrections.json")]),
+        ("generate stress", ["--config", str(tmp_path / "stress.json")]),
+        ("generate max_turns=12", ["--config", str(tmp_path / "short.json")]),
     ]:
         assert main(generate + extra) == 0
-        text = capsys.readouterr().out
-        digests[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        captured = capsys.readouterr()
+        digests[name] = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+        stats[name] = captured.err
         if name == "generate":
-            corpus.write_text(text, encoding="utf-8")
+            corpus.write_text(captured.out, encoding="utf-8")
     train = tmp_path / "train"
     assert main(["export-training", "--schema", str(schema), "--out", str(train), str(corpus)]) == 0
     jsonl = b"".join(path.read_bytes() for path in sorted(train.glob("*.jsonl")))
@@ -411,6 +440,7 @@ def test_output_bytes_are_pinned(data_paths, tmp_path, capsys):
     assert main(["metrics", "--schema", str(schema), str(corpus)]) == 0
     digests["metrics"] = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digests == GOLDEN
+    assert stats == {name: line + "\n" for name, line in STATS_LINES.items()}
 
 
 @pytest.mark.parametrize("source", ["config", "model"])
