@@ -294,6 +294,7 @@ def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
 
     seen_types: set[str] = set()
     seen_apis: set[str] = set()
+    seen_responses: set[str] = set()
     for dom in bundle.domains:
         for et in dom.entity_types:
             loc = f"{dom.name}.{et.name}"
@@ -338,6 +339,9 @@ def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
 
         for resp in dom.response_templates:
             loc = f"{dom.name}.{resp.name}"
+            if resp.name in seen_responses:
+                err(loc, f"duplicate response template name {resp.name!r}")
+            seen_responses.add(resp.name)
             check_args(resp.args, loc)
             if not resp.templates:
                 err(loc, "response template needs at least one template string")

@@ -311,6 +311,35 @@ def test_response_without_acts_is_rejected(data_paths, tmp_path, capsys):
     _assert_one_error_line(captured.err)
 
 
+def _in_domain(edit):
+    """A whole-document edit that applies `edit` to the first domain."""
+    return lambda doc: (edit(doc["domains"][0]), doc)[1]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _in_domain(lambda dom: dom["response_templates"].append(
+            dict(dom["response_templates"][2], templates=["Booked, see you there!"])
+        )),
+    ],
+    ids=["duplicate-response-name"],
+)
+def test_schema_error_ends_in_diagnostics(data_paths, tmp_path, capsys, edit):
+    schema, seeds = data_paths
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(edit(json.loads(schema.read_text(encoding="utf-8")))),
+                      encoding="utf-8")
+    assert main(["validate", "--schema", str(broken)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("error: ") for line in lines), lines
+    assert main(["generate", "--schema", str(broken), "--seeds", str(seeds),
+                 "--n", "100", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+
+
 @pytest.mark.parametrize("corpus", ["seeds", "empty"])
 def test_metrics_bad_corpus_is_one_error_line(data_paths, tmp_path, capsys, corpus):
     # the packaged seeds carry no acts on their turns; an empty file has no

@@ -158,6 +158,19 @@ def test_duplicate_arg_name(demo_schema_text):
     assert "duplicate arg" in str(err.value)
 
 
+def test_duplicate_response_template_name(demo_schema_text):
+    # APIs name their response by its name, the template index keys it by
+    # its acts: both must see one definition
+    doc = json.loads(demo_schema_text)
+    responses = doc["domains"][0]["response_templates"]
+    responses.append(dict(responses[2], templates=["Booked, see you there!"]))
+    with pytest.raises(SchemaError) as err:
+        loads_schema(json.dumps(doc))
+    assert [(d.location, d.message) for d in err.value.diagnostics] == [
+        ("TicketBooking.announce_booking", "duplicate response template name 'announce_booking'")
+    ]
+
+
 def test_schema_round_trip(demo_bundle):
     assert loads_schema(serialize_schema(demo_bundle)) == demo_bundle
 
