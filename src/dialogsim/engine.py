@@ -11,6 +11,7 @@ import copy
 import hashlib
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from random import Random
@@ -38,6 +39,7 @@ from .markup import (
 from .nlg import (
     TemplateIndex,
     build_template_index,
+    fill_response_args,
     realize_response,
     realize_system_backoff,
     realize_user,
@@ -48,6 +50,10 @@ from .system_agent import SystemTurnOutput, init_system, next_system_turn
 from .user_agent import init_user, next_user_turn
 
 SAMPLERS = ("base", "golden", "markov")
+# the keys of a run's statistics: five per self-played dialog, then the
+# number of dialogs per sampler
+RUN_STATS = ("corrections", "abandonments", "offers_made", "offers_accepted", "truncations",
+             *SAMPLERS)
 
 
 class GenerationError(RuntimeError):
@@ -149,42 +155,13 @@ class GenerationConfig:
 @dataclass
 class BatchResult:
     dialogs: list[Dialog]
-    stats: dict[str, int]
+    stats: Counter[str]  # keyed by RUN_STATS
 
 
 def derive_rng(seed: int, index: int) -> Random:
     """Independent, platform-stable substream for dialog `index`."""
     digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
     return Random(int.from_bytes(digest[:8], "big"))
-
-
-def _render_policy_nlg(plan, index: TemplateIndex, rng: Random) -> str:
-    """Render a policy act group: through the schema response template whose
-    act signature matches exactly (args filled by entity type from the acts'
-    values), falling back to canned per-act text."""
-    name = index.response_by_signature.get(turn_acts_string(plan.acts))
-    if name is not None:
-        resp = index.responses[name]
-        values = {}
-        used: set[int] = set()
-        for spec in resp.args:
-            found = None
-            for i, act in enumerate(plan.acts):
-                if (
-                    i not in used
-                    and act.entity == spec.entity_type
-                    and i < len(plan.backoff_values)
-                    and plan.backoff_values[i] is not None
-                ):
-                    found = plan.backoff_values[i]
-                    used.add(i)
-                    break
-            if found is None:
-                break
-            values[spec.name] = found
-        else:
-            return realize_response(resp, values, rng)
-    return realize_system_backoff(plan.acts, plan.backoff_values)
 
 
 def run_dialog(
@@ -197,7 +174,14 @@ def run_dialog(
     metadata: dict[str, str] | None = None,
 ) -> tuple[Dialog, dict[str, int]]:
     """Self-play one dialog for a fixed goal. Every emitted turn carries its
-    acts; user entity mentions are span-annotated by construction."""
+    acts; user entity mentions are span-annotated by construction.
+
+    The exchange stops when the system has closed the dialog or the dialog
+    holds `config.max_turns` turns, checked after each user turn and each
+    system turn. A dialog that stops without a close, or that ran past the
+    limit within a system turn, is truncated: it keeps its first
+    `max_turns` turns and is marked `truncated`.
+    """
     if not goal.intents:
         raise GenerationError("cannot simulate an empty goal")
     problems = validate_goal(goal, bundle)
@@ -207,46 +191,42 @@ def run_dialog(
     user = init_user(goal, bundle, config, rng)
     system = init_system(offer_model)
     dialog = Dialog(metadata=dict(metadata or {}))
+    turns = dialog.turns
     view = SystemTurnOutput()
-    truncated = False
-    while True:
+    while not system.closed and len(turns) < config.max_turns:
         uout = next_user_turn(user, view, bundle, config, rng)
         if not uout.acts:
             raise GenerationError("user policy produced an empty turn")
         text, spans = realize_user(uout.acts, uout.values, index, rng, alloc)
-        dialog.turns.append(UserUtterance(text=text, spans=spans, acts=uout.acts))
-        if len(dialog.turns) >= config.max_turns:
-            truncated = True
+        turns.append(UserUtterance(text=text, spans=spans, acts=uout.acts))
+        if len(turns) >= config.max_turns:
             break
-        sout = next_system_turn(system, uout.acts, spans, bundle, config, rng, alloc)
-        for plan in sout.nlg:
+        view = next_system_turn(system, uout.acts, spans, bundle, config, rng, alloc)
+        for plan in view.nlg:
             call = plan.result
             if call is not None and call.ok:
                 bindings = {a: ref(v) for a, v in call.bindings.items()}
-                dialog.turns.append(ApiCall(call.api, bindings, call.return_var))
-            if plan.response_name is not None:
-                resp = bundle.response(plan.response_name)
-                text = realize_response(resp, plan.arg_values, rng)
+                turns.append(ApiCall(call.api, bindings, call.return_var))
+            resp, args = plan.response, plan.arg_values
+            if resp is None:  # a policy act group: its own values fill a matching response
+                resp = index.response_by_signature.get(turn_acts_string(plan.acts))
+                args = fill_response_args(resp, plan.acts, plan.backoff_values) if resp else None
+            if args is None:
+                text = realize_system_backoff(plan.acts, plan.backoff_values)
             else:
-                text = _render_policy_nlg(plan, index, rng)
-            dialog.turns.append(NlgResponse(text=text, acts=plan.acts))
-        view = sout
-        if len(dialog.turns) >= config.max_turns:
-            truncated = len(dialog.turns) > config.max_turns or not system.closed
-            break
-        if system.closed:
-            break
-    stats = {
+                text = realize_response(resp, args, rng)
+            turns.append(NlgResponse(text=text, acts=plan.acts))
+    truncated = len(turns) > config.max_turns or not system.closed
+    if truncated:
+        del turns[config.max_turns :]
+        dialog.metadata["truncated"] = "true"
+    return dialog, {
         "corrections": len(user.corrected),
         "abandonments": user.abandonments,
         "offers_made": system.offers_made,
         "offers_accepted": system.offers_accepted,
+        "truncations": int(truncated),
     }
-    if truncated:
-        del dialog.turns[config.max_turns :]
-        dialog.metadata["truncated"] = "true"
-        stats["truncations"] = 1
-    return dialog, stats
 
 
 def run_base_dialog(
@@ -288,9 +268,8 @@ def run_base_dialog(
             var_map[p.return_var] = new_ret
             out.turns.append(ApiCall(api=p.api, bindings=bindings, return_var=new_ret))
         else:
-            name = index.response_by_signature.get(turn_acts_string(p.acts)) if p.acts else None
-            if name is not None:
-                resp = index.responses[name]
+            resp = index.response_by_signature.get(turn_acts_string(p.acts))
+            if resp is not None:
                 text = realize_response(resp, sample_response_args(resp, bundle, rng), rng)
             else:
                 text = p.text
@@ -396,17 +375,6 @@ def run_batch(
     """Generate config.n_dialogs dialogs. Output is a pure function of
     (bundle, seeds, config): the worker count never changes the corpus."""
     ctx = prepare_batch(bundle, seeds, config, model)
-    stats: dict[str, int] = {
-        "corrections": 0,
-        "abandonments": 0,
-        "offers_made": 0,
-        "offers_accepted": 0,
-        "truncations": 0,
-        "base": 0,
-        "golden": 0,
-        "markov": 0,
-    }
-    dialogs: list[Dialog] = []
     if config.workers > 1:
         with ProcessPoolExecutor(
             max_workers=config.workers, initializer=_init_worker, initargs=(ctx,)
@@ -414,9 +382,10 @@ def run_batch(
             results = list(pool.map(_worker_generate, range(config.n_dialogs), chunksize=256))
     else:
         results = [generate_one(ctx, i) for i in range(config.n_dialogs)]
-    for dialog, dstats in results:
-        dialogs.append(dialog)
+    # the per-dialog records stay plain dicts: they cross the process pool,
+    # and unpickling a Counter per dialog costs a Python-level __init__
+    stats = Counter(dict.fromkeys(RUN_STATS, 0))
+    for dialog, dialog_stats in results:
         stats[dialog.metadata["sampler"]] += 1
-        for key, value in dstats.items():
-            stats[key] = stats.get(key, 0) + value
-    return BatchResult(dialogs=dialogs, stats=stats)
+        stats.update(dialog_stats)
+    return BatchResult(dialogs=[dialog for dialog, _ in results], stats=stats)

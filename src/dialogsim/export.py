@@ -157,7 +157,8 @@ def export_training(
                 labels = {a: v.var for a, v in p.bindings.items() if v.var is not None}
                 af.append(TrainingExample("argument_filling", p.api, labels, shared, k))
             elif p.acts:
-                name = index.response_by_signature.get(turn_acts_string(p.acts))
+                resp = index.response_by_signature.get(turn_acts_string(p.acts))
+                name = resp.name if resp is not None else None
             else:
                 name = None
             if name is not None:

@@ -4,6 +4,10 @@ User turns are keyed by the canonical act-signature string of the whole
 turn; system responses are named definitions. Signatures never seen in the
 seeds fall back to canned per-act fragments, since the interplay loop
 produces act groupings the seed dialogs do not contain.
+
+A response template's args are filled one of two ways: `sample_response_args`
+draws each from a catalog (API announcements, replayed seeds), and
+`fill_response_args` takes each from a policy act group's own values.
 """
 from __future__ import annotations
 
@@ -23,8 +27,7 @@ class RealizationError(RuntimeError):
 @dataclass
 class TemplateIndex:
     user: dict[str, list[UtteranceTemplateDef]] = field(default_factory=dict)
-    responses: dict[str, ResponseTemplateDef] = field(default_factory=dict)
-    response_by_signature: dict[str, str] = field(default_factory=dict)
+    response_by_signature: dict[str, ResponseTemplateDef] = field(default_factory=dict)
 
 
 def build_template_index(bundle: SchemaBundle, seeds: list[Dialog]) -> TemplateIndex:
@@ -41,10 +44,7 @@ def build_template_index(bundle: SchemaBundle, seeds: list[Dialog]) -> TemplateI
         for ut in dom.utterance_templates:
             add_user(ut)
         for resp in dom.response_templates:
-            index.responses[resp.name] = resp
-            index.response_by_signature.setdefault(
-                turn_acts_string(list(resp.acts)), resp.name
-            )
+            index.response_by_signature.setdefault(turn_acts_string(list(resp.acts)), resp)
     for seed in seeds:
         for turn in seed.turns:
             if isinstance(turn, UserUtterance) and turn.acts:
@@ -209,6 +209,25 @@ def sample_response_args(
         catalog = bundle.catalog(spec.entity_type)
         values[spec.name] = catalog[rng.randrange(len(catalog))] if catalog else spec.name
     return values
+
+
+def fill_response_args(
+    defn: ResponseTemplateDef, acts: list[DialogAct], values: list[str | None]
+) -> dict[str, str] | None:
+    """Each response arg, in arg order, takes the value of the first unused
+    act of its entity type that carries one (`values` runs parallel to
+    `acts`); None when some arg finds no such act."""
+    filled = {}
+    used: set[int] = set()
+    for spec in defn.args:
+        for i, (act, value) in enumerate(zip(acts, values)):
+            if i not in used and act.entity == spec.entity_type and value is not None:
+                used.add(i)
+                filled[spec.name] = value
+                break
+        else:
+            return None
+    return filled
 
 
 def realize_system_backoff(acts: list[DialogAct], values: list[str | None]) -> str:

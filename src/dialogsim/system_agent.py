@@ -27,7 +27,7 @@ from .acts import END, SYSTEM, DialogAct
 from .goals import MarkovGoalModel, weighted_choice
 from .markup import EntitySpan, VarAllocator
 from .nlg import sample_response_args
-from .schema import ApiDef, SchemaBundle
+from .schema import ApiDef, ResponseTemplateDef, SchemaBundle
 
 COLLECTING = "collecting"
 CALLED_OK = "called_ok"
@@ -91,8 +91,12 @@ class SystemState:
 
 @dataclass
 class SystemNlg:
+    """One system line. `response` is the schema response that renders it,
+    with `arg_values` drawn for its args; it is None for a policy act group,
+    which is rendered from its acts and `backoff_values`."""
+
     acts: list[DialogAct]
-    response_name: str | None = None
+    response: ResponseTemplateDef | None = None
     arg_values: dict[str, str] = field(default_factory=dict)
     backoff_values: list[str | None] = field(default_factory=list)
     result: CallResult | None = None  # the call this line announces or reports failed
@@ -199,7 +203,7 @@ def _announce(api: ApiDef, bundle: SchemaBundle, rng: Random) -> SystemNlg:
     resp = bundle.response(api.response_template)
     return SystemNlg(
         acts=list(resp.acts),
-        response_name=resp.name,
+        response=resp,
         arg_values=sample_response_args(resp, bundle, rng),
     )
 

@@ -25,6 +25,7 @@ from dialogsim.markup import (
     serialize_corpus,
 )
 from dialogsim.nlg import TemplateIndex, build_template_index
+from dialogsim.schema import ResponseTemplateDef
 
 
 def test_tokenizer_detaches_punctuation():
@@ -223,7 +224,8 @@ def test_to_json_matches_json_dumps_on_any_text():
     @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
     @hypothesis.given(dialogs, text)
     def check(corpus, response_name):
-        index = TemplateIndex(response_by_signature={turn_acts_string(acts): response_name})
+        response = ResponseTemplateDef(response_name, (), tuple(acts), ("",))
+        index = TemplateIndex(response_by_signature={turn_acts_string(acts): response})
         for rows in export_training(corpus, None, index).values():
             for example in rows:
                 assert example.to_json() == _json_dumps_of(example)

@@ -8,12 +8,13 @@ from dialogsim.markup import VarAllocator
 from dialogsim.nlg import (
     RealizationError,
     build_template_index,
+    fill_response_args,
     humanize,
     realize_response,
     realize_system_backoff,
     realize_user,
 )
-from dialogsim.schema import UtteranceTemplateDef, loads_schema
+from dialogsim.schema import ArgSpec, ResponseTemplateDef, UtteranceTemplateDef, loads_schema
 
 
 def _sig_key(*act_strings, side="user"):
@@ -133,6 +134,29 @@ def test_realize_response_missing_arg(demo_bundle):
     resp = demo_bundle.response("announce_show")
     with pytest.raises(RealizationError):
         realize_response(resp, {}, Random(1))
+
+
+def test_fill_response_args_takes_each_value_once():
+    first, second = ArgSpec("first", "Time"), ArgSpec("second", "Time")
+    title = ArgSpec("title", "movieTitle")
+    resp = ResponseTemplateDef("r", (first, title, second), (), ("{first} {title} {second}",))
+    acts = [
+        DialogAct("offer", "system", intent="SelectShow"),
+        DialogAct("offer", "system", entity="Time"),  # carries no value: skipped
+        DialogAct("offer", "system", entity="Time"),
+        DialogAct("offer", "system", entity="movieTitle"),
+        DialogAct("offer", "system", entity="Time"),
+    ]
+    values = [None, None, "2 PM", "Up", "4 PM"]
+    assert fill_response_args(resp, acts, values) == {
+        "first": "2 PM", "title": "Up", "second": "4 PM"
+    }
+    # a third Time arg finds no unused Time act with a value
+    third = ResponseTemplateDef("r", (first, second, ArgSpec("third", "Time")), (), ("",))
+    assert fill_response_args(third, acts, values) is None
+    # values run parallel to acts: acts past their end carry none
+    assert fill_response_args(resp, acts, values[:4]) is None
+    assert fill_response_args(ResponseTemplateDef("r", (), (), ("",)), acts, []) == {}
 
 
 def test_system_backoff_text():

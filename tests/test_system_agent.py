@@ -60,7 +60,7 @@ def test_complete_frame_calls_and_announces(demo_bundle):
     assert call.api == "FindMovies"
     assert call.bindings == {"location": "location0", "timeLowerBound": "time0"}
     assert call.return_var == "movieList0"
-    assert out.nlg[0].response_name == "announce_movies"
+    assert out.nlg[0].response.name == "announce_movies"
     assert state.frames[0].status == "called_ok"
 
 
@@ -212,4 +212,4 @@ def test_post_call_correction_triggers_recall(demo_bundle):
     assert [r.recall for r in _results(out)] == [True]
     assert call.bindings["location"] == "location1"
     assert call.return_var != "movieList0"
-    assert out.nlg[0].response_name == "announce_movies"
+    assert out.nlg[0].response.name == "announce_movies"
