@@ -56,7 +56,7 @@ def _fill_template(
     template: str,
     slot_values: dict[str, str],
     slot_types: dict[str, str],
-    alloc: VarAllocator | None,
+    alloc: VarAllocator,
 ) -> tuple[str, list[EntitySpan]]:
     parts: list[str] = []
     spans: dict[str, EntitySpan] = {}
@@ -71,10 +71,9 @@ def _fill_template(
         surface = slot_values[slot]
         parts.append(template[pos : m.start()])
         out += m.start() - pos
-        var = alloc.new(slot_types[slot]) if alloc is not None else slot
         spans[slot] = EntitySpan(
             surface=surface,
-            var_id=var,
+            var_id=alloc.new(slot_types[slot]),
             entity_type=slot_types[slot],
             start=out,
             end=out + len(surface),
@@ -162,11 +161,10 @@ def realize_user(
                 else "{%s}" % act.entity
             )
             # a single-act template names its one slot after the bare type
-            tslot = SLOT_RE.search(template).group(1)
             text, spans = _fill_template(
-                template, {tslot: next(value_iter)}, {tslot: act.entity}, alloc
+                template, {act.entity: next(value_iter)}, {act.entity: act.entity}, alloc
             )
-            span = spans[tslot]
+            span = spans[act.entity]
             span.start += out
             span.end += out
             parts.append(text)

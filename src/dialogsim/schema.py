@@ -10,7 +10,15 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .acts import SYSTEM, USER, DialogAct, parse_act_list, turn_acts_string
+from .acts import (
+    SYSTEM,
+    USER,
+    DialogAct,
+    parse_act_list,
+    slot_names_for,
+    turn_acts_string,
+    value_bearing,
+)
 
 CATALOG = "catalog"
 OBJECT = "object"
@@ -361,10 +369,13 @@ def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
             # the text becomes one markup line, where brackets delimit spans
             if "[" in ut.template or "]" in ut.template or _breaks(ut.template):
                 err(loc, "template contains '[', ']' or a line break")
-            n_value_acts = sum(1 for a in ut.acts if a.name == "inform" and a.entity is not None)
-            n_slots = len(slots_of(ut.template, loc))
-            if n_slots != n_value_acts:
-                err(loc, f"{n_slots} slots but {n_value_acts} entity-bearing acts")
+            # NLG fills these names (T, T2, ... on a repeated type) with the
+            # acts' values, and the markup reads spans back in text order
+            wanted = slot_names_for([a.entity for a in value_bearing(ut.acts)])
+            slots = slots_of(ut.template, loc)
+            if slots != wanted:
+                err(loc, f"slots {slots} are not {wanted}, the slots its entity informs fill "
+                    "in text order")
     return diags
 
 

@@ -322,8 +322,10 @@ def _in_domain(edit):
         _in_domain(lambda dom: dom["response_templates"].append(
             dict(dom["response_templates"][2], templates=["Booked, see you there!"])
         )),
+        _in_domain(lambda dom: dom["utterance_templates"][5].update(template="in {city}")),
+        _in_domain(lambda dom: dom["utterance_templates"][6].update(template="after {Time2}")),
     ],
-    ids=["duplicate-response-name"],
+    ids=["duplicate-response-name", "slot-of-no-type", "slot-of-no-repeat"],
 )
 def test_schema_error_ends_in_diagnostics(data_paths, tmp_path, capsys, edit):
     schema, seeds = data_paths

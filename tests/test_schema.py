@@ -10,6 +10,7 @@ from dialogsim.metrics import variation_report
 from dialogsim.nlg import build_template_index
 from dialogsim.schema import (
     BUILTIN_CATALOGS,
+    SLOT_RE,
     Diagnostic,
     EntityType,
     SchemaBundle,
@@ -143,6 +144,38 @@ def test_response_template_without_acts(demo_schema_text, edit):
     ]
 
 
+@pytest.mark.parametrize(
+    "acts, template, slots, wanted",
+    [
+        ("inform(entity:location)", "in {city}", ["city"], ["location"]),
+        ("inform(entity:Time)", "after {Time2}", ["Time2"], ["Time"]),
+        ("inform(entity:Time)", "after {Time} or {Time}", ["Time", "Time"], ["Time"]),
+        ("inform(entity:Time),inform(entity:Time)", "from {Time} to {Time}",
+         ["Time", "Time"], ["Time", "Time2"]),
+        # the markup reads spans back in text order, so the values would
+        # come back bound to each other's acts
+        ("inform(entity:Time),inform(entity:Time)", "from {Time2} to {Time}",
+         ["Time2", "Time"], ["Time", "Time2"]),
+    ],
+)
+def test_utterance_slots_are_the_names_nlg_fills(demo_schema_text, acts, template, slots, wanted):
+    doc = json.loads(demo_schema_text)
+    doc["domains"][0]["utterance_templates"].append({"acts": [acts], "template": template})
+    with pytest.raises(SchemaError) as err:
+        loads_schema(json.dumps(doc))
+    assert [d.message for d in err.value.diagnostics] == [
+        f"slots {slots} are not {wanted}, the slots its entity informs fill in text order"
+    ]
+
+
+def test_repeated_type_slots_in_act_order_load(demo_schema_text):
+    doc = json.loads(demo_schema_text)
+    doc["domains"][0]["utterance_templates"].append(
+        {"acts": ["inform(entity:Time),inform(entity:Time)"], "template": "from {Time} to {Time2}"}
+    )
+    loads_schema(json.dumps(doc))
+
+
 def test_response_template_may_hold_brackets(demo_schema_text):
     doc = json.loads(demo_schema_text)
     doc["domains"][0]["response_templates"][2]["templates"].append("Booked [row 5]!")
@@ -216,8 +249,9 @@ def test_diagnostic_format():
 
 
 def test_every_accepted_schema_round_trips(demo_schema_text, demo_seeds_text):
-    """Mutate the demo schema's template texts and act lists: a schema that
-    loads yields corpora that parse back to themselves, report and export."""
+    """Mutate the demo schema's template texts, slot names and act lists: a
+    schema that loads yields corpora that parse back to themselves, report
+    and export."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     base = json.loads(demo_schema_text)
@@ -229,16 +263,25 @@ def test_every_accepted_schema_round_trips(demo_schema_text, demo_seeds_text):
     chunk = st.lists(st.one_of(markup, st.text(max_size=3)), max_size=3).map("".join)
     # (template, insert position or None to replace the whole text, inserted text)
     text_edit = st.tuples(st.sampled_from(texts), st.one_of(st.none(), st.integers(0, 60)), chunk)
+    # (utterance template, replacement for its first slot): a slot no act fills
+    slotted = [("utterance_templates", i, None) for i, u in enumerate(domain["utterance_templates"])
+               if SLOT_RE.search(u["template"])]
+    slot_edit = st.tuples(st.sampled_from(slotted), st.sampled_from(["{city}", "{Time2}"]))
     acts_edit = st.sampled_from([(kind, i) for kind, i, _ in texts])
 
-    def edited(text_edits, acts_edits):
+    def edited(text_edits, slot_edits, acts_edits):
         doc = copy.deepcopy(base)
         templates = doc["domains"][0]
-        for (kind, i, j), at, piece in text_edits:
+
+        def edit(kind, i, j, change):
             owner = templates[kind][i]
             holder, key = (owner, "template") if j is None else (owner["templates"], j)
-            old = holder[key]
-            holder[key] = piece if at is None else old[:at] + piece + old[at:]
+            holder[key] = change(holder[key])
+
+        for (kind, i, j), at, piece in text_edits:
+            edit(kind, i, j, lambda old: piece if at is None else old[:at] + piece + old[at:])
+        for (kind, i, j), slot in slot_edits:
+            edit(kind, i, j, lambda old: SLOT_RE.sub(slot, old, count=1))
         for kind, i in acts_edits:
             templates[kind][i]["acts"] = []
         return json.dumps(doc)
@@ -246,10 +289,13 @@ def test_every_accepted_schema_round_trips(demo_schema_text, demo_seeds_text):
     config = GenerationConfig(n_dialogs=12, sampler_mix={"base": 1, "golden": 1, "markov": 2})
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
-    @hypothesis.given(st.lists(text_edit, max_size=4), st.lists(acts_edit, max_size=2))
-    def check(text_edits, acts_edits):
+    @hypothesis.given(
+        st.lists(text_edit, max_size=4), st.lists(slot_edit, max_size=2),
+        st.lists(acts_edit, max_size=2),
+    )
+    def check(text_edits, slot_edits, acts_edits):
         try:
-            bundle = loads_schema(edited(text_edits, acts_edits))
+            bundle = loads_schema(edited(text_edits, slot_edits, acts_edits))
         except SchemaError:
             return
         corpus = run_batch(bundle, parse_corpus(demo_seeds_text, bundle), config).dialogs
