@@ -41,7 +41,6 @@ class IntentInstance:
 @dataclass
 class UserGoal:
     intents: list[IntentInstance]
-    origin: str = "seed"  # "seed" | "golden" | "markov"
     source_seed: str | None = None
 
     def structure(self) -> tuple:
@@ -145,9 +144,7 @@ def extract_goals(seeds: list[Dialog], bundle: SchemaBundle) -> list[UserGoal]:
                         f"seed {i}: cannot resolve binding {call.api}.{arg_name}=${valref.var}"
                     )
             intents.append(IntentInstance(api=call.api, bindings=bindings))
-        goals.append(
-            UserGoal(intents=intents, origin="seed", source_seed=seed.metadata.get("id", str(i)))
-        )
+        goals.append(UserGoal(intents=intents, source_seed=seed.metadata.get("id", str(i))))
     return goals
 
 
@@ -229,7 +226,7 @@ def sample_golden(goals: list[UserGoal], bundle: SchemaBundle, rng: Random) -> U
                     _sample_catalog(bundle, binding.entity_type, rng), binding.entity_type
                 )
         intents.append(IntentInstance(api=intent.api, bindings=bindings))
-    return UserGoal(intents=intents, origin="golden", source_seed=source.source_seed)
+    return UserGoal(intents=intents, source_seed=source.source_seed)
 
 
 def fit_markov(goals: list[UserGoal]) -> MarkovGoalModel:
@@ -345,7 +342,7 @@ def sample_markov(
                 break
             intents.append(IntentInstance(api=api_name, bindings=bindings))
         if ok:
-            goal = UserGoal(intents=intents, origin="markov")
+            goal = UserGoal(intents=intents)
             if not validate_goal(goal, bundle):
                 return goal
     raise SamplerError(f"no valid goal found in {max_attempts} attempts")

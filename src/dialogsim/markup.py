@@ -372,9 +372,7 @@ def delexicalize_turn(utterance: UserUtterance) -> "UtteranceTemplateDef":
         parts.append("{%s}" % slot)
         pos = span.end
     parts.append(utterance.text[pos:])
-    return UtteranceTemplateDef(
-        acts=tuple(utterance.acts), template="".join(parts), origin="auto_extracted"
-    )
+    return UtteranceTemplateDef(acts=tuple(utterance.acts), template="".join(parts))
 
 
 def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:

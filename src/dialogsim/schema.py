@@ -103,7 +103,6 @@ class ResponseTemplateDef:
 class UtteranceTemplateDef:
     acts: tuple[DialogAct, ...]
     template: str
-    origin: str = "developer"  # "developer" | "auto_extracted"
 
 
 @dataclass
@@ -179,85 +178,115 @@ def var_prefix(type_name: str) -> str:
     return type_name[0].lower() + type_name[1:]
 
 
-def _parse_arg_specs(raw, loc: str, diags: list[Diagnostic]) -> tuple[ArgSpec, ...]:
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
+
+
+def _typed(obj: dict, key: str, kind: type, default, loc: str, diags: list[Diagnostic]):
+    """`obj[key]` when it is a `kind`, `default` when the key is absent;
+    any other value is a diagnostic, and reads as `default`."""
+    value = obj.get(key, default)
+    if isinstance(value, kind):
+        return value
+    diags.append(Diagnostic("error", loc, f"{key!r} must be {_JSON_KINDS[kind]}"))
+    return default
+
+
+def _entries(obj: dict, key: str, kind: type, loc: str, diags: list[Diagnostic]) -> list:
+    """The entries of the list `obj[key]` that are a `kind`; the others are
+    dropped, with one diagnostic."""
+    items = _typed(obj, key, list, [], loc, diags)
+    kept = [item for item in items if isinstance(item, kind)]
+    if len(kept) != len(items):
+        diags.append(Diagnostic("error", loc, f"each entry of {key!r} must be {_JSON_KINDS[kind]}"))
+    return kept
+
+
+def _parse_arg_specs(owner: dict, loc: str, diags: list[Diagnostic]) -> tuple[ArgSpec, ...]:
     specs = []
     seen = set()
-    for a in raw:
-        name = a.get("name", "")
+    for a in _entries(owner, "args", dict, loc, diags):
+        name = _typed(a, "name", str, "", loc, diags)
         if name in seen:
             diags.append(Diagnostic("error", loc, f"duplicate arg name {name!r}"))
         seen.add(name)
-        specs.append(
-            ArgSpec(name=name, entity_type=a.get("type", ""), required=bool(a.get("required", True)))
-        )
+        specs.append(ArgSpec(
+            name=name,
+            entity_type=_typed(a, "type", str, "", loc, diags),
+            required=_typed(a, "required", bool, True, loc, diags),
+        ))
     return tuple(specs)
 
 
+def _parse_acts(owner: dict, side: str, loc: str, diags: list[Diagnostic]) -> tuple[DialogAct, ...]:
+    try:
+        return tuple(
+            act for s in _entries(owner, "acts", str, loc, diags) for act in parse_act_list(s, side)
+        )
+    except ValueError as err:
+        diags.append(Diagnostic("error", loc, str(err)))
+        return ()
+
+
 def loads_schema(text: str) -> SchemaBundle:
-    """Parse and validate a schema bundle from JSON text."""
+    """Parse and validate a schema bundle from JSON text. A value of the
+    wrong JSON type is a diagnostic like any other invalid input."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(
             [Diagnostic("error", f"line {e.lineno}, column {e.colno}", f"not valid JSON: {e.msg}")]
         ) from e
+    if not isinstance(doc, dict):
+        raise SchemaError([Diagnostic("error", "schema", "must be a JSON object")])
     diags: list[Diagnostic] = []
     domains = []
-    for dref in doc.get("domains", []):
-        dname = dref.get("name", "")
+    for dref in _entries(doc, "domains", dict, "schema", diags):
+        dname = _typed(dref, "name", str, "", "domain", diags)
         entity_types = []
-        for e in dref.get("entity_types", []):
+        for e in _entries(dref, "entity_types", dict, dname, diags):
+            loc = f"{dname}.{e.get('name')}"
             entity_types.append(
                 EntityType(
-                    name=e.get("name", ""),
-                    kind=e.get("kind", CATALOG),
-                    catalog=tuple(e.get("catalog", ())),
+                    name=_typed(e, "name", str, "", loc, diags),
+                    kind=_typed(e, "kind", str, CATALOG, loc, diags),
+                    catalog=tuple(_entries(e, "catalog", str, loc, diags)),
                 )
             )
         apis = []
-        for a in dref.get("apis", []):
-            ret = a.get("return", {})
+        for a in _entries(dref, "apis", dict, dname, diags):
+            loc = f"{dname}.{a.get('name')}"
+            ret = _typed(a, "return", dict, {}, loc, diags)
             apis.append(
                 ApiDef(
-                    name=a.get("name", ""),
-                    args=_parse_arg_specs(a.get("args", ()), f"{dname}.{a.get('name')}", diags),
-                    return_name=ret.get("name", ""),
-                    return_type=ret.get("type", ""),
-                    response_template=a.get("response_template", ""),
-                    confirm_before_call=bool(a.get("confirm_before_call", False)),
+                    name=_typed(a, "name", str, "", loc, diags),
+                    args=_parse_arg_specs(a, loc, diags),
+                    return_name=_typed(ret, "name", str, "", f"{loc} return", diags),
+                    return_type=_typed(ret, "type", str, "", f"{loc} return", diags),
+                    response_template=_typed(a, "response_template", str, "", loc, diags),
+                    confirm_before_call=_typed(a, "confirm_before_call", bool, False, loc, diags),
                     domain=dname,
                 )
             )
         responses = []
-        for r in dref.get("response_templates", []):
+        for r in _entries(dref, "response_templates", dict, dname, diags):
             loc = f"{dname}.{r.get('name')}"
-            try:
-                r_acts = tuple(
-                    act for s in r.get("acts", ()) for act in parse_act_list(s, SYSTEM)
-                )
-            except ValueError as err:
-                diags.append(Diagnostic("error", loc, str(err)))
-                r_acts = ()
             responses.append(
                 ResponseTemplateDef(
-                    name=r.get("name", ""),
-                    args=_parse_arg_specs(r.get("args", ()), loc, diags),
-                    acts=r_acts,
-                    templates=tuple(r.get("templates", ())),
+                    name=_typed(r, "name", str, "", loc, diags),
+                    args=_parse_arg_specs(r, loc, diags),
+                    acts=_parse_acts(r, SYSTEM, loc, diags),
+                    templates=tuple(_entries(r, "templates", str, loc, diags)),
                     domain=dname,
                 )
             )
         utterances = []
-        for u in dref.get("utterance_templates", []):
-            try:
-                u_acts = tuple(
-                    act for s in u.get("acts", ()) for act in parse_act_list(s, USER)
-                )
-            except ValueError as err:
-                diags.append(Diagnostic("error", f"{dname} utterance template", str(err)))
-                u_acts = ()
+        for u in _entries(dref, "utterance_templates", dict, dname, diags):
+            loc = f"{dname} utterance template"
             utterances.append(
-                UtteranceTemplateDef(acts=u_acts, template=u.get("template", ""), origin="developer")
+                UtteranceTemplateDef(
+                    acts=_parse_acts(u, USER, loc, diags),
+                    template=_typed(u, "template", str, "", loc, diags),
+                )
             )
         domains.append(
             DomainSchema(
@@ -326,7 +355,7 @@ def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
                 err(loc, "catalog entries must be unique, non-empty strings")
             for value in et.catalog:
                 # a value must fit in a `[surface|var]` span on one markup line
-                if isinstance(value, str) and (any(c in value for c in "[]|") or _breaks(value)):
+                if any(c in value for c in "[]|") or _breaks(value):
                     err(loc, f"catalog value {value!r} contains '[', ']', '|' or a line break")
 
         def check_args(args, loc):

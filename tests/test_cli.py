@@ -324,8 +324,13 @@ def _in_domain(edit):
         )),
         _in_domain(lambda dom: dom["utterance_templates"][5].update(template="in {city}")),
         _in_domain(lambda dom: dom["utterance_templates"][6].update(template="after {Time2}")),
+        lambda doc: [],
+        _in_domain(lambda dom: dom.update(apis="x")),
+        _in_domain(lambda dom: dom["apis"][0]["args"][1].update(required="false")),
+        _in_domain(lambda dom: dom["entity_types"][0]["catalog"].append(7)),
     ],
-    ids=["duplicate-response-name", "slot-of-no-type", "slot-of-no-repeat"],
+    ids=["duplicate-response-name", "slot-of-no-type", "slot-of-no-repeat", "top-level-list",
+         "apis-string", "required-string", "catalog-number"],
 )
 def test_schema_error_ends_in_diagnostics(data_paths, tmp_path, capsys, edit):
     schema, seeds = data_paths

@@ -170,7 +170,6 @@ def test_delexicalize_without_spans_is_identity():
     utt = _utterance("Ok thank you", [])
     tpl = delexicalize_turn(utt)
     assert tpl.template == "Ok thank you"
-    assert tpl.origin == "auto_extracted"
 
 
 def test_delexicalize_repeated_type():

@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from dialogsim.engine import GenerationConfig, run_batch
+from dialogsim.engine import GenerationConfig, GenerationError, run_batch
 from dialogsim.export import export_training
-from dialogsim.markup import parse_corpus, serialize_corpus
+from dialogsim.markup import MarkupError, parse_corpus, serialize_corpus
 from dialogsim.metrics import variation_report
 from dialogsim.nlg import build_template_index
 from dialogsim.schema import (
@@ -204,6 +204,36 @@ def test_duplicate_response_template_name(demo_schema_text):
     ]
 
 
+@pytest.mark.parametrize(
+    "edit, location, message",
+    [
+        (lambda doc: doc["domains"][0]["apis"][0]["args"][1].update(required="false"),
+         "TicketBooking.FindMovies", "'required' must be true or false"),
+        (lambda doc: doc["domains"][0].update(apis="x"), "TicketBooking", "'apis' must be a list"),
+        (lambda doc: doc["domains"][0]["entity_types"][0]["catalog"].append(["x"]),
+         "TicketBooking.location", "each entry of 'catalog' must be a string"),
+        (lambda doc: doc["domains"][0]["response_templates"][0].update(templates="{theater}"),
+         "TicketBooking.announce_movies", "'templates' must be a list"),
+        (lambda doc: doc["domains"][0]["utterance_templates"][0].update(acts=[{}]),
+         "TicketBooking utterance template", "each entry of 'acts' must be a string"),
+    ],
+    ids=["required-string", "apis-string", "catalog-list", "templates-string", "acts-object"],
+)
+def test_value_of_the_wrong_json_type(demo_schema_text, edit, location, message):
+    doc = json.loads(demo_schema_text)
+    edit(doc)
+    with pytest.raises(SchemaError) as err:
+        loads_schema(json.dumps(doc))
+    assert (location, message) in [(d.location, d.message) for d in err.value.diagnostics]
+
+
+@pytest.mark.parametrize("doc", [[], "schema", 1, None])
+def test_schema_must_be_an_object(doc):
+    with pytest.raises(SchemaError) as err:
+        loads_schema(json.dumps(doc))
+    assert str(err.value) == "error: schema: must be a JSON object"
+
+
 def test_schema_round_trip(demo_bundle):
     assert loads_schema(serialize_schema(demo_bundle)) == demo_bundle
 
@@ -302,5 +332,53 @@ def test_every_accepted_schema_round_trips(demo_schema_text, demo_seeds_text):
         assert parse_corpus(serialize_corpus(corpus), bundle) == corpus
         variation_report(corpus)
         export_training(corpus, bundle, build_template_index(bundle, []))
+
+    check()
+
+
+def test_schema_of_any_shape_ends_in_diagnostics(demo_schema_text, demo_seeds_text):
+    """Replace or delete any one node of the demo schema: loading raises only
+    SchemaError, and a schema that loads generates or fails with a message."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    base = json.loads(demo_schema_text)
+
+    def node_paths(node, path=()):
+        yield path
+        if isinstance(node, (dict, list)):
+            for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+                yield from node_paths(child, (*path, key))
+
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+    values = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=5,
+    )
+    config = GenerationConfig(n_dialogs=5)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(list(node_paths(base))), st.none() | st.tuples(values))
+    def check(path, replacement):
+        doc = copy.deepcopy(base)
+        if not path:
+            doc = replacement[0] if replacement else {}
+        else:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if replacement:
+                parent[path[-1]] = replacement[0]
+            else:
+                del parent[path[-1]]
+        try:
+            bundle = loads_schema(json.dumps(doc))
+        except SchemaError:
+            return
+        try:
+            run_batch(bundle, parse_corpus(demo_seeds_text, bundle), config)
+        except (MarkupError, GenerationError):  # the seeds no longer fit the schema
+            pass
 
     check()
