@@ -197,7 +197,8 @@ def _entries(obj: dict, key: str, kind: type, loc: str, diags: list[Diagnostic])
     items = _typed(obj, key, list, [], loc, diags)
     kept = [item for item in items if isinstance(item, kind)]
     if len(kept) != len(items):
-        diags.append(Diagnostic("error", loc, f"each entry of {key!r} must be {_JSON_KINDS[kind]}"))
+        message = f"each entry of {key!r} must be {_JSON_KINDS[kind]}"
+        diags.append(Diagnostic("error", loc, message))
     return kept
 
 
@@ -209,19 +210,22 @@ def _parse_arg_specs(owner: dict, loc: str, diags: list[Diagnostic]) -> tuple[Ar
         if name in seen:
             diags.append(Diagnostic("error", loc, f"duplicate arg name {name!r}"))
         seen.add(name)
-        specs.append(ArgSpec(
-            name=name,
-            entity_type=_typed(a, "type", str, "", loc, diags),
-            required=_typed(a, "required", bool, True, loc, diags),
-        ))
+        specs.append(
+            ArgSpec(
+                name=name,
+                entity_type=_typed(a, "type", str, "", loc, diags),
+                required=_typed(a, "required", bool, True, loc, diags),
+            )
+        )
     return tuple(specs)
 
 
-def _parse_acts(owner: dict, side: str, loc: str, diags: list[Diagnostic]) -> tuple[DialogAct, ...]:
+def _parse_acts(
+    owner: dict, side: str, loc: str, diags: list[Diagnostic]
+) -> tuple[DialogAct, ...]:
+    strings = _entries(owner, "acts", str, loc, diags)
     try:
-        return tuple(
-            act for s in _entries(owner, "acts", str, loc, diags) for act in parse_act_list(s, side)
-        )
+        return tuple(act for s in strings for act in parse_act_list(s, side))
     except ValueError as err:
         diags.append(Diagnostic("error", loc, str(err)))
         return ()
@@ -236,6 +240,8 @@ def loads_schema(text: str) -> SchemaBundle:
         raise SchemaError(
             [Diagnostic("error", f"line {e.lineno}, column {e.colno}", f"not valid JSON: {e.msg}")]
         ) from e
+    except RecursionError:  # nesting deeper than the decoder's recursion limit
+        raise SchemaError([Diagnostic("error", "schema", "nested too deeply")]) from None
     if not isinstance(doc, dict):
         raise SchemaError([Diagnostic("error", "schema", "must be a JSON object")])
     diags: list[Diagnostic] = []

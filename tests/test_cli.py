@@ -347,6 +347,18 @@ def test_schema_error_ends_in_diagnostics(data_paths, tmp_path, capsys, edit):
     _assert_one_error_line(captured.err)
 
 
+def test_schema_nested_too_deeply_is_diagnosed(data_paths, tmp_path, capsys):
+    _, seeds = data_paths
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"domains": ' + "[" * 100_000, encoding="utf-8")
+    assert main(["validate", "--schema", str(deep)]) == 1
+    assert capsys.readouterr().out == "error: schema: nested too deeply\n"
+    assert main(["generate", "--schema", str(deep), "--seeds", str(seeds), "--n", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+
+
 @pytest.mark.parametrize("corpus", ["seeds", "empty"])
 def test_metrics_bad_corpus_is_one_error_line(data_paths, tmp_path, capsys, corpus):
     # the packaged seeds carry no acts on their turns; an empty file has no

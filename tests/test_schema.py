@@ -234,6 +234,12 @@ def test_schema_must_be_an_object(doc):
     assert str(err.value) == "error: schema: must be a JSON object"
 
 
+def test_schema_nested_too_deeply():
+    with pytest.raises(SchemaError) as err:
+        loads_schema('{"domains": ' + "[" * 100_000)
+    assert str(err.value) == "error: schema: nested too deeply"
+
+
 def test_schema_round_trip(demo_bundle):
     assert loads_schema(serialize_schema(demo_bundle)) == demo_bundle
 
@@ -294,8 +300,11 @@ def test_every_accepted_schema_round_trips(demo_schema_text, demo_seeds_text):
     # (template, insert position or None to replace the whole text, inserted text)
     text_edit = st.tuples(st.sampled_from(texts), st.one_of(st.none(), st.integers(0, 60)), chunk)
     # (utterance template, replacement for its first slot): a slot no act fills
-    slotted = [("utterance_templates", i, None) for i, u in enumerate(domain["utterance_templates"])
-               if SLOT_RE.search(u["template"])]
+    slotted = [
+        ("utterance_templates", i, None)
+        for i, u in enumerate(domain["utterance_templates"])
+        if SLOT_RE.search(u["template"])
+    ]
     slot_edit = st.tuples(st.sampled_from(slotted), st.sampled_from(["{city}", "{Time2}"]))
     acts_edit = st.sampled_from([(kind, i) for kind, i, _ in texts])
 
