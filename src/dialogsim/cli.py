@@ -112,12 +112,11 @@ def cmd_validate(args) -> int:
         print(diag)
     if getattr(args, "seeds", None):
         try:
-            seeds = load_corpus(args.seeds, bundle)
+            seeds = [annotate_seed_acts(s, bundle) for s in load_corpus(args.seeds, bundle)]
+            index = build_template_index(bundle, seeds)
         except MarkupError as e:
             print(f"error: seeds: {e}")
             return 1
-        seeds = [annotate_seed_acts(s, bundle) for s in seeds]
-        index = build_template_index(bundle, seeds)
         for api in bundle.apis():
             signatures = [turn_acts_string([DialogAct("inform", USER, intent=api.name)])]
             for spec in api.args:

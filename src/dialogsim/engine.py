@@ -147,6 +147,8 @@ class GenerationConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise GenerationError(f"config is not valid JSON: {e}") from None
+        except RecursionError:  # nesting deeper than the decoder's recursion limit
+            raise GenerationError("config is nested too deeply") from None
         if not isinstance(doc, dict):
             raise GenerationError("config must be a JSON object")
         return cls.from_dict(doc)
@@ -245,15 +247,14 @@ def run_base_dialog(
         if isinstance(p, UserUtterance):
             # each span var is introduced exactly once, so values need no
             # cross-turn consistency map
-            spans = sorted(p.spans, key=lambda s: s.start)
             surfaces = []
-            for span in spans:
+            for span in p.spans:
                 catalog = bundle.catalog(span.entity_type)
                 surfaces.append(
                     catalog[rng.randrange(len(catalog))] if catalog else span.surface
                 )
             text, new_spans = realize_user(p.acts, surfaces, index, rng, alloc)
-            for old, new in zip(spans, new_spans):
+            for old, new in zip(p.spans, new_spans):
                 var_map[old.var_id] = new.var_id
             out.turns.append(UserUtterance(text=text, spans=new_spans, acts=list(p.acts)))
         elif isinstance(p, ApiCall):
@@ -321,6 +322,15 @@ def prepare_batch(
         ]
         if bad:
             raise GenerationError(f"goal model has no usable weights in {', '.join(bad)}")
+        # sample_markov divides these counts: bound by occurrences, returns by bound
+        for api, args in model.binding_stats.items():
+            for arg, st in args.items():
+                ints = all(type(c) is int for c in (st.returns, st.bound, st.occurrences))
+                if not (ints and 0 <= st.returns <= st.bound <= st.occurrences):
+                    raise GenerationError(
+                        f"goal model binding_stats[{api!r}][{arg!r}] needs integer counts "
+                        "with 0 <= returns <= bound <= occurrences"
+                    )
     elif goals:
         model = fit_markov(goals)
     index = build_template_index(bundle, seeds)

@@ -60,7 +60,6 @@ class ArgStats:
     occurrences: int = 0
     bound: int = 0
     returns: int = 0
-    sources: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -79,7 +78,6 @@ class MarkovGoalModel:
                         "occurrences": st.occurrences,
                         "bound": st.bound,
                         "returns": st.returns,
-                        "sources": st.sources,
                     }
                     for arg, st in args.items()
                 }
@@ -98,7 +96,6 @@ class MarkovGoalModel:
                         occurrences=raw["occurrences"],
                         bound=raw["bound"],
                         returns=raw["returns"],
-                        sources=dict(raw["sources"]),
                     )
                     for arg, raw in args.items()
                 }
@@ -106,6 +103,8 @@ class MarkovGoalModel:
             }
             start = dict(doc["start"])
             transition = {api: dict(row) for api, row in doc["transition"].items()}
+        except RecursionError:  # nesting deeper than the decoder's recursion limit
+            raise SamplerError("goal model is nested too deeply") from None
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise SamplerError(f"malformed goal model: {e!r}") from None
         return cls(start=start, transition=transition, binding_stats=stats)
@@ -261,8 +260,6 @@ def fit_markov(goals: list[UserGoal]) -> MarkovGoalModel:
                 st.bound += 1
                 if isinstance(binding, ReturnRef):
                     st.returns += 1
-                    src = goal.intents[binding.intent_index].api
-                    st.sources[src] = st.sources.get(src, 0) + 1
     n = len(goals)
     start = {api: c / n for api, c in start_counts.items()}
     transition = {

@@ -27,7 +27,6 @@ from .acts import (
     ActError,
     DialogAct,
     parse_act_list,
-    slot_names_for,
     turn_acts_string,
 )
 from .schema import OBJECT, SchemaBundle, var_prefix
@@ -71,6 +70,9 @@ class EntitySpan:
 
 @dataclass
 class UserUtterance:
+    """One user line. `spans` are in text order, which is also the order of
+    the turn's entity-inform acts."""
+
     text: str
     spans: list[EntitySpan] = field(default_factory=list)
     acts: list[DialogAct] = field(default_factory=list)
@@ -241,9 +243,9 @@ def _link(dialog: Dialog, bundle: SchemaBundle) -> None:
     for n, p in enumerate(dialog.turns, start=1):
         if isinstance(p, UserUtterance):
             last_end = 0
-            for span in sorted(p.spans, key=lambda s: s.start):
+            for span in p.spans:
                 if span.start < last_end:
-                    raise MarkupError(f"overlapping spans in turn {n}")
+                    raise MarkupError(f"overlapping or out-of-order spans in turn {n}")
                 last_end = span.end
                 if p.text[span.start : span.end] != span.surface:
                     raise MarkupError(
@@ -334,7 +336,7 @@ def serialize_dialog(dialog: Dialog) -> str:
         if isinstance(p, UserUtterance):
             parts = []
             pos = 0
-            for span in sorted(p.spans, key=lambda s: s.start):
+            for span in p.spans:
                 parts.append(p.text[pos : span.start])
                 parts.append(f"[{span.surface}|{span.var_id}]")
                 pos = span.end
@@ -355,24 +357,6 @@ def serialize_dialog(dialog: Dialog) -> str:
 
 def serialize_corpus(dialogs: list[Dialog]) -> str:
     return "\n\n".join(serialize_dialog(d) for d in dialogs) + "\n"
-
-
-def delexicalize_turn(utterance: UserUtterance) -> "UtteranceTemplateDef":
-    """Template for a user turn: spans become `{type}` slots (type2, type3 on
-    repeats), acts become the signature. Slot order follows span order, which
-    matches the order of the turn's entity-bearing inform acts."""
-    from .schema import UtteranceTemplateDef
-
-    spans = sorted(utterance.spans, key=lambda s: s.start)
-    slots = slot_names_for([s.entity_type or "value" for s in spans])
-    parts = []
-    pos = 0
-    for span, slot in zip(spans, slots):
-        parts.append(utterance.text[pos : span.start])
-        parts.append("{%s}" % slot)
-        pos = span.end
-    parts.append(utterance.text[pos:])
-    return UtteranceTemplateDef(acts=tuple(utterance.acts), template="".join(parts))
 
 
 def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
@@ -410,7 +394,7 @@ def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
             acts: list[DialogAct] = []
             for call in trigger.get(pos, []):
                 acts.append(DialogAct("inform", USER, intent=call.api))
-            for span in sorted(p.spans, key=lambda s: s.start):
+            for span in p.spans:
                 role = consuming.get(span.var_id)
                 acts.append(
                     DialogAct(

@@ -2,8 +2,13 @@
 
 User turns are keyed by the canonical act-signature string of the whole
 turn; system responses are named definitions. Signatures never seen in the
-seeds fall back to canned per-act fragments, since the interplay loop
-produces act groupings the seed dialogs do not contain.
+seeds fall back to per-act templates or canned fragments, since the
+interplay loop produces act groupings the seed dialogs do not contain.
+
+Every user template, from the schema or delexicalized from a seed turn,
+passes `schema.utterance_problems`: its slots, in text order, are the names
+NLG fills in act order. So every act of a user turn is filled by one path,
+`_fill_template`, and the spans come out in text order, which is act order.
 
 A response template's args are filled one of two ways: `sample_response_args`
 draws each from a catalog (API announcements, replayed seeds), and
@@ -12,12 +17,19 @@ draws each from a catalog (API announcements, replayed seeds), and
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from random import Random
 
 from .acts import DialogAct, slot_names_for, turn_acts_string, value_bearing
-from .markup import Dialog, EntitySpan, UserUtterance, VarAllocator, delexicalize_turn
-from .schema import SLOT_RE, ResponseTemplateDef, SchemaBundle, UtteranceTemplateDef
+from .markup import Dialog, EntitySpan, MarkupError, UserUtterance, VarAllocator
+from .schema import (
+    SLOT_RE,
+    ResponseTemplateDef,
+    SchemaBundle,
+    UtteranceTemplateDef,
+    utterance_problems,
+)
 
 
 class RealizationError(RuntimeError):
@@ -30,8 +42,24 @@ class TemplateIndex:
     response_by_signature: dict[str, ResponseTemplateDef] = field(default_factory=dict)
 
 
+def delexicalize_turn(utterance: UserUtterance) -> UtteranceTemplateDef:
+    """Template for a user turn: spans become `{type}` slots (type2, type3 on
+    repeats), acts become the signature."""
+    slots = slot_names_for([s.entity_type or "value" for s in utterance.spans])
+    parts = []
+    pos = 0
+    for span, slot in zip(utterance.spans, slots):
+        parts.append(utterance.text[pos : span.start])
+        parts.append("{%s}" % slot)
+        pos = span.end
+    parts.append(utterance.text[pos:])
+    return UtteranceTemplateDef(acts=tuple(utterance.acts), template="".join(parts))
+
+
 def build_template_index(bundle: SchemaBundle, seeds: list[Dialog]) -> TemplateIndex:
-    """Index developer templates plus delexicalized seed utterances."""
+    """Index developer templates plus delexicalized seed utterances. A seed
+    turn is held to the schema's utterance rule, and its text outside the
+    spans may hold no slot of its own."""
     index = TemplateIndex()
 
     def add_user(defn: UtteranceTemplateDef) -> None:
@@ -45,48 +73,49 @@ def build_template_index(bundle: SchemaBundle, seeds: list[Dialog]) -> TemplateI
             add_user(ut)
         for resp in dom.response_templates:
             index.response_by_signature.setdefault(turn_acts_string(list(resp.acts)), resp)
-    for seed in seeds:
-        for turn in seed.turns:
+    for i, seed in enumerate(seeds):
+        for n, turn in enumerate(seed.turns, start=1):
             if isinstance(turn, UserUtterance) and turn.acts:
-                add_user(delexicalize_turn(turn))
+                defn = delexicalize_turn(turn)
+                problems = utterance_problems(defn)
+                if len(SLOT_RE.findall(defn.template)) != len(turn.spans):
+                    problems.append("its text holds a {slot} outside its spans")
+                if problems:
+                    name = seed.metadata.get("id", str(i))
+                    raise MarkupError(f"seed {name!r} turn {n}: {problems[0]}")
+                add_user(defn)
     return index
 
 
 def _fill_template(
     template: str,
-    slot_values: dict[str, str],
-    slot_types: dict[str, str],
+    types: list[str],
+    values: Iterator[str],
     alloc: VarAllocator,
+    offset: int,
 ) -> tuple[str, list[EntitySpan]]:
+    """`template` with its slots filled from `values`, one per entry of
+    `types`, and their spans in text order, counted from `offset`. The
+    slots must be `slot_names_for(types)` in text order."""
+    slots = slot_names_for(types)
     parts: list[str] = []
-    spans: dict[str, EntitySpan] = {}
+    spans: list[EntitySpan] = []
     pos = 0
-    out = 0
+    out = offset
     for m in SLOT_RE.finditer(template):
-        slot = m.group(1)
-        if slot not in slot_values:
-            raise RealizationError(f"template {template!r} wants unknown slot {{{slot}}}")
-        if slot in spans:
-            raise RealizationError(f"template {template!r} repeats slot {{{slot}}}")
-        surface = slot_values[slot]
+        k = len(spans)
+        if k == len(slots) or m.group(1) != slots[k]:
+            raise RealizationError(f"template {template!r} does not have the slots {slots}")
+        surface = next(values)
         parts.append(template[pos : m.start()])
         out += m.start() - pos
-        spans[slot] = EntitySpan(
-            surface=surface,
-            var_id=alloc.new(slot_types[slot]),
-            entity_type=slot_types[slot],
-            start=out,
-            end=out + len(surface),
-        )
+        spans.append(EntitySpan(surface, alloc.new(types[k]), types[k], out, out + len(surface)))
         parts.append(surface)
         out += len(surface)
         pos = m.end()
+    if len(spans) != len(slots):
+        raise RealizationError(f"template {template!r} does not have the slots {slots}")
     parts.append(template[pos:])
-    missing = set(slot_values) - set(spans)
-    if missing:
-        raise RealizationError(
-            f"template {template!r} does not place slots {sorted(missing)}"
-        )
     return "".join(parts), spans
 
 
@@ -96,11 +125,11 @@ def humanize(name: str) -> str:
     return words.lower()
 
 
-def _user_fragment(act: DialogAct, value: str | None) -> str:
+def _user_fragment(act: DialogAct) -> str:
     if act.name == "inform" and act.intent is not None:
         return f"I want to {humanize(act.intent)}"
     if act.name == "inform":
-        return value if value is not None else f"the {humanize(act.entity)}"
+        return "{%s}" % act.entity
     if act.name == "affirm" and act.intent is not None:
         return "yes"
     if act.name == "affirm":
@@ -123,7 +152,8 @@ def realize_user(
     rng: Random,
     alloc: VarAllocator,
 ) -> tuple[str, list[EntitySpan]]:
-    """Surface form plus entity spans (in act order) for a user turn.
+    """Surface form plus entity spans (in text order, which is act order)
+    for a user turn.
 
     `values` holds one surface per entity-bearing inform act, in act order;
     the slot names (T, T2, ... on repeated types) are derived from the acts.
@@ -134,52 +164,25 @@ def realize_user(
     types = [a.entity for a in value_bearing(acts)]
     if len(values) != len(types):
         raise RealizationError(f"{len(values)} values for {len(types)} entity informs")
-    signature = turn_acts_string(acts)
-    candidates = index.user.get(signature)
-    if candidates:
-        slots = slot_names_for(types)
-        defn = candidates[rng.randrange(len(candidates))]
-        text, spans = _fill_template(
-            defn.template, dict(zip(slots, values)), dict(zip(slots, types)), alloc
-        )
-        return text, [spans[s] for s in slots]
-
-    # backoff: per-act fragments joined in act order
-    parts: list[str] = []
-    spans_out: list[EntitySpan] = []
-    out = 0
     value_iter = iter(values)
-    for i, act in enumerate(acts):
-        if i > 0:
-            parts.append(", ")
-            out += 2
-        if act.name == "inform" and act.entity is not None:
-            single = index.user.get(turn_acts_string([act]))
-            template = (
-                single[rng.randrange(len(single))].template
-                if single
-                else "{%s}" % act.entity
-            )
-            # a single-act template names its one slot after the bare type
-            text, spans = _fill_template(
-                template, {act.entity: next(value_iter)}, {act.entity: act.entity}, alloc
-            )
-            span = spans[act.entity]
-            span.start += out
-            span.end += out
-            parts.append(text)
-            out += len(text)
-            spans_out.append(span)
-        else:
-            single = index.user.get(turn_acts_string([act]))
-            fragment = (
-                single[rng.randrange(len(single))].template
-                if single
-                else _user_fragment(act, None)
-            )
-            parts.append(fragment)
-            out += len(fragment)
-    return "".join(parts), spans_out
+    candidates = index.user.get(turn_acts_string(acts))
+    if candidates:
+        defn = candidates[rng.randrange(len(candidates))]
+        return _fill_template(defn.template, types, value_iter, alloc, 0)
+
+    # backoff: per-act pieces joined in act order
+    parts: list[str] = []
+    spans: list[EntitySpan] = []
+    out = 0
+    for act in acts:
+        single = index.user.get(turn_acts_string([act]))
+        template = single[rng.randrange(len(single))].template if single else _user_fragment(act)
+        act_types = [a.entity for a in value_bearing([act])]
+        text, act_spans = _fill_template(template, act_types, value_iter, alloc, out)
+        parts.append(text)
+        spans += act_spans
+        out += len(text) + 2
+    return ", ".join(parts), spans
 
 
 def realize_response(

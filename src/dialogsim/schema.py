@@ -321,19 +321,37 @@ def _breaks(text: str) -> bool:
     return "".join(text.splitlines()) != text
 
 
+def _stray_brace(template: str) -> list[str]:
+    stray = SLOT_RE.sub("", template)
+    if "{" in stray or "}" in stray:
+        return [f"brace outside a {{slot}} in {template!r} (a slot name is a letter, "
+                "then letters or digits)"]
+    return []
+
+
+def utterance_problems(ut: UtteranceTemplateDef) -> list[str]:
+    """Why `ut` cannot realize a user turn; empty when it can. Its text
+    becomes one markup line, where brackets delimit spans, and its slots, in
+    text order, must be the names NLG fills (T, T2, ... on a repeated type)
+    from its entity informs, in act order."""
+    problems = []
+    if "[" in ut.template or "]" in ut.template or _breaks(ut.template):
+        problems.append("template contains '[', ']' or a line break")
+    problems += _stray_brace(ut.template)
+    wanted = slot_names_for([a.entity for a in value_bearing(ut.acts)])
+    slots = SLOT_RE.findall(ut.template)
+    if slots != wanted:
+        problems.append(f"slots {slots} are not {wanted}, the slots its entity informs fill "
+                        "in text order")
+    return problems
+
+
 def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
     """Check every cross-reference and invariant; returns diagnostics only."""
     diags: list[Diagnostic] = []
 
     def err(loc, msg):
         diags.append(Diagnostic("error", loc, msg))
-
-    def slots_of(template: str, loc: str) -> list[str]:
-        stray = SLOT_RE.sub("", template)
-        if "{" in stray or "}" in stray:
-            err(loc, f"brace outside a {{slot}} in {template!r} (a slot name is a letter, "
-                "then letters or digits)")
-        return SLOT_RE.findall(template)
 
     seen_types: set[str] = set()
     seen_apis: set[str] = set()
@@ -395,22 +413,15 @@ def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
             for t in resp.templates:
                 if _breaks(t):
                     err(loc, f"template {t!r} contains a line break")
-                for slot in slots_of(t, loc):
+                for problem in _stray_brace(t):
+                    err(loc, problem)
+                for slot in SLOT_RE.findall(t):
                     if slot not in arg_names:
                         err(loc, f"template slot {{{slot}}} names no arg of this definition")
 
         for ut in dom.utterance_templates:
-            loc = f"{dom.name} utterance {ut.template!r}"
-            # the text becomes one markup line, where brackets delimit spans
-            if "[" in ut.template or "]" in ut.template or _breaks(ut.template):
-                err(loc, "template contains '[', ']' or a line break")
-            # NLG fills these names (T, T2, ... on a repeated type) with the
-            # acts' values, and the markup reads spans back in text order
-            wanted = slot_names_for([a.entity for a in value_bearing(ut.acts)])
-            slots = slots_of(ut.template, loc)
-            if slots != wanted:
-                err(loc, f"slots {slots} are not {wanted}, the slots its entity informs fill "
-                    "in text order")
+            for problem in utterance_problems(ut):
+                err(f"{dom.name} utterance {ut.template!r}", problem)
     return diags
 
 

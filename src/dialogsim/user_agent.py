@@ -15,16 +15,21 @@ goal cursor. The protocol types live in system_agent, which produces them.
 A user turn is its acts plus one surface value per entity-bearing inform
 act, in act order; NLG names the slots and the system reads the resulting
 spans in the same order.
+
+Confirms and offers are answered by one rule, `answer`: affirm the intent,
+then affirm or deny each arg and inform any correction. Only the truth an
+arg is held to differs: what the user said, or the goal.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from random import Random
 
 from .acts import USER, DialogAct
 from .goals import ReturnRef, UserGoal, UserValue
 from .schema import SchemaBundle
-from .system_agent import SystemTurnOutput
+from .system_agent import ApiView, ArgView, SystemTurnOutput
 
 
 @dataclass
@@ -150,22 +155,44 @@ def next_user_turn(
         else:
             abandon_intent(state, state.cursor, bundle)
 
+    def answer(api_view: ApiView, truth: Callable[[ArgView], tuple[bool, str | None]]) -> None:
+        """Affirm the intent, then affirm or deny each arg as `truth` judges
+        it, and inform the correction `truth` returns, if any."""
+        api = state.current().api
+        acts.append(DialogAct("affirm", USER, intent=api))
+        for a in api_view.args:
+            agrees, correction = truth(a)
+            name = "affirm" if agrees else "deny"
+            acts.append(DialogAct(name, USER, entity=a.entity_type, api=api, arg=a.arg))
+            if correction is not None:
+                inform(a.entity_type, api, a.arg, correction)
+
+    def confirmed_truth(a: ArgView) -> tuple[bool, str | None]:
+        """A confirmed value agrees unless it differs from what the user said."""
+        said = state.informed.get((state.cursor, a.arg))
+        if a.surface is None or said is None or a.surface == said:
+            return True, None
+        return False, said
+
+    def offered_truth(a: ArgView) -> tuple[bool, str | None]:
+        """An offered value agrees with the goal's binding; an offered user
+        value counts as informed."""
+        binding = state.current().bindings.get(a.arg)
+        if isinstance(binding, ReturnRef):
+            return a.var == state.returns_seen.get(binding.intent_index), None
+        if not isinstance(binding, UserValue):
+            return False, None
+        if ("inform", a.arg) in state.agenda:
+            state.agenda.remove(("inform", a.arg))
+        state.informed[(state.cursor, a.arg)] = binding.surface
+        if a.surface == binding.surface:
+            return True, None
+        return False, binding.surface
+
     # 2. respond to a confirmation prompt: affirm truthfully, deny + correct
     # any stale value
     if view.confirm is not None and not state.done and view.confirm.api == state.current().api:
-        intent = state.current()
-        acts.append(DialogAct("affirm", USER, intent=intent.api))
-        for ca in view.confirm.args:
-            truth = state.informed.get((state.cursor, ca.arg))
-            if ca.surface is None or truth is None or ca.surface == truth:
-                acts.append(
-                    DialogAct("affirm", USER, entity=ca.entity_type, api=intent.api, arg=ca.arg)
-                )
-            else:
-                acts.append(
-                    DialogAct("deny", USER, entity=ca.entity_type, api=intent.api, arg=ca.arg)
-                )
-                inform(ca.entity_type, intent.api, ca.arg, truth)
+        answer(view.confirm, confirmed_truth)
 
     # 3. respond to a proactive offer: accept only the goal's next intent,
     # and only before the user has named it
@@ -176,38 +203,8 @@ def next_user_turn(
             and view.offer.api == state.current().api
         )
         if accept:
-            intent = state.current()
-            acts.append(DialogAct("affirm", USER, intent=intent.api))
             state.agenda.remove(("intent", None))
-            for oa in view.offer.args:
-                binding = intent.bindings.get(oa.arg)
-                if isinstance(binding, ReturnRef):
-                    expected = state.returns_seen.get(binding.intent_index)
-                    name = "affirm" if oa.var == expected else "deny"
-                    acts.append(
-                        DialogAct(name, USER, entity=oa.entity_type, api=intent.api, arg=oa.arg)
-                    )
-                elif isinstance(binding, UserValue):
-                    if ("inform", oa.arg) in state.agenda:
-                        state.agenda.remove(("inform", oa.arg))
-                    state.informed[(state.cursor, oa.arg)] = binding.surface
-                    if oa.surface == binding.surface:
-                        acts.append(
-                            DialogAct(
-                                "affirm", USER, entity=oa.entity_type, api=intent.api, arg=oa.arg
-                            )
-                        )
-                    else:
-                        acts.append(
-                            DialogAct(
-                                "deny", USER, entity=oa.entity_type, api=intent.api, arg=oa.arg
-                            )
-                        )
-                        inform(oa.entity_type, intent.api, oa.arg, binding.surface)
-                else:
-                    acts.append(
-                        DialogAct("deny", USER, entity=oa.entity_type, api=intent.api, arg=oa.arg)
-                    )
+            answer(view.offer, offered_truth)
         else:
             acts.append(DialogAct("deny", USER, intent=view.offer.api))
 

@@ -150,10 +150,12 @@ def _assert_one_error_line(err):
         lambda doc: doc["transition"].update(
             FindMovies={k: 0.0 for k in doc["transition"]["FindMovies"]}
         ),
+        lambda doc: [st.update(occurrences="9")
+                     for args in doc["binding_stats"].values() for st in args.values()],
     ],
     ids=["start", "transition-target", "transition-row", "binding-stats", "missing-key",
          "not-json", "start-empty", "start-zero", "start-negative", "start-not-number",
-         "transition-zero"],
+         "transition-zero", "count-not-integer"],
 )
 def test_generate_rejects_bad_model(data_paths, tmp_path, capsys, edit):
     schema, seeds = data_paths
@@ -347,16 +349,58 @@ def test_schema_error_ends_in_diagnostics(data_paths, tmp_path, capsys, edit):
     _assert_one_error_line(captured.err)
 
 
-def test_schema_nested_too_deeply_is_diagnosed(data_paths, tmp_path, capsys):
-    _, seeds = data_paths
+@pytest.mark.parametrize("source", ["schema", "config", "model"])
+def test_schema_nested_too_deeply_is_diagnosed(data_paths, tmp_path, capsys, source):
+    schema, seeds = data_paths
     deep = tmp_path / "deep.json"
     deep.write_text('{"domains": ' + "[" * 100_000, encoding="utf-8")
-    assert main(["validate", "--schema", str(deep)]) == 1
-    assert capsys.readouterr().out == "error: schema: nested too deeply\n"
-    assert main(["generate", "--schema", str(deep), "--seeds", str(seeds), "--n", "1"]) == 1
+    args = ["generate", "--schema", str(schema), "--seeds", str(seeds), "--n", "1"]
+    if source == "schema":
+        assert main(["validate", "--schema", str(deep)]) == 1
+        assert capsys.readouterr().out == "error: schema: nested too deeply\n"
+        args[2] = str(deep)
+    else:
+        args += [f"--{source}", str(deep)]
+    assert main(args) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     _assert_one_error_line(captured.err)
+    assert "nested too deeply" in captured.err
+
+
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        ("|acts: inform(entity:location),inform(entity:Time)",
+         "|acts: inform(entity:Time),inform(entity:location)", "'seed-elicited' turn 3"),
+        ("|acts: inform(entity:location),inform(entity:Time)",
+         "|acts: inform(entity:location)", "'seed-elicited' turn 3"),
+        ("[adult|ticketType0] tickets for this show",
+         "[adult|ticketType0] tickets for {this} show", "'seed-book-basic' turn 7"),
+        # the slot matches the acts, but no span carries its value
+        ("U-12: Thanks bye\n", "U-12: Thanks bye at {Time} |acts: inform(entity:Time)\n",
+         "'seed-elicited' turn 12"),
+    ],
+    ids=["informs-swapped", "inform-dropped", "slot-in-text", "slot-without-span"],
+)
+def test_seed_turn_is_held_to_the_template_rule(data_paths, tmp_path, capsys, old, new, where):
+    schema, seeds = data_paths
+    text = seeds.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    broken = tmp_path / "seeds.txt"
+    broken.write_text(text.replace(old, new), encoding="utf-8")
+    generate = ["generate", "--schema", str(schema), "--seeds", str(broken), "--n", "200"]
+    for args in (generate, generate + ["--mix", "base=1"]):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _assert_one_error_line(captured.err)
+        assert where in captured.err
+    assert main(["validate", "--schema", str(schema), "--seeds", str(broken)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    _assert_one_error_line(captured.out)
+    assert where in captured.out
 
 
 @pytest.mark.parametrize("corpus", ["seeds", "empty"])

@@ -10,11 +10,21 @@ from dialogsim.engine import (
     GenerationConfig,
     GenerationError,
     derive_rng,
+    generate_one,
+    prepare_batch,
     run_batch,
     run_dialog,
 )
 from dialogsim.goals import UserGoal, extract_goals
-from dialogsim.markup import ApiCall, NlgResponse, UserUtterance, serialize_corpus
+from dialogsim.markup import (
+    ApiCall,
+    MarkupError,
+    NlgResponse,
+    UserUtterance,
+    parse_corpus,
+    serialize_corpus,
+    serialize_dialog,
+)
 from dialogsim.nlg import build_template_index
 
 
@@ -234,6 +244,53 @@ def test_config_from_any_json_raises_only_generation_error():
             GenerationConfig.from_dict(doc).validate()
         except GenerationError:
             pass
+
+    check()
+
+
+def test_mutated_seed_user_turns_are_rejected_or_replay(demo_bundle, demo_seeds_annotated):
+    """A seed whose user lines have text or acts changed is rejected with a
+    MarkupError, or replays into a corpus that parses back to itself."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    seeds = [serialize_dialog(d).splitlines() for d in demo_seeds_annotated]
+    act = st.sampled_from(
+        ["inform(entity:Time)", "inform(entity:location)", "inform(entity:count)",
+         "inform(entity:movieTitle)", "inform(intent:FindMovies)", "affirm(entity:Time)",
+         "deny(entity:location)", "affirm(intent:SelectShow)", "bye()", "repeat()"]
+    )
+    word = st.sampled_from(["{Time}", "{Time2}", "{location}", "{this}", "{", "}", "|", "x"])
+
+    @st.composite
+    def mutants(draw):
+        lines = list(draw(st.sampled_from(seeds)))
+        users = [i for i, line in enumerate(lines) if line.startswith("U-")]
+        for i in draw(st.lists(st.sampled_from(users), min_size=1, max_size=2)):
+            head, rest = lines[i].split(": ", 1)
+            body, suffix = rest.rsplit(" |acts: ", 1)
+            acts = draw(st.permutations(suffix.split(",")))
+            acts = acts[: draw(st.integers(0, len(acts)))] + draw(st.lists(act, max_size=2))
+            for _ in range(draw(st.integers(0, 2))):
+                # insert a word outside the [surface|var] spans
+                outside = [k for k in range(len(body) + 1)
+                           if body[:k].count("[") == body[:k].count("]")]
+                k = draw(st.sampled_from(outside))
+                body = body[:k] + draw(word) + body[k:]
+            lines[i] = f"{head}: {body} |acts: {','.join(acts)}"
+        return "\n".join(lines)
+
+    config = GenerationConfig(n_dialogs=8, sampler_mix={"base": 1.0}, rng_seed=5)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(mutants())
+    def check(text):
+        seeds = parse_corpus(text, demo_bundle)
+        try:
+            ctx = prepare_batch(demo_bundle, seeds, config)
+        except MarkupError:
+            return
+        dialogs = [generate_one(ctx, i)[0] for i in range(config.n_dialogs)]
+        assert parse_corpus(serialize_corpus(dialogs), demo_bundle) == dialogs
 
     check()
 

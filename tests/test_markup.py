@@ -10,7 +10,6 @@ from dialogsim.markup import (
     NlgResponse,
     UserUtterance,
     annotate_seed_acts,
-    delexicalize_turn,
     parse_corpus,
     parse_dialog,
     serialize_corpus,
@@ -80,6 +79,9 @@ def test_generated_round_trip_small(demo_bundle, demo_seeds):
     result = run_batch(demo_bundle, demo_seeds, config)
     for dialog in result.dialogs:
         assert parse_dialog(serialize_dialog(dialog), demo_bundle) == dialog
+        for turn in dialog.turns:
+            if isinstance(turn, UserUtterance):
+                assert turn.spans == sorted(turn.spans, key=lambda s: s.start)
 
 
 def test_parse_corpus_raises_only_markup_error(demo_bundle, demo_seeds_annotated):
@@ -153,31 +155,6 @@ def test_object_type_cannot_be_user_value(demo_bundle):
 
 def _utterance(text, spans):
     return UserUtterance(text=text, spans=spans, acts=[])
-
-
-def test_delexicalize_booking_turn():
-    utt = _utterance(
-        "Book two adult tickets for this show",
-        [
-            EntitySpan("two", "count0", "count", 5, 8),
-            EntitySpan("adult", "ticketType0", "ticketType", 9, 14),
-        ],
-    )
-    assert delexicalize_turn(utt).template == "Book {count} {ticketType} tickets for this show"
-
-
-def test_delexicalize_without_spans_is_identity():
-    utt = _utterance("Ok thank you", [])
-    tpl = delexicalize_turn(utt)
-    assert tpl.template == "Ok thank you"
-
-
-def test_delexicalize_repeated_type():
-    utt = _utterance(
-        "from 2 PM to 4 PM",
-        [EntitySpan("2 PM", "time0", "Time", 5, 9), EntitySpan("4 PM", "time1", "Time", 13, 17)],
-    )
-    assert delexicalize_turn(utt).template == "from {Time} to {Time2}"
 
 
 def test_overlapping_spans_rejected(demo_bundle):

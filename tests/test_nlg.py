@@ -4,10 +4,11 @@ from random import Random
 import pytest
 
 from dialogsim.acts import DialogAct
-from dialogsim.markup import VarAllocator
+from dialogsim.markup import EntitySpan, UserUtterance, VarAllocator
 from dialogsim.nlg import (
     RealizationError,
     build_template_index,
+    delexicalize_turn,
     fill_response_args,
     humanize,
     realize_response,
@@ -57,6 +58,7 @@ def test_realize_booking_turn(demo_bundle, demo_seeds_annotated):
         )
         seen.add(text)
         assert [s.surface for s in spans] == ["two", "adult"]
+        assert spans == sorted(spans, key=lambda s: s.start)
         for span in spans:
             assert text[span.start : span.end] == span.surface
     assert "Book two adult tickets for this show" in seen
@@ -114,6 +116,32 @@ def test_backoff_spans_are_exact(demo_bundle):
     for span in spans:
         assert text[span.start : span.end] == span.surface
     assert [s.entity_type for s in spans] == ["Time", "movieTitle"]
+    assert spans == sorted(spans, key=lambda s: s.start)
+
+
+def test_delexicalize_booking_turn():
+    utt = UserUtterance(
+        "Book two adult tickets for this show",
+        [
+            EntitySpan("two", "count0", "count", 5, 8),
+            EntitySpan("adult", "ticketType0", "ticketType", 9, 14),
+        ],
+    )
+    assert delexicalize_turn(utt).template == "Book {count} {ticketType} tickets for this show"
+
+
+def test_delexicalize_without_spans_is_identity():
+    utt = UserUtterance("Ok thank you", [])
+    tpl = delexicalize_turn(utt)
+    assert tpl.template == "Ok thank you"
+
+
+def test_delexicalize_repeated_type():
+    utt = UserUtterance(
+        "from 2 PM to 4 PM",
+        [EntitySpan("2 PM", "time0", "Time", 5, 9), EntitySpan("4 PM", "time1", "Time", 13, 17)],
+    )
+    assert delexicalize_turn(utt).template == "from {Time} to {Time2}"
 
 
 def test_slot_value_mismatch_rejected(demo_bundle, demo_seeds_annotated):
