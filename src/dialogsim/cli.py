@@ -16,7 +16,7 @@ from .markup import MarkupError, annotate_seed_acts, load_corpus, serialize_corp
 from .metrics import report_table, variation_report
 from .nlg import build_template_index
 from .export import export_training
-from .schema import SchemaError, load_schema, validate_schema
+from .schema import SchemaError, load_schema, read_input, validate_schema
 
 
 def _parse_mix(text: str) -> dict[str, float]:
@@ -32,7 +32,7 @@ def _parse_mix(text: str) -> dict[str, float]:
 
 def _load_config(args) -> GenerationConfig:
     if getattr(args, "config", None):
-        config = GenerationConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+        config = GenerationConfig.from_json(read_input(args.config, GenerationError))
     else:
         config = GenerationConfig()
     if getattr(args, "n", None) is not None:
@@ -57,7 +57,7 @@ def cmd_generate(args) -> int:
     config = _load_config(args)
     model = None
     if getattr(args, "model", None):
-        model = MarkovGoalModel.from_json(Path(args.model).read_text(encoding="utf-8"))
+        model = MarkovGoalModel.from_json(read_input(args.model, SamplerError))
     result = run_batch(bundle, seeds, config, model=model)
     text = serialize_corpus(result.dialogs)
     if args.out:

@@ -11,12 +11,13 @@ import copy
 import hashlib
 import json
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from random import Random
 
-from .acts import END, turn_acts_string
+from .acts import END
 from .goals import (
     MarkovGoalModel,
     UserGoal,
@@ -211,7 +212,7 @@ def run_dialog(
                 turns.append(ApiCall(call.api, bindings, call.return_var))
             resp, args = plan.response, plan.arg_values
             if resp is None:  # a policy act group: its own values fill a matching response
-                resp = index.response_by_signature.get(turn_acts_string(plan.acts))
+                resp = index.response(plan.acts)
                 args = fill_response_args(resp, plan.acts, plan.backoff_values) if resp else None
             if args is None:
                 text = realize_system_backoff(plan.acts, plan.backoff_values)
@@ -269,7 +270,7 @@ def run_base_dialog(
             var_map[p.return_var] = new_ret
             out.turns.append(ApiCall(api=p.api, bindings=bindings, return_var=new_ret))
         else:
-            resp = index.response_by_signature.get(turn_acts_string(p.acts))
+            resp = index.response(p.acts)
             if resp is not None:
                 text = realize_response(resp, sample_response_args(resp, bundle, rng), rng)
             else:
@@ -364,6 +365,8 @@ def generate_one(ctx: BatchContext, i: int) -> tuple[Dialog, dict[str, int]]:
     )
 
 
+# dialogs per task sent to a pool worker
+CHUNK = 256
 _WORKER_CTX: BatchContext | None = None
 
 
@@ -385,11 +388,14 @@ def run_batch(
     """Generate config.n_dialogs dialogs. Output is a pure function of
     (bundle, seeds, config): the worker count never changes the corpus."""
     ctx = prepare_batch(bundle, seeds, config, model)
-    if config.workers > 1:
+    # a worker beyond the chunks of work or the CPUs would sit idle, yet be forked
+    chunks = -(-config.n_dialogs // CHUNK)
+    workers = min(config.workers, chunks, os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=config.workers, initializer=_init_worker, initargs=(ctx,)
+            max_workers=workers, initializer=_init_worker, initargs=(ctx,)
         ) as pool:
-            results = list(pool.map(_worker_generate, range(config.n_dialogs), chunksize=256))
+            results = list(pool.map(_worker_generate, range(config.n_dialogs), chunksize=CHUNK))
     else:
         results = [generate_one(ctx, i) for i in range(config.n_dialogs)]
     # the per-dialog records stay plain dicts: they cross the process pool,

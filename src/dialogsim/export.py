@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _encode
 
-from .acts import turn_acts_string
 from .markup import ApiCall, Dialog, EntitySpan, Turn, UserUtterance
 from .nlg import TemplateIndex
 from .schema import SchemaBundle
@@ -157,7 +156,7 @@ def export_training(
                 labels = {a: v.var for a, v in p.bindings.items() if v.var is not None}
                 af.append(TrainingExample("argument_filling", p.api, labels, shared, k))
             elif p.acts:
-                resp = index.response_by_signature.get(turn_acts_string(p.acts))
+                resp = index.response(p.acts)
                 name = resp.name if resp is not None else None
             else:
                 name = None

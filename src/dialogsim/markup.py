@@ -29,7 +29,7 @@ from .acts import (
     parse_act_list,
     turn_acts_string,
 )
-from .schema import OBJECT, SchemaBundle, var_prefix
+from .schema import OBJECT, SchemaBundle, read_input, var_prefix
 
 
 class MarkupError(ValueError):
@@ -326,8 +326,7 @@ def parse_corpus(text: str, bundle: SchemaBundle | None = None) -> list[Dialog]:
 
 
 def load_corpus(path, bundle: SchemaBundle | None = None) -> list[Dialog]:
-    with open(path, encoding="utf-8") as f:
-        return parse_corpus(f.read(), bundle)
+    return parse_corpus(read_input(path, MarkupError), bundle)
 
 
 def serialize_dialog(dialog: Dialog) -> str:

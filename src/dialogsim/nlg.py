@@ -19,7 +19,9 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from random import Random
+from typing import NamedTuple
 
 from .acts import DialogAct, slot_names_for, turn_acts_string, value_bearing
 from .markup import Dialog, EntitySpan, MarkupError, UserUtterance, VarAllocator
@@ -36,10 +38,66 @@ class RealizationError(RuntimeError):
     pass
 
 
+class _UserPlan(NamedTuple):
+    """What a user act list resolves to: the entity types of its slots, and
+    either its exact-signature templates or, when it has none, one piece per
+    act: that act's single-act templates to draw from (or its canned
+    fragment, which takes no draw) and that act's slot types."""
+
+    types: list[str]
+    exact: tuple[str, ...]
+    pieces: list[tuple[tuple[str, ...] | str, list[str]]]
+
+
+def _memoizable(acts: list[DialogAct]) -> bool:
+    """True if `acts` resolves the same whatever its acts' `api`/`arg`, which
+    `DialogAct` equality ignores: only a repeated entity type can give the
+    signature an `@api.arg` suffix. An empty list is never stored."""
+    types = [a.entity for a in acts if a.entity is not None]
+    return bool(acts) and len(types) == len(set(types))
+
+
 @dataclass
 class TemplateIndex:
     user: dict[str, list[UtteranceTemplateDef]] = field(default_factory=dict)
     response_by_signature: dict[str, ResponseTemplateDef] = field(default_factory=dict)
+    # what each act list resolved to, keyed by tuple(acts); a run meets the
+    # same few act lists thousands of times
+    _user_plans: dict[tuple[DialogAct, ...], _UserPlan] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _responses: dict[tuple[DialogAct, ...], ResponseTemplateDef | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def user_plan(self, acts: list[DialogAct]) -> _UserPlan:
+        key = tuple(acts)
+        plan = self._user_plans.get(key)
+        if plan is None:
+            exact = tuple(d.template for d in self.user.get(turn_acts_string(acts), ()))
+            pieces = [] if exact else [
+                (
+                    tuple(d.template for d in self.user.get(turn_acts_string([a]), ()))
+                    or _user_fragment(a),
+                    [a.entity for a in value_bearing([a])],
+                )
+                for a in acts
+            ]
+            plan = _UserPlan([a.entity for a in value_bearing(acts)], exact, pieces)
+            if _memoizable(acts):
+                self._user_plans[key] = plan
+        return plan
+
+    def response(self, acts: list[DialogAct]) -> ResponseTemplateDef | None:
+        """The response template whose acts are the signature of `acts`."""
+        key = tuple(acts)
+        try:
+            return self._responses[key]
+        except KeyError:
+            resp = self.response_by_signature.get(turn_acts_string(acts))
+            if _memoizable(acts):
+                self._responses[key] = resp
+            return resp
 
 
 def delexicalize_turn(utterance: UserUtterance) -> UtteranceTemplateDef:
@@ -58,8 +116,8 @@ def delexicalize_turn(utterance: UserUtterance) -> UtteranceTemplateDef:
 
 def build_template_index(bundle: SchemaBundle, seeds: list[Dialog]) -> TemplateIndex:
     """Index developer templates plus delexicalized seed utterances. A seed
-    turn is held to the schema's utterance rule, and its text outside the
-    spans may hold no slot of its own."""
+    user turn must carry acts; it is held to the schema's utterance rule,
+    and its text outside the spans may hold no slot of its own."""
     index = TemplateIndex()
 
     def add_user(defn: UtteranceTemplateDef) -> None:
@@ -75,9 +133,12 @@ def build_template_index(bundle: SchemaBundle, seeds: list[Dialog]) -> TemplateI
             index.response_by_signature.setdefault(turn_acts_string(list(resp.acts)), resp)
     for i, seed in enumerate(seeds):
         for n, turn in enumerate(seed.turns, start=1):
-            if isinstance(turn, UserUtterance) and turn.acts:
+            if isinstance(turn, UserUtterance):
                 defn = delexicalize_turn(turn)
-                problems = utterance_problems(defn)
+                problems = utterance_problems(defn) if turn.acts else [
+                    "it has no acts: it triggers no call, holds no span and does not end "
+                    "the dialog"
+                ]
                 if len(SLOT_RE.findall(defn.template)) != len(turn.spans):
                     problems.append("its text holds a {slot} outside its spans")
                 if problems:
@@ -85,6 +146,14 @@ def build_template_index(bundle: SchemaBundle, seeds: list[Dialog]) -> TemplateI
                     raise MarkupError(f"seed {name!r} turn {n}: {problems[0]}")
                 add_user(defn)
     return index
+
+
+@lru_cache(maxsize=4096)
+def _split(template: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """A template's literal pieces and its slot names, both in text order;
+    there is one more piece than there are slots."""
+    pieces = SLOT_RE.split(template)
+    return tuple(pieces[::2]), tuple(pieces[1::2])
 
 
 def _fill_template(
@@ -97,25 +166,19 @@ def _fill_template(
     """`template` with its slots filled from `values`, one per entry of
     `types`, and their spans in text order, counted from `offset`. The
     slots must be `slot_names_for(types)` in text order."""
+    literals, names = _split(template)
     slots = slot_names_for(types)
-    parts: list[str] = []
-    spans: list[EntitySpan] = []
-    pos = 0
-    out = offset
-    for m in SLOT_RE.finditer(template):
-        k = len(spans)
-        if k == len(slots) or m.group(1) != slots[k]:
-            raise RealizationError(f"template {template!r} does not have the slots {slots}")
-        surface = next(values)
-        parts.append(template[pos : m.start()])
-        out += m.start() - pos
-        spans.append(EntitySpan(surface, alloc.new(types[k]), types[k], out, out + len(surface)))
-        parts.append(surface)
-        out += len(surface)
-        pos = m.end()
-    if len(spans) != len(slots):
+    if list(names) != slots:
         raise RealizationError(f"template {template!r} does not have the slots {slots}")
-    parts.append(template[pos:])
+    parts = [literals[0]]
+    spans: list[EntitySpan] = []
+    out = offset + len(literals[0])
+    for entity_type, literal in zip(types, literals[1:]):
+        surface = next(values)
+        end = out + len(surface)
+        spans.append(EntitySpan(surface, alloc.new(entity_type), entity_type, out, end))
+        parts += (surface, literal)
+        out = end + len(literal)
     return "".join(parts), spans
 
 
@@ -161,23 +224,20 @@ def realize_user(
     rendered on its own — through a single-act template when one exists,
     through a canned fragment when not — and the pieces joined.
     """
-    types = [a.entity for a in value_bearing(acts)]
+    types, exact, pieces = index.user_plan(acts)
     if len(values) != len(types):
         raise RealizationError(f"{len(values)} values for {len(types)} entity informs")
     value_iter = iter(values)
-    candidates = index.user.get(turn_acts_string(acts))
-    if candidates:
-        defn = candidates[rng.randrange(len(candidates))]
-        return _fill_template(defn.template, types, value_iter, alloc, 0)
+    if exact:
+        template = exact[rng.randrange(len(exact))]
+        return _fill_template(template, types, value_iter, alloc, 0)
 
     # backoff: per-act pieces joined in act order
     parts: list[str] = []
     spans: list[EntitySpan] = []
     out = 0
-    for act in acts:
-        single = index.user.get(turn_acts_string([act]))
-        template = single[rng.randrange(len(single))].template if single else _user_fragment(act)
-        act_types = [a.entity for a in value_bearing([act])]
+    for single, act_types in pieces:
+        template = single if isinstance(single, str) else single[rng.randrange(len(single))]
         text, act_spans = _fill_template(template, act_types, value_iter, alloc, out)
         parts.append(text)
         spans += act_spans
@@ -189,15 +249,13 @@ def realize_response(
     defn: ResponseTemplateDef, arg_values: dict[str, str], rng: Random
 ) -> str:
     """Uniformly sampled template string with `{arg}` slots filled."""
-    template = defn.templates[rng.randrange(len(defn.templates))]
-
-    def sub(m: re.Match) -> str:
-        name = m.group(1)
+    literals, names = _split(defn.templates[rng.randrange(len(defn.templates))])
+    parts = [literals[0]]
+    for name, literal in zip(names, literals[1:]):
         if name not in arg_values:
             raise RealizationError(f"response {defn.name} has no value for {{{name}}}")
-        return arg_values[name]
-
-    return SLOT_RE.sub(sub, template)
+        parts += (arg_values[name], literal)
+    return "".join(parts)
 
 
 def sample_response_args(

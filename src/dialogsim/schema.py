@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .acts import (
@@ -311,9 +312,20 @@ def loads_schema(text: str) -> SchemaBundle:
     return bundle
 
 
-def load_schema(path) -> SchemaBundle:
+def read_input(path, error: Callable[[str], Exception]) -> str:
+    """The text of input file `path`. Bytes that are not UTF-8 raise
+    `error(message)`, the calling loader's own error, naming the file."""
     with open(path, encoding="utf-8") as f:
-        return loads_schema(f.read())
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise error(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
+
+
+def load_schema(path) -> SchemaBundle:
+    return loads_schema(
+        read_input(path, lambda message: SchemaError([Diagnostic("error", "schema", message)]))
+    )
 
 
 def _breaks(text: str) -> bool:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -132,6 +133,60 @@ def _assert_one_error_line(err):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def _renumber(text):
+    """Number each dialog's turn lines 1, 2, ... in order."""
+    lines, n = [], 0
+    for line in text.splitlines():
+        m = re.match(r"([US])-\d+:", line)
+        if m:
+            n += 1
+            line = f"{m[1]}-{n}:{line[m.end():]}"
+        elif not line.strip():
+            n = 0
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+# every file argument of every subcommand
+FILE_ARGS = [
+    ("validate", "--schema"), ("validate", "--seeds"),
+    ("generate", "--schema"), ("generate", "--seeds"), ("generate", "--config"),
+    ("generate", "--model"),
+    ("metrics", "--schema"), ("metrics", "corpus"),
+    ("export-training", "--schema"), ("export-training", "corpus"),
+    ("fit", "--schema"), ("fit", "--seeds"),
+]
+
+
+@pytest.mark.parametrize("command, arg", FILE_ARGS)
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfe{}", "# id=caf\xe9\nU-1: hi".encode("latin-1")],
+    ids=["utf-16-bom", "latin-1"],
+)
+def test_input_that_is_not_utf8_is_one_diagnostic(data_paths, tmp_path, capsys, command, arg,
+                                                  data):
+    schema, seeds = data_paths
+    bad = tmp_path / "bad"
+    bad.write_bytes(data)
+    files = {"--schema": schema, "--seeds": seeds, "corpus": seeds, arg: bad}
+    argv = [command, "--schema", str(files["--schema"])]
+    if command in ("validate", "generate", "fit"):
+        argv += ["--seeds", str(files["--seeds"])]
+    if command == "generate":
+        argv += ["--n", "1"]
+    if arg in ("--config", "--model"):
+        argv += [arg, str(bad)]
+    if command in ("metrics", "export-training"):
+        argv += ["--out", str(tmp_path / "out"), str(files["corpus"])]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"{bad} is not UTF-8 text" in captured.out + captured.err
+    if command in ("generate", "metrics", "export-training"):
+        assert captured.out == ""
+        _assert_one_error_line(captured.err)
 
 
 @pytest.mark.parametrize(
@@ -380,15 +435,20 @@ def test_schema_nested_too_deeply_is_diagnosed(data_paths, tmp_path, capsys, sou
         # the slot matches the acts, but no span carries its value
         ("U-12: Thanks bye\n", "U-12: Thanks bye at {Time} |acts: inform(entity:Time)\n",
          "'seed-elicited' turn 12"),
+        # mid-dialog, it triggers no call and holds no span, so it has no acts
+        ("S-3: nlg: Tenet is playing at AMC Theater at 4 PM\n",
+         "S-3: nlg: Tenet is playing at AMC Theater at 4 PM\n"
+         "U-0: Hmm, sounds nice\nS-0: nlg: Anything else?\n", "'seed-book-basic' turn 4"),
     ],
-    ids=["informs-swapped", "inform-dropped", "slot-in-text", "slot-without-span"],
+    ids=["informs-swapped", "inform-dropped", "slot-in-text", "slot-without-span",
+         "user-turn-without-acts"],
 )
 def test_seed_turn_is_held_to_the_template_rule(data_paths, tmp_path, capsys, old, new, where):
     schema, seeds = data_paths
     text = seeds.read_text(encoding="utf-8")
     assert text.count(old) == 1
     broken = tmp_path / "seeds.txt"
-    broken.write_text(text.replace(old, new), encoding="utf-8")
+    broken.write_text(_renumber(text.replace(old, new)), encoding="utf-8")
     generate = ["generate", "--schema", str(schema), "--seeds", str(broken), "--n", "200"]
     for args in (generate, generate + ["--mix", "base=1"]):
         assert main(args) == 1

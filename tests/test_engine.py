@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from dialogsim import system_agent
+from dialogsim import engine, system_agent
 from dialogsim.acts import sequence_string
 from dialogsim.engine import (
     SAMPLERS,
@@ -130,11 +130,51 @@ def test_different_seed_differs(demo_bundle, demo_seeds):
 
 
 def test_parallel_matches_serial(demo_bundle, demo_seeds):
-    serial = GenerationConfig(n_dialogs=200, rng_seed=4, workers=1)
-    parallel = GenerationConfig(n_dialogs=200, rng_seed=4, workers=2)
+    # three chunks of work, so a 2-CPU host runs a real 2-process pool
+    serial = GenerationConfig(n_dialogs=3 * engine.CHUNK, rng_seed=4, workers=1)
+    parallel = GenerationConfig(n_dialogs=3 * engine.CHUNK, rng_seed=4, workers=2)
     a = serialize_corpus(run_batch(demo_bundle, demo_seeds, serial).dialogs)
     b = serialize_corpus(run_batch(demo_bundle, demo_seeds, parallel).dialogs)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "workers, n, cpus, expected",
+    [
+        (8, 5, 8, None),  # one chunk: serial, no pool
+        (8, 600, 8, 3),  # three chunks
+        (8, 600, 2, 2),  # two CPUs
+        (2, 1000, 2, 2),  # the benchmark's pool
+        (3, 600, None, None),  # CPU count unknown: serial
+        (1, 600, 8, None),
+    ],
+)
+def test_pool_is_sized_by_the_work(demo_bundle, demo_seeds, monkeypatch, workers, n, cpus,
+                                   expected):
+    """The pool asks for min(workers, chunks, CPUs) processes; an in-process
+    fake stands in for it, so no process starts."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(engine, "_WORKER_CTX", None)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+    config = GenerationConfig(n_dialogs=n, sampler_mix={"base": 1.0}, workers=workers)
+    assert len(run_batch(demo_bundle, demo_seeds, config).dialogs) == n
+    assert sizes == ([] if expected is None else [expected])
 
 
 def test_truncation_flagged_not_dropped(demo_bundle, demo_seeds):
@@ -249,8 +289,9 @@ def test_config_from_any_json_raises_only_generation_error():
 
 
 def test_mutated_seed_user_turns_are_rejected_or_replay(demo_bundle, demo_seeds_annotated):
-    """A seed whose user lines have text or acts changed is rejected with a
-    MarkupError, or replays into a corpus that parses back to itself."""
+    """A seed whose user lines have text or acts changed, or that gains
+    user lines, is rejected with a MarkupError, or replays into a corpus that
+    parses back to itself with acts on every turn."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     seeds = [serialize_dialog(d).splitlines() for d in demo_seeds_annotated]
@@ -268,7 +309,7 @@ def test_mutated_seed_user_turns_are_rejected_or_replay(demo_bundle, demo_seeds_
         for i in draw(st.lists(st.sampled_from(users), min_size=1, max_size=2)):
             head, rest = lines[i].split(": ", 1)
             body, suffix = rest.rsplit(" |acts: ", 1)
-            acts = draw(st.permutations(suffix.split(",")))
+            acts = draw(st.permutations([a for a in suffix.split(",") if a]))
             acts = acts[: draw(st.integers(0, len(acts)))] + draw(st.lists(act, max_size=2))
             for _ in range(draw(st.integers(0, 2))):
                 # insert a word outside the [surface|var] spans
@@ -277,6 +318,16 @@ def test_mutated_seed_user_turns_are_rejected_or_replay(demo_bundle, demo_seeds_
                 k = draw(st.sampled_from(outside))
                 body = body[:k] + draw(word) + body[k:]
             lines[i] = f"{head}: {body} |acts: {','.join(acts)}"
+        # user lines with no spans and no acts; mid-dialog, one that
+        # triggers no call gets no acts and must be rejected
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.integers(1, len(lines)))
+            lines.insert(k, "U-0: " + draw(st.sampled_from(["Hmm, sounds nice", "ok", "x"])))
+        turn = 0
+        for k, line in enumerate(lines):
+            if not line.startswith("#"):
+                turn += 1
+                lines[k] = f"{line[0]}-{turn}:{line.split(':', 1)[1]}"
         return "\n".join(lines)
 
     config = GenerationConfig(n_dialogs=8, sampler_mix={"base": 1.0}, rng_seed=5)
@@ -291,6 +342,7 @@ def test_mutated_seed_user_turns_are_rejected_or_replay(demo_bundle, demo_seeds_
             return
         dialogs = [generate_one(ctx, i)[0] for i in range(config.n_dialogs)]
         assert parse_corpus(serialize_corpus(dialogs), demo_bundle) == dialogs
+        assert all(t.acts for d in dialogs for t in d.turns if isinstance(t, UserUtterance))
 
     check()
 

@@ -3,10 +3,12 @@ from random import Random
 
 import pytest
 
-from dialogsim.acts import DialogAct
+from dialogsim.acts import ActError, DialogAct, slot_names_for, turn_acts_string, validate_act
 from dialogsim.markup import EntitySpan, UserUtterance, VarAllocator
 from dialogsim.nlg import (
     RealizationError,
+    TemplateIndex,
+    _fill_template,
     build_template_index,
     delexicalize_turn,
     fill_response_args,
@@ -15,7 +17,14 @@ from dialogsim.nlg import (
     realize_system_backoff,
     realize_user,
 )
-from dialogsim.schema import ArgSpec, ResponseTemplateDef, UtteranceTemplateDef, loads_schema
+from dialogsim.schema import (
+    SLOT_RE,
+    ArgSpec,
+    ResponseTemplateDef,
+    UtteranceTemplateDef,
+    loads_schema,
+    utterance_problems,
+)
 
 
 def _sig_key(*act_strings, side="user"):
@@ -202,3 +211,150 @@ def test_system_backoff_text():
 def test_humanize():
     assert humanize("FindMovies") == "find movies"
     assert humanize("timeLowerBound") == "time lower bound"
+
+
+def _vocabulary(bundle, side):
+    """Every valid `side` act over the schema's intents and entity types;
+    each entity act also once per API arg of its type, with that role."""
+    acts = []
+    for name in ("inform", "affirm", "deny", "bye", "repeat", "confirm", "offer", "request",
+                 "failure"):
+        candidates = [DialogAct(name, side)]
+        candidates += [DialogAct(name, side, intent=api.name) for api in bundle.apis()]
+        for et in bundle.domains[0].entity_types:
+            candidates.append(DialogAct(name, side, entity=et.name))
+            candidates += [
+                DialogAct(name, side, entity=et.name, api=api.name, arg=spec.name)
+                for api in bundle.apis() for spec in api.args if spec.entity_type == et.name
+            ]
+        for act in candidates:
+            try:
+                validate_act(act)
+            except ActError:
+                continue
+            acts.append(act)
+    return acts
+
+
+def _act_runs(st, vocabulary, extra):
+    """A run of act lists drawn from a small pool, so lists repeat."""
+    one = st.lists(st.sampled_from(vocabulary), max_size=4) | st.sampled_from(extra)
+    return st.lists(one, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12)
+    )
+
+
+def _realized(acts, index, seed):
+    """realize_user's text and spans, then the RNG's next draw; or its error."""
+    rng = Random(seed)
+    values = [f"v{k}" for k, a in enumerate(acts) if a.name == "inform" and a.entity]
+    try:
+        text, spans = realize_user(acts, values, index, rng, VarAllocator())
+    except RealizationError as e:
+        return str(e)
+    return text, spans, rng.random()
+
+
+def test_memo_changes_nothing(demo_bundle, demo_seeds_annotated):
+    """A warm index resolves every act list as a fresh one does, and holds
+    at most one entry per distinct act list, none for the empty list."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    base = build_template_index(demo_bundle, demo_seeds_annotated)
+    said = [t.acts for d in demo_seeds_annotated for t in d.turns if isinstance(t, UserUtterance)]
+    said += [list(u.acts) for u in demo_bundle.domains[0].utterance_templates]
+    responses = [list(r.acts) for r in demo_bundle.domains[0].response_templates]
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(
+        _act_runs(st, _vocabulary(demo_bundle, "user"), said),
+        _act_runs(st, _vocabulary(demo_bundle, "system"), responses),
+        st.integers(0, 2**32),
+    )
+    def check(user_run, system_run, seed):
+        warm = TemplateIndex(base.user, base.response_by_signature)
+        for k, acts in enumerate(user_run):
+            fresh = TemplateIndex(base.user, base.response_by_signature)
+            assert _realized(acts, warm, seed + k) == _realized(acts, fresh, seed + k)
+        for acts in system_run:
+            expected = base.response_by_signature.get(turn_acts_string(acts))
+            assert warm.response(acts) is expected
+        assert len(warm._user_plans) <= len({tuple(a) for a in user_run})
+        assert len(warm._responses) <= len({tuple(a) for a in system_run})
+        assert () not in warm._user_plans and () not in warm._responses
+
+    check()
+
+
+def test_equal_acts_with_other_roles_keep_their_own_signature():
+    """Act lists equal under DialogAct equality, which ignores api/arg, but
+    with other roles resolve to their own signature, in either order."""
+    same = [DialogAct("inform", "user", entity="Time", api="FindMovies", arg="timeLowerBound")] * 2
+    mixed = [same[0], DialogAct("inform", "user", entity="Time", api="SelectShow", arg="showTime")]
+    assert same == mixed and turn_acts_string(same) != turn_acts_string(mixed)
+    templates = {"after {Time} or {Time2}": same, "from {Time} to {Time2}": mixed}
+    responses = {text: ResponseTemplateDef(text, (), (), (text,)) for text in templates}
+    for order in (list(templates), list(reversed(templates))):
+        index = TemplateIndex(
+            {turn_acts_string(a): [UtteranceTemplateDef(tuple(a), t)]
+             for t, a in templates.items()},
+            {turn_acts_string(a): responses[t] for t, a in templates.items()},
+        )
+        for _ in range(2):
+            for text in order:
+                acts = list(templates[text])
+                assert realize_user(acts, ["2 PM", "4 PM"], index, Random(0), VarAllocator())[0] \
+                    == text.format(Time="2 PM", Time2="4 PM")
+                assert index.response(acts) is responses[text]
+
+
+def _regex_fill(template, types, values, alloc, offset):
+    """The slot fill by regex match, the reference for `_fill_template`."""
+    slots = slot_names_for(types)
+    parts, spans, pos, out = [], [], 0, offset
+    for k, m in enumerate(SLOT_RE.finditer(template)):
+        assert m.group(1) == slots[k]
+        parts.append(template[pos : m.start()])
+        out += m.start() - pos
+        end = out + len(values[k])
+        spans.append(EntitySpan(values[k], alloc.new(types[k]), types[k], out, end))
+        parts.append(values[k])
+        out = end
+        pos = m.end()
+    parts.append(template[pos:])
+    return "".join(parts), spans
+
+
+def test_split_fill_matches_the_regex_fill(demo_bundle):
+    """On templates that pass the utterance rule, `_fill_template` and
+    `realize_response` fill as a regex substitution does."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    literal = st.text(alphabet="ab {}|.,?!'", max_size=4)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(
+        st.lists(st.sampled_from(_vocabulary(demo_bundle, "user")), max_size=4),
+        st.data(),
+        st.integers(0, 5),
+    )
+    def check(acts, data, offset):
+        types = [a.entity for a in acts if a.name == "inform" and a.entity]
+        slots = slot_names_for(types)
+        pieces = data.draw(st.lists(literal, min_size=len(slots) + 1, max_size=len(slots) + 1))
+        template = pieces[0] + "".join(f"{{{s}}}{p}" for s, p in zip(slots, pieces[1:]))
+        hypothesis.assume(not utterance_problems(UtteranceTemplateDef(tuple(acts), template)))
+        values = data.draw(st.lists(st.text(alphabet="xy {}", max_size=3),
+                                    min_size=len(types), max_size=len(types)))
+        got = _fill_template(template, types, iter(values), VarAllocator(), offset)
+        assert got == _regex_fill(template, types, values, VarAllocator(), offset)
+        args = dict(zip(slots, values))
+        response = ResponseTemplateDef("r", (), (), (template,))
+        expected = SLOT_RE.sub(lambda m: args[m.group(1)], template)
+        assert realize_response(response, args, Random(0)) == expected
+        if slots:
+            del args[slots[-1]]
+            with pytest.raises(RealizationError):
+                realize_response(response, args, Random(0))
+
+    check()
