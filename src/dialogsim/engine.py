@@ -189,7 +189,7 @@ def run_dialog(
         raise GenerationError("cannot simulate an empty goal")
     problems = validate_goal(goal, bundle)
     if problems:
-        raise GenerationError(f"invalid goal: {problems[0]}")
+        raise GenerationError(f"invalid goal: {problems[0].location}: {problems[0].message}")
     alloc = VarAllocator()
     user = init_user(goal, bundle, config, rng)
     system = init_system(offer_model)
@@ -304,10 +304,11 @@ def prepare_batch(
         raise GenerationError("golden/markov sampling needs at least one seed with API calls")
     if mix.get("base", 0) > 0 and not seeds:
         raise GenerationError("base sampling needs at least one seed dialog")
-    for i, goal in enumerate(goals):
+    for goal in goals:
         problems = validate_goal(goal, bundle)
         if problems:
-            raise GenerationError(f"seed {i} yields an invalid goal: {problems[0]}")
+            raise GenerationError(f"seed {goal.source_seed!r} yields an invalid goal: "
+                                  f"{problems[0].location}: {problems[0].message}")
     if model is not None:
         named = {*model.start, *model.binding_stats, *model.transition}
         named.update(*model.transition.values())

@@ -153,7 +153,7 @@ def validate_goal(goal: UserGoal, bundle: SchemaBundle) -> list[Diagnostic]:
     diags = []
 
     def err(loc, msg):
-        diags.append(Diagnostic("error", loc, msg))
+        diags.append(Diagnostic(loc, msg))
 
     if not goal.intents:
         err("goal", "goal has no intents")

@@ -365,7 +365,8 @@ def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
     it (inform(intent)); each span informs the argument that consumes it.
     A trailing span-free user turn that triggers nothing is a bye(). System
     nlg turns directly after a call get the API's response-template acts; a
-    final nlg line closing the dialog gets bye().
+    final nlg line closing the dialog gets bye(). A user or nlg turn that
+    none of these rules gives acts raises `MarkupError`.
     """
     calls: list[tuple[int, ApiCall]] = []  # (position in turns, call)
     user_positions: list[int] = []
@@ -387,9 +388,9 @@ def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
 
     last_user = user_positions[-1] if user_positions else -1
     for pos, p in enumerate(dialog.turns):
+        if isinstance(p, ApiCall) or p.acts:
+            continue
         if isinstance(p, UserUtterance):
-            if p.acts:
-                continue
             acts: list[DialogAct] = []
             for call in trigger.get(pos, []):
                 acts.append(DialogAct("inform", USER, intent=call.api))
@@ -407,7 +408,8 @@ def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
             if not acts and pos == last_user:
                 acts.append(DialogAct("bye", USER))
             p.acts = acts
-        elif isinstance(p, NlgResponse) and not p.acts:
+            rules = "triggers no call, holds no span"
+        else:
             prev = dialog.turns[pos - 1] if pos > 0 else None
             if isinstance(prev, ApiCall):
                 api = bundle.api(prev.api)
@@ -416,4 +418,9 @@ def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
                     p.acts = list(resp.acts)
             elif pos == len(dialog.turns) - 1:
                 p.acts = [DialogAct("bye", SYSTEM)]
+            rules = "follows no call"
+        if not p.acts:
+            name = dialog.metadata.get("id", "without an id")
+            raise MarkupError(f"seed {name!r} turn {pos + 1}: it has no acts: it {rules} and "
+                              "does not end the dialog")
     return dialog

@@ -116,8 +116,8 @@ def delexicalize_turn(utterance: UserUtterance) -> UtteranceTemplateDef:
 
 def build_template_index(bundle: SchemaBundle, seeds: list[Dialog]) -> TemplateIndex:
     """Index developer templates plus delexicalized seed utterances. A seed
-    user turn must carry acts; it is held to the schema's utterance rule,
-    and its text outside the spans may hold no slot of its own."""
+    user turn is held to the schema's utterance rule, and its text outside
+    the spans may hold no slot of its own."""
     index = TemplateIndex()
 
     def add_user(defn: UtteranceTemplateDef) -> None:
@@ -135,10 +135,7 @@ def build_template_index(bundle: SchemaBundle, seeds: list[Dialog]) -> TemplateI
         for n, turn in enumerate(seed.turns, start=1):
             if isinstance(turn, UserUtterance):
                 defn = delexicalize_turn(turn)
-                problems = utterance_problems(defn) if turn.acts else [
-                    "it has no acts: it triggers no call, holds no span and does not end "
-                    "the dialog"
-                ]
+                problems = utterance_problems(defn)
                 if len(SLOT_RE.findall(defn.template)) != len(turn.spans):
                     problems.append("its text holds a {slot} outside its spans")
                 if problems:

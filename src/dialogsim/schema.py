@@ -48,12 +48,11 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error" | "warning"
     location: str
     message: str
 
     def __str__(self) -> str:
-        return f"{self.severity}: {self.location}: {self.message}"
+        return f"error: {self.location}: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def _typed(obj: dict, key: str, kind: type, default, loc: str, diags: list[Diagn
     value = obj.get(key, default)
     if isinstance(value, kind):
         return value
-    diags.append(Diagnostic("error", loc, f"{key!r} must be {_JSON_KINDS[kind]}"))
+    diags.append(Diagnostic(loc, f"{key!r} must be {_JSON_KINDS[kind]}"))
     return default
 
 
@@ -199,7 +198,7 @@ def _entries(obj: dict, key: str, kind: type, loc: str, diags: list[Diagnostic])
     kept = [item for item in items if isinstance(item, kind)]
     if len(kept) != len(items):
         message = f"each entry of {key!r} must be {_JSON_KINDS[kind]}"
-        diags.append(Diagnostic("error", loc, message))
+        diags.append(Diagnostic(loc, message))
     return kept
 
 
@@ -209,7 +208,7 @@ def _parse_arg_specs(owner: dict, loc: str, diags: list[Diagnostic]) -> tuple[Ar
     for a in _entries(owner, "args", dict, loc, diags):
         name = _typed(a, "name", str, "", loc, diags)
         if name in seen:
-            diags.append(Diagnostic("error", loc, f"duplicate arg name {name!r}"))
+            diags.append(Diagnostic(loc, f"duplicate arg name {name!r}"))
         seen.add(name)
         specs.append(
             ArgSpec(
@@ -228,7 +227,7 @@ def _parse_acts(
     try:
         return tuple(act for s in strings for act in parse_act_list(s, side))
     except ValueError as err:
-        diags.append(Diagnostic("error", loc, str(err)))
+        diags.append(Diagnostic(loc, str(err)))
         return ()
 
 
@@ -239,12 +238,12 @@ def loads_schema(text: str) -> SchemaBundle:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(
-            [Diagnostic("error", f"line {e.lineno}, column {e.colno}", f"not valid JSON: {e.msg}")]
+            [Diagnostic(f"line {e.lineno}, column {e.colno}", f"not valid JSON: {e.msg}")]
         ) from e
     except RecursionError:  # nesting deeper than the decoder's recursion limit
-        raise SchemaError([Diagnostic("error", "schema", "nested too deeply")]) from None
+        raise SchemaError([Diagnostic("schema", "nested too deeply")]) from None
     if not isinstance(doc, dict):
-        raise SchemaError([Diagnostic("error", "schema", "must be a JSON object")])
+        raise SchemaError([Diagnostic("schema", "must be a JSON object")])
     diags: list[Diagnostic] = []
     domains = []
     for dref in _entries(doc, "domains", dict, "schema", diags):
@@ -306,9 +305,8 @@ def loads_schema(text: str) -> SchemaBundle:
         )
     bundle = SchemaBundle(domains=domains)
     diags.extend(validate_schema(bundle))
-    errors = [d for d in diags if d.severity == "error"]
-    if errors:
-        raise SchemaError(errors)
+    if diags:
+        raise SchemaError(diags)
     return bundle
 
 
@@ -324,7 +322,7 @@ def read_input(path, error: Callable[[str], Exception]) -> str:
 
 def load_schema(path) -> SchemaBundle:
     return loads_schema(
-        read_input(path, lambda message: SchemaError([Diagnostic("error", "schema", message)]))
+        read_input(path, lambda message: SchemaError([Diagnostic("schema", message)]))
     )
 
 
@@ -363,7 +361,7 @@ def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
     def err(loc, msg):
-        diags.append(Diagnostic("error", loc, msg))
+        diags.append(Diagnostic(loc, msg))
 
     seen_types: set[str] = set()
     seen_apis: set[str] = set()

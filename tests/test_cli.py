@@ -439,9 +439,14 @@ def test_schema_nested_too_deeply_is_diagnosed(data_paths, tmp_path, capsys, sou
         ("S-3: nlg: Tenet is playing at AMC Theater at 4 PM\n",
          "S-3: nlg: Tenet is playing at AMC Theater at 4 PM\n"
          "U-0: Hmm, sounds nice\nS-0: nlg: Anything else?\n", "'seed-book-basic' turn 4"),
+        # mid-dialog, it follows no call, so it has no acts
+        (" |acts: request(entity:location)", "", "'seed-elicited' turn 2"),
+        # the seed's goal leaves a required arg unbound
+        ("count=$count0,ticketType=$ticketType0) -> bookingRef0\nU-9",
+         "ticketType=$ticketType0) -> bookingRef0\nU-9", "'seed-book-basic'"),
     ],
     ids=["informs-swapped", "inform-dropped", "slot-in-text", "slot-without-span",
-         "user-turn-without-acts"],
+         "user-turn-without-acts", "nlg-turn-without-acts", "call-without-required-arg"],
 )
 def test_seed_turn_is_held_to_the_template_rule(data_paths, tmp_path, capsys, old, new, where):
     schema, seeds = data_paths
@@ -449,14 +454,15 @@ def test_seed_turn_is_held_to_the_template_rule(data_paths, tmp_path, capsys, ol
     assert text.count(old) == 1
     broken = tmp_path / "seeds.txt"
     broken.write_text(_renumber(text.replace(old, new)), encoding="utf-8")
-    generate = ["generate", "--schema", str(schema), "--seeds", str(broken), "--n", "200"]
-    for args in (generate, generate + ["--mix", "base=1"]):
+    inputs = ["--schema", str(schema), "--seeds", str(broken)]
+    generate = ["generate", *inputs, "--n", "200"]
+    for args in (generate, generate + ["--mix", "base=1"], ["fit", *inputs]):
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         _assert_one_error_line(captured.err)
         assert where in captured.err
-    assert main(["validate", "--schema", str(schema), "--seeds", str(broken)]) == 1
+    assert main(["validate", *inputs]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
     _assert_one_error_line(captured.out)

@@ -284,7 +284,7 @@ def test_parse_error_carries_position():
 
 
 def test_diagnostic_format():
-    d = Diagnostic("error", "D.x", "boom")
+    d = Diagnostic("D.x", "boom")
     assert str(d) == "error: D.x: boom"
 
 
