@@ -6,6 +6,8 @@ user/system self-play, and measures the dialog-flow variation of the
 output.
 """
 
+import logging
+
 from .acts import DialogAct, act_to_string, sequence_string, turn_acts_string
 from .engine import BatchResult, GenerationConfig, run_batch, run_dialog
 from .goals import (
@@ -29,6 +31,9 @@ from .markup import (
 )
 from .metrics import VariationReport, entropy, turn_stats, unique_sequences, variation_report
 from .schema import SchemaBundle, load_schema, loads_schema, serialize_schema, validate_schema
+
+# a library logs to no stream unless its application configures one
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "BatchResult",

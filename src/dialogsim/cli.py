@@ -1,8 +1,12 @@
 """Command-line surface: generate, metrics, export-training, validate, fit.
 
 Exit codes: 0 success, 1 validation/generation failure, 2 usage error.
-`validate --seeds` applies the seed checks of `generate --mix base=1`, and
-`fit` those of `generate`: each runs `engine.prepare_batch`.
+Each input is checked in one place: --schema by `schema.loads_schema`,
+--seeds by `engine.prepare_batch` (after `markup.load_corpus` parses them),
+a corpus by `markup.load_corpus`, --config by `GenerationConfig.validate`
+(as written, then in `prepare_batch` after the flags) and --model by
+`MarkovGoalModel.check` (from `prepare_batch`). `validate --seeds` applies
+the seed checks of `generate --mix base=1`, and `fit` those of `generate`.
 """
 from __future__ import annotations
 

@@ -9,22 +9,21 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import json
-import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from random import Random
 
-from .acts import END
 from .goals import (
     MarkovGoalModel,
     UserGoal,
     extract_goals,
     fit_markov,
+    is_number,
     sample_golden,
     sample_markov,
+    usable_weights,
     validate_goal,
     weighted_choice,
 )
@@ -46,7 +45,7 @@ from .nlg import (
     realize_user,
     sample_response_args,
 )
-from .schema import SchemaBundle
+from .schema import SchemaBundle, read_json
 from .system_agent import SystemTurnOutput, init_system, next_system_turn
 from .user_agent import init_user, next_user_turn
 
@@ -61,33 +60,10 @@ class GenerationError(RuntimeError):
     pass
 
 
-_KINDS = {int: "an integer", float: "a number", dict: "an object of numbers"}
-_MINIMUMS = {
-    "n_dialogs": 1,
-    "max_turns": 1,
-    "max_corrections": 0,
-    "max_acts_per_turn": 1,
-    "max_len": 1,
-    "max_attempts": 1,
-    "workers": 1,
-}
+# the least value of each integer field; None admits any integer
+_MINIMUMS = {"n_dialogs": 1, "max_turns": 1, "rng_seed": None, "max_corrections": 0,
+             "max_acts_per_turn": 1, "max_len": 1, "max_attempts": 1, "workers": 1}
 _PROBABILITIES = ("p_correct", "multi_act_p", "api_failure_rate", "p_offer")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _usable_weights(dist: dict) -> bool:
-    """Numbers that convert to finite non-negative floats, with a positive
-    finite total."""
-    if not all(map(_is_number, dist.values())):
-        return False
-    try:
-        weights = [float(w) for w in dist.values()]
-    except OverflowError:  # an integer too large for a float
-        return False
-    return all(0 <= w < math.inf for w in weights) and 0 < sum(weights) < math.inf
 
 
 @dataclass
@@ -109,50 +85,36 @@ class GenerationConfig:
     workers: int = 1
 
     def validate(self) -> None:
-        for key, low in _MINIMUMS.items():
-            if getattr(self, key) < low:
-                raise GenerationError(f"{key} must be >= {low}, got {getattr(self, key)!r}")
-        for key in _PROBABILITIES:
-            if not 0 <= getattr(self, key) <= 1:
-                raise GenerationError(f"{key} must be in [0, 1], got {getattr(self, key)!r}")
-        if not _usable_weights({s: self.sampler_mix.get(s, 0.0) for s in SAMPLERS}):
-            raise GenerationError("sampler mix weights must be finite, non-negative and sum > 0")
-        for key in self.sampler_mix:
-            if key not in SAMPLERS:
-                raise GenerationError(f"unknown sampler {key!r} in mix")
+        """Raise GenerationError, naming the field, on the first field of
+        the wrong type or out of range."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "sampler_mix":
+                want = f"an object of finite, non-negative weights on {SAMPLERS}, summing > 0"
+                ok = isinstance(value, dict) and set(value) <= set(SAMPLERS)
+                ok = ok and usable_weights(value)
+            elif f.name in _PROBABILITIES:
+                want = "a number in [0, 1]"
+                ok = is_number(value) and 0 <= value <= 1
+            else:
+                low = _MINIMUMS[f.name]
+                want = "an integer" + (f" >= {low}" if low is not None else "")
+                ok = type(value) is int and (low is None or value >= low)
+            if not ok:
+                raise GenerationError(f"config: {f.name!r} must be {want}, got {value!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GenerationConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
-            raise GenerationError(f"unknown config keys: {sorted(unknown)}")
-        defaults = cls()
-        for key, value in doc.items():
-            default = getattr(defaults, key)
-            if isinstance(default, dict):
-                ok = isinstance(value, dict) and all(map(_is_number, value.values()))
-            elif isinstance(default, int):
-                ok = isinstance(value, int) and not isinstance(value, bool)
-            else:
-                ok = _is_number(value)
-            if not ok:
-                raise GenerationError(
-                    f"config key {key!r} must be {_KINDS[type(default)]}, got {value!r}"
-                )
-        return cls(**doc)
+            raise GenerationError(f"config: unknown keys {sorted(unknown)}")
+        config = cls(**doc)
+        config.validate()
+        return config
 
     @classmethod
     def from_json(cls, text: str) -> "GenerationConfig":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise GenerationError(f"config is not valid JSON: {e}") from None
-        except RecursionError:  # nesting deeper than the decoder's recursion limit
-            raise GenerationError("config is nested too deeply") from None
-        if not isinstance(doc, dict):
-            raise GenerationError("config must be a JSON object")
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(text, lambda msg: GenerationError(f"config: {msg}")))
 
 
 @dataclass
@@ -310,29 +272,7 @@ def prepare_batch(
             raise GenerationError(f"seed {goal.source_seed!r} yields an invalid goal: "
                                   f"{problems[0].location}: {problems[0].message}")
     if model is not None:
-        named = {*model.start, *model.binding_stats, *model.transition}
-        named.update(*model.transition.values())
-        unknown = sorted(api for api in named - {END} if bundle.api(api) is None)
-        if unknown:
-            raise GenerationError(f"goal model names APIs the schema does not define: {unknown}")
-        # an empty transition row ends the chain; every other draw needs a weight
-        bad = [] if _usable_weights(model.start) else ["start"]
-        bad += [
-            f"transition[{api!r}]"
-            for api, row in model.transition.items()
-            if row and not _usable_weights(row)
-        ]
-        if bad:
-            raise GenerationError(f"goal model has no usable weights in {', '.join(bad)}")
-        # sample_markov divides these counts: bound by occurrences, returns by bound
-        for api, args in model.binding_stats.items():
-            for arg, st in args.items():
-                ints = all(type(c) is int for c in (st.returns, st.bound, st.occurrences))
-                if not (ints and 0 <= st.returns <= st.bound <= st.occurrences):
-                    raise GenerationError(
-                        f"goal model binding_stats[{api!r}][{arg!r}] needs integer counts "
-                        "with 0 <= returns <= bound <= occurrences"
-                    )
+        model.check(bundle)
     elif goals:
         model = fit_markov(goals)
     index = build_template_index(bundle, seeds)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from random import Random
 
 from .acts import END
 from .markup import ApiCall, Dialog, EntitySpan, UserUtterance
-from .schema import BUILTIN, Diagnostic, SchemaBundle
+from .schema import BUILTIN, Diagnostic, SchemaBundle, read_json
 
 log = logging.getLogger(__name__)
 
@@ -73,14 +74,7 @@ class MarkovGoalModel:
             "start": self.start,
             "transition": self.transition,
             "binding_stats": {
-                api: {
-                    arg: {
-                        "occurrences": st.occurrences,
-                        "bound": st.bound,
-                        "returns": st.returns,
-                    }
-                    for arg, st in args.items()
-                }
+                api: {arg: asdict(st) for arg, st in args.items()}
                 for api, args in self.binding_stats.items()
             },
         }
@@ -88,26 +82,50 @@ class MarkovGoalModel:
 
     @classmethod
     def from_json(cls, text: str) -> "MarkovGoalModel":
+        doc = read_json(text, lambda message: SamplerError(f"goal model: {message}"))
         try:
-            doc = json.loads(text)
             stats = {
                 api: {
-                    arg: ArgStats(
-                        occurrences=raw["occurrences"],
-                        bound=raw["bound"],
-                        returns=raw["returns"],
-                    )
+                    arg: ArgStats(raw["occurrences"], raw["bound"], raw["returns"])
                     for arg, raw in args.items()
                 }
                 for api, args in doc["binding_stats"].items()
             }
             start = dict(doc["start"])
             transition = {api: dict(row) for api, row in doc["transition"].items()}
-        except RecursionError:  # nesting deeper than the decoder's recursion limit
-            raise SamplerError("goal model is nested too deeply") from None
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise SamplerError(f"malformed goal model: {e!r}") from None
         return cls(start=start, transition=transition, binding_stats=stats)
+
+    def check(self, bundle: SchemaBundle) -> None:
+        """Raise SamplerError unless sample_markov can walk this model over
+        `bundle`: every API it names is defined, every draw has usable
+        weights, and every count it divides is consistent."""
+        if END in self.start:
+            raise SamplerError(f"goal model: 'start' names {END!r}, which begins no intent")
+        named = {*self.start, *self.binding_stats, *self.transition}
+        named.update(*self.transition.values())
+        unknown = sorted(api for api in named - {END} if bundle.api(api) is None)
+        if unknown:
+            raise SamplerError(f"goal model names APIs the schema does not define: {unknown}")
+        # an empty transition row ends the chain; every other draw needs a weight
+        bad = [] if usable_weights(self.start) else ["start"]
+        bad += [
+            f"transition[{api!r}]"
+            for api, row in self.transition.items()
+            if row and not usable_weights(row)
+        ]
+        if bad:
+            raise SamplerError(f"goal model has no usable weights in {', '.join(bad)}")
+        # sample_markov divides these counts: bound by occurrences, returns by bound
+        for api, args in self.binding_stats.items():
+            for arg, st in args.items():
+                ints = all(type(c) is int for c in (st.returns, st.bound, st.occurrences))
+                if not (ints and 0 <= st.returns <= st.bound <= st.occurrences):
+                    raise SamplerError(
+                        f"goal model binding_stats[{api!r}][{arg!r}] needs integer counts "
+                        "with 0 <= returns <= bound <= occurrences"
+                    )
 
 
 def extract_goals(seeds: list[Dialog], bundle: SchemaBundle) -> list[UserGoal]:
@@ -115,9 +133,10 @@ def extract_goals(seeds: list[Dialog], bundle: SchemaBundle) -> list[UserGoal]:
     wherever a call consumed an earlier call's return value."""
     goals = []
     for i, seed in enumerate(seeds):
+        name = seed.metadata.get("id", str(i))
         calls = [t for t in seed.turns if isinstance(t, ApiCall)]
         if not calls:
-            log.warning("seed %d has no API calls; skipped", i)
+            log.warning("seed %r has no API calls; skipped", name)
             continue
         surfaces: dict[str, EntitySpan] = {}
         for turn in seed.turns:
@@ -140,10 +159,10 @@ def extract_goals(seeds: list[Dialog], bundle: SchemaBundle) -> list[UserGoal]:
                     bindings[arg_name] = UserValue(span.surface, span.entity_type)
                 else:
                     raise SamplerError(
-                        f"seed {i}: cannot resolve binding {call.api}.{arg_name}=${valref.var}"
+                        f"seed {name!r}: cannot resolve binding {call.api}.{arg_name}=${valref.var}"
                     )
             intents.append(IntentInstance(api=call.api, bindings=bindings))
-        goals.append(UserGoal(intents=intents, source_seed=seed.metadata.get("id", str(i))))
+        goals.append(UserGoal(intents=intents, source_seed=name))
     return goals
 
 
@@ -267,6 +286,22 @@ def fit_markov(goals: list[UserGoal]) -> MarkovGoalModel:
         for api, row in trans_counts.items()
     }
     return MarkovGoalModel(start=start, transition=transition, binding_stats=stats)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def usable_weights(dist: dict) -> bool:
+    """True if weighted_choice can draw from `dist`: its weights are numbers
+    that convert to finite non-negative floats, with a positive finite total."""
+    if not all(map(is_number, dist.values())):
+        return False
+    try:
+        weights = [float(w) for w in dist.values()]
+    except OverflowError:  # an integer too large for a float
+        return False
+    return all(0 <= w < math.inf for w in weights) and 0 < sum(weights) < math.inf
 
 
 def weighted_choice(rng: Random, dist: dict[str, float]) -> str:

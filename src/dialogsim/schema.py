@@ -43,7 +43,7 @@ SLOT_RE = re.compile(r"\{(%s)\}" % _NAME)
 class SchemaError(ValueError):
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(str(d) for d in self.diagnostics))
+        super().__init__("; ".join(f"{d.location}: {d.message}" for d in self.diagnostics))
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,6 @@ class ResponseTemplateDef:
     args: tuple[ArgSpec, ...]
     acts: tuple[DialogAct, ...]
     templates: tuple[str, ...]
-    domain: str = ""
 
 
 @dataclass(frozen=True)
@@ -234,16 +233,7 @@ def _parse_acts(
 def loads_schema(text: str) -> SchemaBundle:
     """Parse and validate a schema bundle from JSON text. A value of the
     wrong JSON type is a diagnostic like any other invalid input."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(
-            [Diagnostic(f"line {e.lineno}, column {e.colno}", f"not valid JSON: {e.msg}")]
-        ) from e
-    except RecursionError:  # nesting deeper than the decoder's recursion limit
-        raise SchemaError([Diagnostic("schema", "nested too deeply")]) from None
-    if not isinstance(doc, dict):
-        raise SchemaError([Diagnostic("schema", "must be a JSON object")])
+    doc = read_json(text, _schema_error)
     diags: list[Diagnostic] = []
     domains = []
     for dref in _entries(doc, "domains", dict, "schema", diags):
@@ -282,7 +272,6 @@ def loads_schema(text: str) -> SchemaBundle:
                     args=_parse_arg_specs(r, loc, diags),
                     acts=_parse_acts(r, SYSTEM, loc, diags),
                     templates=tuple(_entries(r, "templates", str, loc, diags)),
-                    domain=dname,
                 )
             )
         utterances = []
@@ -320,10 +309,27 @@ def read_input(path, error: Callable[[str], Exception]) -> str:
             raise error(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
+def read_json(text: str, error: Callable[[str], Exception]) -> dict:
+    """The JSON object that `text` holds. Text that is not JSON, that nests
+    deeper than the decoder can follow, or that holds another value raises
+    `error(message)`, the calling loader's own error."""
+    try:
+        doc = json.loads(text)
+    except ValueError as e:  # JSONDecodeError, or an integer too long to convert
+        raise error(f"not valid JSON: {e}") from None
+    except RecursionError:  # nesting deeper than the decoder's recursion limit
+        raise error("nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise error("must be a JSON object")
+    return doc
+
+
+def _schema_error(message: str) -> SchemaError:
+    return SchemaError([Diagnostic("schema", message)])
+
+
 def load_schema(path) -> SchemaBundle:
-    return loads_schema(
-        read_input(path, lambda message: SchemaError([Diagnostic("schema", message)]))
-    )
+    return loads_schema(read_input(path, _schema_error))
 
 
 def _breaks(text: str) -> bool:

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import dialogsim
 from dialogsim.cli import main
 
 
@@ -133,6 +138,7 @@ def _assert_one_error_line(err):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert not lines[0].startswith("error: error:"), err
 
 
 def _renumber(text):
@@ -160,6 +166,20 @@ FILE_ARGS = [
 ]
 
 
+def _file_argv(command, files, out_dir):
+    """`command`'s arguments, reading each file argument from `files` and
+    writing into `out_dir`."""
+    argv = [command, "--schema", str(files["--schema"])]
+    if command in ("validate", "generate", "fit"):
+        argv += ["--seeds", str(files["--seeds"])]
+    if command == "generate":
+        argv += ["--n", "1"]
+    argv += [a for arg in ("--config", "--model") if arg in files for a in (arg, str(files[arg]))]
+    if command in ("metrics", "export-training"):
+        argv += ["--out", str(out_dir / command), str(files["corpus"])]
+    return argv
+
+
 @pytest.mark.parametrize("command, arg", FILE_ARGS)
 @pytest.mark.parametrize(
     "data",
@@ -172,16 +192,7 @@ def test_input_that_is_not_utf8_is_one_diagnostic(data_paths, tmp_path, capsys, 
     bad = tmp_path / "bad"
     bad.write_bytes(data)
     files = {"--schema": schema, "--seeds": seeds, "corpus": seeds, arg: bad}
-    argv = [command, "--schema", str(files["--schema"])]
-    if command in ("validate", "generate", "fit"):
-        argv += ["--seeds", str(files["--seeds"])]
-    if command == "generate":
-        argv += ["--n", "1"]
-    if arg in ("--config", "--model"):
-        argv += [arg, str(bad)]
-    if command in ("metrics", "export-training"):
-        argv += ["--out", str(tmp_path / "out"), str(files["corpus"])]
-    assert main(argv) == 1
+    assert main(_file_argv(command, files, tmp_path)) == 1
     captured = capsys.readouterr()
     assert f"{bad} is not UTF-8 text" in captured.out + captured.err
     if command in ("generate", "metrics", "export-training"):
@@ -189,10 +200,114 @@ def test_input_that_is_not_utf8_is_one_diagnostic(data_paths, tmp_path, capsys, 
         _assert_one_error_line(captured.err)
 
 
+def test_any_input_bytes_end_in_one_diagnostic(data_paths, tmp_path, capsys):
+    """Whatever bytes a file argument holds, the command exits without a
+    traceback, and generate, metrics and export-training fail with one
+    `error:` line. A draw may leave the file valid (an edit inside a
+    comment, an empty corpus to export), so exit 0 is allowed."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    schema, seeds = data_paths
+    corpus, model, bad = tmp_path / "corpus.txt", tmp_path / "model.json", tmp_path / "bad"
+    inputs = ["--schema", str(schema), "--seeds", str(seeds)]
+    assert main(["generate", *inputs, "--n", "3", "--out", str(corpus)]) == 0
+    assert main(["fit", *inputs, "--out", str(model)]) == 0
+    capsys.readouterr()
+    files = {"--schema": schema, "--seeds": seeds, "corpus": corpus}
+    valid = {arg: path.read_text(encoding="utf-8") for arg, path in files.items()}
+    valid["--model"] = model.read_text(encoding="utf-8")
+    valid["--config"] = json.dumps({"p_correct": 0.2, "sampler_mix": {"golden": 1}})
+    end_start = dict(json.loads(valid["--model"]), start={"END": 1.0})
+
+    json_value = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text("ENDab", max_size=4),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text("ENDab", max_size=4), inner, max_size=3),
+        max_leaves=8,
+    )
+
+    def mutated(text):
+        # a span of the valid markup replaced by markup punctuation
+        edit = st.tuples(st.integers(0, len(text)), st.integers(0, 16),
+                         st.text('[]{}|:,"$()=\n#-.09 aEND', max_size=6))
+        return edit.map(lambda e: text[: e[0]] + e[2] + text[e[0] + e[1]:])
+
+    def replaced(text):
+        # the value at a drawn path into the valid JSON replaced: valid JSON
+        # of the wrong shape
+        def apply(edit):
+            path, value = edit
+            doc = json.loads(text)
+            node, slot = doc, None
+            for step in path:
+                if not isinstance(node, (dict, list)) or not node:
+                    break
+                keys = list(node) if isinstance(node, dict) else range(len(node))
+                slot = (node, keys[step % len(keys)])
+                node = node[slot[1]]
+            if slot is None:
+                return json.dumps(value)
+            slot[0][slot[1]] = value
+            return json.dumps(doc)
+
+        return st.tuples(st.lists(st.integers(0, 99), max_size=7), json_value).map(apply)
+
+    deep = st.tuples(st.sampled_from(["[", '{"a": ', "U-1: ["]),
+                     st.sampled_from([2, 100, 100_000])).map(lambda t: t[0] * t[1])
+
+    def contents(arg):
+        edits = mutated(valid[arg]) if arg in ("--seeds", "corpus") else replaced(valid[arg])
+        text = st.one_of(edits, json_value.map(json.dumps), deep).map(str.encode)
+        return st.one_of(
+            st.binary(max_size=64),  # mostly not UTF-8
+            text,
+            text.map(lambda b: b"\xef\xbb\xbf" + b),  # a byte-order mark
+            st.tuples(text, st.integers(0, 4000)).map(lambda t: t[0][: t[1]] + b"\0" + t[0][t[1]:]),
+        )
+
+    cases = st.sampled_from(FILE_ARGS).flatmap(lambda ca: st.tuples(st.just(ca), contents(ca[1])))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases)
+    @hypothesis.example((("generate", "--model"), json.dumps(end_start).encode()))
+    @hypothesis.example((("generate", "--config"), b'{"n_dialogs": ' + b"1" * 5000 + b"}"))
+    @hypothesis.example((("generate", "--schema"), b"1" * 5000))
+    def check(case):
+        (command, arg), data = case
+        bad.write_bytes(data)
+        code = main(_file_argv(command, {**files, arg: bad}, tmp_path))
+        captured = capsys.readouterr()
+        assert code in (0, 1) and "Traceback" not in captured.out + captured.err
+        if code == 1 and command in ("generate", "metrics", "export-training"):
+            assert captured.out == ""
+            _assert_one_error_line(captured.err)
+
+    check()
+
+
+def test_seed_without_calls_is_logged_by_its_id(data_paths, tmp_path, capsys, caplog):
+    schema, seeds = data_paths
+    chat = tmp_path / "seeds.txt"
+    chat.write_text("# id=chat\nU-1: hello\nS-2: nlg: Thank you for using Atom Tickets\n\n"
+                    + seeds.read_text(encoding="utf-8"), encoding="utf-8")
+    argv = ["generate", "--schema", str(schema), "--seeds", str(chat), "--n", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err.startswith('{"corrections": ')  # the stats line alone
+    assert [r.getMessage() for r in caplog.records] == ["seed 'chat' has no API calls; skipped"]
+    # outside pytest, whose handlers catch every record, nothing reaches stderr
+    # but the stats line
+    env = dict(os.environ, PYTHONPATH=str(Path(dialogsim.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "dialogsim.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith('{"corrections": ')
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         lambda doc: doc.update(start={"NoSuchApi": 1.0}),
+        lambda doc: doc.update(start={"END": 1.0}),
         lambda doc: doc["transition"]["FindMovies"].update(NoSuchApi=0.5),
         lambda doc: doc["transition"].update(NoSuchApi={"END": 1.0}),
         lambda doc: doc["binding_stats"].update(NoSuchApi={}),
@@ -208,9 +323,9 @@ def test_input_that_is_not_utf8_is_one_diagnostic(data_paths, tmp_path, capsys, 
         lambda doc: [st.update(occurrences="9")
                      for args in doc["binding_stats"].values() for st in args.values()],
     ],
-    ids=["start", "transition-target", "transition-row", "binding-stats", "missing-key",
-         "not-json", "start-empty", "start-zero", "start-negative", "start-not-number",
-         "transition-zero", "count-not-integer"],
+    ids=["start", "start-end", "transition-target", "transition-row", "binding-stats",
+         "missing-key", "not-json", "start-empty", "start-zero", "start-negative",
+         "start-not-number", "transition-zero", "count-not-integer"],
 )
 def test_generate_rejects_bad_model(data_paths, tmp_path, capsys, edit):
     schema, seeds = data_paths

@@ -245,6 +245,17 @@ def test_config_validation():
         GenerationConfig.from_dict({"not_a_key": 1})
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [{"n_dialogs": "5"}, {"max_turns": 2.5}, {"sampler_mix": None}, {"rng_seed": True}],
+    ids=["int-as-string", "int-as-float", "mix-none", "seed-as-bool"],
+)
+def test_run_batch_checks_a_config_built_in_python(demo_bundle, demo_seeds, kw):
+    # run_batch's one check covers each field's type as well as its range
+    with pytest.raises(GenerationError, match=repr(next(iter(kw)))):
+        run_batch(demo_bundle, demo_seeds, GenerationConfig(**kw))
+
+
 def test_config_from_any_json_raises_only_generation_error():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")

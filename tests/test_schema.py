@@ -241,7 +241,7 @@ def test_value_of_the_wrong_json_type(demo_schema_text, edit, location, message)
 def test_schema_document_the_loader_cannot_read(text, message):
     with pytest.raises(SchemaError) as err:
         loads_schema(text)
-    assert str(err.value) == f"error: schema: {message}"
+    assert str(err.value) == f"schema: {message}"
 
 
 def test_schema_round_trip(demo_bundle):
