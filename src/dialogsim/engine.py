@@ -153,7 +153,7 @@ def run_dialog(
     if problems:
         raise GenerationError(f"invalid goal: {problems[0].location}: {problems[0].message}")
     alloc = VarAllocator()
-    user = init_user(goal, bundle, config, rng)
+    user = init_user(goal, bundle, rng)
     system = init_system(offer_model)
     dialog = Dialog(metadata=dict(metadata or {}))
     turns = dialog.turns

@@ -368,25 +368,19 @@ def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
     final nlg line closing the dialog gets bye(). A user or nlg turn that
     none of these rules gives acts raises `MarkupError`.
     """
-    calls: list[tuple[int, ApiCall]] = []  # (position in turns, call)
-    user_positions: list[int] = []
-    for pos, p in enumerate(dialog.turns):
-        if isinstance(p, ApiCall):
-            calls.append((pos, p))
-        elif isinstance(p, UserUtterance):
-            user_positions.append(pos)
-
     consuming: dict[str, tuple[str, str]] = {}
-    trigger: dict[int, list[ApiCall]] = {}
-    for pos, call in calls:
-        before = [u for u in user_positions if u < pos]
-        if before:
-            trigger.setdefault(before[-1], []).append(call)
-        for arg_name, valref in call.bindings.items():
-            if valref.var is not None and valref.var not in consuming:
-                consuming[valref.var] = (call.api, arg_name)
+    trigger: dict[int, list[ApiCall]] = {}  # user turn position -> the calls it triggers
+    last_user = -1
+    for pos, p in enumerate(dialog.turns):
+        if isinstance(p, UserUtterance):
+            last_user = pos
+        elif isinstance(p, ApiCall):
+            if last_user >= 0:
+                trigger.setdefault(last_user, []).append(p)
+            for arg_name, valref in p.bindings.items():
+                if valref.var is not None and valref.var not in consuming:
+                    consuming[valref.var] = (p.api, arg_name)
 
-    last_user = user_positions[-1] if user_positions else -1
     for pos, p in enumerate(dialog.turns):
         if isinstance(p, ApiCall) or p.acts:
             continue

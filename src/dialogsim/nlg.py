@@ -59,7 +59,7 @@ def _memoizable(acts: list[DialogAct]) -> bool:
 
 @dataclass
 class TemplateIndex:
-    user: dict[str, list[UtteranceTemplateDef]] = field(default_factory=dict)
+    user: dict[str, list[str]] = field(default_factory=dict)  # signature -> templates
     response_by_signature: dict[str, ResponseTemplateDef] = field(default_factory=dict)
     # what each act list resolved to, keyed by tuple(acts); a run meets the
     # same few act lists thousands of times
@@ -74,10 +74,10 @@ class TemplateIndex:
         key = tuple(acts)
         plan = self._user_plans.get(key)
         if plan is None:
-            exact = tuple(d.template for d in self.user.get(turn_acts_string(acts), ()))
+            exact = tuple(self.user.get(turn_acts_string(acts), ()))
             pieces = [] if exact else [
                 (
-                    tuple(d.template for d in self.user.get(turn_acts_string([a]), ()))
+                    tuple(self.user.get(turn_acts_string([a]), ()))
                     or _user_fragment(a),
                     [a.entity for a in value_bearing([a])],
                 )
@@ -123,8 +123,8 @@ def build_template_index(bundle: SchemaBundle, seeds: list[Dialog]) -> TemplateI
     def add_user(defn: UtteranceTemplateDef) -> None:
         key = turn_acts_string(list(defn.acts))
         bucket = index.user.setdefault(key, [])
-        if not any(d.template == defn.template for d in bucket):
-            bucket.append(defn)
+        if defn.template not in bucket:
+            bucket.append(defn.template)
 
     for dom in bundle.domains:
         for ut in dom.utterance_templates:

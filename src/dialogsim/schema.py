@@ -6,6 +6,7 @@ component.
 """
 from __future__ import annotations
 
+import codecs
 import json
 import re
 from collections.abc import Callable
@@ -300,13 +301,17 @@ def loads_schema(text: str) -> SchemaBundle:
 
 
 def read_input(path, error: Callable[[str], Exception]) -> str:
-    """The text of input file `path`. Bytes that are not UTF-8 raise
-    `error(message)`, the calling loader's own error, naming the file."""
-    with open(path, encoding="utf-8") as f:
+    """The text of input file `path`, without a leading UTF-8 byte-order
+    mark. Bytes that are not UTF-8 raise `error(message)`, the calling
+    loader's own error, naming the file."""
+    with open(path, encoding="utf-8-sig") as f:
         try:
             return f.read()
         except UnicodeDecodeError as e:
-            raise error(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
+            # the decoder counts bytes from after the mark
+            f.buffer.seek(0)
+            at = e.start + (3 if f.buffer.read(3) == codecs.BOM_UTF8 else 0)
+            raise error(f"{path} is not UTF-8 text: {e.reason} at byte {at}") from None
 
 
 def read_json(text: str, error: Callable[[str], Exception]) -> dict:

@@ -15,6 +15,8 @@ protocol carries each fact once:
   just before that announcement;
 - one ApiView for offers and confirms alike, whose ArgViews name each arg's
   var, surface and entity type; it is built together with its act group.
+  A Frame holds the same ArgViews, one per filled arg: an accepted offer's
+  become the new frame's, and a confirm shows the frame's own.
 Counters of the system's own events (offers made and accepted) live on
 SystemState, as the user's live on UserState.
 """
@@ -35,13 +37,18 @@ CALLED_FAILED = "called_failed"
 
 
 @dataclass
+class ArgView:
+    arg: str
+    var: str
+    surface: str | None  # None if not spoken
+    entity_type: str
+
+
+@dataclass
 class Frame:
     api: str
-    filled: dict[str, str] = field(default_factory=dict)  # arg -> var id
-    surfaces: dict[str, str] = field(default_factory=dict)  # arg -> spoken surface
+    args: dict[str, ArgView] = field(default_factory=dict)  # the args filled so far
     status: str = COLLECTING
-    confirmed: bool = False
-    recall_pending: bool = False
 
 
 @dataclass
@@ -51,14 +58,6 @@ class CallResult:
     return_var: str | None = None
     recall: bool = False
     bindings: dict[str, str] = field(default_factory=dict)  # arg -> var id; empty if failed
-
-
-@dataclass
-class ArgView:
-    arg: str
-    var: str
-    surface: str | None
-    entity_type: str
 
 
 @dataclass
@@ -224,7 +223,8 @@ def _do_call(
     else:
         failure = DialogAct("failure", SYSTEM, intent=frame.api)
         plan = SystemNlg(acts=[failure], backoff_values=[None])
-    plan.result = CallResult(frame.api, ok, var, recall, dict(frame.filled) if ok else {})
+    bindings = {arg: a.var for arg, a in frame.args.items()} if ok else {}
+    plan.result = CallResult(frame.api, ok, var, recall, bindings)
     out.nlg.append(plan)
 
 
@@ -242,11 +242,6 @@ def next_system_turn(
     if any(a.name == "bye" for a in user_acts):
         state.closed = True
         out.nlg.append(SystemNlg(acts=[DialogAct("bye", SYSTEM)], backoff_values=[None]))
-        # a trailing offer denial may ride along with the bye
-        for act in user_acts:
-            if act.name == "deny" and act.intent is not None and state.pending_offer is not None:
-                state.denied_offers.add(act.intent)
-        state.pending_offer = None
         return out
 
     offer = state.pending_offer
@@ -254,18 +249,14 @@ def next_system_turn(
     confirming = state.awaiting_confirm
     confirm_affirmed = False
     confirm_touched = False
+    recalls: list[Frame] = []  # called frames given a new value this turn
     span_iter = iter(spans)
 
     for act in user_acts:
         if act.name == "affirm" and act.intent is not None:
             if offer is not None and act.intent == offer.api:
-                frame = Frame(api=offer.api)
-                state.frames.append(frame)
+                state.frames.append(Frame(offer.api, {a.arg: a for a in offer.args}))
                 state.offers_accepted += 1
-                for oa in offer.args:
-                    frame.filled[oa.arg] = oa.var
-                    if oa.surface is not None:
-                        frame.surfaces[oa.arg] = oa.surface
             if confirming is not None and act.intent == confirming.api:
                 confirm_affirmed = True
         elif act.name == "deny" and act.intent is not None:
@@ -275,8 +266,7 @@ def next_system_turn(
             # an offer accepted earlier in this turn is the api's collecting frame
             frame = _frame_for_role(state, act.api) if act.api else None
             if frame is not None:
-                frame.filled.pop(act.arg, None)
-                frame.surfaces.pop(act.arg, None)
+                frame.args.pop(act.arg, None)
                 if frame is confirming:
                     confirm_touched = True
         elif act.name == "inform" and act.intent is not None:
@@ -291,17 +281,15 @@ def next_system_turn(
             if frame is None:
                 frame = Frame(api=act.api)
                 state.frames.append(frame)
-            frame.filled[act.arg] = span.var_id
-            frame.surfaces[act.arg] = span.surface
+            frame.args[act.arg] = ArgView(act.arg, span.var_id, span.surface, act.entity)
             if frame.status in (CALLED_OK, CALLED_FAILED):
-                frame.recall_pending = True
+                recalls.append(frame)
             elif frame is confirming:
                 confirm_touched = True
 
-    # post-call corrections: re-call with the updated binding
-    for frame in state.frames:
-        if frame.recall_pending:
-            frame.recall_pending = False
+    # post-call corrections: re-call with the updated binding, in frame order
+    if recalls:
+        for frame in [f for f in state.frames if any(f is r for r in recalls)]:
             _do_call(frame, bundle, config, rng, alloc, state, out, recall=True)
 
     progressed_api: str | None = None
@@ -309,31 +297,26 @@ def next_system_turn(
     if frame is not None:
         api = bundle.api(frame.api)
         for spec in api.args:
-            if spec.name in frame.filled:
+            if spec.name in frame.args:
                 continue
             var = _latest_var_of_type(state, spec.entity_type, "return")
             if var is not None:
-                frame.filled[spec.name] = var
-        missing = [s for s in api.args if s.required and s.name not in frame.filled]
+                frame.args[spec.name] = ArgView(spec.name, var, None, spec.entity_type)
+        missing = [s for s in api.args if s.required and s.name not in frame.args]
         if missing:
             spec = missing[0]
             request = DialogAct(
                 "request", SYSTEM, entity=spec.entity_type, api=api.name, arg=spec.name
             )
             out.nlg.append(SystemNlg(acts=[request], backoff_values=[None]))
-        elif api.confirm_before_call and not frame.confirmed:
+        elif api.confirm_before_call:
             if confirming is frame and confirm_affirmed and not confirm_touched:
-                frame.confirmed = True
                 state.awaiting_confirm = None
                 _do_call(frame, bundle, config, rng, alloc, state, out, recall=False)
                 if frame.status == CALLED_OK:
                     progressed_api = frame.api
             else:
-                args = [
-                    ArgView(s.name, frame.filled[s.name], frame.surfaces.get(s.name), s.entity_type)
-                    for s in api.args
-                    if s.name in frame.filled
-                ]
+                args = [frame.args[s.name] for s in api.args if s.name in frame.args]
                 out.confirm, plan = _view_and_plan("confirm", api.name, args)
                 state.awaiting_confirm = frame
                 out.nlg.append(plan)

@@ -16,6 +16,11 @@ A user turn is its acts plus one surface value per entity-bearing inform
 act, in act order; NLG names the slots and the system reads the resulting
 spans in the same order.
 
+The agenda is derived, not stored: what is left to say of the current
+intent is its name, until `intent_said`, then its user-valued args not yet
+in `informed`, in API arg order. Answering a request or an offer informs an
+arg, and so takes it off the agenda.
+
 Confirms and offers are answered by one rule, `answer`: affirm the intent,
 then affirm or deny each arg and inform any correction. Only the truth an
 arg is held to differs: what the user said, or the goal.
@@ -42,7 +47,7 @@ class UserTurnOutput:
 class UserState:
     goal: UserGoal
     cursor: int = 0
-    agenda: list[tuple[str, str | None]] = field(default_factory=list)
+    intent_said: bool = False  # the current intent is named, or its offer taken
     informed: dict[tuple[int, str], str] = field(default_factory=dict)
     corrected: set = field(default_factory=set)
     alternatives: dict[tuple[int, str], str] = field(default_factory=dict)
@@ -50,7 +55,6 @@ class UserState:
     dead: set = field(default_factory=set)
     last_correction: int | None = None  # intent corrected on the previous turn
     returns_seen: dict[int, str] = field(default_factory=dict)
-    bye_sent: bool = False
     abandonments: int = 0
 
     def current(self):
@@ -60,9 +64,9 @@ class UserState:
         return [i for i in range(len(self.goal.intents)) if i not in self.dead]
 
 
-def init_user(goal: UserGoal, bundle: SchemaBundle, config, rng: Random) -> UserState:
-    """Seed the agenda for the first intent and pre-sample one correction
-    alternative per user-provided value (when its catalog offers one)."""
+def init_user(goal: UserGoal, bundle: SchemaBundle, rng: Random) -> UserState:
+    """Pre-sample one correction alternative per user-provided value (when
+    its catalog offers one)."""
     state = UserState(goal=goal)
     for i, intent in enumerate(goal.intents):
         for arg_name, binding in intent.bindings.items():
@@ -71,32 +75,21 @@ def init_user(goal: UserGoal, bundle: SchemaBundle, config, rng: Random) -> User
             others = [v for v in bundle.catalog(binding.entity_type) if v != binding.surface]
             if others:
                 state.alternatives[(i, arg_name)] = others[rng.randrange(len(others))]
-    _seed_agenda(state, bundle)
     return state
 
 
-def _seed_agenda(state: UserState, bundle: SchemaBundle) -> None:
-    intent = state.current()
-    api = bundle.api(intent.api)
-    state.agenda = [("intent", None)]
-    for spec in api.args:
-        if isinstance(intent.bindings.get(spec.name), UserValue):
-            state.agenda.append(("inform", spec.name))
-
-
-def _advance(state: UserState, bundle: SchemaBundle) -> None:
+def _advance(state: UserState) -> None:
     nxt = state.cursor + 1
     while nxt < len(state.goal.intents) and nxt in state.dead:
         nxt += 1
     if nxt >= len(state.goal.intents):
         state.done = True
-        state.agenda = []
     else:
         state.cursor = nxt
-        _seed_agenda(state, bundle)
+        state.intent_said = False
 
 
-def abandon_intent(state: UserState, failed_index: int, bundle: SchemaBundle) -> UserState:
+def abandon_intent(state: UserState, failed_index: int) -> UserState:
     """Drop the failed intent and every later intent whose ReturnRef chain
     (transitively) depends on it; move on if the current intent is among
     them."""
@@ -114,7 +107,7 @@ def abandon_intent(state: UserState, failed_index: int, bundle: SchemaBundle) ->
     state.dead |= removed
     state.abandonments += 1
     if state.cursor in removed:
-        _advance(state, bundle)
+        _advance(state)
     return state
 
 
@@ -142,7 +135,7 @@ def next_user_turn(
     for call in (plan.result for plan in view.nlg if plan.result is not None):
         if call.recall:
             if not call.ok and corrected is not None and corrected not in state.dead:
-                abandon_intent(state, corrected, bundle)
+                abandon_intent(state, corrected)
             continue
         if state.done:
             continue
@@ -151,9 +144,9 @@ def next_user_turn(
             continue
         if call.ok:
             state.returns_seen[state.cursor] = call.return_var
-            _advance(state, bundle)
+            _advance(state)
         else:
-            abandon_intent(state, state.cursor, bundle)
+            abandon_intent(state, state.cursor)
 
     def answer(api_view: ApiView, truth: Callable[[ArgView], tuple[bool, str | None]]) -> None:
         """Affirm the intent, then affirm or deny each arg as `truth` judges
@@ -182,8 +175,6 @@ def next_user_turn(
             return a.var == state.returns_seen.get(binding.intent_index), None
         if not isinstance(binding, UserValue):
             return False, None
-        if ("inform", a.arg) in state.agenda:
-            state.agenda.remove(("inform", a.arg))
         state.informed[(state.cursor, a.arg)] = binding.surface
         if a.surface == binding.surface:
             return True, None
@@ -197,13 +188,8 @@ def next_user_turn(
     # 3. respond to a proactive offer: accept only the goal's next intent,
     # and only before the user has named it
     if view.offer is not None:
-        accept = (
-            not state.done
-            and ("intent", None) in state.agenda
-            and view.offer.api == state.current().api
-        )
-        if accept:
-            state.agenda.remove(("intent", None))
+        if not state.done and not state.intent_said and view.offer.api == state.current().api:
+            state.intent_said = True
             answer(view.offer, offered_truth)
         else:
             acts.append(DialogAct("deny", USER, intent=view.offer.api))
@@ -220,28 +206,30 @@ def next_user_turn(
             surface = state.informed.get((state.cursor, act.arg), binding.surface)
             inform(act.entity, intent.api, act.arg, surface)
             state.informed[(state.cursor, act.arg)] = surface
-            if ("inform", act.arg) in state.agenda:
-                state.agenda.remove(("inform", act.arg))
 
-    # 5. advance the agenda, a truncated-geometric number of acts at a time
+    # 5. advance the agenda, a truncated-geometric number of acts at a time:
+    # the intent, if not yet named, then its user values not yet informed,
+    # in API arg order
     informed_this_turn: set = set()
-    if not state.done and state.agenda:
-        k = _truncated_geometric(rng, config.multi_act_p, config.max_acts_per_turn)
-        emitted = 0
-        while state.agenda and emitted < k:
-            kind, arg = state.agenda.pop(0)
-            intent = state.current()
-            if kind == "intent":
+    if not state.done:
+        intent = state.current()
+        pending = [
+            spec.name
+            for spec in bundle.api(intent.api).args
+            if isinstance(intent.bindings.get(spec.name), UserValue)
+            and (state.cursor, spec.name) not in state.informed
+        ]
+        if not state.intent_said or pending:
+            k = _truncated_geometric(rng, config.multi_act_p, config.max_acts_per_turn)
+            if not state.intent_said:
                 acts.append(DialogAct("inform", USER, intent=intent.api))
-                emitted += 1
-            else:
-                if (state.cursor, arg) in state.informed:
-                    continue
+                state.intent_said = True
+                k -= 1
+            for arg in pending[:k]:
                 binding = intent.bindings[arg]
                 inform(binding.entity_type, intent.api, arg, binding.surface)
                 state.informed[(state.cursor, arg)] = binding.surface
                 informed_this_turn.add((state.cursor, arg))
-                emitted += 1
 
     # 6. change of mind: deny an earlier informed value, give the alternative.
     # A goal that completed this turn still gets one chance before the bye;
@@ -277,9 +265,8 @@ def next_user_turn(
             state.last_correction = i
 
     # 7. close when the goal is exhausted; a correction holds the bye back
-    # to the next turn, after the re-call
-    if state.done and not state.bye_sent and state.last_correction is None:
+    # to the next turn, after the re-call. The bye closes the dialog.
+    if state.done and state.last_correction is None:
         acts.append(DialogAct("bye", USER))
-        state.bye_sent = True
 
     return UserTurnOutput(acts=acts, values=values)

@@ -226,8 +226,8 @@ def test_interplay_soundness(demo_bundle, demo_seeds_annotated, flow_bundle, flo
 
     # hand-built chain: Y needs X's return, Z needs Y's; dropping X drops all
     chained = extract_goals([flow_seed], flow_bundle)[0]
-    state = init_user(chained, flow_bundle, failing, Random(0))
-    abandon_intent(state, 0, flow_bundle)
+    state = init_user(chained, flow_bundle, Random(0))
+    abandon_intent(state, 0)
     assert state.dead == {0, 1, 2} and state.done
     # without the X->Y edge, only X dies
     independent = UserGoal(
@@ -250,8 +250,8 @@ def test_interplay_soundness(demo_bundle, demo_seeds_annotated, flow_bundle, flo
             ),
         ]
     )
-    state = init_user(independent, flow_bundle, failing, Random(0))
-    abandon_intent(state, 0, flow_bundle)
+    state = init_user(independent, flow_bundle, Random(0))
+    abandon_intent(state, 0)
     assert state.dead == {0} and not state.done and state.cursor == 1
 
 

@@ -11,6 +11,8 @@ import pytest
 
 import dialogsim
 from dialogsim.cli import main
+from dialogsim.markup import lit, parse_corpus, serialize_corpus
+from dialogsim.schema import load_schema
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +202,22 @@ def test_input_that_is_not_utf8_is_one_diagnostic(data_paths, tmp_path, capsys, 
         _assert_one_error_line(captured.err)
 
 
+def test_utf8_byte_order_mark_is_read_past(data_paths, tmp_path, capsys):
+    # as some editors save UTF-8; the UTF-16 mark above stays an error
+    schema, seeds = data_paths
+    marked = {}
+    for path in (schema, seeds):
+        marked[path] = tmp_path / path.name
+        marked[path].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    outputs = []
+    for schema_path, seeds_path in [(schema, seeds), (marked[schema], marked[seeds])]:
+        assert main(["generate", "--schema", str(schema_path), "--seeds", str(seeds_path),
+                     "--n", "30", "--seed", "3", "--mix", "base=1,golden=1,markov=1"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.count("U-1:") == 30
+
+
 def test_any_input_bytes_end_in_one_diagnostic(data_paths, tmp_path, capsys):
     """Whatever bytes a file argument holds, the command exits without a
     traceback, and generate, metrics and export-training fail with one
@@ -283,6 +301,36 @@ def test_any_input_bytes_end_in_one_diagnostic(data_paths, tmp_path, capsys):
             _assert_one_error_line(captured.err)
 
     check()
+
+
+LITERAL_SEED = """\
+# id=seed-literal
+U-1: Any movies in [Berkeley|location0] tonight?
+S-2: call: FindMovies(location=$location0,timeLowerBound="6 PM") -> movieList0
+S-3: nlg: Here is the list for tonight |acts: inform(entity:movieList)
+U-4: Thanks bye
+S-5: nlg: Thank you for using Atom Tickets
+"""
+
+
+def test_replay_keeps_literal_args_and_unmatched_nlg_lines(data_paths, tmp_path, capsys):
+    # a quoted literal is not a var to remap, and an nlg line whose acts no
+    # response template carries has no template to redraw: replay keeps both
+    schema, _ = data_paths
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text(LITERAL_SEED, encoding="utf-8")
+    assert main(["generate", "--schema", str(schema), "--seeds", str(seeds),
+                 "--n", "20", "--mix", "base=1"]) == 0
+    corpus = capsys.readouterr().out
+    bundle = load_schema(schema)
+    dialogs = parse_corpus(corpus, bundle)
+    assert len(dialogs) == 20
+    for dialog in dialogs:
+        call, nlg = dialog.turns[1:3]
+        assert call.bindings["timeLowerBound"] == lit("6 PM")
+        assert nlg.text == "Here is the list for tonight"
+    assert serialize_corpus(dialogs) == corpus
+    assert corpus.count('timeLowerBound="6 PM") -> movieList0\n') == 20
 
 
 def test_seed_without_calls_is_logged_by_its_id(data_paths, tmp_path, capsys, caplog):

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 from dataclasses import fields
 from random import Random
 
@@ -406,3 +409,25 @@ def test_call_line_is_followed_by_its_announcement(demo_bundle, demo_seeds):
                 assert isinstance(nxt, NlgResponse) and nxt.acts == list(resp.acts)
                 checked += 1
     assert checked > 1000
+
+
+# SHA-256 of corpus + stats line over a grid of policy extremes that the
+# GOLDEN rows of tests/test_cli.py never reach: every offer taken, half of
+# the calls failing, one act per user turn. Pinned like GOLDEN: a change
+# that alters self-play output on purpose updates it and says why.
+POLICY_GRID_DIGEST = "e2932efb3f808d31db8099905643731fc679c04b4154985f26fda1183526d540"
+
+
+def test_policy_grid_bytes_are_pinned(demo_bundle, demo_seeds):
+    digest = hashlib.sha256()
+    for p_correct, p_offer, failure, multi_act_p, max_acts in itertools.product(
+        (0.0, 1.0), (0.0, 1.0), (0.0, 0.5), (0.0, 1.0), (1, 3)
+    ):
+        config = GenerationConfig(
+            n_dialogs=30, rng_seed=5, p_correct=p_correct, p_offer=p_offer,
+            api_failure_rate=failure, multi_act_p=multi_act_p, max_acts_per_turn=max_acts,
+        )
+        result = run_batch(demo_bundle, demo_seeds, config)
+        digest.update(serialize_corpus(result.dialogs).encode("utf-8"))
+        digest.update((json.dumps(result.stats) + "\n").encode("utf-8"))
+    assert digest.hexdigest() == POLICY_GRID_DIGEST

@@ -36,8 +36,7 @@ def _sig_key(*act_strings, side="user"):
 def test_index_contains_delexicalized_seed_turn(demo_bundle, demo_seeds_annotated):
     index = build_template_index(demo_bundle, demo_seeds_annotated)
     key = _sig_key("inform(intent:FindMovies)", "inform(entity:location)", "inform(entity:Time)")
-    templates = [t.template for t in index.user[key]]
-    assert "What movies are playing in {location} after {Time}?" in templates
+    assert "What movies are playing in {location} after {Time}?" in index.user[key]
 
 
 def test_empty_index_without_seeds_or_templates(chain_bundle):
@@ -296,8 +295,7 @@ def test_equal_acts_with_other_roles_keep_their_own_signature():
     responses = {text: ResponseTemplateDef(text, (), (), (text,)) for text in templates}
     for order in (list(templates), list(reversed(templates))):
         index = TemplateIndex(
-            {turn_acts_string(a): [UtteranceTemplateDef(tuple(a), t)]
-             for t, a in templates.items()},
+            {turn_acts_string(a): [t] for t, a in templates.items()},
             {turn_acts_string(a): responses[t] for t, a in templates.items()},
         )
         for _ in range(2):

@@ -16,9 +16,18 @@ from dialogsim.schema import (
     SchemaBundle,
     SchemaError,
     loads_schema,
+    read_input,
     serialize_schema,
     validate_schema,
 )
+
+
+@pytest.mark.parametrize("data, at", [(b"ab\xff", 2), (b"\xef\xbb\xbfab\xff", 5)])
+def test_read_input_names_the_offending_byte_from_the_start_of_the_file(tmp_path, data, at):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"is not UTF-8 text: invalid start byte at byte {at}$"):
+        read_input(path, ValueError)
 
 
 def test_demo_schema_loads(demo_bundle):

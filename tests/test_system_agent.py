@@ -140,11 +140,11 @@ def test_failure_rate_zero_and_forced(demo_bundle):
     ok_config = GenerationConfig(api_failure_rate=0)
     state = init_system()
     for _ in range(2000):
-        frame = Frame(api="FindMovies", filled={"location": "location0"})
+        frame = Frame(api="FindMovies")
         ok, var = simulate_api_call(frame, demo_bundle, ok_config, rng, alloc, state)
         assert ok and var is not None
     failing = GenerationConfig(api_failure_rate=1.0)
-    frame = Frame(api="FindMovies", filled={"location": "location0"})
+    frame = Frame(api="FindMovies")
     ok, var = simulate_api_call(frame, demo_bundle, failing, rng, alloc, state)
     assert not ok and var is None and frame.status == "called_failed"
 
@@ -157,7 +157,7 @@ def test_failure_rate_frequency(demo_bundle):
     n = 10_000
     failures = 0
     for _ in range(n):
-        frame = Frame(api="FindMovies", filled={"location": "location0"})
+        frame = Frame(api="FindMovies")
         ok, _ = simulate_api_call(frame, demo_bundle, config, rng, alloc, state)
         failures += 0 if ok else 1
     assert abs(failures / n - 0.25) < 0.01

@@ -29,10 +29,11 @@ def _acts(output):
 
 def test_initial_agenda_starts_with_intent(demo_bundle, demo_seeds):
     goal = _table2_goal(demo_bundle, demo_seeds)
-    state = init_user(goal, demo_bundle, GenerationConfig(), Random(0))
-    assert state.agenda[0] == ("intent", None)
+    state = init_user(goal, demo_bundle, Random(0))
+    assert not state.intent_said
     out = next_user_turn(state, SystemTurnOutput(), demo_bundle, GenerationConfig(p_correct=0), Random(0))
     assert _acts(out)[0] == "inform(intent:FindMovies)"
+    assert state.intent_said
 
 
 def test_no_alternative_for_singleton_catalog(two_domain_bundle):
@@ -41,14 +42,14 @@ def test_no_alternative_for_singleton_catalog(two_domain_bundle):
     goal = UserGoal(
         intents=[IntentInstance("BookTable", {"place": UserValue("Nopa", "restaurant")})]
     )
-    state = init_user(goal, two_domain_bundle, GenerationConfig(), Random(0))
+    state = init_user(goal, two_domain_bundle, Random(0))
     assert state.alternatives == {}
 
 
 def test_alternatives_always_differ(demo_bundle, demo_seeds):
     goal = _table2_goal(demo_bundle, demo_seeds)
     for trial in range(1000):
-        state = init_user(goal, demo_bundle, GenerationConfig(), Random(trial))
+        state = init_user(goal, demo_bundle, Random(trial))
         for (i, arg), alt in state.alternatives.items():
             assert alt != goal.intents[i].bindings[arg].surface
 
@@ -59,7 +60,7 @@ def test_offer_reply_matches_correction_pattern(demo_bundle, demo_seeds):
     # time and inform the goal value, affirm the list
     goal = _table2_goal(demo_bundle, demo_seeds)
     config = GenerationConfig(p_correct=0, multi_act_p=0)
-    state = init_user(goal, demo_bundle, config, Random(0))
+    state = init_user(goal, demo_bundle, Random(0))
     view = SystemTurnOutput(
         nlg=_reporting(CallResult("FindMovies", True, "movieList0")),
         offer=ApiView(
@@ -85,7 +86,7 @@ def test_offer_reply_matches_correction_pattern(demo_bundle, demo_seeds):
 def test_offer_for_wrong_api_denied(demo_bundle, demo_seeds):
     goal = _table2_goal(demo_bundle, demo_seeds)
     config = GenerationConfig(p_correct=0, multi_act_p=0)
-    state = init_user(goal, demo_bundle, config, Random(0))
+    state = init_user(goal, demo_bundle, Random(0))
     view = SystemTurnOutput(offer=ApiView(api="BookTickets", args=[]))
     out = next_user_turn(state, view, demo_bundle, config, Random(1))
     assert _acts(out)[0] == "deny(intent:BookTickets)"
@@ -94,9 +95,8 @@ def test_offer_for_wrong_api_denied(demo_bundle, demo_seeds):
 def test_bye_when_goal_exhausted(demo_bundle, demo_seeds):
     goal = _table2_goal(demo_bundle, demo_seeds)
     config = GenerationConfig(p_correct=0)
-    state = init_user(goal, demo_bundle, config, Random(0))
+    state = init_user(goal, demo_bundle, Random(0))
     state.done = True
-    state.agenda = []
     out = next_user_turn(state, SystemTurnOutput(), demo_bundle, config, Random(0))
     assert _acts(out) == ["bye()"]
 
@@ -106,8 +106,10 @@ def test_request_answered_with_goal_value(demo_bundle, demo_seeds):
 
     goal = _table2_goal(demo_bundle, demo_seeds)
     config = GenerationConfig(p_correct=0, multi_act_p=0)
-    state = init_user(goal, demo_bundle, config, Random(0))
-    state.agenda = []
+    state = init_user(goal, demo_bundle, Random(0))
+    # nothing left on the agenda but the requested location
+    state.intent_said = True
+    state.informed[(0, "timeLowerBound")] = "2 PM"
     request = DialogAct("request", "system", entity="location", api="FindMovies", arg="location")
     out = next_user_turn(state, SystemTurnOutput(nlg=[SystemNlg(acts=[request])]), demo_bundle, config, Random(0))
     assert _acts(out) == ["inform(entity:location)"]
@@ -117,7 +119,7 @@ def test_request_answered_with_goal_value(demo_bundle, demo_seeds):
 def test_forced_corrections_every_later_turn(demo_bundle, demo_seeds):
     goal = _table2_goal(demo_bundle, demo_seeds)
     config = GenerationConfig(p_correct=1.0, max_corrections=2, multi_act_p=1.0)
-    state = init_user(goal, demo_bundle, config, Random(0))
+    state = init_user(goal, demo_bundle, Random(0))
     first = next_user_turn(state, SystemTurnOutput(), demo_bundle, config, Random(5))
     # values informed this turn are not yet correctable
     assert not any(a.name == "deny" for a in first.acts)
@@ -133,7 +135,7 @@ def test_correction_values_come_from_alternatives(demo_bundle, demo_seeds):
     goal = _table2_goal(demo_bundle, demo_seeds)
     config = GenerationConfig(p_correct=1.0, max_corrections=2, multi_act_p=1.0)
     for trial in range(200):
-        state = init_user(goal, demo_bundle, config, Random(trial))
+        state = init_user(goal, demo_bundle, Random(trial))
         rng = Random(trial + 1)
         for _ in range(4):
             out = next_user_turn(state, SystemTurnOutput(), demo_bundle, config, rng)
@@ -145,8 +147,8 @@ def test_correction_values_come_from_alternatives(demo_bundle, demo_seeds):
 
 def test_abandon_removes_transitive_dependents(demo_bundle, demo_seeds):
     goal = _table2_goal(demo_bundle, demo_seeds)
-    state = init_user(goal, demo_bundle, GenerationConfig(), Random(0))
-    abandon_intent(state, 0, demo_bundle)
+    state = init_user(goal, demo_bundle, Random(0))
+    abandon_intent(state, 0)
     assert state.dead == {0, 1, 2}
     assert state.done
 
@@ -155,8 +157,8 @@ def test_abandon_keeps_independent_intent(demo_bundle, demo_seeds):
     # refine-search seed: second FindMovies does not depend on the first
     goal = extract_goals([demo_seeds[3]], demo_bundle)[0]
     assert [i.api for i in goal.intents] == ["FindMovies", "FindMovies", "SelectShow"]
-    state = init_user(goal, demo_bundle, GenerationConfig(), Random(0))
-    abandon_intent(state, 0, demo_bundle)
+    state = init_user(goal, demo_bundle, Random(0))
+    abandon_intent(state, 0)
     assert state.dead == {0}
     assert not state.done
     assert state.cursor == 1
@@ -165,7 +167,7 @@ def test_abandon_keeps_independent_intent(demo_bundle, demo_seeds):
 def test_single_intent_failure_is_terminal(demo_bundle, demo_seeds):
     goal = extract_goals([demo_seeds[4]], demo_bundle)[0]
     config = GenerationConfig(p_correct=0)
-    state = init_user(goal, demo_bundle, config, Random(0))
+    state = init_user(goal, demo_bundle, Random(0))
     view = SystemTurnOutput(nlg=_reporting(CallResult("SelectShow", False, None)))
     out = next_user_turn(state, view, demo_bundle, config, Random(0))
     assert state.dead == {0, 1}
@@ -178,7 +180,7 @@ def test_change_of_mind_on_completed_goal_holds_bye(demo_bundle, demo_seeds):
 
     goal = UserGoal(intents=_table2_goal(demo_bundle, demo_seeds).intents[:1])
     config = GenerationConfig(p_correct=1.0, multi_act_p=1.0)
-    state = init_user(goal, demo_bundle, config, Random(0))
+    state = init_user(goal, demo_bundle, Random(0))
     rng = Random(1)
     first = next_user_turn(state, SystemTurnOutput(), demo_bundle, config, rng)
     assert "deny" not in [a.name for a in first.acts]
@@ -186,7 +188,7 @@ def test_change_of_mind_on_completed_goal_holds_bye(demo_bundle, demo_seeds):
     # instead of saying bye
     done = SystemTurnOutput(nlg=_reporting(CallResult("FindMovies", True, "movieList0")))
     out = next_user_turn(state, done, demo_bundle, config, rng)
-    assert state.done and not state.bye_sent
+    assert state.done
     entity, arg = out.acts[1].entity, out.acts[1].arg
     assert _acts(out) == [f"deny(entity:{entity})", f"inform(entity:{entity})"]
     assert out.values == [state.alternatives[(0, arg)]]
@@ -195,14 +197,14 @@ def test_change_of_mind_on_completed_goal_holds_bye(demo_bundle, demo_seeds):
     recall = SystemTurnOutput(nlg=_reporting(CallResult("FindMovies", True, "movieList1", recall=True)))
     out = next_user_turn(state, recall, demo_bundle, config, rng)
     assert _acts(out) == ["bye()"]
-    assert state.bye_sent and state.cursor == 0
+    assert state.cursor == 0
     assert len(state.corrected) == 1
 
 
 def test_failed_recall_abandons_corrected_intent(demo_bundle, demo_seeds):
     goal = _table2_goal(demo_bundle, demo_seeds)
     config = GenerationConfig(p_correct=1.0, multi_act_p=1.0)
-    state = init_user(goal, demo_bundle, config, Random(0))
+    state = init_user(goal, demo_bundle, Random(0))
     rng = Random(1)
     next_user_turn(state, SystemTurnOutput(), demo_bundle, config, rng)
     # FindMovies succeeds; the user moves on to SelectShow and changes its
@@ -223,9 +225,9 @@ def test_abandon_earlier_intent_keeps_cursor(demo_bundle, demo_seeds):
     # refine-search seed: the current second FindMovies does not depend on
     # the first, so dropping the first leaves the cursor where it is
     goal = extract_goals([demo_seeds[3]], demo_bundle)[0]
-    state = init_user(goal, demo_bundle, GenerationConfig(), Random(0))
+    state = init_user(goal, demo_bundle, Random(0))
     state.cursor = 1
-    abandon_intent(state, 0, demo_bundle)
+    abandon_intent(state, 0)
     assert state.dead == {0}
     assert state.cursor == 1
     assert not state.done
