@@ -107,10 +107,11 @@ def turn_acts_string(acts: list[DialogAct]) -> str:
     return ",".join(parts)
 
 
+# an API or arg name: what act strings and the markup's call lines read back
+IDENTIFIER = r"[A-Za-z][A-Za-z0-9_]*"
 _ACT_RE = re.compile(
-    r"^(?P<name>[a-z_]+)\("
-    r"(?:(?P<kind>intent|entity):(?P<val>[A-Za-z][A-Za-z0-9_]*)"
-    r"(?:@(?P<api>[A-Za-z][A-Za-z0-9_]*)\.(?P<arg>[A-Za-z][A-Za-z0-9_]*))?)?\)$"
+    rf"^(?P<name>[a-z_]+)\((?:(?P<kind>intent|entity):(?P<val>{IDENTIFIER})"
+    rf"(?:@(?P<api>{IDENTIFIER})\.(?P<arg>{IDENTIFIER}))?)?\)$"
 )
 
 

@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass, field
 
 from .acts import (
+    IDENTIFIER,
     USER,
     SYSTEM,
     ActError,
@@ -115,7 +116,7 @@ class VarAllocator:
 
 _TURN_RE = re.compile(r"^([US])-(\d+):\s?(.*)$")
 _SPAN_RE = re.compile(r"\[([^\[\]|]+)\|([A-Za-z][A-Za-z0-9]*)\]")
-_CALL_RE = re.compile(r"^call:\s*([A-Za-z][A-Za-z0-9_]*)\((.*)\)\s*->\s*([A-Za-z][A-Za-z0-9]*)$")
+_CALL_RE = re.compile(rf"^call:\s*({IDENTIFIER})\((.*)\)\s*->\s*([A-Za-z][A-Za-z0-9]*)$")
 _VAR_REF_RE = re.compile(r"^\$([A-Za-z][A-Za-z0-9]*)$")
 _META_RE = re.compile(r"^#\s*([A-Za-z_][A-Za-z0-9_.-]*)\s*=\s*(.*)$")
 _PREFIX_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*?)\d+$")

@@ -4,6 +4,8 @@ User turns are keyed by the canonical act-signature string of the whole
 turn; system responses are named definitions. Signatures never seen in the
 seeds fall back to per-act templates or canned fragments, since the
 interplay loop produces act groupings the seed dialogs do not contain.
+Either way a user turn is a list of pieces, one for the whole turn or one
+per act, and one loop in `realize_user` fills and joins them.
 
 Every user template, from the schema or delexicalized from a seed turn,
 passes `schema.utterance_problems`: its slots, in text order, are the names
@@ -40,12 +42,12 @@ class RealizationError(RuntimeError):
 
 class _UserPlan(NamedTuple):
     """What a user act list resolves to: the entity types of its slots, and
-    either its exact-signature templates or, when it has none, one piece per
-    act: that act's single-act templates to draw from (or its canned
-    fragment, which takes no draw) and that act's slot types."""
+    the pieces its text is joined from, each the templates to draw from (or
+    a canned fragment, which takes no draw) and its slot types. The list's
+    exact-signature templates are one piece; without them, each act is one,
+    from its single-act templates or its canned fragment."""
 
     types: list[str]
-    exact: tuple[str, ...]
     pieces: list[tuple[tuple[str, ...] | str, list[str]]]
 
 
@@ -74,8 +76,9 @@ class TemplateIndex:
         key = tuple(acts)
         plan = self._user_plans.get(key)
         if plan is None:
+            types = [a.entity for a in value_bearing(acts)]
             exact = tuple(self.user.get(turn_acts_string(acts), ()))
-            pieces = [] if exact else [
+            pieces = [(exact, types)] if exact else [
                 (
                     tuple(self.user.get(turn_acts_string([a]), ()))
                     or _user_fragment(a),
@@ -83,7 +86,7 @@ class TemplateIndex:
                 )
                 for a in acts
             ]
-            plan = _UserPlan([a.entity for a in value_bearing(acts)], exact, pieces)
+            plan = _UserPlan(types, pieces)
             if _memoizable(acts):
                 self._user_plans[key] = plan
         return plan
@@ -217,27 +220,21 @@ def realize_user(
 
     `values` holds one surface per entity-bearing inform act, in act order;
     the slot names (T, T2, ... on repeated types) are derived from the acts.
-    Exact-signature templates are sampled uniformly; otherwise each act is
-    rendered on its own — through a single-act template when one exists,
-    through a canned fragment when not — and the pieces joined.
+    One loop fills the pieces of the turn's plan (see `_UserPlan`), each
+    from a uniformly drawn template, and joins them in act order.
     """
-    types, exact, pieces = index.user_plan(acts)
+    types, pieces = index.user_plan(acts)
     if len(values) != len(types):
         raise RealizationError(f"{len(values)} values for {len(types)} entity informs")
     value_iter = iter(values)
-    if exact:
-        template = exact[rng.randrange(len(exact))]
-        return _fill_template(template, types, value_iter, alloc, 0)
-
-    # backoff: per-act pieces joined in act order
     parts: list[str] = []
     spans: list[EntitySpan] = []
     out = 0
-    for single, act_types in pieces:
-        template = single if isinstance(single, str) else single[rng.randrange(len(single))]
-        text, act_spans = _fill_template(template, act_types, value_iter, alloc, out)
+    for drawn, piece_types in pieces:
+        template = drawn if isinstance(drawn, str) else drawn[rng.randrange(len(drawn))]
+        text, piece_spans = _fill_template(template, piece_types, value_iter, alloc, out)
         parts.append(text)
-        spans += act_spans
+        spans += piece_spans
         out += len(text) + 2
     return ", ".join(parts), spans
 

@@ -13,6 +13,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .acts import (
+    IDENTIFIER,
     SYSTEM,
     USER,
     DialogAct,
@@ -413,6 +414,9 @@ def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
             if api.name in seen_apis:
                 err(loc, f"duplicate API name {api.name!r}")
             seen_apis.add(api.name)
+            for name in (api.name, *(a.name for a in api.args)):
+                if not re.fullmatch(IDENTIFIER, name):
+                    err(loc, f"name {name!r} is not a letter, then letters, digits or '_'")
             check_args(api.args, loc)
             if bundle.entity_type(api.return_type) is None:
                 err(loc, f"return references undeclared entity type {api.return_type!r}")

@@ -6,6 +6,11 @@ context, simulates API calls (sampling results instead of executing),
 confirms flagged APIs before calling, re-calls after post-call corrections,
 and makes proactive offers sampled from the fitted goal-transition model.
 
+The dialog context is two maps keyed by entity type, updated as each var
+is made: `latest` (newest var and surface, a user span or a return) fills
+offers, and `returns` (newest return var) fills return-valued args. No var
+id is reused in a dialog, so the newest var is the one made last.
+
 Each turn yields a SystemTurnOutput, which the engine renders and the user
 policy reads as its view of the turn; the protocol types live here. The
 protocol carries each fact once:
@@ -69,16 +74,11 @@ class ApiView:
 
 
 @dataclass
-class ContextVar:
-    entity_type: str
-    surface: str | None  # None for opaque return objects
-    origin: str  # "span" | "return"
-
-
-@dataclass
 class SystemState:
     frames: list[Frame] = field(default_factory=list)
-    context: dict[str, ContextVar] = field(default_factory=dict)
+    # entity type -> newest (var, surface) of any origin; surface None if opaque
+    latest: dict[str, tuple[str, str | None]] = field(default_factory=dict)
+    returns: dict[str, str] = field(default_factory=dict)  # entity type -> newest return var
     denied_offers: set = field(default_factory=set)
     pending_offer: ApiView | None = None
     awaiting_confirm: Frame | None = None
@@ -123,14 +123,12 @@ def _active_frame(state: SystemState, api: str | None = None) -> Frame | None:
     return None
 
 
-def _frame_for_role(state: SystemState, api: str) -> Frame | None:
-    collecting = _active_frame(state, api)
-    if collecting is not None:
-        return collecting
-    for frame in reversed(state.frames):
-        if frame.api == api:
-            return frame
-    return None
+def _frame_for_role(state: SystemState, api: str) -> Frame:
+    """The frame a user entity act's role names: the api's collecting frame,
+    else its latest. The user policy names an intent, or takes its offer,
+    before it informs or denies any of its args, so the frame exists; an
+    act that breaks this raises IndexError instead of making a frame."""
+    return _active_frame(state, api) or [f for f in state.frames if f.api == api][-1]
 
 
 def simulate_api_call(
@@ -142,18 +140,17 @@ def simulate_api_call(
     state: SystemState,
 ) -> tuple[bool, str | None]:
     """Sample the call outcome instead of executing it. Success registers a
-    fresh return var in the context: opaque for object kinds, with a
-    catalog-sampled surface otherwise."""
+    fresh return var in the context: opaque for object kinds, which have no
+    catalog, with a catalog-sampled surface otherwise."""
     api = bundle.api(frame.api)
     if rng.random() < config.api_failure_rate:
         frame.status = CALLED_FAILED
         return False, None
     var = alloc.new(api.return_type)
-    et = bundle.entity_type(api.return_type)
-    surface = None
-    if et is not None and et.speakable and et.catalog:
-        surface = et.catalog[rng.randrange(len(et.catalog))]
-    state.context[var] = ContextVar(api.return_type, surface, "return")
+    catalog = bundle.catalog(api.return_type)
+    surface = catalog[rng.randrange(len(catalog))] if catalog else None
+    state.latest[api.return_type] = (var, surface)
+    state.returns[api.return_type] = var
     frame.status = CALLED_OK
     return True, var
 
@@ -172,7 +169,7 @@ def propose_offer(
 ) -> tuple[ApiView, SystemNlg] | None:
     """Offer the next API drawn from the transition row of the API just
     fulfilled (END mass dropped, previously denied offers excluded), with
-    args pre-filled from type-compatible context vars."""
+    args pre-filled from the newest context var of each arg's type."""
     row = state.offer_model.transition.get(last_api, {})
     candidates = {
         api: p for api, p in row.items() if api != END and api not in state.denied_offers and p > 0
@@ -182,20 +179,10 @@ def propose_offer(
     api_name = weighted_choice(rng, candidates)
     args = []
     for spec in bundle.api(api_name).args:
-        var = _latest_var_of_type(state, spec.entity_type)
-        if var is not None:
-            args.append(ArgView(spec.name, var, state.context[var].surface, spec.entity_type))
+        if spec.entity_type in state.latest:
+            var, surface = state.latest[spec.entity_type]
+            args.append(ArgView(spec.name, var, surface, spec.entity_type))
     return _view_and_plan("offer", api_name, args)
-
-
-def _latest_var_of_type(
-    state: SystemState, entity_type: str, origin: str | None = None
-) -> str | None:
-    latest = None
-    for var, cv in state.context.items():
-        if cv.entity_type == entity_type and (origin is None or cv.origin == origin):
-            latest = var
-    return latest
 
 
 def _announce(api: ApiDef, bundle: SchemaBundle, rng: Random) -> SystemNlg:
@@ -264,23 +251,17 @@ def next_system_turn(
                 state.denied_offers.add(act.intent)
         elif act.name == "deny" and act.entity is not None:
             # an offer accepted earlier in this turn is the api's collecting frame
-            frame = _frame_for_role(state, act.api) if act.api else None
-            if frame is not None:
-                frame.args.pop(act.arg, None)
-                if frame is confirming:
-                    confirm_touched = True
+            frame = _frame_for_role(state, act.api)
+            frame.args.pop(act.arg, None)
+            if frame is confirming:
+                confirm_touched = True
         elif act.name == "inform" and act.intent is not None:
             if _active_frame(state, act.intent) is None:
                 state.frames.append(Frame(api=act.intent))
         elif act.name == "inform" and act.entity is not None:
             span = next(span_iter)
-            state.context[span.var_id] = ContextVar(act.entity, span.surface, "span")
-            if act.api is None:
-                continue
+            state.latest[act.entity] = (span.var_id, span.surface)
             frame = _frame_for_role(state, act.api)
-            if frame is None:
-                frame = Frame(api=act.api)
-                state.frames.append(frame)
             frame.args[act.arg] = ArgView(act.arg, span.var_id, span.surface, act.entity)
             if frame.status in (CALLED_OK, CALLED_FAILED):
                 recalls.append(frame)
@@ -299,7 +280,7 @@ def next_system_turn(
         for spec in api.args:
             if spec.name in frame.args:
                 continue
-            var = _latest_var_of_type(state, spec.entity_type, "return")
+            var = state.returns.get(spec.entity_type)
             if var is not None:
                 frame.args[spec.name] = ArgView(spec.name, var, None, spec.entity_type)
         missing = [s for s in api.args if s.required and s.name not in frame.args]

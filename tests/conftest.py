@@ -229,3 +229,63 @@ TWO_DOMAIN_SCHEMA = """
 @pytest.fixture(scope="session")
 def two_domain_bundle():
     return loads_schema(TWO_DOMAIN_SCHEMA)
+
+
+# one API returns a catalog-kind type, a later API takes it, and no
+# response template renders an offer: the offer is canned text that speaks
+# the return's catalog surface
+CATALOG_RETURN_SCHEMA = """
+{
+  "domains": [
+    {
+      "name": "Dining",
+      "entity_types": [
+        {"name": "city", "kind": "catalog", "catalog": ["Berkeley", "Oakland"]},
+        {"name": "restaurant", "kind": "catalog", "catalog": ["Nopa", "Zuni", "Chez Panisse"]},
+        {"name": "tableRef", "kind": "object"}
+      ],
+      "apis": [
+        {
+          "name": "FindRestaurant",
+          "args": [{"name": "city", "type": "city", "required": true}],
+          "return": {"name": "place", "type": "restaurant"},
+          "response_template": "found"
+        },
+        {
+          "name": "BookTable",
+          "args": [{"name": "place", "type": "restaurant", "required": true}],
+          "return": {"name": "table", "type": "tableRef"},
+          "response_template": "booked"
+        }
+      ],
+      "response_templates": [
+        {"name": "found", "args": [], "acts": ["inform(entity:restaurant)"], "templates": ["I found a place."]},
+        {"name": "booked", "args": [], "acts": ["inform(entity:tableRef)"], "templates": ["Your table is booked."]},
+        {"name": "closing", "args": [], "acts": ["bye()"], "templates": ["Enjoy your meal."]}
+      ],
+      "utterance_templates": []
+    }
+  ]
+}
+"""
+
+CATALOG_RETURN_SEED = """\
+U-1: Find me a restaurant in [Berkeley|city0]
+S-2: call: FindRestaurant(city=$city0) -> restaurant0
+S-3: nlg: I found a place.
+U-4: Book a table there
+S-5: call: BookTable(place=$restaurant0) -> tableRef0
+S-6: nlg: Your table is booked.
+U-7: Thanks, bye
+S-8: nlg: Enjoy your meal.
+"""
+
+
+@pytest.fixture(scope="session")
+def catalog_return_bundle():
+    return loads_schema(CATALOG_RETURN_SCHEMA)
+
+
+@pytest.fixture()
+def catalog_return_seeds(catalog_return_bundle):
+    return parse_corpus(CATALOG_RETURN_SEED, catalog_return_bundle)

@@ -531,6 +531,40 @@ def test_response_without_acts_is_rejected(data_paths, tmp_path, capsys):
     _assert_one_error_line(captured.err)
 
 
+def _with_find_movies_copy(name, arg=None):
+    """A domain edit that adds a copy of FindMovies named `name`, its
+    required location arg renamed `arg` when given."""
+    def edit(dom):
+        api = json.loads(json.dumps(dom["apis"][0]))
+        api["name"] = name
+        if arg is not None:
+            api["args"][0]["name"] = arg
+        dom["apis"].append(api)
+    return edit
+
+
+def test_names_with_underscores_round_trip(data_paths, tmp_path):
+    schema, seeds = data_paths
+    doc = json.loads(schema.read_text(encoding="utf-8"))
+    _with_find_movies_copy("Find_Movies", "city_name")(doc["domains"][0])
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(doc), encoding="utf-8")
+    files = ["--schema", str(schema_path), "--seeds", str(seeds)]
+    model_path, corpus = tmp_path / "model.json", tmp_path / "corpus.txt"
+    assert main(["validate", *files]) == 0
+    assert main(["fit", *files, "--out", str(model_path)]) == 0
+    model = json.loads(model_path.read_text(encoding="utf-8"))
+    model["start"]["Find_Movies"] = 1.0
+    model["transition"]["Find_Movies"] = {"SelectShow": 1.0}
+    model_path.write_text(json.dumps(model), encoding="utf-8")
+    assert main(["generate", *files, "--n", "20", "--mix", "markov=1", "--model",
+                 str(model_path), "--out", str(corpus)]) == 0
+    text = corpus.read_text(encoding="utf-8")
+    assert "inform(intent:Find_Movies)" in text and "call: Find_Movies(city_name=$" in text
+    assert main(["metrics", "--schema", str(schema_path), "--out", str(tmp_path / "m.json"),
+                 str(corpus)]) == 0
+
+
 def _in_domain(edit):
     """A whole-document edit that applies `edit` to the first domain."""
     return lambda doc: (edit(doc["domains"][0]), doc)[1]
@@ -548,9 +582,18 @@ def _in_domain(edit):
         _in_domain(lambda dom: dom.update(apis="x")),
         _in_domain(lambda dom: dom["apis"][0]["args"][1].update(required="false")),
         _in_domain(lambda dom: dom["entity_types"][0]["catalog"].append(7)),
+        # names the act and call grammar cannot read back: an API named
+        # 'Find Movies' would generate a corpus that `metrics` cannot parse,
+        # at `inform(intent:Find Movies)`
+        _in_domain(_with_find_movies_copy("Find Movies")),
+        _in_domain(_with_find_movies_copy("Find.Movies")),
+        _in_domain(_with_find_movies_copy("FindMovies2", "city name")),
+        _in_domain(_with_find_movies_copy("FindMovies2", "at=noon")),
+        _in_domain(_with_find_movies_copy("FindMovies2", "_city")),
     ],
     ids=["duplicate-response-name", "slot-of-no-type", "slot-of-no-repeat", "top-level-list",
-         "apis-string", "required-string", "catalog-number"],
+         "apis-string", "required-string", "catalog-number", "api-name-space", "api-name-dot",
+         "arg-name-space", "arg-name-equals", "arg-name-underscore-first"],
 )
 def test_schema_error_ends_in_diagnostics(data_paths, tmp_path, capsys, edit):
     schema, seeds = data_paths

@@ -431,3 +431,89 @@ def test_policy_grid_bytes_are_pinned(demo_bundle, demo_seeds):
         digest.update(serialize_corpus(result.dialogs).encode("utf-8"))
         digest.update((json.dumps(result.stats) + "\n").encode("utf-8"))
     assert digest.hexdigest() == POLICY_GRID_DIGEST
+
+
+def test_catalog_typed_return_is_offered_by_its_surface(catalog_return_bundle,
+                                                       catalog_return_seeds):
+    # FindRestaurant returns a catalog-kind restaurant that BookTable takes;
+    # with no offer template, the offer speaks the return's drawn surface,
+    # and the accepted offer's call binds that return var
+    bundle = catalog_return_bundle
+    config = _quiet_config(n_dialogs=20, p_offer=1.0, rng_seed=3)
+    dialogs = run_batch(bundle, catalog_return_seeds, config).dialogs
+    catalog = bundle.catalog("restaurant")
+    surfaces = set()
+    for dialog in dialogs:
+        turns = dialog.turns
+        (find,) = [t for t in turns if isinstance(t, ApiCall) and t.api == "FindRestaurant"]
+        offer = next(t for t in turns if isinstance(t, NlgResponse) and t.acts[0].name == "offer")
+        prefix = "Would you like to book table? How about "
+        assert offer.text.startswith(prefix) and offer.text.endswith("?")
+        surfaces.add(offer.text[len(prefix) : -1])
+        book = next(t for t in turns[turns.index(offer) :] if isinstance(t, ApiCall))
+        assert (book.api, str(book.bindings["place"])) == ("BookTable", f"${find.return_var}")
+    assert surfaces <= set(catalog) and len(surfaces) > 1
+    assert parse_corpus(serialize_corpus(dialogs), bundle) == dialogs
+
+
+CHAIN_SEED = """\
+U-1: Do A
+S-2: call: A() -> aOut0
+S-3: nlg: Done.
+U-4: Now B
+S-5: call: B() -> bOut0
+S-6: nlg: Done.
+U-7: And C
+S-8: call: C() -> cOut0
+S-9: nlg: Done.
+"""
+
+TWO_DOMAIN_SEED = """\
+U-1: Pick a movie
+S-2: call: PickMovie() -> movieName0
+S-3: nlg: Here.
+U-4: And a time
+S-5: call: PickTime() -> time0
+S-6: nlg: Here.
+U-7: Book a table at [Nopa|restaurant0]
+S-8: call: BookTable(when=$time0,place=$restaurant0) -> restaurant1
+S-9: nlg: Booked.
+"""
+
+
+def test_user_entity_acts_always_name_their_role(
+    flow_bundle, flow_seed, chain_bundle, two_domain_bundle
+):
+    """Whatever the policy knobs, self-play completes, and every user entity
+    act carries the api and arg it refers to, an api the user has already
+    named or affirmed: the system routes informs and denies by that role to
+    the api's frame, and never makes a frame for one."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    cases = [
+        (flow_bundle, [flow_seed]),
+        (chain_bundle, parse_corpus(CHAIN_SEED, chain_bundle)),
+        (two_domain_bundle, parse_corpus(TWO_DOMAIN_SEED, two_domain_bundle)),
+    ]
+    probability = st.sampled_from([0.0, 0.15, 0.5, 1.0]) | st.floats(0, 1)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(
+        probability, probability, probability, probability, st.integers(1, 4), st.integers(0, 99)
+    )
+    def check(p_correct, p_offer, failure, multi_act_p, max_acts, seed):
+        config = GenerationConfig(
+            n_dialogs=6, rng_seed=seed, p_correct=p_correct, p_offer=p_offer,
+            api_failure_rate=failure, multi_act_p=multi_act_p, max_acts_per_turn=max_acts,
+        )
+        for bundle, seeds in cases:
+            for dialog in run_batch(bundle, seeds, config).dialogs:
+                named = set()
+                for act in (a for t in dialog.turns if isinstance(t, UserUtterance)
+                            for a in t.acts):
+                    if act.intent is not None and act.name in ("inform", "affirm"):
+                        named.add(act.intent)
+                    elif act.entity is not None:
+                        assert act.api in named and act.arg is not None, act
+
+    check()

@@ -207,6 +207,46 @@ def test_system_backoff_text():
     assert "book tickets" in text
 
 
+# every canned fragment and backoff sentence, one act at a time: a schema
+# with few templates reaches these far more often than the demo does
+@pytest.mark.parametrize(
+    "act, value, text",
+    [
+        (DialogAct("inform", "user", intent="FindMovies"), None, "I want to find movies"),
+        (DialogAct("inform", "user", entity="Time"), "2 PM", "2 PM"),
+        (DialogAct("affirm", "user", intent="FindMovies"), None, "yes"),
+        (DialogAct("affirm", "user", entity="movieTitle"), None, "yes, that movie title"),
+        (DialogAct("deny", "user", intent="FindMovies"), None, "no thank you"),
+        (DialogAct("deny", "user", entity="movieTitle"), None, "no, not that movie title"),
+        (DialogAct("bye", "user"), None, "Ok thank you, bye"),
+        (DialogAct("repeat", "user"), None, "sorry, say that again?"),
+        # a name outside the user act grammar reads as its own words
+        (DialogAct("thankYou", "user"), None, "thank you"),
+        (DialogAct("request", "system", entity="ticketType"), None,
+         "What ticket type would you like?"),
+        (DialogAct("offer", "system", intent="BookTickets"), None,
+         "Would you like to book tickets?"),
+        (DialogAct("offer", "system", entity="movieTitle"), "Tenet", "How about Tenet?"),
+        (DialogAct("offer", "system", entity="showInfo"), None, "Using that show info?"),
+        (DialogAct("confirm", "system", intent="BookTickets"), None, "Shall I book tickets?"),
+        (DialogAct("confirm", "system", entity="ticketType"), "child", "With child?"),
+        (DialogAct("confirm", "system", entity="showInfo"), None, "For that show info?"),
+        (DialogAct("failure", "system", intent="FindMovies"), None,
+         "Sorry, I could not find movies."),
+        (DialogAct("inform", "system", entity="movieTitle"), "Tenet", "The movie title is Tenet."),
+        (DialogAct("inform", "system", entity="movieList"), None, ""),
+        (DialogAct("bye", "system"), None, "Thank you, goodbye."),
+    ],
+)
+def test_canned_text(act, value, text):
+    if act.side == "user":
+        values = [value] if value is not None else []
+        realized, _ = realize_user([act], values, TemplateIndex(), Random(0), VarAllocator())
+        assert realized == text
+    else:
+        assert realize_system_backoff([act], [value]) == text
+
+
 def test_humanize():
     assert humanize("FindMovies") == "find movies"
     assert humanize("timeLowerBound") == "time lower bound"

@@ -1,5 +1,7 @@
 from random import Random
 
+import pytest
+
 from dialogsim.acts import DialogAct, act_to_string
 from dialogsim.engine import GenerationConfig
 from dialogsim.goals import extract_goals, fit_markov
@@ -167,9 +169,8 @@ def test_offer_follows_fitted_transition(demo_bundle, demo_seeds_annotated):
     goals = extract_goals(demo_seeds_annotated[:1], demo_bundle)
     model = fit_markov(goals)  # P(SelectShow | FindMovies) = 1
     state = init_system(model)
-    state.context["movieList0"] = __import__(
-        "dialogsim.system_agent", fromlist=["ContextVar"]
-    ).ContextVar("movieList", None, "return")
+    state.latest["movieList"] = ("movieList0", None)
+    state.returns["movieList"] = "movieList0"
     proposal = propose_offer(state, demo_bundle, Random(0), "FindMovies")
     assert proposal is not None
     view, plan = proposal
@@ -213,3 +214,15 @@ def test_post_call_correction_triggers_recall(demo_bundle):
     assert call.bindings["location"] == "location1"
     assert call.return_var != "movieList0"
     assert out.nlg[0].response.name == "announce_movies"
+
+
+def test_entity_act_for_an_unnamed_intent_fails_loudly(demo_bundle):
+    # the user policy names an intent before it informs or denies one of its
+    # args; an act that does not finds no frame, and none is made for it
+    for act in (_inform("location", "FindMovies", "location"),
+                DialogAct("deny", "user", entity="location", api="FindMovies", arg="location")):
+        state = init_system()
+        spans = _spans(("location0", "Sunnyvale")) if act.name == "inform" else []
+        with pytest.raises(IndexError):
+            _turn(state, [act], spans, demo_bundle)
+        assert state.frames == []
