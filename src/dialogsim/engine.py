@@ -147,8 +147,6 @@ def run_dialog(
     limit within a system turn, is truncated: it keeps its first
     `max_turns` turns and is marked `truncated`.
     """
-    if not goal.intents:
-        raise GenerationError("cannot simulate an empty goal")
     problems = validate_goal(goal, bundle)
     if problems:
         raise GenerationError(f"invalid goal: {problems[0].location}: {problems[0].message}")

@@ -196,6 +196,8 @@ def validate_goal(goal: UserGoal, bundle: SchemaBundle) -> list[Diagnostic]:
                     err(loc, f"arg {arg_name!r} references a non-earlier intent")
                     continue
                 source = bundle.api(goal.intents[binding.intent_index].api)
+                if source is None:  # an unknown API, reported at its own intent
+                    continue
                 if source.return_type != spec.entity_type:
                     err(
                         loc,
@@ -220,16 +222,10 @@ def validate_goal(goal: UserGoal, bundle: SchemaBundle) -> list[Diagnostic]:
     return diags
 
 
-def _sample_catalog(bundle: SchemaBundle, type_name: str, rng: Random) -> str:
-    catalog = bundle.catalog(type_name)
-    if not catalog:
-        raise SamplerError(f"entity type {type_name!r} has no catalog to sample from")
-    return catalog[rng.randrange(len(catalog))]
-
-
 def sample_golden(goals: list[UserGoal], bundle: SchemaBundle, rng: Random) -> UserGoal:
     """Uniform (with replacement) seed-goal structure, user values re-drawn
-    from the catalogs."""
+    from the catalogs. A seed's user value is never of an object-kind type
+    (markup linking rejects one), and every other type has a catalog."""
     if not goals:
         raise SamplerError("no extracted goals to sample from")
     source = goals[rng.randrange(len(goals))]
@@ -240,8 +236,9 @@ def sample_golden(goals: list[UserGoal], bundle: SchemaBundle, rng: Random) -> U
             if isinstance(binding, ReturnRef):
                 bindings[arg_name] = binding
             else:
+                catalog = bundle.catalog(binding.entity_type)
                 bindings[arg_name] = UserValue(
-                    _sample_catalog(bundle, binding.entity_type, rng), binding.entity_type
+                    catalog[rng.randrange(len(catalog))], binding.entity_type
                 )
         intents.append(IntentInstance(api=intent.api, bindings=bindings))
     return UserGoal(intents=intents, source_seed=source.source_seed)

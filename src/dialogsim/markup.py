@@ -238,21 +238,15 @@ def _parse_dialog_lines(
 
 
 def _link(dialog: Dialog, bundle: SchemaBundle) -> None:
-    """Resolve var references and infer span entity types from API usage."""
+    """Resolve var references and type every span, by its var prefix or by
+    the call that consumes it. A user value, span or call literal, may not
+    be of an object-kind type. The spans are `_parse_user_text`'s, cut from
+    the text in order, so they need no order or surface check here."""
     # var -> (introducing turn, its span, or the return type of its call)
     intro: dict[str, tuple[int, EntitySpan | str]] = {}
     for n, p in enumerate(dialog.turns, start=1):
         if isinstance(p, UserUtterance):
-            last_end = 0
             for span in p.spans:
-                if span.start < last_end:
-                    raise MarkupError(f"overlapping or out-of-order spans in turn {n}")
-                last_end = span.end
-                if p.text[span.start : span.end] != span.surface:
-                    raise MarkupError(
-                        f"span surface {span.surface!r} does not match utterance text "
-                        f"in turn {n}"
-                    )
                 if span.var_id in intro:
                     raise MarkupError(f"var {span.var_id!r} reintroduced in turn {n}")
                 if span.entity_type is None:
@@ -272,6 +266,7 @@ def _link(dialog: Dialog, bundle: SchemaBundle) -> None:
                 if spec is None:
                     raise MarkupError(f"API {p.api} has no argument {arg_name!r}")
                 if valref.var is None:
+                    _check_user_value(bundle, spec.entity_type, n)
                     continue
                 if valref.var not in intro or intro[valref.var][0] >= n:
                     raise MarkupError(f"unresolved reference ${valref.var} in turn {n}")
@@ -297,12 +292,15 @@ def _link(dialog: Dialog, bundle: SchemaBundle) -> None:
                 raise MarkupError(
                     f"cannot infer entity type for span var {span.var_id!r} in turn {n}"
                 )
-            et = bundle.entity_type(span.entity_type)
-            if et is not None and et.kind == OBJECT:
-                raise MarkupError(
-                    f"object-kind type {et.name!r} cannot appear as a user value "
-                    f"(turn {n})"
-                )
+            _check_user_value(bundle, span.entity_type, n)
+
+
+def _check_user_value(bundle: SchemaBundle, type_name: str, n: int) -> None:
+    """Golden sampling redraws a user value from its type's catalog, and an
+    object-kind type has none."""
+    et = bundle.entity_type(type_name)
+    if et is not None and et.kind == OBJECT:
+        raise MarkupError(f"object-kind type {et.name!r} cannot appear as a user value (turn {n})")
 
 
 def parse_dialog(text: str, bundle: SchemaBundle | None = None) -> Dialog:

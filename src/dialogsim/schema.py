@@ -13,6 +13,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .acts import (
+    END,
     IDENTIFIER,
     SYSTEM,
     USER,
@@ -413,6 +414,8 @@ def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
             loc = f"{dom.name}.{api.name}"
             if api.name in seen_apis:
                 err(loc, f"duplicate API name {api.name!r}")
+            if api.name == END:
+                err(loc, f"API name {END!r} collides with the terminal state")
             seen_apis.add(api.name)
             for name in (api.name, *(a.name for a in api.args)):
                 if not re.fullmatch(IDENTIFIER, name):

@@ -21,20 +21,21 @@ intent is its name, until `intent_said`, then its user-valued args not yet
 in `informed`, in API arg order. Answering a request or an offer informs an
 arg, and so takes it off the agenda.
 
-Confirms and offers are answered by one rule, `answer`: affirm the intent,
-then affirm or deny each arg and inform any correction. Only the truth an
-arg is held to differs: what the user said, or the goal.
+A confirm never shows a value other than the one the user said: its
+surfaces are the user's own, or a return's. So the user affirms a confirm's
+intent and each of its args. An offer is answered by `answer`, which holds
+each offered arg to the goal: it affirms the intent, then affirms or denies
+each arg and informs any correction.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from random import Random
 
 from .acts import USER, DialogAct
 from .goals import ReturnRef, UserGoal, UserValue
 from .schema import SchemaBundle
-from .system_agent import ApiView, ArgView, SystemTurnOutput
+from .system_agent import ApiView, SystemTurnOutput
 
 
 @dataclass
@@ -148,49 +149,39 @@ def next_user_turn(
         else:
             abandon_intent(state, state.cursor)
 
-    def answer(api_view: ApiView, truth: Callable[[ArgView], tuple[bool, str | None]]) -> None:
-        """Affirm the intent, then affirm or deny each arg as `truth` judges
-        it, and inform the correction `truth` returns, if any."""
-        api = state.current().api
-        acts.append(DialogAct("affirm", USER, intent=api))
-        for a in api_view.args:
-            agrees, correction = truth(a)
+    def answer(offer: ApiView) -> None:
+        """Affirm the offered intent, then each arg that holds the goal's
+        binding; deny any other, informing the goal's user value in its
+        place. An offered user value counts as informed."""
+        intent = state.current()
+        acts.append(DialogAct("affirm", USER, intent=intent.api))
+        for a in offer.args:
+            binding = intent.bindings.get(a.arg)
+            if isinstance(binding, UserValue):
+                state.informed[(state.cursor, a.arg)] = binding.surface
+                agrees = a.surface == binding.surface
+            else:
+                agrees = (isinstance(binding, ReturnRef)
+                          and a.var == state.returns_seen.get(binding.intent_index))
             name = "affirm" if agrees else "deny"
-            acts.append(DialogAct(name, USER, entity=a.entity_type, api=api, arg=a.arg))
-            if correction is not None:
-                inform(a.entity_type, api, a.arg, correction)
+            acts.append(DialogAct(name, USER, entity=a.entity_type, api=intent.api, arg=a.arg))
+            if not agrees and isinstance(binding, UserValue):
+                inform(a.entity_type, intent.api, a.arg, binding.surface)
 
-    def confirmed_truth(a: ArgView) -> tuple[bool, str | None]:
-        """A confirmed value agrees unless it differs from what the user said."""
-        said = state.informed.get((state.cursor, a.arg))
-        if a.surface is None or said is None or a.surface == said:
-            return True, None
-        return False, said
-
-    def offered_truth(a: ArgView) -> tuple[bool, str | None]:
-        """An offered value agrees with the goal's binding; an offered user
-        value counts as informed."""
-        binding = state.current().bindings.get(a.arg)
-        if isinstance(binding, ReturnRef):
-            return a.var == state.returns_seen.get(binding.intent_index), None
-        if not isinstance(binding, UserValue):
-            return False, None
-        state.informed[(state.cursor, a.arg)] = binding.surface
-        if a.surface == binding.surface:
-            return True, None
-        return False, binding.surface
-
-    # 2. respond to a confirmation prompt: affirm truthfully, deny + correct
-    # any stale value
+    # 2. answer a confirmation prompt: it shows what the user said, or
+    # returns, so the user affirms all of it
     if view.confirm is not None and not state.done and view.confirm.api == state.current().api:
-        answer(view.confirm, confirmed_truth)
+        api = view.confirm.api
+        acts.append(DialogAct("affirm", USER, intent=api))
+        for a in view.confirm.args:
+            acts.append(DialogAct("affirm", USER, entity=a.entity_type, api=api, arg=a.arg))
 
     # 3. respond to a proactive offer: accept only the goal's next intent,
     # and only before the user has named it
     if view.offer is not None:
         if not state.done and not state.intent_said and view.offer.api == state.current().api:
             state.intent_said = True
-            answer(view.offer, offered_truth)
+            answer(view.offer)
         else:
             acts.append(DialogAct("deny", USER, intent=view.offer.api))
 

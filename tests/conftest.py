@@ -289,3 +289,37 @@ def catalog_return_bundle():
 @pytest.fixture()
 def catalog_return_seeds(catalog_return_bundle):
     return parse_corpus(CATALOG_RETURN_SEED, catalog_return_bundle)
+
+
+# Use needs a ticket, an object kind that no API returns and no catalog
+# holds: the Markov sampler can bind no goal that starts with it
+STUCK_SCHEMA = """
+{
+  "domains": [
+    {
+      "name": "Stuck",
+      "entity_types": [
+        {"name": "ticket", "kind": "object"},
+        {"name": "receipt", "kind": "object"}
+      ],
+      "apis": [
+        {
+          "name": "Use",
+          "args": [{"name": "ticket", "type": "ticket", "required": true}],
+          "return": {"name": "receipt", "type": "receipt"},
+          "response_template": "used"
+        }
+      ],
+      "response_templates": [
+        {"name": "used", "args": [], "acts": ["inform(entity:receipt)"], "templates": ["Done."]}
+      ],
+      "utterance_templates": []
+    }
+  ]
+}
+"""
+
+
+@pytest.fixture(scope="session")
+def stuck_bundle():
+    return loads_schema(STUCK_SCHEMA)

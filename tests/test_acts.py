@@ -112,6 +112,10 @@ def test_parse_act_rejects_unknown():
         parse_act("failure(entity:x)", "system")  # failure takes an intent
     with pytest.raises(ActError):
         validate_act(DialogAct("bye", "user", intent="X"))
+    with pytest.raises(ActError, match="unknown act side 'robot'"):
+        validate_act(DialogAct("inform", "robot", intent="X"))
+    with pytest.raises(ActError, match="carries both an intent and an entity argument"):
+        validate_act(DialogAct("inform", "user", intent="X", entity="Time"))
 
 
 def test_parse_act_list_memo_returns_fresh_equal_lists():

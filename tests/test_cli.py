@@ -126,6 +126,15 @@ def test_fit_dump_reloads(data_paths, tmp_path):
     assert out.read_text(encoding="utf-8").count("U-1:") == 5
 
 
+def test_fit_without_out_writes_the_model_to_stdout(data_paths, tmp_path, capsys):
+    schema, seeds = data_paths
+    model_path = tmp_path / "model.json"
+    args = ["fit", "--schema", str(schema), "--seeds", str(seeds)]
+    assert main(args + ["--out", str(model_path)]) == 0
+    assert main(args) == 0
+    assert capsys.readouterr().out == model_path.read_text(encoding="utf-8")
+
+
 def test_missing_schema_is_error(tmp_path, capsys):
     assert main(["validate", "--schema", str(tmp_path / "nope.json")]) == 1
 
@@ -590,10 +599,12 @@ def _in_domain(edit):
         _in_domain(_with_find_movies_copy("FindMovies2", "city name")),
         _in_domain(_with_find_movies_copy("FindMovies2", "at=noon")),
         _in_domain(_with_find_movies_copy("FindMovies2", "_city")),
+        # the goal model's terminal state: no seed set could use the schema
+        _in_domain(_with_find_movies_copy("END")),
     ],
     ids=["duplicate-response-name", "slot-of-no-type", "slot-of-no-repeat", "top-level-list",
          "apis-string", "required-string", "catalog-number", "api-name-space", "api-name-dot",
-         "arg-name-space", "arg-name-equals", "arg-name-underscore-first"],
+         "arg-name-space", "arg-name-equals", "arg-name-underscore-first", "api-named-end"],
 )
 def test_schema_error_ends_in_diagnostics(data_paths, tmp_path, capsys, edit):
     schema, seeds = data_paths
@@ -650,9 +661,17 @@ def test_schema_nested_too_deeply_is_diagnosed(data_paths, tmp_path, capsys, sou
         # the seed's goal leaves a required arg unbound
         ("count=$count0,ticketType=$ticketType0) -> bookingRef0\nU-9",
          "ticketType=$ticketType0) -> bookingRef0\nU-9", "'seed-book-basic'"),
+        # golden sampling would redraw the literal from movieList's catalog,
+        # and an object kind has none
+        ("U-4: Tell me more about the [4 PM|time1] show of [Tenet|movieTitle0]\n"
+         "S-5: call: SelectShow(showTime=$time1,movieTitle=$movieTitle0,movies=$movieList0)",
+         "U-4: Tell me more about the 4 PM show of Tenet\n"
+         'S-5: call: SelectShow(showTime="4 PM",movieTitle="Tenet",movies="someList")',
+         "object-kind type 'movieList' cannot appear as a user value (turn 5)"),
     ],
     ids=["informs-swapped", "inform-dropped", "slot-in-text", "slot-without-span",
-         "user-turn-without-acts", "nlg-turn-without-acts", "call-without-required-arg"],
+         "user-turn-without-acts", "nlg-turn-without-acts", "call-without-required-arg",
+         "object-literal"],
 )
 def test_seed_turn_is_held_to_the_template_rule(data_paths, tmp_path, capsys, old, new, where):
     schema, seeds = data_paths

@@ -18,7 +18,14 @@ from dialogsim.engine import (
     run_batch,
     run_dialog,
 )
-from dialogsim.goals import UserGoal, extract_goals
+from dialogsim.goals import (
+    IntentInstance,
+    ReturnRef,
+    UserGoal,
+    UserValue,
+    extract_goals,
+    validate_goal,
+)
 from dialogsim.markup import (
     ApiCall,
     MarkupError,
@@ -29,6 +36,7 @@ from dialogsim.markup import (
     serialize_dialog,
 )
 from dialogsim.nlg import build_template_index
+from dialogsim.user_agent import UserTurnOutput
 
 
 def _quiet_config(**kw):
@@ -106,6 +114,63 @@ def test_empty_goal_rejected(flow_bundle, flow_seed):
     index = build_template_index(flow_bundle, [flow_seed])
     with pytest.raises(GenerationError):
         run_dialog(UserGoal(intents=[]), flow_bundle, _quiet_config(), Random(0), index)
+
+
+def test_run_dialog_simulates_exactly_the_goals_validate_goal_accepts(flow_bundle, flow_seed):
+    """run_dialog rejects every goal validate_goal flags, a goal without
+    intents among them, and plays every other one out."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    index = build_template_index(flow_bundle, [flow_seed])
+    seed_intents = extract_goals([flow_seed], flow_bundle)[0].intents
+    args = sorted({a.name for api in flow_bundle.apis() for a in api.args} | {"nope"})
+    types = ["location", "Time", "movieTitle", "count", "ticketType", "movieList", "showInfo"]
+    user_value = st.builds(UserValue, st.sampled_from(["Tenet", "2 PM", "two"]),
+                           st.sampled_from(types))
+    binding = user_value | st.builds(ReturnRef, st.integers(-1, 3))
+
+    @st.composite
+    def goals(draw):
+        """A prefix of the seed's goal with up to three edits: an intent
+        dropped or renamed to another api, an arg unbound, or an arg bound
+        anew. (An unknown api is in test_goal_diagnostics.)"""
+        intents = [IntentInstance(i.api, dict(i.bindings))
+                   for i in seed_intents[: draw(st.integers(0, len(seed_intents)))]]
+        for _ in range(draw(st.integers(0, 3))):
+            if not intents:
+                break
+            intent = draw(st.sampled_from(intents))
+            edit = draw(st.sampled_from(["drop", "api", "unbind", "bind"]))
+            if edit == "drop":
+                intents.remove(intent)
+            elif edit == "api":
+                intent.api = draw(st.sampled_from([api.name for api in flow_bundle.apis()]))
+            elif edit == "unbind" and intent.bindings:
+                del intent.bindings[draw(st.sampled_from(sorted(intent.bindings)))]
+            elif edit == "bind":
+                intent.bindings[draw(st.sampled_from(args))] = draw(binding)
+        return UserGoal(intents=intents)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(goals(), st.integers(0, 9))
+    def check(goal, seed):
+        problems = validate_goal(goal, flow_bundle)
+        assert problems or goal.intents
+        if problems:
+            with pytest.raises(GenerationError):
+                run_dialog(goal, flow_bundle, GenerationConfig(), Random(seed), index)
+        else:
+            run_dialog(goal, flow_bundle, GenerationConfig(), Random(seed), index)
+
+    check()
+
+
+def test_an_empty_user_turn_is_an_error(flow_bundle, flow_seed, monkeypatch):
+    monkeypatch.setattr(engine, "next_user_turn", lambda *args: UserTurnOutput([], []))
+    goal = extract_goals([flow_seed], flow_bundle)[0]
+    index = build_template_index(flow_bundle, [flow_seed])
+    with pytest.raises(GenerationError, match="user policy produced an empty turn"):
+        run_dialog(goal, flow_bundle, _quiet_config(), Random(0), index)
 
 
 def test_base_mix_bounded_by_seed_count(demo_bundle, demo_seeds):

@@ -16,8 +16,8 @@ from dialogsim.goals import (
     sample_markov,
     validate_goal,
 )
-from dialogsim.markup import annotate_seed_acts, parse_corpus
-from dialogsim.schema import loads_schema
+from dialogsim.markup import MarkupError, annotate_seed_acts, parse_corpus
+from dialogsim.schema import SchemaError, loads_schema, var_prefix
 
 
 def test_extract_table2_goal(demo_bundle, demo_seeds):
@@ -71,6 +71,37 @@ def test_missing_required_arg_flagged(demo_bundle):
     diags = validate_goal(goal, demo_bundle)
     assert any("show" in d.message for d in diags)
     assert any("ticketType" in d.message for d in diags)
+
+
+@pytest.mark.parametrize(
+    "intents, location, message",
+    [
+        ([], "goal", "goal has no intents"),
+        ([IntentInstance("FindShows", {})], "intent 0 (FindShows)", "unknown API"),
+        ([IntentInstance("FindMovies", {"location": UserValue("Sunnyvale", "location"),
+                                        "city": UserValue("Sunnyvale", "location")})],
+         "intent 0 (FindMovies)", "no such arg 'city'"),
+        ([IntentInstance("FindMovies", {"location": UserValue("4 PM", "Time")})],
+         "intent 0 (FindMovies)", "arg 'location' takes location, got Time"),
+        ([IntentInstance("FindShows", {}),
+          IntentInstance("SelectShow", {"showTime": UserValue("4 PM", "Time"),
+                                        "movieTitle": UserValue("Tenet", "movieTitle"),
+                                        "movies": ReturnRef(0)})],
+         "intent 0 (FindShows)", "unknown API"),
+    ],
+    ids=["no-intents", "unknown-api", "no-such-arg", "wrong-type", "return-of-unknown-api"],
+)
+def test_goal_diagnostics(demo_bundle, intents, location, message):
+    diags = validate_goal(UserGoal(intents=intents), demo_bundle)
+    assert [(d.location, d.message) for d in diags] == [(location, message)]
+
+
+def test_unlinked_seed_with_a_dangling_reference(demo_bundle):
+    # linking rejects a dangling reference; a seed parsed without the
+    # schema reaches extraction with it
+    (seed,) = parse_corpus("U-1: hi\nS-2: call: FindMovies(location=$location0) -> movieList0")
+    with pytest.raises(SamplerError, match=r"cannot resolve binding FindMovies\.location=\$loc"):
+        extract_goals([seed], demo_bundle)
 
 
 def test_cross_domain_sharing_rules(two_domain_bundle):
@@ -165,6 +196,58 @@ SINGLETON_SCHEMA = """
   }]
 }
 """
+
+
+def test_seed_user_values_have_a_catalog_to_redraw_from():
+    """Whatever entity types a schema declares, each user value a linked
+    seed binds by a span has a catalog, so golden sampling can redraw it:
+    validate_schema gives each catalog kind a catalog and each builtin the
+    registry's, and linking keeps object kinds out of spans."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    names = ["city", "thing", "Time", "Date", "Zip"]
+    kinds = [("catalog", ["a", "b"]), ("catalog", ["a"]), ("catalog", []), ("object", []),
+             ("object", ["a"]), ("builtin", []), ("builtin", ["a"])]
+    declared = st.lists(
+        st.tuples(st.sampled_from(names), st.sampled_from(kinds)),
+        min_size=1, max_size=3, unique_by=lambda t: t[0],
+    ).map(lambda types: [(name, *kind) for name, kind in types])
+    # per arg: "own" to name its span by the arg's type, another type name,
+    # "v" to leave the span's type to the call, or None to bind no span
+    spans = st.lists(st.sampled_from(["own", "own", "v", None, *names]), min_size=3, max_size=3)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(declared, spans)
+    def check(types, prefixes):
+        doc = {"domains": [{
+            "name": "D",
+            "entity_types": [{"name": n, "kind": k, "catalog": c} for n, k, c in types]
+            + [{"name": "out", "kind": "object"}],
+            "apis": [{"name": "Use", "args": [{"name": f"a{i}", "type": n}
+                                              for i, (n, _, _) in enumerate(types)],
+                      "return": {"name": "out", "type": "out"}, "response_template": "used"}],
+            "response_templates": [{"name": "used", "args": [], "acts": ["inform(entity:out)"],
+                                    "templates": ["Done."]}],
+        }]}
+        try:
+            bundle = loads_schema(json.dumps(doc))
+        except SchemaError:
+            return
+        args = {i: f"{var_prefix(types[i][0] if prefix == 'own' else prefix)}{i}"
+                for i, prefix in enumerate(prefixes[: len(types)]) if prefix}
+        text = "U-1: " + " ".join(f"[x|{var}]" for var in args.values())
+        text += "\nS-2: call: Use(%s) -> out0" % ",".join(f"a{i}=${v}" for i, v in args.items())
+        try:
+            seeds = parse_corpus(text, bundle)
+        except MarkupError:
+            return
+        goals = extract_goals(seeds, bundle)
+        values = goals[0].intents[0].bindings.values()
+        assert all(bundle.catalog(v.entity_type) for v in values)
+        redrawn = sample_golden(goals, bundle, Random(0)).intents[0].bindings.values()
+        assert all(v.surface in bundle.catalog(v.entity_type) for v in redrawn)
+
+    check()
 
 
 def test_golden_identity_with_singleton_catalogs():
@@ -276,11 +359,28 @@ def test_markov_max_len_respected(demo_bundle, demo_seeds):
         assert len(goal.intents) <= 3
 
 
-def test_sampler_errors():
+def test_sampler_errors(chain_bundle):
     with pytest.raises(SamplerError):
         sample_golden([], None, Random(0))
     with pytest.raises(SamplerError):
         fit_markov([])
+    with pytest.raises(SamplerError, match="API name 'END' collides with the terminal state"):
+        fit_markov([_goal("A", "END")])
+    with pytest.raises(SamplerError, match="max_len must be >= 1"):
+        sample_markov(fit_markov([_goal("A")]), chain_bundle, Random(0), max_len=0)
+
+
+def test_markov_empty_row_ends_the_chain(chain_bundle):
+    model = MarkovGoalModel(start={"A": 1.0}, transition={"A": {}}, binding_stats={})
+    goal = sample_markov(model, chain_bundle, Random(0))
+    assert [i.api for i in goal.intents] == ["A"]
+
+
+def test_markov_gives_up_when_a_required_arg_has_no_binding(stuck_bundle):
+    # Use's ticket is returned by no earlier intent and has no catalog
+    model = MarkovGoalModel(start={"Use": 1.0}, transition={"Use": {}}, binding_stats={})
+    with pytest.raises(SamplerError, match="no valid goal found in 3 attempts"):
+        sample_markov(model, stuck_bundle, Random(0), max_attempts=3)
 
 
 def test_model_json_round_trip(demo_bundle, demo_seeds):

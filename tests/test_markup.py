@@ -5,7 +5,6 @@ import pytest
 from dialogsim.acts import DialogAct, act_to_string
 from dialogsim.engine import GenerationConfig, run_batch
 from dialogsim.markup import (
-    EntitySpan,
     MarkupError,
     NlgResponse,
     UserUtterance,
@@ -153,23 +152,29 @@ def test_object_type_cannot_be_user_value(demo_bundle):
     assert "object" in str(err.value)
 
 
-def _utterance(text, spans):
-    return UserUtterance(text=text, spans=spans, acts=[])
+def test_spans_are_cut_from_the_text_in_order():
+    """Every user line that parses holds its spans in text order, apart,
+    each over its own surface: linking takes them as they are."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    pieces = st.sampled_from(["[", "]", "|", "[Sunnyvale|location0]", "[4 PM|time0]", "[a|b]",
+                              "location1", " ", "in ", " |acts: ", "inform(entity:Time)"])
+    lines = st.lists(pieces | st.text(max_size=3), max_size=8).map("".join)
 
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(lines)
+    def check(body):
+        try:
+            (turn,) = parse_dialog(f"U-1: {body}").turns
+        except MarkupError:
+            return
+        end = 0
+        for span in turn.spans:
+            assert end <= span.start <= span.end
+            assert turn.text[span.start : span.end] == span.surface
+            end = span.end
 
-def test_overlapping_spans_rejected(demo_bundle):
-    utt = _utterance(
-        "in Sunnyvale",
-        [
-            EntitySpan("Sunnyvale", "location0", "location", 3, 12),
-            EntitySpan("Sunny", "location1", "location", 3, 8),
-        ],
-    )
-    from dialogsim.markup import Dialog, _link
-
-    with pytest.raises(MarkupError) as err:
-        _link(Dialog(turns=[utt]), demo_bundle)
-    assert "overlapping" in str(err.value)
+    check()
 
 
 def test_annotate_seed_acts_table2(demo_bundle, demo_seeds):
@@ -247,14 +252,38 @@ def test_literal_bindings_parse(demo_bundle):
             "U-1: that [list|movieList0]",
             "object-kind type 'movieList' cannot appear as a user value (turn 1)",
         ),
+        (
+            'U-1: hello\nS-2: call: SelectShow(showTime="4 PM",movieTitle="Tenet",'
+            'movies="someList") -> showInfo0',
+            "object-kind type 'movieList' cannot appear as a user value (turn 2)",
+        ),
+        (
+            'U-1: hello\nS-2: call: FindMovies(location="Sunny"vale") -> movieList0',
+            """line 2: literal '"Sunny"vale"' contains an embedded quote""",
+        ),
+        (
+            "U-1: hello\nS-2: call: FindMovies(location) -> movieList0",
+            "line 2: malformed call argument 'location'",
+        ),
+        (
+            'U-1: hello\nS-2: call: FindMovies(location="a",location="b") -> movieList0',
+            "line 2: argument 'location' bound twice",
+        ),
+        ("# id=empty", "dialog has no turns"),
     ],
     ids=["return-type", "span-type", "span-reintroduced", "return-reintroduced",
-         "uninferable", "object-span"],
+         "uninferable", "object-span", "object-literal", "embedded-quote", "malformed-arg",
+         "arg-bound-twice", "no-turns"],
 )
 def test_link_errors(demo_bundle, text, message):
     with pytest.raises(MarkupError) as err:
         parse_dialog(text, demo_bundle)
     assert message in str(err.value)
+
+
+def test_span_var_without_a_type_prefix_is_typed_by_its_call(demo_bundle):
+    text = "U-1: in [Sunnyvale|place0]\nS-2: call: FindMovies(location=$place0) -> movieList0"
+    assert parse_dialog(text, demo_bundle).turns[0].spans[0].entity_type == "location"
 
 
 @pytest.mark.parametrize(

@@ -157,6 +157,8 @@ def test_slot_value_mismatch_rejected(demo_bundle, demo_seeds_annotated):
     acts = [DialogAct("inform", "user", entity="count")]
     with pytest.raises(RealizationError):
         realize_user(acts, ["x", "y"], index, Random(0), VarAllocator())
+    with pytest.raises(RealizationError, match=r"does not have the slots \['location'\]"):
+        _fill_template("in {city}", ["location"], iter(["x"]), VarAllocator(), 0)
 
 
 def test_realize_response_fills_args(demo_bundle):

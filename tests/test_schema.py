@@ -225,8 +225,28 @@ def test_duplicate_response_template_name(demo_schema_text):
          "TicketBooking.announce_movies", "'templates' must be a list"),
         (lambda doc: doc["domains"][0]["utterance_templates"][0].update(acts=[{}]),
          "TicketBooking utterance template", "each entry of 'acts' must be a string"),
+        (lambda doc: doc["domains"][0]["utterance_templates"][0].update(acts=["frobnicate()"]),
+         "TicketBooking utterance template", "act 'frobnicate' is not a valid user-side act"),
+        (lambda doc: doc["domains"][0]["entity_types"][0].update(kind="thing"),
+         "TicketBooking.location", "unknown entity kind 'thing'"),
+        (lambda doc: doc["domains"][0]["entity_types"].append(
+            {"name": "location", "catalog": ["x"]}),
+         "TicketBooking.location", "duplicate entity type name 'location'"),
+        (lambda doc: doc["domains"][0]["entity_types"][6].update(catalog=["x"]),
+         "TicketBooking.movieList", "object-kind type must not carry a catalog"),
+        (lambda doc: doc["domains"][0]["entity_types"][0]["catalog"].append("Sunnyvale"),
+         "TicketBooking.location", "catalog entries must be unique, non-empty strings"),
+        (lambda doc: doc["domains"][0]["entity_types"][0]["catalog"].append(""),
+         "TicketBooking.location", "catalog entries must be unique, non-empty strings"),
+        (lambda doc: doc["domains"][0]["apis"].append(doc["domains"][0]["apis"][0]),
+         "TicketBooking.FindMovies", "duplicate API name 'FindMovies'"),
+        (lambda doc: doc["domains"][0]["apis"].append(
+            dict(doc["domains"][0]["apis"][0], name="END")),
+         "TicketBooking.END", "API name 'END' collides with the terminal state"),
     ],
-    ids=["required-string", "apis-string", "catalog-list", "templates-string", "acts-object"],
+    ids=["required-string", "apis-string", "catalog-list", "templates-string", "acts-object",
+         "acts-unparseable", "unknown-kind", "duplicate-type", "object-with-catalog",
+         "duplicate-catalog-entry", "empty-catalog-entry", "duplicate-api", "api-named-end"],
 )
 def test_value_of_the_wrong_json_type(demo_schema_text, edit, location, message):
     doc = json.loads(demo_schema_text)

@@ -1,7 +1,14 @@
+import json
 from random import Random
 
-from dialogsim.engine import GenerationConfig
+import pytest
+
+from dialogsim import engine
+from dialogsim.acts import DialogAct, act_to_string
+from dialogsim.engine import GenerationConfig, run_batch
 from dialogsim.goals import extract_goals
+from dialogsim.markup import parse_corpus, serialize_corpus
+from dialogsim.schema import loads_schema, serialize_schema
 from dialogsim.system_agent import (
     ApiView,
     ArgView,
@@ -231,3 +238,88 @@ def test_abandon_earlier_intent_keeps_cursor(demo_bundle, demo_seeds):
     assert state.dead == {0}
     assert state.cursor == 1
     assert not state.done
+
+
+def test_result_of_another_api_moves_no_cursor(demo_bundle, demo_seeds):
+    # the user is on FindMovies; a SelectShow result is not its call
+    goal = _table2_goal(demo_bundle, demo_seeds)
+    state = init_user(goal, demo_bundle, Random(0))
+    state.intent_said = True
+    view = SystemTurnOutput(nlg=_reporting(CallResult("SelectShow", False, None)))
+    next_user_turn(state, view, demo_bundle, GenerationConfig(p_correct=0), Random(0))
+    assert (state.cursor, state.dead, state.returns_seen) == (0, set(), {})
+
+
+def test_request_for_an_arg_without_a_user_value_goes_unanswered(demo_bundle, demo_seeds):
+    # SelectShow takes its movie list from FindMovies' return, and its
+    # user values are already informed
+    goal = _table2_goal(demo_bundle, demo_seeds)
+    state = init_user(goal, demo_bundle, Random(0))
+    state.cursor, state.intent_said = 1, True
+    state.informed.update({(1, "showTime"): "4 PM", (1, "movieTitle"): "Tenet"})
+    request = DialogAct("request", "system", entity="movieList", api="SelectShow", arg="movies")
+    view = SystemTurnOutput(nlg=[SystemNlg(acts=[request])])
+    out = next_user_turn(state, view, demo_bundle, GenerationConfig(p_correct=0), Random(0))
+    assert (out.acts, out.values) == ([], [])
+
+
+def test_confirm_is_answered_by_affirms(demo_bundle, demo_seeds, flow_bundle, flow_seed,
+                                        catalog_return_bundle, catalog_return_seeds,
+                                        monkeypatch):
+    """A confirm never shows a value other than the one the user said: its
+    surfaces are the user's, or a return's. So a user turn that answers a
+    confirm group starts by affirming its intent and each confirmed entity,
+    in order, as read from the markup. (A user that has just dropped the
+    intent, after a failed call, does not answer.) Over drawn policy
+    settings, on schemas that confirm every call."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def said_what_is_shown(state, view, *args):
+        if view.confirm is not None and not state.done and view.confirm.api == state.current().api:
+            for a in view.confirm.args:
+                said = state.informed.get((state.cursor, a.arg))
+                assert said is None or a.surface in (None, said), (a, said)
+        return next_user_turn(state, view, *args)
+
+    monkeypatch.setattr(engine, "next_user_turn", said_what_is_shown)
+
+    def confirming(bundle):
+        doc = json.loads(serialize_schema(bundle))
+        for api in doc["domains"][0]["apis"]:
+            api["confirm_before_call"] = True
+        return loads_schema(json.dumps(doc))
+
+    cases = [
+        (demo_bundle, demo_seeds),
+        (confirming(flow_bundle), [flow_seed]),
+        (confirming(catalog_return_bundle), catalog_return_seeds),
+    ]
+    probability = st.sampled_from([0.0, 0.15, 0.5, 1.0]) | st.floats(0, 1)
+    answered = []
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @hypothesis.given(
+        probability, probability, probability, probability, st.integers(1, 4), st.integers(0, 99)
+    )
+    def check(p_correct, p_offer, failure, multi_act_p, max_acts, seed):
+        config = GenerationConfig(
+            n_dialogs=8, rng_seed=seed, p_correct=p_correct, p_offer=p_offer,
+            api_failure_rate=failure, multi_act_p=multi_act_p, max_acts_per_turn=max_acts,
+            max_corrections=4,
+        )
+        for bundle, seeds in cases:
+            corpus = serialize_corpus(run_batch(bundle, seeds, config).dialogs)
+            for dialog in parse_corpus(corpus, bundle):
+                for turn, reply in zip(dialog.turns, dialog.turns[1:]):
+                    shown = [act_to_string(a) for a in getattr(turn, "acts", [])]
+                    if not shown or not shown[0].startswith("confirm("):
+                        continue
+                    affirms = [s.replace("confirm(", "affirm(", 1) for s in shown]
+                    said = [act_to_string(a) for a in reply.acts]
+                    if affirms[0] in said:
+                        assert said[: len(affirms)] == affirms
+                        answered.append(len(affirms))
+
+    check()
+    assert answered and max(answered) > 1
