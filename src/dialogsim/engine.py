@@ -7,7 +7,6 @@ parallelized (or re-run) without changing a single byte of output.
 """
 from __future__ import annotations
 
-import copy
 import hashlib
 import os
 from collections import Counter
@@ -210,10 +209,8 @@ def run_base_dialog(
             # cross-turn consistency map
             surfaces = []
             for span in p.spans:
-                catalog = bundle.catalog(span.entity_type)
-                surfaces.append(
-                    catalog[rng.randrange(len(catalog))] if catalog else span.surface
-                )
+                value = bundle.draw(span.entity_type, rng)
+                surfaces.append(span.surface if value is None else value)
             text, new_spans = realize_user(p.acts, surfaces, index, rng, alloc)
             for old, new in zip(p.spans, new_spans):
                 var_map[old.var_id] = new.var_id
@@ -256,10 +253,10 @@ def prepare_batch(
     model: MarkovGoalModel | None = None,
 ) -> BatchContext:
     config.validate()
-    seeds = [annotate_seed_acts(copy.deepcopy(s), bundle) for s in seeds]
+    seeds = [annotate_seed_acts(s, bundle) for s in seeds]
     mix = config.sampler_mix
     needs_goals = mix.get("golden", 0) > 0 or mix.get("markov", 0) > 0
-    goals = extract_goals(seeds, bundle) if seeds else []
+    goals = extract_goals(seeds, bundle)
     if needs_goals and not goals:
         raise GenerationError("golden/markov sampling needs at least one seed with API calls")
     if mix.get("base", 0) > 0 and not seeds:

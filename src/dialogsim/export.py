@@ -129,8 +129,7 @@ def _turn_line(p: Turn) -> str:
     if isinstance(p, UserUtterance):
         return f"U: {p.text}"
     if isinstance(p, ApiCall):
-        args = ",".join(f"{a}={v}" for a, v in p.bindings.items())
-        return f"S: call: {p.api}({args}) -> {p.return_var}"
+        return f"S: call: {p}"
     return f"S: nlg: {p.text}"
 
 

@@ -236,10 +236,8 @@ def sample_golden(goals: list[UserGoal], bundle: SchemaBundle, rng: Random) -> U
             if isinstance(binding, ReturnRef):
                 bindings[arg_name] = binding
             else:
-                catalog = bundle.catalog(binding.entity_type)
-                bindings[arg_name] = UserValue(
-                    catalog[rng.randrange(len(catalog))], binding.entity_type
-                )
+                value = bundle.draw(binding.entity_type, rng)
+                bindings[arg_name] = UserValue(value, binding.entity_type)
         intents.append(IntentInstance(api=intent.api, bindings=bindings))
     return UserGoal(intents=intents, source_seed=source.source_seed)
 
@@ -356,11 +354,9 @@ def sample_markov(
                     if compatible:
                         binding = ReturnRef(compatible[-1])
                 if binding is None:
-                    catalog = bundle.catalog(spec.entity_type)
-                    if catalog:
-                        binding = UserValue(
-                            catalog[rng.randrange(len(catalog))], spec.entity_type
-                        )
+                    value = bundle.draw(spec.entity_type, rng)
+                    if value is not None:
+                        binding = UserValue(value, spec.entity_type)
                     elif not spec.required:
                         continue
                     else:

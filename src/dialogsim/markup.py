@@ -15,11 +15,14 @@ In memory a dialog is its metadata plus the list of turn payloads in order:
 side is stored. The number `<n>` is the turn's position plus one, and the
 side follows from the type: a `UserUtterance` is a user turn, the others
 are system turns.
+
+The text after `call: ` is `str(ApiCall)`, shared with the training export.
+Var ids follow `schema.NAME`; API and arg names follow `acts.IDENTIFIER`.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .acts import (
     IDENTIFIER,
@@ -30,7 +33,7 @@ from .acts import (
     parse_act_list,
     turn_acts_string,
 )
-from .schema import OBJECT, SchemaBundle, read_input, var_prefix
+from .schema import NAME, OBJECT, SchemaBundle, read_input, var_prefix
 
 
 class MarkupError(ValueError):
@@ -85,6 +88,10 @@ class ApiCall:
     bindings: dict[str, ValueRef]
     return_var: str
 
+    def __str__(self) -> str:
+        args = ",".join(f"{name}={valref}" for name, valref in self.bindings.items())
+        return f"{self.api}({args}) -> {self.return_var}"
+
 
 @dataclass
 class NlgResponse:
@@ -115,11 +122,12 @@ class VarAllocator:
 
 
 _TURN_RE = re.compile(r"^([US])-(\d+):\s?(.*)$")
-_SPAN_RE = re.compile(r"\[([^\[\]|]+)\|([A-Za-z][A-Za-z0-9]*)\]")
-_CALL_RE = re.compile(rf"^call:\s*({IDENTIFIER})\((.*)\)\s*->\s*([A-Za-z][A-Za-z0-9]*)$")
-_VAR_REF_RE = re.compile(r"^\$([A-Za-z][A-Za-z0-9]*)$")
+_SPAN_RE = re.compile(rf"\[([^\[\]|]+)\|({NAME})\]")
+_CALL_RE = re.compile(rf"^call:\s*({IDENTIFIER})\((.*)\)\s*->\s*({NAME})$")
+_VAR_REF_RE = re.compile(rf"^\$({NAME})$")
 _META_RE = re.compile(r"^#\s*([A-Za-z_][A-Za-z0-9_.-]*)\s*=\s*(.*)$")
-_PREFIX_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*?)\d+$")
+# a var id's type prefix: the shortest NAME before the trailing counter
+_PREFIX_RE = re.compile(rf"^({NAME}?)\d+$")
 
 
 def _split_acts_suffix(text: str) -> tuple[str, str | None]:
@@ -228,7 +236,7 @@ def _parse_dialog_lines(
         else:
             raise MarkupError(f"system turn must be 'call:' or 'nlg:', got {body!r}", line_no)
     if not turns:
-        raise MarkupError("dialog has no turns")
+        raise MarkupError("dialog has no turns", numbered[0][0] if numbered else None)
     if not isinstance(turns[0], UserUtterance):
         raise MarkupError("first turn must be user-side", numbered[0][0])
     dialog = Dialog(turns=turns, metadata=metadata)
@@ -343,8 +351,7 @@ def serialize_dialog(dialog: Dialog) -> str:
             if p.acts:
                 line += f" |acts: {turn_acts_string(p.acts)}"
         elif isinstance(p, ApiCall):
-            args = ",".join(f"{name}={valref}" for name, valref in p.bindings.items())
-            line = f"S-{n}: call: {p.api}({args}) -> {p.return_var}"
+            line = f"S-{n}: call: {p}"
         else:
             line = f"S-{n}: nlg: {p.text}"
             if p.acts:
@@ -358,7 +365,8 @@ def serialize_corpus(dialogs: list[Dialog]) -> str:
 
 
 def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
-    """Fill in dialog acts for seed turns that carry no explicit `|acts:`.
+    """A new dialog whose seed turns without an explicit `|acts:` gain acts.
+    `dialog` is left untouched; the new one shares its other turns and metadata.
 
     User turns: each API call is attributed to the latest user turn before
     it (inform(intent)); each span informs the argument that consumes it.
@@ -380,27 +388,19 @@ def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
                 if valref.var is not None and valref.var not in consuming:
                     consuming[valref.var] = (p.api, arg_name)
 
+    turns = list(dialog.turns)
     for pos, p in enumerate(dialog.turns):
         if isinstance(p, ApiCall) or p.acts:
             continue
+        acts: list[DialogAct] = []
         if isinstance(p, UserUtterance):
-            acts: list[DialogAct] = []
             for call in trigger.get(pos, []):
                 acts.append(DialogAct("inform", USER, intent=call.api))
             for span in p.spans:
-                role = consuming.get(span.var_id)
-                acts.append(
-                    DialogAct(
-                        "inform",
-                        USER,
-                        entity=span.entity_type,
-                        api=role[0] if role else None,
-                        arg=role[1] if role else None,
-                    )
-                )
+                api, arg = consuming.get(span.var_id, (None, None))
+                acts.append(DialogAct("inform", USER, entity=span.entity_type, api=api, arg=arg))
             if not acts and pos == last_user:
                 acts.append(DialogAct("bye", USER))
-            p.acts = acts
             rules = "triggers no call, holds no span"
         else:
             prev = dialog.turns[pos - 1] if pos > 0 else None
@@ -408,12 +408,13 @@ def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
                 api = bundle.api(prev.api)
                 resp = bundle.response(api.response_template) if api else None
                 if resp is not None:
-                    p.acts = list(resp.acts)
+                    acts = list(resp.acts)
             elif pos == len(dialog.turns) - 1:
-                p.acts = [DialogAct("bye", SYSTEM)]
+                acts = [DialogAct("bye", SYSTEM)]
             rules = "follows no call"
-        if not p.acts:
+        if not acts:
             name = dialog.metadata.get("id", "without an id")
             raise MarkupError(f"seed {name!r} turn {pos + 1}: it has no acts: it {rules} and "
                               "does not end the dialog")
-    return dialog
+        turns[pos] = replace(p, acts=acts)
+    return replace(dialog, turns=turns)

@@ -44,10 +44,6 @@ def turn_stats(corpus: list[Dialog]) -> tuple[float, float, float]:
     return mean, nearest_rank(counts, 75), nearest_rank(counts, 95)
 
 
-def sequence_counts(corpus: list[Dialog]) -> Counter:
-    return Counter(sequence_string(d) for d in corpus)
-
-
 def entropy(corpus: list[Dialog]) -> float:
     """Plug-in entropy (nats) of the empirical act-sequence distribution."""
     return variation_report(corpus).entropy_nats
@@ -61,7 +57,7 @@ def unique_sequences(corpus: list[Dialog]) -> tuple[int, float]:
 def variation_report(corpus: list[Dialog]) -> VariationReport:
     """Every measure, with each dialog's act sequence built once."""
     mean, p75, p95 = turn_stats(corpus)  # rejects an empty corpus
-    counts = sequence_counts(corpus)
+    counts = Counter(sequence_string(d) for d in corpus)
     n = len(corpus)
     return VariationReport(
         n_dialogs=n,

@@ -259,8 +259,8 @@ def sample_response_args(
     has no catalog is filled with its own name."""
     values = {}
     for spec in defn.args:
-        catalog = bundle.catalog(spec.entity_type)
-        values[spec.name] = catalog[rng.randrange(len(catalog))] if catalog else spec.name
+        value = bundle.draw(spec.entity_type, rng)
+        values[spec.name] = spec.name if value is None else value
     return values
 
 

@@ -11,6 +11,7 @@ import json
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from random import Random
 
 from .acts import (
     END,
@@ -39,8 +40,8 @@ BUILTIN_CATALOGS: dict[str, tuple[str, ...]] = {
 
 # entity type names and template slot names: a letter, then letters or
 # digits; var ids in the markup are a type name plus a counter
-_NAME = r"[A-Za-z][A-Za-z0-9]*"
-SLOT_RE = re.compile(r"\{(%s)\}" % _NAME)
+NAME = r"[A-Za-z][A-Za-z0-9]*"
+SLOT_RE = re.compile(r"\{(%s)\}" % NAME)
 
 
 class SchemaError(ValueError):
@@ -169,6 +170,11 @@ class SchemaBundle:
     def catalog(self, type_name: str) -> tuple[str, ...]:
         et = self.entity_type(type_name)
         return et.catalog if et is not None else ()
+
+    def draw(self, type_name: str, rng: Random) -> str | None:
+        """One uniform draw from the type's catalog; None, and no draw, if it has none."""
+        catalog = self.catalog(type_name)
+        return catalog[rng.randrange(len(catalog))] if catalog else None
 
     def entity_type_for_prefix(self, prefix: str) -> EntityType | None:
         """Resolve a var-id prefix back to its entity type (see var_prefix)."""
@@ -382,7 +388,7 @@ def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
     for dom in bundle.domains:
         for et in dom.entity_types:
             loc = f"{dom.name}.{et.name}"
-            if not re.fullmatch(_NAME, et.name):
+            if not re.fullmatch(NAME, et.name):
                 err(loc, f"entity type name {et.name!r} is not a letter, then letters or digits")
             if et.kind not in (CATALOG, OBJECT, BUILTIN):
                 err(loc, f"unknown entity kind {et.kind!r}")

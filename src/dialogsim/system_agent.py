@@ -147,8 +147,7 @@ def simulate_api_call(
         frame.status = CALLED_FAILED
         return False, None
     var = alloc.new(api.return_type)
-    catalog = bundle.catalog(api.return_type)
-    surface = catalog[rng.randrange(len(catalog))] if catalog else None
+    surface = bundle.draw(api.return_type, rng)
     state.latest[api.return_type] = (var, surface)
     state.returns[api.return_type] = var
     frame.status = CALLED_OK

@@ -40,7 +40,7 @@ def demo_seeds(_demo_seeds_raw):
 
 @pytest.fixture(scope="session")
 def demo_seeds_annotated(demo_bundle, _demo_seeds_raw):
-    return [annotate_seed_acts(copy.deepcopy(s), demo_bundle) for s in _demo_seeds_raw]
+    return [annotate_seed_acts(s, demo_bundle) for s in _demo_seeds_raw]
 
 
 # ticket-booking schema without the confirm-before-call flag, for

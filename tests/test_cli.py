@@ -145,6 +145,15 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+def test_module_run_prints_the_usage():
+    # `python -m dialogsim.cli` reaches the module's `__main__` guard
+    env = dict(os.environ, PYTHONPATH=str(Path(dialogsim.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "dialogsim.cli", "--help"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: dialogsim [-h] {generate,metrics,export-training,")
+
+
 def _assert_one_error_line(err):
     assert "Traceback" not in err
     lines = err.splitlines()

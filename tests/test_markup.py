@@ -1,3 +1,4 @@
+import copy
 from random import Random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from dialogsim.acts import DialogAct, act_to_string
 from dialogsim.engine import GenerationConfig, run_batch
 from dialogsim.markup import (
+    ApiCall,
     MarkupError,
     NlgResponse,
     UserUtterance,
@@ -198,6 +200,24 @@ def test_annotate_seed_acts_table2(demo_bundle, demo_seeds):
     assert [act_to_string(a) for a in seed.turns[9].acts] == ["bye()"]
 
 
+def test_annotation_and_batches_leave_the_seeds_untouched(demo_bundle, demo_seeds):
+    snapshot = copy.deepcopy(demo_seeds)
+    annotated = [annotate_seed_acts(s, demo_bundle) for s in demo_seeds]
+    mix = {"base": 1.0, "golden": 1.0, "markov": 1.0}
+    run_batch(demo_bundle, demo_seeds, GenerationConfig(n_dialogs=30, sampler_mix=mix))
+    assert demo_seeds == snapshot
+    gained = 0
+    for seed, new in zip(demo_seeds, annotated):
+        assert new.metadata is seed.metadata
+        for old, turn in zip(seed.turns, new.turns, strict=True):
+            if isinstance(old, ApiCall) or old.acts:
+                assert turn is old
+            else:
+                assert turn is not old and turn.acts
+                gained += 1
+    assert gained
+
+
 def test_explicit_acts_override_inference(demo_bundle, demo_seeds):
     seed = annotate_seed_acts(demo_seeds[1], demo_bundle)
     assert [act_to_string(a) for a in seed.turns[0].acts] == ["inform(intent:FindMovies)"]
@@ -279,6 +299,12 @@ def test_link_errors(demo_bundle, text, message):
     with pytest.raises(MarkupError) as err:
         parse_dialog(text, demo_bundle)
     assert message in str(err.value)
+
+
+def test_a_block_without_turn_lines_names_its_first_line(demo_bundle):
+    with pytest.raises(MarkupError, match="^line 1: dialog has no turns$") as err:
+        parse_corpus("# header comment\n\nU-1: hello", demo_bundle)
+    assert err.value.line == 1
 
 
 def test_span_var_without_a_type_prefix_is_typed_by_its_call(demo_bundle):

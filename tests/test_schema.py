@@ -1,5 +1,6 @@
 import copy
 import json
+from random import Random
 
 import pytest
 
@@ -10,8 +11,10 @@ from dialogsim.metrics import variation_report
 from dialogsim.nlg import build_template_index
 from dialogsim.schema import (
     BUILTIN_CATALOGS,
+    CATALOG,
     SLOT_RE,
     Diagnostic,
+    DomainSchema,
     EntityType,
     SchemaBundle,
     SchemaError,
@@ -68,6 +71,25 @@ def test_var_prefix_lookup_keeps_first_match(demo_schema_text):
     assert bundle.entity_type_for_prefix("location").name == "location"
     assert bundle.entity_type_for_prefix("time").name == "time"
     assert bundle.entity_type_for_prefix("nope") is None
+
+
+def test_draw_takes_one_randrange_from_a_catalog_and_nothing_without_one(demo_bundle):
+    # every sampler's draw, so the corpus bytes rest on this; a bundle built
+    # without validation may hold an empty value, which is drawn like any other
+    domains = list(demo_bundle.domains)
+    domains.append(DomainSchema("Blank", [EntityType("blank", CATALOG, ("",))], [], [], []))
+    bundle = SchemaBundle(domains=domains)
+    for type_name in ("location", "Time", "blank"):
+        catalog = bundle.catalog(type_name)
+        for seed in range(10):
+            rng, inline = Random(seed), Random(seed)
+            assert bundle.draw(type_name, rng) == catalog[inline.randrange(len(catalog))]
+            assert rng.getstate() == inline.getstate()
+    for type_name in ("movieList", "noSuchType"):  # object kind, unknown name
+        rng = Random(0)
+        before = rng.getstate()
+        assert bundle.draw(type_name, rng) is None
+        assert rng.getstate() == before
 
 
 def test_validate_demo_is_clean(demo_bundle):
