@@ -3,6 +3,10 @@
 Acts are the semantic currency both agents trade in; the canonical strings
 defined here are reused verbatim in schema files, in the `|acts:` markup
 suffix, and as the unit of flow-diversity measurement.
+
+An act is a value with one instance each: `make_act` is its only
+constructor, so a corpus of thousands of turns holds a few dozen act
+objects, and a pickled act is rebuilt as the receiving process's instance.
 """
 from __future__ import annotations
 
@@ -39,9 +43,10 @@ class ActError(ValueError):
 
 @dataclass(frozen=True)
 class DialogAct:
-    """One delexicalized act. `api`/`arg` carry the argument role an entity
-    act refers to; they are policy bookkeeping and excluded from equality
-    (the canonical string only shows them when a turn is ambiguous)."""
+    """One delexicalized act, made by `make_act`. `api`/`arg` carry the
+    argument role an entity act refers to; they are policy bookkeeping and
+    excluded from equality (the canonical string only shows them when a turn
+    is ambiguous)."""
 
     name: str
     side: str
@@ -57,6 +62,28 @@ class DialogAct:
         if self.entity is not None:
             return "entity"
         return "none"
+
+    def __reduce__(self):
+        return make_act, (self.name, self.side, self.intent, self.entity, self.api, self.arg)
+
+
+def make_act(
+    name: str,
+    side: str,
+    intent: str | None = None,
+    entity: str | None = None,
+    api: str | None = None,
+    arg: str | None = None,
+) -> DialogAct:
+    """The one instance of this act value. Its key holds all six fields,
+    `api`/`arg` too, which equality ignores."""
+    return _interned_act(name, side, intent, entity, api, arg)
+
+
+# DialogAct itself behind a cache keyed on its six fields, always passed by
+# position. The key space is the schema's act vocabulary; the bound only
+# caps a process that reads many schemas.
+_interned_act = lru_cache(maxsize=1 << 16)(DialogAct)
 
 
 def validate_act(act: DialogAct) -> None:
@@ -120,7 +147,7 @@ def parse_act(text: str, side: str) -> DialogAct:
     if m is None:
         raise ActError(f"cannot parse dialog act {text!r}")
     kind = m.group("kind")
-    act = DialogAct(
+    act = make_act(
         name=m.group("name"),
         side=side,
         intent=m.group("val") if kind == "intent" else None,
@@ -138,8 +165,9 @@ def parse_act_list(text: str, side: str) -> list[DialogAct]:
 
 
 # A corpus repeats a few distinct act lists (bounded by the act vocabulary
-# and max_acts_per_turn) thousands of times. The acts are frozen, so the
-# cached tuple is shared safely; a parse that raises is not cached.
+# and max_acts_per_turn) thousands of times. `make_act` already shares each
+# act; this cache saves the regex parse of a repeated list. A parse that
+# raises is not cached.
 @lru_cache(maxsize=4096)
 def _parse_act_tuple(text: str, side: str) -> tuple[DialogAct, ...]:
     text = text.strip()

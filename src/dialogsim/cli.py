@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .acts import USER, DialogAct, turn_acts_string
+from .acts import USER, make_act, turn_acts_string
 from .engine import GenerationConfig, GenerationError, prepare_batch, run_batch
 from .goals import MarkovGoalModel, SamplerError
 from .markup import MarkupError, load_corpus, serialize_corpus
@@ -120,12 +120,12 @@ def cmd_validate(args) -> int:
             print(f"error: seeds: {e}")
             return 1
         for api in bundle.apis():
-            signatures = [turn_acts_string([DialogAct("inform", USER, intent=api.name)])]
+            signatures = [turn_acts_string([make_act("inform", USER, intent=api.name)])]
             for spec in api.args:
                 et = bundle.entity_type(spec.entity_type)
                 if et is not None and et.speakable:
                     signatures.append(
-                        turn_acts_string([DialogAct("inform", USER, entity=spec.entity_type)])
+                        turn_acts_string([make_act("inform", USER, entity=spec.entity_type)])
                     )
             for sig in signatures:
                 if sig not in index.user:

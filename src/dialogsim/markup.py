@@ -18,11 +18,17 @@ are system turns.
 
 The text after `call: ` is `str(ApiCall)`, shared with the training export.
 Var ids follow `schema.NAME`; API and arg names follow `acts.IDENTIFIER`.
+
+A `ValueRef` is a value with one instance each, made only by `ref` and
+`lit`, as `acts.make_act` makes each `DialogAct`: a batch's call lines hold
+a few dozen refs, and a pickled ref is rebuilt as the receiving process's
+instance.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .acts import (
     IDENTIFIER,
@@ -30,6 +36,7 @@ from .acts import (
     SYSTEM,
     ActError,
     DialogAct,
+    make_act,
     parse_act_list,
     turn_acts_string,
 )
@@ -44,7 +51,7 @@ class MarkupError(ValueError):
 
 @dataclass(frozen=True)
 class ValueRef:
-    """Either a `$var` reference or a quoted literal."""
+    """Either a `$var` reference or a quoted literal, made by `ref` or `lit`."""
 
     var: str | None = None
     literal: str | None = None
@@ -54,12 +61,18 @@ class ValueRef:
             return f"${self.var}"
         return '"%s"' % self.literal
 
+    def __reduce__(self):
+        return (ref, (self.var,)) if self.var is not None else (lit, (self.literal,))
 
-def ref(var: str) -> ValueRef:
+
+# positional-only, so that each value has one cache key
+@lru_cache(maxsize=1 << 16)
+def ref(var: str, /) -> ValueRef:
     return ValueRef(var=var)
 
 
-def lit(value: str) -> ValueRef:
+@lru_cache(maxsize=1 << 16)
+def lit(value: str, /) -> ValueRef:
     return ValueRef(literal=value)
 
 
@@ -319,16 +332,18 @@ def parse_dialog(text: str, bundle: SchemaBundle | None = None) -> Dialog:
 
 
 def parse_corpus(text: str, bundle: SchemaBundle | None = None) -> list[Dialog]:
+    """Dialogs are separated by blank lines. A block made only of `#` lines
+    that are not `key=value` metadata is a comment, not a dialog."""
     dialogs = []
     block: list[tuple[int, str]] = []
-    for no, line in enumerate(text.splitlines(), start=1):
+    # the closing "" ends the last block
+    for no, line in enumerate([*text.splitlines(), ""], start=1):
         if line.strip():
             block.append((no, line))
         elif block:
-            dialogs.append(_parse_dialog_lines(block, bundle))
+            if not all(row.startswith("#") and not _META_RE.match(row) for _, row in block):
+                dialogs.append(_parse_dialog_lines(block, bundle))
             block = []
-    if block:
-        dialogs.append(_parse_dialog_lines(block, bundle))
     return dialogs
 
 
@@ -395,12 +410,12 @@ def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
         acts: list[DialogAct] = []
         if isinstance(p, UserUtterance):
             for call in trigger.get(pos, []):
-                acts.append(DialogAct("inform", USER, intent=call.api))
+                acts.append(make_act("inform", USER, intent=call.api))
             for span in p.spans:
                 api, arg = consuming.get(span.var_id, (None, None))
-                acts.append(DialogAct("inform", USER, entity=span.entity_type, api=api, arg=arg))
+                acts.append(make_act("inform", USER, entity=span.entity_type, api=api, arg=arg))
             if not acts and pos == last_user:
-                acts.append(DialogAct("bye", USER))
+                acts.append(make_act("bye", USER))
             rules = "triggers no call, holds no span"
         else:
             prev = dialog.turns[pos - 1] if pos > 0 else None
@@ -410,7 +425,7 @@ def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
                 if resp is not None:
                     acts = list(resp.acts)
             elif pos == len(dialog.turns) - 1:
-                acts = [DialogAct("bye", SYSTEM)]
+                acts = [make_act("bye", SYSTEM)]
             rules = "follows no call"
         if not acts:
             name = dialog.metadata.get("id", "without an id")

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
-from .acts import END, SYSTEM, DialogAct
+from .acts import END, SYSTEM, DialogAct, make_act
 from .goals import MarkovGoalModel, weighted_choice
 from .markup import EntitySpan, VarAllocator
 from .nlg import sample_response_args
@@ -157,8 +157,8 @@ def simulate_api_call(
 def _view_and_plan(kind: str, api: str, args: list[ArgView]) -> tuple[ApiView, SystemNlg]:
     """An offer or confirm: the view the user answers, and its act group
     `kind(intent) kind(entity)...` with the arg surfaces as backoff values."""
-    acts = [DialogAct(kind, SYSTEM, intent=api)]
-    acts += [DialogAct(kind, SYSTEM, entity=a.entity_type, api=api, arg=a.arg) for a in args]
+    acts = [make_act(kind, SYSTEM, intent=api)]
+    acts += [make_act(kind, SYSTEM, entity=a.entity_type, api=api, arg=a.arg) for a in args]
     plan = SystemNlg(acts=acts, backoff_values=[None] + [a.surface for a in args])
     return ApiView(api, args), plan
 
@@ -207,7 +207,7 @@ def _do_call(
     if ok:
         plan = _announce(bundle.api(frame.api), bundle, rng)
     else:
-        failure = DialogAct("failure", SYSTEM, intent=frame.api)
+        failure = make_act("failure", SYSTEM, intent=frame.api)
         plan = SystemNlg(acts=[failure], backoff_values=[None])
     bindings = {arg: a.var for arg, a in frame.args.items()} if ok else {}
     plan.result = CallResult(frame.api, ok, var, recall, bindings)
@@ -227,7 +227,7 @@ def next_system_turn(
 
     if any(a.name == "bye" for a in user_acts):
         state.closed = True
-        out.nlg.append(SystemNlg(acts=[DialogAct("bye", SYSTEM)], backoff_values=[None]))
+        out.nlg.append(SystemNlg(acts=[make_act("bye", SYSTEM)], backoff_values=[None]))
         return out
 
     offer = state.pending_offer
@@ -285,7 +285,7 @@ def next_system_turn(
         missing = [s for s in api.args if s.required and s.name not in frame.args]
         if missing:
             spec = missing[0]
-            request = DialogAct(
+            request = make_act(
                 "request", SYSTEM, entity=spec.entity_type, api=api.name, arg=spec.name
             )
             out.nlg.append(SystemNlg(acts=[request], backoff_values=[None]))

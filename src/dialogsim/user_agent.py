@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
-from .acts import USER, DialogAct
+from .acts import USER, DialogAct, make_act
 from .goals import ReturnRef, UserGoal, UserValue
 from .schema import SchemaBundle
 from .system_agent import ApiView, SystemTurnOutput
@@ -126,7 +126,7 @@ def next_user_turn(
     values: list[str] = []  # aligned with entity-bearing inform acts
 
     def inform(entity_type: str, api: str, arg: str, surface: str) -> None:
-        acts.append(DialogAct("inform", USER, entity=entity_type, api=api, arg=arg))
+        acts.append(make_act("inform", USER, entity=entity_type, api=api, arg=arg))
         values.append(surface)
 
     # 1. bookkeeping: calls advance or abandon the current intent; a failed
@@ -154,7 +154,7 @@ def next_user_turn(
         binding; deny any other, informing the goal's user value in its
         place. An offered user value counts as informed."""
         intent = state.current()
-        acts.append(DialogAct("affirm", USER, intent=intent.api))
+        acts.append(make_act("affirm", USER, intent=intent.api))
         for a in offer.args:
             binding = intent.bindings.get(a.arg)
             if isinstance(binding, UserValue):
@@ -164,7 +164,7 @@ def next_user_turn(
                 agrees = (isinstance(binding, ReturnRef)
                           and a.var == state.returns_seen.get(binding.intent_index))
             name = "affirm" if agrees else "deny"
-            acts.append(DialogAct(name, USER, entity=a.entity_type, api=intent.api, arg=a.arg))
+            acts.append(make_act(name, USER, entity=a.entity_type, api=intent.api, arg=a.arg))
             if not agrees and isinstance(binding, UserValue):
                 inform(a.entity_type, intent.api, a.arg, binding.surface)
 
@@ -172,9 +172,9 @@ def next_user_turn(
     # returns, so the user affirms all of it
     if view.confirm is not None and not state.done and view.confirm.api == state.current().api:
         api = view.confirm.api
-        acts.append(DialogAct("affirm", USER, intent=api))
+        acts.append(make_act("affirm", USER, intent=api))
         for a in view.confirm.args:
-            acts.append(DialogAct("affirm", USER, entity=a.entity_type, api=api, arg=a.arg))
+            acts.append(make_act("affirm", USER, entity=a.entity_type, api=api, arg=a.arg))
 
     # 3. respond to a proactive offer: accept only the goal's next intent,
     # and only before the user has named it
@@ -183,7 +183,7 @@ def next_user_turn(
             state.intent_said = True
             answer(view.offer)
         else:
-            acts.append(DialogAct("deny", USER, intent=view.offer.api))
+            acts.append(make_act("deny", USER, intent=view.offer.api))
 
     # 4. answer an argument request with the goal's (possibly corrected) value
     if not state.done:
@@ -213,7 +213,7 @@ def next_user_turn(
         if not state.intent_said or pending:
             k = _truncated_geometric(rng, config.multi_act_p, config.max_acts_per_turn)
             if not state.intent_said:
-                acts.append(DialogAct("inform", USER, intent=intent.api))
+                acts.append(make_act("inform", USER, intent=intent.api))
                 state.intent_said = True
                 k -= 1
             for arg in pending[:k]:
@@ -249,7 +249,7 @@ def next_user_turn(
             alt = state.alternatives[(i, arg)]
             intent = state.goal.intents[i]
             entity_type = intent.bindings[arg].entity_type
-            acts.append(DialogAct("deny", USER, entity=entity_type, api=intent.api, arg=arg))
+            acts.append(make_act("deny", USER, entity=entity_type, api=intent.api, arg=arg))
             inform(entity_type, intent.api, arg, alt)
             state.informed[(i, arg)] = alt
             state.corrected.add((i, arg))
@@ -258,6 +258,6 @@ def next_user_turn(
     # 7. close when the goal is exhausted; a correction holds the bye back
     # to the next turn, after the re-call. The bye closes the dialog.
     if state.done and state.last_correction is None:
-        acts.append(DialogAct("bye", USER))
+        acts.append(make_act("bye", USER))
 
     return UserTurnOutput(acts=acts, values=values)

@@ -1,13 +1,19 @@
+import ast
+import copy
+import pickle
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import dialogsim
 from dialogsim import acts
 from dialogsim.acts import (
     ActError,
     DialogAct,
     MissingActsError,
     act_to_string,
+    make_act,
     parse_act,
     parse_act_list,
     sequence_string,
@@ -149,3 +155,57 @@ def test_role_suffix_only_when_ambiguous():
 
 def test_slot_names_disambiguate_repeats():
     assert slot_names_for(["Time", "Time", "count"]) == ["Time", "Time2", "count"]
+
+
+def test_make_act_gives_one_instance_per_value():
+    act = make_act("inform", "user", entity="Time", api="FindMovies", arg="date")
+    assert make_act(name="inform", side="user", entity="Time", arg="date", api="FindMovies") is act
+    assert make_act("inform", "user", None, "Time", "FindMovies", "date") is act
+    assert parse_act("inform(entity:Time@FindMovies.date)", "user") is act
+    assert pickle.loads(pickle.dumps(act)) is act
+    assert copy.deepcopy(act) is act
+    # the role is part of the key although equality ignores it
+    bare = make_act("inform", "user", entity="Time")
+    assert bare == act and bare is not act
+
+
+def _constructor_calls(tree: ast.Module, names: set[str]):
+    """(enclosing function, called name) of each call to one of `names`."""
+    def walk(node, func):
+        for child in ast.iter_child_nodes(node):
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            inner = child.name if is_def else func
+            if isinstance(child, ast.Call):
+                called = child.func
+                name = called.id if isinstance(called, ast.Name) else getattr(called, "attr", None)
+                if name in names:
+                    yield func, name
+            yield from walk(child, inner)
+    return list(walk(tree, None))
+
+
+def test_acts_and_value_refs_have_one_constructor_in_the_package():
+    """Each act and ref value has one instance only while nothing else in the
+    package builds one: `make_act`, `ref` and `lit` are the only callers."""
+    allowed = {("acts.py", "make_act"), ("markup.py", "ref"), ("markup.py", "lit")}
+    offenders = []
+    for path in sorted(Path(dialogsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, name in _constructor_calls(tree, {"DialogAct", "ValueRef"}):
+            if (path.name, func) not in allowed:
+                offenders.append(f"{path.name}: {name}(...) in {func or 'module scope'}")
+    assert offenders == []
+
+
+def test_the_constructor_guard_sees_calls_at_any_depth():
+    tree = ast.parse(
+        "def f():\n"
+        "    return [acts.DialogAct('bye', 'user') for _ in ()]\n"
+        "x = lambda: ValueRef(var='v')\n"
+        "def make_act():\n"
+        "    def inner():\n"
+        "        return DialogAct('bye', 'user')\n"
+    )
+    assert _constructor_calls(tree, {"DialogAct", "ValueRef"}) == [
+        ("f", "DialogAct"), (None, "ValueRef"), ("inner", "DialogAct"),
+    ]

@@ -63,6 +63,12 @@ def test_metrics_subcommand(data_paths, tmp_path):
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["n_dialogs"] == 40
     assert 0 < report["fraction_unique"] <= 1
+    # a leading block of comment lines is not a dialog
+    headed = tmp_path / "headed.txt"
+    headed.write_text("# header comment\n\n" + corpus.read_text(encoding="utf-8"), encoding="utf-8")
+    headed_report = tmp_path / "headed.json"
+    assert main(["metrics", "--schema", str(schema), "--out", str(headed_report), str(headed)]) == 0
+    assert headed_report.read_bytes() == report_path.read_bytes()
 
 
 def test_export_training_files(data_paths, tmp_path):

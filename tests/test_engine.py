@@ -1,13 +1,14 @@
 import hashlib
 import itertools
 import json
+import pickle
 from dataclasses import fields
 from random import Random
 
 import pytest
 
 from dialogsim import engine, system_agent
-from dialogsim.acts import sequence_string
+from dialogsim.acts import DialogAct, sequence_string
 from dialogsim.engine import (
     SAMPLERS,
     GenerationConfig,
@@ -29,6 +30,7 @@ from dialogsim.goals import (
 from dialogsim.markup import (
     ApiCall,
     MarkupError,
+    ValueRef,
     NlgResponse,
     UserUtterance,
     parse_corpus,
@@ -204,6 +206,31 @@ def test_parallel_matches_serial(demo_bundle, demo_seeds):
     a = serialize_corpus(run_batch(demo_bundle, demo_seeds, serial).dialogs)
     b = serialize_corpus(run_batch(demo_bundle, demo_seeds, parallel).dialogs)
     assert a == b
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_batch_holds_one_instance_per_act_and_ref_value(demo_bundle, demo_seeds, workers):
+    """Acts and call-line refs are interned values, in the pool's parent too:
+    unpickling rebuilds each one through `make_act`, `ref` or `lit`."""
+    # three chunks of work, so a 2-CPU host runs a real 2-process pool
+    config = GenerationConfig(n_dialogs=3 * engine.CHUNK, rng_seed=4, workers=workers)
+    instances: dict[tuple, set[int]] = {}
+    for dialog in run_batch(demo_bundle, demo_seeds, config).dialogs:
+        for turn in dialog.turns:
+            if isinstance(turn, ApiCall):
+                values = turn.bindings.values()
+                keys = [(v.var, v.literal) for v in values]
+            else:
+                values = turn.acts
+                keys = [(a.name, a.side, a.intent, a.entity, a.api, a.arg) for a in values]
+            for key, value in zip(keys, values):
+                instances.setdefault((type(value), key), set()).add(id(value))
+    assert {kind for kind, _ in instances} == {DialogAct, ValueRef}
+    assert {key: len(ids) for key, ids in instances.items() if len(ids) > 1} == {}
+    act = dialog.turns[0].acts[0]
+    valref = next(r for t in dialog.turns if isinstance(t, ApiCall) for r in t.bindings.values())
+    assert pickle.loads(pickle.dumps(act)) is act
+    assert pickle.loads(pickle.dumps(valref)) is valref
 
 
 @pytest.mark.parametrize(

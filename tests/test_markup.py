@@ -302,9 +302,17 @@ def test_link_errors(demo_bundle, text, message):
 
 
 def test_a_block_without_turn_lines_names_its_first_line(demo_bundle):
+    # a comment line beside metadata does not make the block a comment
     with pytest.raises(MarkupError, match="^line 1: dialog has no turns$") as err:
-        parse_corpus("# header comment\n\nU-1: hello", demo_bundle)
+        parse_corpus("# header comment\n# id=empty\n\nU-1: hello", demo_bundle)
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("comment", ["# header comment", "#\n# two lines, no = sign"])
+def test_a_block_of_comment_lines_is_skipped(demo_bundle, comment):
+    dialogs = parse_corpus(f"{comment}\n\nU-1: hello\n\n{comment}\n", demo_bundle)
+    assert [d.metadata for d in dialogs] == [{}]
+    assert parse_corpus(comment, demo_bundle) == []
 
 
 def test_span_var_without_a_type_prefix_is_typed_by_its_call(demo_bundle):
