@@ -7,6 +7,14 @@ suffix, and as the unit of flow-diversity measurement.
 An act is a value with one instance each: `make_act` is its only
 constructor, so a corpus of thousands of turns holds a few dozen act
 objects, and a pickled act is rebuilt as the receiving process's instance.
+
+So an act list is keyed by the identities of its acts, and
+`turn_acts_string` builds each list's signature once: markup, metrics, NLG
+and export all ask for the same few hundred lists thousands of times. The
+key is exact because the interning key holds `api`/`arg`, which the
+signature can show. An entry keeps its acts alive, so an id in a live key
+is never reused for another act; acts built directly with `DialogAct(...)`
+are keyed by their own identities and stay correct.
 """
 from __future__ import annotations
 
@@ -117,6 +125,26 @@ def _act_string_with_role(act: DialogAct) -> str:
 def turn_acts_string(acts: list[DialogAct]) -> str:
     """Comma-join a turn's acts. Entity acts gain an `@api.arg` role suffix
     only when the turn holds same-typed entity acts with different roles."""
+    key = tuple([id(a) for a in acts])
+    hit = _signatures.get(key)
+    if hit is not None:
+        return hit[1]
+    if len(_signatures) >= _SIGNATURES_MAX:
+        del _signatures[next(iter(_signatures))]
+    text = _signature(acts)
+    _signatures[key] = (tuple(acts), text)
+    return text
+
+
+# act-id tuple -> (those acts, their signature). A corpus repeats a few
+# hundred distinct act lists; the entry holds its acts, so no id in a live
+# key is reused. The bound is `_interned_act`'s; past it the oldest entry
+# goes.
+_signatures: dict[tuple[int, ...], tuple[tuple[DialogAct, ...], str]] = {}
+_SIGNATURES_MAX = 1 << 16
+
+
+def _signature(acts: list[DialogAct]) -> str:
     ambiguous: set[str] = set()
     seen_roles: dict[str, set[tuple[str | None, str | None]]] = {}
     for act in acts:

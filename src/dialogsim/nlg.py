@@ -51,33 +51,23 @@ class _UserPlan(NamedTuple):
     pieces: list[tuple[tuple[str, ...] | str, list[str]]]
 
 
-def _memoizable(acts: list[DialogAct]) -> bool:
-    """True if `acts` resolves the same whatever its acts' `api`/`arg`, which
-    `DialogAct` equality ignores: only a repeated entity type can give the
-    signature an `@api.arg` suffix. An empty list is never stored."""
-    types = [a.entity for a in acts if a.entity is not None]
-    return bool(acts) and len(types) == len(set(types))
-
-
 @dataclass
 class TemplateIndex:
     user: dict[str, list[str]] = field(default_factory=dict)  # signature -> templates
     response_by_signature: dict[str, ResponseTemplateDef] = field(default_factory=dict)
-    # what each act list resolved to, keyed by tuple(acts); a run meets the
-    # same few act lists thousands of times
-    _user_plans: dict[tuple[DialogAct, ...], _UserPlan] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _responses: dict[tuple[DialogAct, ...], ResponseTemplateDef | None] = field(
+    # what each user act list resolved to, keyed by its signature, of which
+    # the plan is a pure function; a run meets the same few signatures
+    # thousands of times, and `turn_acts_string` builds each one once
+    _user_plans: dict[str, _UserPlan] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def user_plan(self, acts: list[DialogAct]) -> _UserPlan:
-        key = tuple(acts)
-        plan = self._user_plans.get(key)
+        signature = turn_acts_string(acts)
+        plan = self._user_plans.get(signature)
         if plan is None:
             types = [a.entity for a in value_bearing(acts)]
-            exact = tuple(self.user.get(turn_acts_string(acts), ()))
+            exact = tuple(self.user.get(signature, ()))
             pieces = [(exact, types)] if exact else [
                 (
                     tuple(self.user.get(turn_acts_string([a]), ()))
@@ -87,20 +77,13 @@ class TemplateIndex:
                 for a in acts
             ]
             plan = _UserPlan(types, pieces)
-            if _memoizable(acts):
-                self._user_plans[key] = plan
+            if acts:
+                self._user_plans[signature] = plan
         return plan
 
     def response(self, acts: list[DialogAct]) -> ResponseTemplateDef | None:
         """The response template whose acts are the signature of `acts`."""
-        key = tuple(acts)
-        try:
-            return self._responses[key]
-        except KeyError:
-            resp = self.response_by_signature.get(turn_acts_string(acts))
-            if _memoizable(acts):
-                self._responses[key] = resp
-            return resp
+        return self.response_by_signature.get(turn_acts_string(acts))
 
 
 def delexicalize_turn(utterance: UserUtterance) -> UtteranceTemplateDef:

@@ -1,6 +1,8 @@
 import ast
 import copy
+import gc
 import pickle
+import weakref
 from pathlib import Path
 from random import Random
 
@@ -151,6 +153,58 @@ def test_role_suffix_only_when_ambiguous():
     assert [a.arg for a in parsed] == ["timeLowerBound", "timeUpperBound"]
     # same role twice is not ambiguous
     assert "@" not in turn_acts_string([lo, lo])
+
+
+def test_memoized_signature_equals_the_builder():
+    """Interned acts, directly built ones, and equal lists whose acts carry
+    other roles each get the signature the uncached builder gives."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    roles = st.sampled_from(
+        [(None, None), ("FindMovies", "timeLowerBound"), ("SelectShow", "showTime")]
+    )
+    one = st.builds(
+        lambda build, name, entity, role: build(name, "user", None, entity, *role),
+        st.sampled_from([make_act, DialogAct]),
+        st.sampled_from(["inform", "affirm"]),
+        st.sampled_from(["Time", "location"]),
+        roles,
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(st.lists(one, max_size=4), roles)
+    def check(drawn, role):
+        recast = [make_act(a.name, a.side, a.intent, a.entity, *role) for a in drawn]
+        assert recast == drawn
+        for listed in (drawn, recast, drawn):
+            assert turn_acts_string(listed) == acts._signature(listed)
+
+    check()
+
+
+def test_a_signature_entry_keeps_its_acts_alive(monkeypatch):
+    """An entry pins its acts, so an act made after the last list is dropped
+    never takes the address of one of its acts and is not read as it."""
+    monkeypatch.setattr(acts, "_signatures", {})
+    first = DialogAct("inform", "user", entity="Time")
+    alive = weakref.ref(first)
+    assert turn_acts_string([first]) == "inform(entity:Time)"
+    del first
+    gc.collect()
+    assert alive() is not None
+    for k in range(100):
+        later = [DialogAct("inform", "user", entity=f"T{k}")]
+        assert turn_acts_string(later) == f"inform(entity:T{k})"
+
+
+def test_a_full_signature_memo_stays_correct(monkeypatch):
+    monkeypatch.setattr(acts, "_signatures", {})
+    monkeypatch.setattr(acts, "_SIGNATURES_MAX", 2)
+    lists = [[make_act("inform", "user", entity=f"T{k}")] for k in range(5)]
+    for _ in range(2):
+        for k, listed in enumerate(lists):
+            assert turn_acts_string(listed) == f"inform(entity:T{k})"
+            assert len(acts._signatures) <= 2
 
 
 def test_slot_names_disambiguate_repeats():

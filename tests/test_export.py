@@ -36,6 +36,16 @@ def test_tokenizer_detaches_punctuation():
     ]
 
 
+def test_a_caller_edit_to_the_token_list_reaches_no_later_call():
+    text = "What movies are playing in Sunnyvale?"
+    tokens = tokenize(text)
+    expected = list(tokens)
+    tokens.clear()
+    tokenize(text).append(("extra", 0, 0))
+    assert tokenize(text) == expected
+    assert iob_tags(text, []) == ([t[0] for t in expected], ["O"] * len(expected))
+
+
 def _char_scan_tokenize(text):
     """Reference: the per-character tokenizer that `tokenize` replaced."""
     tokens = []
