@@ -23,6 +23,12 @@ A `ValueRef` is a value with one instance each, made only by `ref` and
 `lit`, as `acts.make_act` makes each `DialogAct`: a batch's call lines hold
 a few dozen refs, and a pickled ref is rebuilt as the receiving process's
 instance.
+
+A corpus repeats its own lines, so `parse_corpus` parses each distinct turn
+line once per call, keyed by its side letter and its body without the turn
+number; each later occurrence gets a fresh copy of that turn. The turn
+number, the metadata lines and `_link` are still checked for every dialog.
+The memo lives for one call only.
 """
 from __future__ import annotations
 
@@ -219,9 +225,36 @@ def _parse_call(raw: str, line_no: int) -> ApiCall:
     return ApiCall(api=api, bindings=bindings, return_var=return_var)
 
 
+def _parse_turn(side: str, body: str, line_no: int) -> Turn:
+    if side == "U":
+        return _parse_user_text(body, line_no)
+    if body.startswith("call:"):
+        return _parse_call(body, line_no)
+    if body.startswith("nlg:"):
+        # serialize_dialog writes `nlg: <text>`; the text may itself start
+        # with whitespace, or be empty
+        text, acts_suffix = _split_acts_suffix(body.removeprefix("nlg:").removeprefix(" "))
+        return NlgResponse(text=text, acts=_suffix_acts(acts_suffix, SYSTEM, line_no))
+    raise MarkupError(f"system turn must be 'call:' or 'nlg:', got {body!r}", line_no)
+
+
+def _fresh_copy(turn: Turn) -> Turn:
+    """A turn equal to `turn` as parsed, sharing only its immutable parts:
+    the text and the interned acts and refs. Its spans are untyped, since
+    `_link` types them per dialog and may already have typed `turn`'s."""
+    if isinstance(turn, UserUtterance):
+        spans = [EntitySpan(s.surface, s.var_id, None, s.start, s.end) for s in turn.spans]
+        return UserUtterance(turn.text, spans, list(turn.acts))
+    if isinstance(turn, ApiCall):
+        return ApiCall(turn.api, dict(turn.bindings), turn.return_var)
+    return NlgResponse(turn.text, list(turn.acts))
+
+
 def _parse_dialog_lines(
-    numbered: list[tuple[int, str]], bundle: SchemaBundle | None
+    numbered: list[tuple[int, str]], bundle: SchemaBundle | None, memo: dict[str, Turn]
 ) -> Dialog:
+    """`memo` maps a turn line's side letter plus body to the turn parsed at
+    its first occurrence; a later occurrence gets a fresh copy of it."""
     metadata: dict[str, str] = {}
     turns: list[Turn] = []
     for line_no, line in numbered:
@@ -236,18 +269,14 @@ def _parse_dialog_lines(
         index, expected = int(m.group(2)), len(turns) + 1
         if index != expected:
             raise MarkupError(f"turn index {index} out of order (expected {expected})", line_no)
-        body = m.group(3)
-        if m.group(1) == "U":
-            turns.append(_parse_user_text(body, line_no))
-        elif body.startswith("call:"):
-            turns.append(_parse_call(body, line_no))
-        elif body.startswith("nlg:"):
-            # serialize_dialog writes `nlg: <text>`; the text may itself start
-            # with whitespace, or be empty
-            text, acts_suffix = _split_acts_suffix(body.removeprefix("nlg:").removeprefix(" "))
-            turns.append(NlgResponse(text=text, acts=_suffix_acts(acts_suffix, SYSTEM, line_no)))
+        side, body = m.group(1), m.group(3)
+        key = side + body
+        turn = memo.get(key)
+        if turn is None:
+            turn = memo[key] = _parse_turn(side, body, line_no)
         else:
-            raise MarkupError(f"system turn must be 'call:' or 'nlg:', got {body!r}", line_no)
+            turn = _fresh_copy(turn)
+        turns.append(turn)
     if not turns:
         raise MarkupError("dialog has no turns", numbered[0][0] if numbered else None)
     if not isinstance(turns[0], UserUtterance):
@@ -328,13 +357,14 @@ def parse_dialog(text: str, bundle: SchemaBundle | None = None) -> Dialog:
     numbered = [
         (no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()
     ]
-    return _parse_dialog_lines(numbered, bundle)
+    return _parse_dialog_lines(numbered, bundle, {})
 
 
 def parse_corpus(text: str, bundle: SchemaBundle | None = None) -> list[Dialog]:
     """Dialogs are separated by blank lines. A block made only of `#` lines
     that are not `key=value` metadata is a comment, not a dialog."""
     dialogs = []
+    memo: dict[str, Turn] = {}
     block: list[tuple[int, str]] = []
     # the closing "" ends the last block
     for no, line in enumerate([*text.splitlines(), ""], start=1):
@@ -342,7 +372,7 @@ def parse_corpus(text: str, bundle: SchemaBundle | None = None) -> list[Dialog]:
             block.append((no, line))
         elif block:
             if not all(row.startswith("#") and not _META_RE.match(row) for _, row in block):
-                dialogs.append(_parse_dialog_lines(block, bundle))
+                dialogs.append(_parse_dialog_lines(block, bundle, memo))
             block = []
     return dialogs
 

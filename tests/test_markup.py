@@ -1,16 +1,19 @@
 import copy
+import re
 from random import Random
 
 import pytest
 
-from dialogsim.acts import DialogAct, act_to_string
+from dialogsim.acts import USER, DialogAct, act_to_string, make_act
 from dialogsim.engine import GenerationConfig, run_batch
 from dialogsim.markup import (
     ApiCall,
+    EntitySpan,
     MarkupError,
     NlgResponse,
     UserUtterance,
     annotate_seed_acts,
+    lit,
     parse_corpus,
     parse_dialog,
     serialize_corpus,
@@ -334,3 +337,92 @@ def test_bad_acts_suffix_is_markup_error(demo_bundle, text, line):
         with pytest.raises(MarkupError) as err:
             parse_corpus(text, demo_bundle)
         assert err.value.line == line
+
+
+def test_a_corpus_parse_gives_each_turn_its_own_parts(
+    demo_bundle, demo_seeds, flow_bundle, flow_seed, catalog_return_bundle, catalog_return_seeds
+):
+    """`parse_corpus` parses a repeated line once: each later occurrence is
+    a copy that shares no mutable part with any other turn of the corpus."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    cases = [
+        (demo_bundle, demo_seeds),
+        (flow_bundle, [flow_seed]),
+        (catalog_return_bundle, catalog_return_seeds),
+    ]
+    weight = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+    mixes = st.fixed_dictionaries({"base": weight, "golden": weight, "markov": weight}).filter(
+        lambda mix: sum(mix.values()) > 0
+    )
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(cases), mixes, st.integers(1, 30), st.integers(0, 999),
+                      st.data())
+    def check(case, mix, n, seed, data):
+        bundle, seeds = case
+        config = GenerationConfig(n_dialogs=n, sampler_mix=mix, rng_seed=seed)
+        text = serialize_corpus(run_batch(bundle, seeds, config).dialogs)
+        dialogs = parse_corpus(text, bundle)
+        assert dialogs == [parse_dialog(block, bundle) for block in text.split("\n\n")]
+        assert serialize_corpus(dialogs) == text
+
+        seen: set[int] = set()
+        for dialog in dialogs:
+            for turn in dialog.turns:
+                if isinstance(turn, ApiCall):
+                    parts = [turn, turn.bindings]
+                else:
+                    parts = [turn, turn.acts]
+                if isinstance(turn, UserUtterance):
+                    parts += [turn.spans, *turn.spans]
+                for part in parts:
+                    assert id(part) not in seen, part
+                    seen.add(id(part))
+
+        i = data.draw(st.integers(0, len(dialogs) - 1))
+        others = copy.deepcopy(dialogs[:i] + dialogs[i + 1 :])
+        for turn in dialogs[i].turns:
+            if isinstance(turn, ApiCall):
+                turn.bindings["mutated"] = lit("x")
+                turn.return_var = "mutated0"
+                continue
+            turn.acts.append(make_act("bye", USER))
+            turn.text = "mutated"
+            if isinstance(turn, UserUtterance):
+                for span in turn.spans:
+                    span.entity_type = "mutated"
+                    span.start += 1
+                turn.spans.append(EntitySpan("m", "m0", None, 0, 1))
+        assert dialogs[:i] + dialogs[i + 1 :] == others
+
+    check()
+
+
+def test_a_repeated_line_is_linked_per_dialog(demo_bundle):
+    # the prefix `v` declares no type: each dialog's call types its span
+    corpus = (
+        "U-1: [x|v0]\nS-2: call: FindMovies(location=$v0) -> movieList0\n\n"
+        "U-1: [x|v0]\nS-2: call: SelectShow(showTime=$v0) -> showInfo0\n"
+    )
+    dialogs = parse_corpus(corpus, demo_bundle)
+    assert [d.turns[0].spans[0].entity_type for d in dialogs] == ["location", "Time"]
+    # the memo keys a line by its side letter too
+    (dialog,) = parse_corpus("U-1: nlg: hi\nS-2: nlg: hi")
+    assert [type(t) for t in dialog.turns] == [UserUtterance, NlgResponse]
+
+
+@pytest.mark.parametrize(
+    "corpus, line, message",
+    [
+        ("U-1: hi\nS-2: nlg: ok\n\nU-1: hi\nS-3: nlg: ok", 5,
+         "turn index 3 out of order (expected 2)"),
+        ("U-1: hi |acts: bye()\nS-2: nlg: ok\n\n" * 40 + "U-1: hi |acts: bye()\nS-2: nlg ok", 122,
+         "system turn must be 'call:' or 'nlg:'"),
+    ],
+    ids=["repeated-out-of-order", "malformed-after-repeats"],
+)
+def test_an_error_after_repeated_lines_names_its_own_line(demo_bundle, corpus, line, message):
+    with pytest.raises(MarkupError, match=f"^line {line}: {re.escape(message)}") as err:
+        parse_corpus(corpus, demo_bundle)
+    assert err.value.line == line
