@@ -19,6 +19,7 @@ are keyed by their own identities and stay correct.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -122,7 +123,7 @@ def _act_string_with_role(act: DialogAct) -> str:
     return act_to_string(act)
 
 
-def turn_acts_string(acts: list[DialogAct]) -> str:
+def turn_acts_string(acts: Sequence[DialogAct]) -> str:
     """Comma-join a turn's acts. Entity acts gain an `@api.arg` role suffix
     only when the turn holds same-typed entity acts with different roles."""
     key = tuple([id(a) for a in acts])
@@ -144,7 +145,7 @@ _signatures: dict[tuple[int, ...], tuple[tuple[DialogAct, ...], str]] = {}
 _SIGNATURES_MAX = 1 << 16
 
 
-def _signature(acts: list[DialogAct]) -> str:
+def _signature(acts: Sequence[DialogAct]) -> str:
     ambiguous: set[str] = set()
     seen_roles: dict[str, set[tuple[str | None, str | None]]] = {}
     for act in acts:
@@ -187,17 +188,14 @@ def parse_act(text: str, side: str) -> DialogAct:
     return act
 
 
-def parse_act_list(text: str, side: str) -> list[DialogAct]:
-    """Parse a comma-joined act list into a fresh list the caller may mutate."""
-    return list(_parse_act_tuple(text, side))
-
-
 # A corpus repeats a few distinct act lists (bounded by the act vocabulary
 # and max_acts_per_turn) thousands of times. `make_act` already shares each
 # act; this cache saves the regex parse of a repeated list. A parse that
 # raises is not cached.
 @lru_cache(maxsize=4096)
-def _parse_act_tuple(text: str, side: str) -> tuple[DialogAct, ...]:
+def parse_act_list(text: str, side: str) -> tuple[DialogAct, ...]:
+    """Parse a comma-joined act list; a blank one holds no acts. Every call
+    with the same text returns the same tuple."""
     text = text.strip()
     if not text:
         return ()
@@ -228,7 +226,7 @@ def sequence_string(dialog) -> str:
     return ",".join(parts)
 
 
-def value_bearing(acts: list[DialogAct]) -> list[DialogAct]:
+def value_bearing(acts: Sequence[DialogAct]) -> list[DialogAct]:
     """User acts that carry a surface value (drive slots and spans)."""
     return [a for a in acts if a.name == "inform" and a.entity is not None]
 

@@ -160,7 +160,7 @@ def run_dialog(
         if not uout.acts:
             raise GenerationError("user policy produced an empty turn")
         text, spans = realize_user(uout.acts, uout.values, index, rng, alloc)
-        turns.append(UserUtterance(text=text, spans=spans, acts=uout.acts))
+        turns.append(UserUtterance(text, spans, uout.acts))
         if len(turns) >= config.max_turns:
             break
         view = next_system_turn(system, uout.acts, spans, bundle, config, rng, alloc)
@@ -177,7 +177,7 @@ def run_dialog(
                 text = realize_system_backoff(plan.acts, plan.backoff_values)
             else:
                 text = realize_response(resp, args, rng)
-            turns.append(NlgResponse(text=text, acts=plan.acts))
+            turns.append(NlgResponse(text, plan.acts))
     truncated = len(turns) > config.max_turns or not system.closed
     if truncated:
         del turns[config.max_turns :]
@@ -214,7 +214,7 @@ def run_base_dialog(
             text, new_spans = realize_user(p.acts, surfaces, index, rng, alloc)
             for old, new in zip(p.spans, new_spans):
                 var_map[old.var_id] = new.var_id
-            out.turns.append(UserUtterance(text=text, spans=new_spans, acts=list(p.acts)))
+            out.turns.append(UserUtterance(text, new_spans, p.acts))
         elif isinstance(p, ApiCall):
             api = bundle.api(p.api)
             new_ret = alloc.new(api.return_type)
@@ -225,14 +225,14 @@ def run_base_dialog(
                 else:
                     bindings[arg] = valref
             var_map[p.return_var] = new_ret
-            out.turns.append(ApiCall(api=p.api, bindings=bindings, return_var=new_ret))
+            out.turns.append(ApiCall(p.api, bindings, new_ret))
         else:
             resp = index.response(p.acts)
             if resp is not None:
                 text = realize_response(resp, sample_response_args(resp, bundle, rng), rng)
             else:
                 text = p.text
-            out.turns.append(NlgResponse(text=text, acts=list(p.acts)))
+            out.turns.append(NlgResponse(text, p.acts))
     return out
 
 

@@ -70,16 +70,12 @@ def _json(value: str | list[str] | dict[str, str]) -> str:
     return "{%s}" % ", ".join(f"{_encode(a)}: {_encode(v)}" for a, v in value.items())
 
 
-def tokenize(text: str) -> list[tuple[str, int, int]]:
-    """(token text, start, end) per token, in a fresh list the caller may
-    mutate."""
-    return list(_tokens(text))
-
-
 # A corpus repeats a few distinct user texts (1,305 among 6,209 user turns
 # of 1,000 self-play dialogs); each is tokenized once.
 @lru_cache(maxsize=1 << 14)
-def _tokens(text: str) -> tuple[tuple[str, int, int], ...]:
+def tokenize(text: str) -> tuple[tuple[str, int, int], ...]:
+    """(token text, start, end) per token. Every call with the same text
+    returns the same tuple."""
     tokens: list[tuple[str, int, int]] = []
     end = 0
     for word in text.split():  # splits where str.isspace is true
@@ -101,9 +97,9 @@ def _tokens(text: str) -> tuple[tuple[str, int, int], ...]:
     return tuple(tokens)
 
 
-def iob_tags(text: str, spans: list[EntitySpan]) -> tuple[list[str], list[str]]:
+def iob_tags(text: str, spans: tuple[EntitySpan, ...]) -> tuple[list[str], list[str]]:
     """(tokens, tags) with B-/I-<entity type> marking span tokens."""
-    tokens = _tokens(text)
+    tokens = tokenize(text)
     tags = ["O"] * len(tokens)
     for span in spans:
         inside = False
@@ -118,7 +114,7 @@ def spans_from_tags(text: str, tokens: list[str], tags: list[str]) -> list[tuple
     """Invert iob_tags: contiguous B/I runs back to (start, end, type)."""
     out = []
     current: tuple[int, int, str] | None = None
-    for (_, start, end), tag in zip(_tokens(text), tags):
+    for (_, start, end), tag in zip(tokenize(text), tags):
         if tag.startswith("B-"):
             if current:
                 out.append(current)

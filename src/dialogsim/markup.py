@@ -24,17 +24,21 @@ A `ValueRef` is a value with one instance each, made only by `ref` and
 a few dozen refs, and a pickled ref is rebuilt as the receiving process's
 instance.
 
-A corpus repeats its own lines, so `parse_corpus` parses each distinct turn
-line once per call, keyed by its side letter and its body without the turn
-number; each later occurrence gets a fresh copy of that turn. The turn
-number, the metadata lines and `_link` are still checked for every dialog.
-The memo lives for one call only.
+Turns and spans are immutable records (`NamedTuple`s, with tuples for
+`spans` and `acts`), and `ApiCall.bindings` is a dict that nothing writes
+after construction. So a corpus, which repeats its own lines, shares them:
+`parse_corpus` parses each distinct turn line once per call, keyed by its
+side letter and its body without the turn number, and every later
+occurrence is that same turn object. The turn number, the metadata lines
+and `_link` are still checked for every dialog. The memo lives for one
+call only.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from .acts import (
     IDENTIFIER,
@@ -82,8 +86,7 @@ def lit(value: str, /) -> ValueRef:
     return ValueRef(literal=value)
 
 
-@dataclass
-class EntitySpan:
+class EntitySpan(NamedTuple):
     surface: str
     var_id: str
     entity_type: str | None
@@ -91,18 +94,16 @@ class EntitySpan:
     end: int
 
 
-@dataclass
-class UserUtterance:
+class UserUtterance(NamedTuple):
     """One user line. `spans` are in text order, which is also the order of
     the turn's entity-inform acts."""
 
     text: str
-    spans: list[EntitySpan] = field(default_factory=list)
-    acts: list[DialogAct] = field(default_factory=list)
+    spans: tuple[EntitySpan, ...] = ()
+    acts: tuple[DialogAct, ...] = ()
 
 
-@dataclass
-class ApiCall:
+class ApiCall(NamedTuple):
     api: str
     bindings: dict[str, ValueRef]
     return_var: str
@@ -112,10 +113,9 @@ class ApiCall:
         return f"{self.api}({args}) -> {self.return_var}"
 
 
-@dataclass
-class NlgResponse:
+class NlgResponse(NamedTuple):
     text: str
-    acts: list[DialogAct] = field(default_factory=list)
+    acts: tuple[DialogAct, ...] = ()
 
 
 Turn = UserUtterance | ApiCall | NlgResponse
@@ -156,16 +156,23 @@ def _split_acts_suffix(text: str) -> tuple[str, str | None]:
     return text, None
 
 
-def _suffix_acts(suffix: str | None, side: str, line_no: int) -> list[DialogAct]:
+def _suffix_acts(suffix: str | None, side: str, line_no: int) -> tuple[DialogAct, ...]:
     if suffix is None:
-        return []
+        return ()
     try:
-        return parse_act_list(suffix, side)
+        acts = parse_act_list(suffix, side)
     except ActError as e:
         raise MarkupError(str(e), line_no) from None
+    if not acts:
+        # `serialize_dialog` writes no suffix for a turn without acts
+        raise MarkupError("an |acts: suffix holds no act", line_no)
+    return acts
 
 
-def _parse_user_text(raw: str, line_no: int) -> UserUtterance:
+def _parse_user_text(raw: str, line_no: int, bundle: SchemaBundle | None) -> UserUtterance:
+    """With a bundle, a span whose var prefix names an entity type is typed
+    by it; other spans are left for `_link` to type by the call that
+    consumes them."""
     body, acts_suffix = _split_acts_suffix(raw)
     text_parts: list[str] = []
     spans: list[EntitySpan] = []
@@ -174,16 +181,13 @@ def _parse_user_text(raw: str, line_no: int) -> UserUtterance:
     for m in _SPAN_RE.finditer(body):
         text_parts.append(body[pos : m.start()])
         out_len += m.start() - pos
-        surface = m.group(1)
-        spans.append(
-            EntitySpan(
-                surface=surface,
-                var_id=m.group(2),
-                entity_type=None,
-                start=out_len,
-                end=out_len + len(surface),
-            )
-        )
+        surface, var_id = m.group(1), m.group(2)
+        declared = None
+        if bundle is not None:
+            prefix = _PREFIX_RE.match(var_id)
+            declared = bundle.entity_type_for_prefix(prefix.group(1)) if prefix else None
+        entity_type = declared.name if declared is not None else None
+        spans.append(EntitySpan(surface, var_id, entity_type, out_len, out_len + len(surface)))
         text_parts.append(surface)
         out_len += len(surface)
         pos = m.end()
@@ -191,7 +195,7 @@ def _parse_user_text(raw: str, line_no: int) -> UserUtterance:
     text = "".join(text_parts)
     if "[" in text or "]" in text:
         raise MarkupError(f"malformed entity span in {body!r}", line_no)
-    return UserUtterance(text=text, spans=spans, acts=_suffix_acts(acts_suffix, USER, line_no))
+    return UserUtterance(text, tuple(spans), _suffix_acts(acts_suffix, USER, line_no))
 
 
 def _parse_valref(token: str, line_no: int) -> ValueRef:
@@ -225,9 +229,9 @@ def _parse_call(raw: str, line_no: int) -> ApiCall:
     return ApiCall(api=api, bindings=bindings, return_var=return_var)
 
 
-def _parse_turn(side: str, body: str, line_no: int) -> Turn:
+def _parse_turn(side: str, body: str, line_no: int, bundle: SchemaBundle | None) -> Turn:
     if side == "U":
-        return _parse_user_text(body, line_no)
+        return _parse_user_text(body, line_no, bundle)
     if body.startswith("call:"):
         return _parse_call(body, line_no)
     if body.startswith("nlg:"):
@@ -238,23 +242,11 @@ def _parse_turn(side: str, body: str, line_no: int) -> Turn:
     raise MarkupError(f"system turn must be 'call:' or 'nlg:', got {body!r}", line_no)
 
 
-def _fresh_copy(turn: Turn) -> Turn:
-    """A turn equal to `turn` as parsed, sharing only its immutable parts:
-    the text and the interned acts and refs. Its spans are untyped, since
-    `_link` types them per dialog and may already have typed `turn`'s."""
-    if isinstance(turn, UserUtterance):
-        spans = [EntitySpan(s.surface, s.var_id, None, s.start, s.end) for s in turn.spans]
-        return UserUtterance(turn.text, spans, list(turn.acts))
-    if isinstance(turn, ApiCall):
-        return ApiCall(turn.api, dict(turn.bindings), turn.return_var)
-    return NlgResponse(turn.text, list(turn.acts))
-
-
 def _parse_dialog_lines(
     numbered: list[tuple[int, str]], bundle: SchemaBundle | None, memo: dict[str, Turn]
 ) -> Dialog:
     """`memo` maps a turn line's side letter plus body to the turn parsed at
-    its first occurrence; a later occurrence gets a fresh copy of it."""
+    its first occurrence, which every later occurrence shares."""
     metadata: dict[str, str] = {}
     turns: list[Turn] = []
     for line_no, line in numbered:
@@ -273,9 +265,7 @@ def _parse_dialog_lines(
         key = side + body
         turn = memo.get(key)
         if turn is None:
-            turn = memo[key] = _parse_turn(side, body, line_no)
-        else:
-            turn = _fresh_copy(turn)
+            turn = memo[key] = _parse_turn(side, body, line_no, bundle)
         turns.append(turn)
     if not turns:
         raise MarkupError("dialog has no turns", numbered[0][0] if numbered else None)
@@ -288,24 +278,19 @@ def _parse_dialog_lines(
 
 
 def _link(dialog: Dialog, bundle: SchemaBundle) -> None:
-    """Resolve var references and type every span, by its var prefix or by
-    the call that consumes it. A user value, span or call literal, may not
-    be of an object-kind type. The spans are `_parse_user_text`'s, cut from
-    the text in order, so they need no order or surface check here."""
+    """Resolve var references and check every span's type. A span that
+    `_parse_user_text` left untyped is typed by the call that consumes it,
+    in a copy of its turn that replaces the turn in this dialog only. A user
+    value, span or call literal, may not be of an object-kind type. The spans
+    are cut from the text in order, so they need no order or surface check."""
     # var -> (introducing turn, its span, or the return type of its call)
     intro: dict[str, tuple[int, EntitySpan | str]] = {}
-    for n, p in enumerate(dialog.turns, start=1):
+    turns = dialog.turns
+    for n, p in enumerate(turns, start=1):
         if isinstance(p, UserUtterance):
             for span in p.spans:
                 if span.var_id in intro:
                     raise MarkupError(f"var {span.var_id!r} reintroduced in turn {n}")
-                if span.entity_type is None:
-                    # a prefix that names an entity type is a declaration;
-                    # other prefixes leave the type to be inferred from usage
-                    m = _PREFIX_RE.match(span.var_id)
-                    declared = bundle.entity_type_for_prefix(m.group(1)) if m else None
-                    if declared is not None:
-                        span.entity_type = declared.name
                 intro[span.var_id] = (n, span)
         elif isinstance(p, ApiCall):
             api = bundle.api(p.api)
@@ -318,11 +303,15 @@ def _link(dialog: Dialog, bundle: SchemaBundle) -> None:
                 if valref.var is None:
                     _check_user_value(bundle, spec.entity_type, n)
                     continue
-                if valref.var not in intro or intro[valref.var][0] >= n:
+                at, source = intro.get(valref.var, (n, None))
+                if at >= n:
                     raise MarkupError(f"unresolved reference ${valref.var} in turn {n}")
-                source = intro[valref.var][1]
                 if isinstance(source, EntitySpan) and source.entity_type is None:
-                    source.entity_type = spec.entity_type
+                    typed = source._replace(entity_type=spec.entity_type)
+                    intro[valref.var] = (at, typed)
+                    user = turns[at - 1]
+                    spans = tuple(typed if s is source else s for s in user.spans)
+                    turns[at - 1] = user._replace(spans=spans)
                     continue
                 var_type = source.entity_type if isinstance(source, EntitySpan) else source
                 if var_type != spec.entity_type:
@@ -334,7 +323,7 @@ def _link(dialog: Dialog, bundle: SchemaBundle) -> None:
                 raise MarkupError(f"var {p.return_var!r} reintroduced in turn {n}")
             intro[p.return_var] = (n, api.return_type)
     # by now a span is typed by its var prefix or by the call that consumed it
-    for n, p in enumerate(dialog.turns, start=1):
+    for n, p in enumerate(turns, start=1):
         if not isinstance(p, UserUtterance):
             continue
         for span in p.spans:
@@ -385,16 +374,17 @@ def serialize_dialog(dialog: Dialog) -> str:
     lines = [f"# {k}={v}" for k, v in dialog.metadata.items()]
     for n, p in enumerate(dialog.turns, start=1):
         if isinstance(p, UserUtterance):
+            text, spans, acts = p
             parts = []
             pos = 0
-            for span in p.spans:
-                parts.append(p.text[pos : span.start])
-                parts.append(f"[{span.surface}|{span.var_id}]")
-                pos = span.end
-            parts.append(p.text[pos:])
+            for surface, var_id, _, start, end in spans:
+                parts.append(text[pos:start])
+                parts.append(f"[{surface}|{var_id}]")
+                pos = end
+            parts.append(text[pos:])
             line = f"U-{n}: {''.join(parts)}"
-            if p.acts:
-                line += f" |acts: {turn_acts_string(p.acts)}"
+            if acts:
+                line += f" |acts: {turn_acts_string(acts)}"
         elif isinstance(p, ApiCall):
             line = f"S-{n}: call: {p}"
         else:
@@ -437,7 +427,7 @@ def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
     for pos, p in enumerate(dialog.turns):
         if isinstance(p, ApiCall) or p.acts:
             continue
-        acts: list[DialogAct] = []
+        acts: list[DialogAct] | tuple[DialogAct, ...] = []
         if isinstance(p, UserUtterance):
             for call in trigger.get(pos, []):
                 acts.append(make_act("inform", USER, intent=call.api))
@@ -453,7 +443,7 @@ def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
                 api = bundle.api(prev.api)
                 resp = bundle.response(api.response_template) if api else None
                 if resp is not None:
-                    acts = list(resp.acts)
+                    acts = resp.acts
             elif pos == len(dialog.turns) - 1:
                 acts = [make_act("bye", SYSTEM)]
             rules = "follows no call"
@@ -461,5 +451,5 @@ def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:
             name = dialog.metadata.get("id", "without an id")
             raise MarkupError(f"seed {name!r} turn {pos + 1}: it has no acts: it {rules} and "
                               "does not end the dialog")
-        turns[pos] = replace(p, acts=acts)
+        turns[pos] = p._replace(acts=tuple(acts))
     return replace(dialog, turns=turns)

@@ -62,7 +62,7 @@ class TemplateIndex:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def user_plan(self, acts: list[DialogAct]) -> _UserPlan:
+    def user_plan(self, acts: tuple[DialogAct, ...]) -> _UserPlan:
         signature = turn_acts_string(acts)
         plan = self._user_plans.get(signature)
         if plan is None:
@@ -81,7 +81,7 @@ class TemplateIndex:
                 self._user_plans[signature] = plan
         return plan
 
-    def response(self, acts: list[DialogAct]) -> ResponseTemplateDef | None:
+    def response(self, acts: tuple[DialogAct, ...]) -> ResponseTemplateDef | None:
         """The response template whose acts are the signature of `acts`."""
         return self.response_by_signature.get(turn_acts_string(acts))
 
@@ -97,7 +97,7 @@ def delexicalize_turn(utterance: UserUtterance) -> UtteranceTemplateDef:
         parts.append("{%s}" % slot)
         pos = span.end
     parts.append(utterance.text[pos:])
-    return UtteranceTemplateDef(acts=tuple(utterance.acts), template="".join(parts))
+    return UtteranceTemplateDef(acts=utterance.acts, template="".join(parts))
 
 
 def build_template_index(bundle: SchemaBundle, seeds: list[Dialog]) -> TemplateIndex:
@@ -107,7 +107,7 @@ def build_template_index(bundle: SchemaBundle, seeds: list[Dialog]) -> TemplateI
     index = TemplateIndex()
 
     def add_user(defn: UtteranceTemplateDef) -> None:
-        key = turn_acts_string(list(defn.acts))
+        key = turn_acts_string(defn.acts)
         bucket = index.user.setdefault(key, [])
         if defn.template not in bucket:
             bucket.append(defn.template)
@@ -116,7 +116,7 @@ def build_template_index(bundle: SchemaBundle, seeds: list[Dialog]) -> TemplateI
         for ut in dom.utterance_templates:
             add_user(ut)
         for resp in dom.response_templates:
-            index.response_by_signature.setdefault(turn_acts_string(list(resp.acts)), resp)
+            index.response_by_signature.setdefault(turn_acts_string(resp.acts), resp)
     for i, seed in enumerate(seeds):
         for n, turn in enumerate(seed.turns, start=1):
             if isinstance(turn, UserUtterance):
@@ -192,12 +192,12 @@ def _user_fragment(act: DialogAct) -> str:
 
 
 def realize_user(
-    acts: list[DialogAct],
+    acts: tuple[DialogAct, ...],
     values: list[str],
     index: TemplateIndex,
     rng: Random,
     alloc: VarAllocator,
-) -> tuple[str, list[EntitySpan]]:
+) -> tuple[str, tuple[EntitySpan, ...]]:
     """Surface form plus entity spans (in text order, which is act order)
     for a user turn.
 
@@ -219,7 +219,7 @@ def realize_user(
         parts.append(text)
         spans += piece_spans
         out += len(text) + 2
-    return ", ".join(parts), spans
+    return ", ".join(parts), tuple(spans)
 
 
 def realize_response(
@@ -248,7 +248,7 @@ def sample_response_args(
 
 
 def fill_response_args(
-    defn: ResponseTemplateDef, acts: list[DialogAct], values: list[str | None]
+    defn: ResponseTemplateDef, acts: tuple[DialogAct, ...], values: list[str | None]
 ) -> dict[str, str] | None:
     """Each response arg, in arg order, takes the value of the first unused
     act of its entity type that carries one (`values` runs parallel to
@@ -266,7 +266,7 @@ def fill_response_args(
     return filled
 
 
-def realize_system_backoff(acts: list[DialogAct], values: list[str | None]) -> str:
+def realize_system_backoff(acts: tuple[DialogAct, ...], values: list[str | None]) -> str:
     """Canned text for system act groups with no schema response template."""
     parts = []
     for act, value in zip(acts, values):

@@ -488,13 +488,13 @@ def serialize_schema(bundle: SchemaBundle) -> str:
                     {
                         "name": r.name,
                         "args": [arg_json(s) for s in r.args],
-                        "acts": [turn_acts_string(list(r.acts))] if r.acts else [],
+                        "acts": [turn_acts_string(r.acts)] if r.acts else [],
                         "templates": list(r.templates),
                     }
                     for r in dom.response_templates
                 ],
                 "utterance_templates": [
-                    {"acts": [turn_acts_string(list(u.acts))], "template": u.template}
+                    {"acts": [turn_acts_string(u.acts)], "template": u.template}
                     for u in dom.utterance_templates
                 ],
             }

@@ -94,7 +94,7 @@ class SystemNlg:
     with `arg_values` drawn for its args; it is None for a policy act group,
     which is rendered from its acts and `backoff_values`."""
 
-    acts: list[DialogAct]
+    acts: tuple[DialogAct, ...]
     response: ResponseTemplateDef | None = None
     arg_values: dict[str, str] = field(default_factory=dict)
     backoff_values: list[str | None] = field(default_factory=list)
@@ -159,7 +159,7 @@ def _view_and_plan(kind: str, api: str, args: list[ArgView]) -> tuple[ApiView, S
     `kind(intent) kind(entity)...` with the arg surfaces as backoff values."""
     acts = [make_act(kind, SYSTEM, intent=api)]
     acts += [make_act(kind, SYSTEM, entity=a.entity_type, api=api, arg=a.arg) for a in args]
-    plan = SystemNlg(acts=acts, backoff_values=[None] + [a.surface for a in args])
+    plan = SystemNlg(acts=tuple(acts), backoff_values=[None] + [a.surface for a in args])
     return ApiView(api, args), plan
 
 
@@ -187,7 +187,7 @@ def propose_offer(
 def _announce(api: ApiDef, bundle: SchemaBundle, rng: Random) -> SystemNlg:
     resp = bundle.response(api.response_template)
     return SystemNlg(
-        acts=list(resp.acts),
+        acts=resp.acts,
         response=resp,
         arg_values=sample_response_args(resp, bundle, rng),
     )
@@ -208,7 +208,7 @@ def _do_call(
         plan = _announce(bundle.api(frame.api), bundle, rng)
     else:
         failure = make_act("failure", SYSTEM, intent=frame.api)
-        plan = SystemNlg(acts=[failure], backoff_values=[None])
+        plan = SystemNlg(acts=(failure,), backoff_values=[None])
     bindings = {arg: a.var for arg, a in frame.args.items()} if ok else {}
     plan.result = CallResult(frame.api, ok, var, recall, bindings)
     out.nlg.append(plan)
@@ -216,8 +216,8 @@ def _do_call(
 
 def next_system_turn(
     state: SystemState,
-    user_acts: list[DialogAct],
-    spans: list[EntitySpan],  # one per entity-bearing inform act, in act order
+    user_acts: tuple[DialogAct, ...],
+    spans: tuple[EntitySpan, ...],  # one per entity-bearing inform act, in act order
     bundle: SchemaBundle,
     config,
     rng: Random,
@@ -227,7 +227,7 @@ def next_system_turn(
 
     if any(a.name == "bye" for a in user_acts):
         state.closed = True
-        out.nlg.append(SystemNlg(acts=[make_act("bye", SYSTEM)], backoff_values=[None]))
+        out.nlg.append(SystemNlg(acts=(make_act("bye", SYSTEM),), backoff_values=[None]))
         return out
 
     offer = state.pending_offer
@@ -288,7 +288,7 @@ def next_system_turn(
             request = make_act(
                 "request", SYSTEM, entity=spec.entity_type, api=api.name, arg=spec.name
             )
-            out.nlg.append(SystemNlg(acts=[request], backoff_values=[None]))
+            out.nlg.append(SystemNlg(acts=(request,), backoff_values=[None]))
         elif api.confirm_before_call:
             if confirming is frame and confirm_affirmed and not confirm_touched:
                 state.awaiting_confirm = None

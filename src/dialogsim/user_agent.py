@@ -40,7 +40,7 @@ from .system_agent import ApiView, SystemTurnOutput
 
 @dataclass
 class UserTurnOutput:
-    acts: list[DialogAct]
+    acts: tuple[DialogAct, ...]
     values: list[str]  # one surface per entity-bearing inform act, in act order
 
 
@@ -260,4 +260,4 @@ def next_user_turn(
     if state.done and state.last_correction is None:
         acts.append(make_act("bye", USER))
 
-    return UserTurnOutput(acts=acts, values=values)
+    return UserTurnOutput(acts=tuple(acts), values=values)

@@ -126,18 +126,18 @@ def test_parse_act_rejects_unknown():
         validate_act(DialogAct("inform", "user", intent="X", entity="Time"))
 
 
-def test_parse_act_list_memo_returns_fresh_equal_lists():
+def test_parse_act_list_memo_returns_one_immutable_tuple():
     text = "inform(intent:FindMovies),inform(entity:Time@FindMovies.timeLowerBound)"
     first = parse_act_list(text, "user")
     second = parse_act_list(text, "user")
-    assert first == second and first is not second
-    first.append(DialogAct("bye", "user"))  # a caller's edit does not reach the cache
+    # a caller cannot edit what the cache hands out
+    assert type(first) is tuple and first is second
     assert parse_act_list(text, "user") == second
-    acts._parse_act_tuple.cache_clear()
+    parse_act_list.cache_clear()
     cold = parse_act_list(text, "user")
     assert cold == second
     assert [(a.api, a.arg) for a in cold] == [(a.api, a.arg) for a in second]
-    assert parse_act_list(" ", "user") == []
+    assert parse_act_list(" ", "user") == ()
 
 
 def test_role_suffix_only_when_ambiguous():

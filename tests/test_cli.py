@@ -841,6 +841,38 @@ def test_output_bytes_are_pinned(data_paths, tmp_path, capsys):
     assert stats == {name: line + "\n" for name, line in STATS_LINES.items()}
 
 
+# Sets `engine.CHUNK` when its first argument is not empty, then runs the CLI
+# on the rest.
+_CHUNKED_MAIN = """import sys
+from dialogsim import cli, engine
+if sys.argv[1]:
+    engine.CHUNK = int(sys.argv[1])
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "hash_seed, chunk, workers",
+    [("0", "", "1"), ("12345", "", "2"), ("1", "1", "2"), ("7", "7", "2")],
+    ids=["hashseed-0", "hashseed-12345", "chunk-1", "chunk-7"],
+)
+def test_bytes_do_not_depend_on_hash_seed_or_pool_chunks(data_paths, hash_seed, chunk, workers):
+    """The string hash seed and the pool's chunk size must not reach the
+    output, nor may sharing turns and caches across dialogs: each run in a
+    fresh process matches the pinned digests."""
+    schema, seeds = data_paths
+    env = dict(os.environ, PYTHONPATH=str(Path(dialogsim.__file__).parents[1]),
+               PYTHONHASHSEED=hash_seed)
+    generate = ["generate", "--schema", str(schema), "--seeds", str(seeds),
+                "--n", "300", "--seed", "42", "--workers", workers]
+    for name, extra in [("generate", []), ("generate --mix base=1", ["--mix", "base=1"])]:
+        proc = subprocess.run([sys.executable, "-c", _CHUNKED_MAIN, chunk, *generate, *extra],
+                              capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN[name]
+        assert proc.stderr.decode("utf-8") == STATS_LINES[name] + "\n"
+
+
 @pytest.mark.parametrize("source", ["config", "model"])
 def test_generate_rejects_weight_too_large_for_a_float(data_paths, tmp_path, capsys, source):
     schema, seeds = data_paths

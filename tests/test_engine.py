@@ -498,7 +498,7 @@ def test_call_line_is_followed_by_its_announcement(demo_bundle, demo_seeds):
         for turn, nxt in zip(dialog.turns, dialog.turns[1:] + [None]):
             if isinstance(turn, ApiCall):
                 resp = demo_bundle.response(demo_bundle.api(turn.api).response_template)
-                assert isinstance(nxt, NlgResponse) and nxt.acts == list(resp.acts)
+                assert isinstance(nxt, NlgResponse) and nxt.acts == resp.acts
                 checked += 1
     assert checked > 1000
 

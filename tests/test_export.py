@@ -39,11 +39,12 @@ def test_tokenizer_detaches_punctuation():
 def test_a_caller_edit_to_the_token_list_reaches_no_later_call():
     text = "What movies are playing in Sunnyvale?"
     tokens = tokenize(text)
-    expected = list(tokens)
-    tokens.clear()
-    tokenize(text).append(("extra", 0, 0))
-    assert tokenize(text) == expected
-    assert iob_tags(text, []) == ([t[0] for t in expected], ["O"] * len(expected))
+    # an immutable tuple, the same on every call: no caller can edit it
+    assert type(tokens) is tuple and all(type(t) is tuple for t in tokens)
+    assert tokenize(text) is tokens
+    tokenize.cache_clear()
+    assert tokenize(text) == tokens
+    assert iob_tags(text, ()) == ([t[0] for t in tokens], ["O"] * len(tokens))
 
 
 def _char_scan_tokenize(text):

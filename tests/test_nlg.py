@@ -66,7 +66,7 @@ def test_realize_booking_turn(demo_bundle, demo_seeds_annotated):
         )
         seen.add(text)
         assert [s.surface for s in spans] == ["two", "adult"]
-        assert spans == sorted(spans, key=lambda s: s.start)
+        assert spans == tuple(sorted(spans, key=lambda s: s.start))
         for span in spans:
             assert text[span.start : span.end] == span.surface
     assert "Book two adult tickets for this show" in seen
@@ -124,7 +124,7 @@ def test_backoff_spans_are_exact(demo_bundle):
     for span in spans:
         assert text[span.start : span.end] == span.surface
     assert [s.entity_type for s in spans] == ["Time", "movieTitle"]
-    assert spans == sorted(spans, key=lambda s: s.start)
+    assert spans == tuple(sorted(spans, key=lambda s: s.start))
 
 
 def test_delexicalize_booking_turn():

@@ -260,7 +260,7 @@ def test_request_for_an_arg_without_a_user_value_goes_unanswered(demo_bundle, de
     request = DialogAct("request", "system", entity="movieList", api="SelectShow", arg="movies")
     view = SystemTurnOutput(nlg=[SystemNlg(acts=[request])])
     out = next_user_turn(state, view, demo_bundle, GenerationConfig(p_correct=0), Random(0))
-    assert (out.acts, out.values) == ([], [])
+    assert (out.acts, out.values) == ((), [])
 
 
 def test_confirm_is_answered_by_affirms(demo_bundle, demo_seeds, flow_bundle, flow_seed,
