@@ -4,15 +4,21 @@ Examples are derived purely from the markup, so a corpus file round-trips
 into the same training data. Tokenization is whitespace splitting with
 leading/trailing punctuation detached into separate tokens.
 
-Every example of a dialog shares one context: the dialog's turn lines, each
-JSON-encoded once, so an example holds only its turn number `k` and sees
-the first `k` lines. `TrainingExample.to_json` writes one JSONL line as
-`json.dumps` with its defaults would: the keys `kind`, `context`, `input`,
-`labels` in that order, `", "` between items, `": "` after keys, and every
-string escaped to ASCII by `json.encoder.encode_basestring_ascii`.
+`export_training` works out what a turn gives its examples once per call
+and turn object (`parse_corpus` hands every occurrence of a line one turn):
+its context line and that line's JSON, its example's input, labels and
+their JSON, and its AP label. Examples of one turn share its token and tag
+tuples and its AF labels dict, which nothing writes. Every example of a
+dialog shares one context, the dialog's turn lines and their JSON joined,
+so an example holds only its turn number `k` and sees the first `k` lines.
+`TrainingExample.to_json` writes one JSONL line as `json.dumps` with its
+defaults would: the keys `kind`, `context`, `input`, `labels` in that
+order, `", "` between items, `": "` after keys, and every string escaped
+to ASCII by `json.encoder.encode_basestring_ascii`.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -23,30 +29,25 @@ from .nlg import TemplateIndex
 from .schema import SchemaBundle
 
 _PUNCT = set(".,!?;:\"'()[]")
+Strings = tuple[str, ...]
 
 
 @dataclass(slots=True)
 class _Context:
-    """One dialog's context lines, JSON-encoded once and joined with ", ";
-    `joined[:cuts[k]]` is the encoding of `lines[:k]`."""
+    """One dialog's context lines and their JSON encodings joined with
+    ", "; `joined[:cuts[k]]` is the encoding of `lines[:k]`."""
 
     lines: list[str]
     joined: str
     cuts: list[int]
 
-    @classmethod
-    def of(cls, dialog: Dialog) -> _Context:
-        lines = [_turn_line(p) for p in dialog.turns]
-        encoded = [_encode(line) for line in lines]
-        cuts = [0, *(end - 2 for end in accumulate(len(e) + 2 for e in encoded))]
-        return cls(lines, ", ".join(encoded), cuts)
-
 
 @dataclass(slots=True)
 class TrainingExample:
     kind: str  # "ner" | "action_prediction" | "argument_filling"
-    input: list[str] | str
-    labels: list[str] | str | dict[str, str]
+    input: Strings | str
+    labels: Strings | str | dict[str, str]
+    io_json: str = field(repr=False)  # '"input": ..., "labels": ...'
     shared: _Context = field(repr=False)
     k: int  # the example sees the first k context lines
 
@@ -56,16 +57,11 @@ class TrainingExample:
 
     def to_json(self) -> str:
         context = self.shared.joined[: self.shared.cuts[self.k]]
-        return (
-            f'{{"kind": {_encode(self.kind)}, "context": [{context}], '
-            f'"input": {_json(self.input)}, "labels": {_json(self.labels)}}}'
-        )
+        return f'{{"kind": {_encode(self.kind)}, "context": [{context}], {self.io_json}}}'
 
 
-def _json(value: str | list[str] | dict[str, str]) -> str:
-    if isinstance(value, str):
-        return _encode(value)
-    if isinstance(value, list):
+def _json(value: Strings | dict[str, str]) -> str:
+    if isinstance(value, tuple):
         return "[%s]" % ", ".join(map(_encode, value))
     return "{%s}" % ", ".join(f"{_encode(a)}: {_encode(v)}" for a, v in value.items())
 
@@ -97,7 +93,7 @@ def tokenize(text: str) -> tuple[tuple[str, int, int], ...]:
     return tuple(tokens)
 
 
-def iob_tags(text: str, spans: tuple[EntitySpan, ...]) -> tuple[list[str], list[str]]:
+def iob_tags(text: str, spans: tuple[EntitySpan, ...]) -> tuple[Strings, Strings]:
     """(tokens, tags) with B-/I-<entity type> marking span tokens."""
     tokens = tokenize(text)
     tags = ["O"] * len(tokens)
@@ -107,10 +103,10 @@ def iob_tags(text: str, spans: tuple[EntitySpan, ...]) -> tuple[list[str], list[
             if start >= span.start and end <= span.end:
                 tags[k] = ("I-" if inside else "B-") + (span.entity_type or "value")
                 inside = True
-    return [t[0] for t in tokens], tags
+    return tuple([t[0] for t in tokens]), tuple(tags)
 
 
-def spans_from_tags(text: str, tokens: list[str], tags: list[str]) -> list[tuple[int, int, str]]:
+def spans_from_tags(text: str, tokens: Strings, tags: Strings) -> list[tuple[int, int, str]]:
     """Invert iob_tags: contiguous B/I runs back to (start, end, type)."""
     out = []
     current: tuple[int, int, str] | None = None
@@ -130,16 +126,32 @@ def spans_from_tags(text: str, tokens: list[str], tags: list[str]) -> list[tuple
     return out
 
 
-def _turn_line(p: Turn) -> str:
+def _row(p: Turn, index: TemplateIndex, ner: dict) -> tuple:
+    """(p, its context line, the line's JSON, its NER or AF example's fields
+    but `shared` and `k`, its AP label, the label's JSON). Equal user turns
+    share one NER example's fields through `ner`, keyed by (text, spans)."""
     if isinstance(p, UserUtterance):
-        return f"U: {p.text}"
-    if isinstance(p, ApiCall):
-        return f"S: call: {p}"
-    return f"S: nlg: {p.text}"
+        line, name = f"U: {p.text}", None
+        key = (p.text, tuple(p.spans))
+        example = ner.get(key)
+        if example is None:
+            tokens, tags = iob_tags(*key)
+            io_json = f'"input": {_json(tokens)}, "labels": {_json(tags)}'
+            example = ner[key] = ("ner", tokens, tags, io_json)
+    elif isinstance(p, ApiCall):
+        line, name = f"S: call: {p}", p.api
+        labels = {a: v.var for a, v in p.bindings.items() if v.var is not None}
+        io_json = f'"input": {_encode(p.api)}, "labels": {_json(labels)}'
+        example = ("argument_filling", p.api, labels, io_json)
+    else:
+        line, example = f"S: nlg: {p.text}", None
+        resp = index.response(p.acts) if p.acts else None
+        name = resp.name if resp is not None else None
+    return p, line, _encode(line), example, name, None if name is None else _encode(name)
 
 
 def export_training(
-    corpus: list[Dialog], bundle: SchemaBundle | None, index: TemplateIndex
+    corpus: Iterable[Dialog], bundle: SchemaBundle | None, index: TemplateIndex
 ) -> dict[str, list[TrainingExample]]:
     """NER examples for user turns. AP examples for each system action that
     names a schema API or response template; backoff-rendered turns (canned
@@ -147,25 +159,29 @@ def export_training(
     entry and are skipped. AF examples map each API call's arg names to the
     in-context var ids they were filled from. `bundle` is not read."""
     examples = {"ner": [], "action_prediction": [], "argument_filling": []}
-    ner, ap, af = examples.values()
+    ap = examples["action_prediction"]
+    # id(turn) -> _row(turn), made at the turn's first occurrence. A row holds
+    # its turn, so no id in a live key is reused, even when `corpus` is a
+    # generator that drops each dialog after use.
+    rows: dict[int, tuple] = {}
+    ner: dict[tuple, tuple] = {}
     for dialog in corpus:
-        shared = _Context.of(dialog)
+        shared = _Context([], "", [])
+        lines, encoded = shared.lines, []
+        previous, previous_json = "", '""'
         for k, p in enumerate(dialog.turns):
-            if isinstance(p, UserUtterance):
-                tokens, tags = iob_tags(p.text, p.spans)
-                ner.append(TrainingExample("ner", tokens, tags, shared, k))
-                continue
-            if isinstance(p, ApiCall):
-                name = p.api
-                labels = {a: v.var for a, v in p.bindings.items() if v.var is not None}
-                af.append(TrainingExample("argument_filling", p.api, labels, shared, k))
-            elif p.acts:
-                resp = index.response(p.acts)
-                name = resp.name if resp is not None else None
-            else:
-                name = None
+            row = rows.get(id(p))
+            if row is None:
+                row = rows[id(p)] = _row(p, index, ner)
+            _, line, line_json, example, name, name_json = row
+            if example is not None:
+                examples[example[0]].append(TrainingExample(*example, shared, k))
             if name is not None:
-                previous = shared.lines[k - 1] if k else ""
-                ap.append(TrainingExample("action_prediction", previous, name, shared, k))
+                io_json = f'"input": {previous_json}, "labels": {name_json}'
+                ap.append(TrainingExample("action_prediction", previous, name, io_json, shared, k))
+            lines.append(line)
+            encoded.append(line_json)
+            previous, previous_json = line, line_json
+        shared.joined = ", ".join(encoded)
+        shared.cuts = [0, *(end - 2 for end in accumulate(len(e) + 2 for e in encoded))]
     return examples
-

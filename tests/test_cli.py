@@ -1,4 +1,7 @@
+import ast
+import functools
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -10,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import dialogsim
+import test_engine
+from dialogsim import acts
 from dialogsim.cli import main
 from dialogsim.markup import lit, parse_corpus, serialize_corpus
 from dialogsim.schema import load_schema
@@ -871,6 +876,80 @@ def test_bytes_do_not_depend_on_hash_seed_or_pool_chunks(data_paths, hash_seed, 
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN[name]
         assert proc.stderr.decode("utf-8") == STATS_LINES[name] + "\n"
+
+
+# Every `lru_cache` in the package, as (module, the name it caches under).
+# Each is a pure function of its key, so no bound may change the output.
+CACHES = {
+    ("acts", "_interned_act"),
+    ("acts", "parse_act_list"),
+    ("export", "tokenize"),
+    ("markup", "lit"),
+    ("markup", "ref"),
+    ("nlg", "_split"),
+}
+
+
+def _cache_owners(tree: ast.Module) -> list[str | None]:
+    """For each `lru_cache` in `tree`, the name it caches under: the
+    decorated function, or the name the wrapped callable is assigned to."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name
+            elif isinstance(child, ast.Assign) and isinstance(child.targets[0], ast.Name):
+                inner = child.targets[0].id
+            name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if name == "lru_cache":
+                yield owner
+            yield from walk(child, inner)
+    return list(walk(tree, None))
+
+
+def test_the_cache_inventory_is_complete():
+    found = set()
+    for path in sorted(Path(dialogsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.update((path.stem, owner) for owner in _cache_owners(tree))
+    assert found == CACHES
+
+
+def test_the_cache_inventory_sees_every_use():
+    tree = ast.parse(
+        "from functools import lru_cache\n"
+        "@functools.lru_cache(maxsize=2)\n"
+        "def f(x):\n"
+        "    g = lru_cache(maxsize=None)(len)\n"
+        "h = lru_cache(maxsize=1)(str)\n"
+        "class C:\n"
+        "    @lru_cache\n"
+        "    def m(self):\n"
+        "        pass\n"
+    )
+    assert sorted(_cache_owners(tree)) == ["f", "g", "h", "m"]
+
+
+def test_bytes_do_not_depend_on_cache_bounds(data_paths, tmp_path, capsys, monkeypatch,
+                                             demo_bundle, demo_seeds):
+    """Every bounded cache rebuilt to hold one entry, so that nearly every
+    call evicts: the pinned digests still hold."""
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "dialogsim"]
+    small = {}
+    for module_name, name in sorted(CACHES):
+        cached = getattr(importlib.import_module(f"dialogsim.{module_name}"), name)
+        small[name] = functools.lru_cache(maxsize=1)(cached.__wrapped__)
+        for module in modules:
+            for attr in [a for a, value in vars(module).items() if value is cached]:
+                monkeypatch.setattr(module, attr, small[name])
+    monkeypatch.setattr(acts, "_signatures", {})
+    monkeypatch.setattr(acts, "_SIGNATURES_MAX", 1)
+    test_output_bytes_are_pinned(data_paths, tmp_path, capsys)
+    test_engine.test_policy_grid_bytes_are_pinned(demo_bundle, demo_seeds)
+    # each small cache but `lit` was called and evicted; no demo call binds a literal
+    evicted = {name for name, c in small.items() if c.cache_info().misses > 1}
+    assert evicted == {name for _, name in CACHES} - {"lit"}
+    assert len(acts._signatures) == 1
 
 
 @pytest.mark.parametrize("source", ["config", "model"])

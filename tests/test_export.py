@@ -44,7 +44,7 @@ def test_a_caller_edit_to_the_token_list_reaches_no_later_call():
     assert tokenize(text) is tokens
     tokenize.cache_clear()
     assert tokenize(text) == tokens
-    assert iob_tags(text, ()) == ([t[0] for t in tokens], ["O"] * len(tokens))
+    assert iob_tags(text, ()) == (tuple(t[0] for t in tokens), ("O",) * len(tokens))
 
 
 def _char_scan_tokenize(text):
@@ -106,12 +106,48 @@ def test_export_same_from_memory_and_from_corpus_file(demo_bundle, demo_seeds):
         ] == rows
 
 
+def test_a_turn_is_exported_by_identity_not_by_its_line(demo_bundle):
+    # the prefix `v` declares no type: each dialog's call types its span, so
+    # the second dialog holds its own turn for the same line
+    corpus = (
+        "U-1: [x|v0]\nS-2: call: FindMovies(location=$v0) -> movieList0\n\n"
+        "U-1: [x|v0]\nS-2: call: SelectShow(showTime=$v0) -> showInfo0\n"
+    )
+    dialogs = parse_corpus(corpus, demo_bundle)
+    assert dialogs[0].turns[0] is not dialogs[1].turns[0]
+    ner = export_training(dialogs, demo_bundle, build_template_index(demo_bundle, []))["ner"]
+    assert [(e.input, e.labels) for e in ner] == [(("x",), ("B-location",)), (("x",), ("B-Time",))]
+
+
+def test_examples_of_one_turn_share_its_immutable_parts(demo_bundle):
+    block = "U-1: in [x|location0]\nS-2: call: FindMovies(location=$location0) -> movieList0\n"
+    dialogs = parse_corpus(f"{block}\n{block}", demo_bundle)
+    examples = export_training(dialogs, demo_bundle, build_template_index(demo_bundle, []))
+    first, second = examples["ner"]
+    assert type(first.input) is type(first.labels) is tuple
+    assert (second.input, second.labels) == (first.input, first.labels)
+    assert second.input is first.input and second.labels is first.labels
+    first, second = examples["argument_filling"]
+    assert second.labels is first.labels == {"location": "location0"}
+
+
+def test_export_of_a_generator_equals_export_of_the_list(demo_bundle, demo_seeds):
+    result = run_batch(demo_bundle, demo_seeds, GenerationConfig(n_dialogs=60, rng_seed=5))
+    text = serialize_corpus(result.dialogs)
+    index = build_template_index(demo_bundle, [])
+    expected = _jsonl(export_training(parse_corpus(text, demo_bundle), demo_bundle, index))
+    # each block is parsed on its own and dropped when a later one is drawn,
+    # so a later turn can sit at the address of a freed one
+    dialogs = (parse_dialog(block, demo_bundle) for block in text.split("\n\n"))
+    assert _jsonl(export_training(dialogs, demo_bundle, index)) == expected
+
+
 def test_ner_tags_for_table2_opening(demo_bundle, demo_seeds):
     seed = demo_seeds[0]
     utt = seed.turns[0]
     tokens, tags = iob_tags(utt.text, utt.spans)
-    assert tokens == ["What", "movies", "are", "playing", "in", "Sunnyvale", "after", "2", "PM", "?"]
-    assert tags == ["O", "O", "O", "O", "O", "B-location", "O", "B-Time", "I-Time", "O"]
+    assert tokens == ("What", "movies", "are", "playing", "in", "Sunnyvale", "after", "2", "PM", "?")
+    assert tags == ("O", "O", "O", "O", "O", "B-location", "O", "B-Time", "I-Time", "O")
 
 
 def test_iob_round_trip_on_seed_spans(demo_bundle, demo_seeds):
@@ -205,17 +241,17 @@ def test_to_json_matches_json_dumps_on_any_text():
         st.characters(codec=None, exclude_categories=()),
     )
     text = st.text(char, max_size=12)
-    acts = [DialogAct(name="offer", side=SYSTEM, entity="Time")]
+    acts = (DialogAct(name="offer", side=SYSTEM, entity="Time"),)
 
     @st.composite
     def utterance(draw):
         t = draw(text)
-        spans = []
+        spans = ()
         if t and draw(st.booleans()):
             start = draw(st.integers(0, len(t) - 1))
             end = draw(st.integers(start + 1, len(t)))
-            spans.append(EntitySpan(t[start:end], draw(text), draw(text), start, end))
-        return UserUtterance(t, spans)
+            spans = (EntitySpan(t[start:end], draw(text), draw(text), start, end),)
+        return UserUtterance(t, spans, ())
 
     call = st.builds(
         ApiCall,
@@ -226,22 +262,41 @@ def test_to_json_matches_json_dumps_on_any_text():
         ),
         return_var=text,
     )
-    nlg = st.builds(NlgResponse, text=text, acts=st.sampled_from([[], acts]))
-    dialogs = st.lists(
-        st.builds(Dialog, turns=st.lists(st.one_of(utterance(), call, nlg), max_size=6)),
-        max_size=3,
-    )
+    nlg = st.builds(NlgResponse, text=text, acts=st.sampled_from([(), acts]))
+
+    @st.composite
+    def corpora(draw):
+        # one pool of turn objects, as a parsed corpus holds: a turn object
+        # shows up at several positions and in several dialogs
+        pool = draw(st.lists(st.one_of(utterance(), call, nlg), min_size=1, max_size=6))
+        turns = st.lists(st.sampled_from(pool), max_size=6)
+        return [Dialog(turns=draw(turns)) for _ in range(draw(st.integers(0, 3)))]
+
+    repeats = []
 
     @hypothesis.settings(max_examples=80, deadline=None, derandomize=True)
-    @hypothesis.given(dialogs, text)
+    @hypothesis.given(corpora(), text)
     def check(corpus, response_name):
-        response = ResponseTemplateDef(response_name, (), tuple(acts), ("",))
+        response = ResponseTemplateDef(response_name, (), acts, ("",))
         index = TemplateIndex(response_by_signature={turn_acts_string(acts): response})
-        for rows in export_training(corpus, None, index).values():
+        examples = export_training(corpus, None, index)
+        for rows in examples.values():
             for example in rows:
                 assert example.to_json() == _json_dumps_of(example)
+        for example in examples["action_prediction"]:
+            assert example.input == (example.context[-1] if example.k else "")
+        # one new object per occurrence: nothing is shared, the lines are the same
+        unshared = [Dialog(turns=[t._replace() for t in d.turns]) for d in corpus]
+        assert _jsonl(export_training(unshared, None, index)) == _jsonl(examples)
+        turns = [t for d in corpus for t in d.turns]
+        repeats.append(len({id(t) for t in turns}) < len(turns))
 
     check()
+    assert sum(repeats) >= 20
+
+
+def _jsonl(examples):
+    return {kind: [e.to_json() for e in rows] for kind, rows in examples.items()}
 
 
 def test_mutating_context_leaves_examples_unchanged(demo_bundle, demo_seeds_annotated):
