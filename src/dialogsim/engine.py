@@ -4,6 +4,16 @@ run_dialog drives one user/system exchange to completion; run_batch
 extracts goals and templates from the seeds once, then generates n
 dialogs, each on its own deterministic random substream so batches can be
 parallelized (or re-run) without changing a single byte of output.
+
+A base (replay) dialog is played from its seed's replay plan, which the
+batch builds at the seed's first replay and keeps in its `BatchContext`.
+Everything in a replay that the random stream does not decide is fixed by
+the seed: its var ids, its calls, its nlg lines without a response
+template, the text of each template of an arg-less response, and the
+lookups of catalogs, APIs and response definitions. The plan holds them
+once, and every replay of the seed shares its fixed turns, so a pool chunk
+pickles each once and the export's row memo meets each once. Per dialog a
+replay makes only its draws, in turn order, and its joins.
 """
 from __future__ import annotations
 
@@ -13,7 +23,9 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from random import Random
+from typing import NamedTuple
 
+from .acts import DialogAct
 from .goals import (
     MarkovGoalModel,
     UserGoal,
@@ -30,6 +42,7 @@ from .markup import (
     ApiCall,
     Dialog,
     NlgResponse,
+    Turn,
     UserUtterance,
     VarAllocator,
     annotate_seed_acts,
@@ -42,9 +55,9 @@ from .nlg import (
     realize_response,
     realize_system_backoff,
     realize_user,
-    sample_response_args,
+    response_text,
 )
-from .schema import SchemaBundle, read_json
+from .schema import ResponseTemplateDef, SchemaBundle, draw_from, read_json
 from .system_agent import SystemTurnOutput, init_system, next_system_turn
 from .user_agent import init_user, next_user_turn
 
@@ -149,6 +162,19 @@ def run_dialog(
     problems = validate_goal(goal, bundle)
     if problems:
         raise GenerationError(f"invalid goal: {problems[0].location}: {problems[0].message}")
+    return _play_goal(goal, bundle, config, rng, index, offer_model, metadata)
+
+
+def _play_goal(
+    goal: UserGoal,
+    bundle: SchemaBundle,
+    config: GenerationConfig,
+    rng: Random,
+    index: TemplateIndex,
+    offer_model: MarkovGoalModel | None,
+    metadata: dict[str, str] | None,
+) -> tuple[Dialog, dict[str, int]]:
+    """`run_dialog` on a goal that `validate_goal` accepts."""
     alloc = VarAllocator()
     user = init_user(goal, bundle, rng)
     system = init_system(offer_model)
@@ -191,49 +217,107 @@ def run_dialog(
     }
 
 
+# where a replayed value comes from: a draw from the catalog or, when it
+# is empty, the fallback (see `_draw`)
+Sources = tuple[tuple[tuple[str, ...], str], ...]
+
+
+class _UserStep(NamedTuple):
+    """A replayed user turn: its acts, one source per seed span, whose
+    fallback is the span's surface, and its spans' var ids."""
+
+    acts: tuple[DialogAct, ...]
+    sources: Sources
+    var_ids: tuple[str, ...]
+
+
+class _ResponseStep(NamedTuple):
+    """A replayed response with args: its acts, its definition, and its
+    arg names, each with a source whose fallback is the name."""
+
+    acts: tuple[DialogAct, ...]
+    defn: ResponseTemplateDef
+    names: tuple[str, ...]
+    sources: Sources
+
+
+def _draw(sources: Sources, rng: Random) -> list[str]:
+    values = []
+    for catalog, fallback in sources:
+        value = draw_from(catalog, rng)
+        values.append(fallback if value is None else value)
+    return values
+
+
+# a replay plan step: a turn that takes no draw (a call, or an nlg line
+# without a response template), one turn per template of an arg-less
+# response, or a step that draws values
+Step = ApiCall | NlgResponse | tuple[NlgResponse, ...] | _UserStep | _ResponseStep
+
+
+def replay_plan(seed: Dialog, bundle: SchemaBundle, index: TemplateIndex) -> tuple[Step, ...]:
+    """What every replay of `seed` shares. A replay allocates its var ids
+    in one order for a seed, so each span and call gets the same var id in
+    every replay, and every call is one shared turn; so is every nlg line
+    without a response template (the seed's own turn), and each template
+    of an arg-less response. The response definitions, the APIs and the
+    catalogs are looked up here once."""
+    alloc = VarAllocator()
+    var_map: dict[str, str] = {}
+    steps: list[Step] = []
+    for p in seed.turns:
+        if isinstance(p, UserUtterance):
+            types = index.user_plan(p.acts, len(p.spans)).types
+            var_ids = tuple([alloc.new(t) for t in types])
+            var_map.update(zip([span.var_id for span in p.spans], var_ids))
+            # each span var is introduced exactly once, so values need no
+            # cross-turn consistency map
+            sources = tuple([(bundle.catalog(s.entity_type), s.surface) for s in p.spans])
+            steps.append(_UserStep(p.acts, sources, var_ids))
+        elif isinstance(p, ApiCall):
+            new_ret = alloc.new(bundle.api(p.api).return_type)
+            bindings = {
+                arg: valref if valref.var is None else ref(var_map[valref.var])
+                for arg, valref in p.bindings.items()
+            }
+            var_map[p.return_var] = new_ret
+            steps.append(ApiCall(p.api, bindings, new_ret))
+        elif (resp := index.response(p.acts)) is None:
+            steps.append(p)
+        elif not resp.args:
+            steps.append(tuple([NlgResponse(response_text(resp, t, {}), p.acts)
+                                for t in resp.templates]))
+        else:
+            names = tuple([a.name for a in resp.args])
+            sources = tuple([(bundle.catalog(a.entity_type), a.name) for a in resp.args])
+            steps.append(_ResponseStep(p.acts, resp, names, sources))
+    return tuple(steps)
+
+
 def run_base_dialog(
-    seed: Dialog,
-    bundle: SchemaBundle,
+    plan: tuple[Step, ...],
     index: TemplateIndex,
     rng: Random,
     metadata: dict[str, str] | None = None,
 ) -> Dialog:
-    """Replay one seed's logical structure: same calls, same acts, with user
-    values resampled from catalogs and surface templates re-drawn."""
-    alloc = VarAllocator()
-    var_map: dict[str, str] = {}
-    out = Dialog(metadata=dict(metadata or {}))
-    for p in seed.turns:
-        if isinstance(p, UserUtterance):
-            # each span var is introduced exactly once, so values need no
-            # cross-turn consistency map
-            surfaces = []
-            for span in p.spans:
-                value = bundle.draw(span.entity_type, rng)
-                surfaces.append(span.surface if value is None else value)
-            text, new_spans = realize_user(p.acts, surfaces, index, rng, alloc)
-            for old, new in zip(p.spans, new_spans):
-                var_map[old.var_id] = new.var_id
-            out.turns.append(UserUtterance(text, new_spans, p.acts))
-        elif isinstance(p, ApiCall):
-            api = bundle.api(p.api)
-            new_ret = alloc.new(api.return_type)
-            bindings = {}
-            for arg, valref in p.bindings.items():
-                if valref.var is not None:
-                    bindings[arg] = ref(var_map[valref.var])
-                else:
-                    bindings[arg] = valref
-            var_map[p.return_var] = new_ret
-            out.turns.append(ApiCall(p.api, bindings, new_ret))
+    """Replay one seed from its `replay_plan`: same calls, same acts, with
+    user values resampled from catalogs and surface templates re-drawn.
+    Only the draws, in turn order, and the joins are made per dialog."""
+    turns: list[Turn] = []
+    for step in plan:
+        kind = type(step)
+        if kind is _UserStep:
+            text, spans = realize_user(step.acts, _draw(step.sources, rng), index, rng,
+                                       step.var_ids)
+            turns.append(UserUtterance(text, spans, step.acts))
+        elif kind is _ResponseStep:
+            args = dict(zip(step.names, _draw(step.sources, rng)))
+            turns.append(NlgResponse(realize_response(step.defn, args, rng), step.acts))
+        elif kind is tuple:
+            turns.append(step[rng.randrange(len(step))])
         else:
-            resp = index.response(p.acts)
-            if resp is not None:
-                text = realize_response(resp, sample_response_args(resp, bundle, rng), rng)
-            else:
-                text = p.text
-            out.turns.append(NlgResponse(text, p.acts))
-    return out
+            turns.append(step)
+    return Dialog(turns, dict(metadata or {}))
 
 
 @dataclass
@@ -244,6 +328,16 @@ class BatchContext:
     model: MarkovGoalModel | None
     index: TemplateIndex
     config: GenerationConfig
+    # each seed's replay plan, keyed by its position in `seeds` and built at
+    # its first replay: building them all here would cost every batch that
+    # replays few seeds, or none
+    plans: dict[int, tuple[Step, ...]] = field(default_factory=dict, repr=False, compare=False)
+
+    def replay_plan(self, pick: int) -> tuple[Step, ...]:
+        plan = self.plans.get(pick)
+        if plan is None:
+            plan = self.plans[pick] = replay_plan(self.seeds[pick], self.bundle, self.index)
+        return plan
 
 
 def prepare_batch(
@@ -285,7 +379,7 @@ def generate_one(ctx: BatchContext, i: int) -> tuple[Dialog, dict[str, int]]:
         pick = rng.randrange(len(ctx.seeds))
         seed = ctx.seeds[pick]
         metadata["source_seed"] = seed.metadata.get("id", str(pick))
-        return run_base_dialog(seed, ctx.bundle, ctx.index, rng, metadata), {}
+        return run_base_dialog(ctx.replay_plan(pick), ctx.index, rng, metadata), {}
     if sampler == "golden":
         goal = sample_golden(ctx.goals, ctx.bundle, rng)
     else:
@@ -296,9 +390,10 @@ def generate_one(ctx: BatchContext, i: int) -> tuple[Dialog, dict[str, int]]:
     metadata["goal_len"] = str(len(goal.intents))
     if goal.source_seed is not None:
         metadata["source_seed"] = goal.source_seed
-    return run_dialog(
-        goal, ctx.bundle, ctx.config, rng, ctx.index, offer_model=ctx.model, metadata=metadata
-    )
+    # both samplers return valid goals: a Markov draw is validated before it
+    # is accepted, and a golden goal is a validated seed goal with its values
+    # redrawn from their catalogs
+    return _play_goal(goal, ctx.bundle, ctx.config, rng, ctx.index, ctx.model, metadata)
 
 
 # dialogs per task sent to a pool worker

@@ -94,15 +94,24 @@ def tokenize(text: str) -> tuple[tuple[str, int, int], ...]:
 
 
 def iob_tags(text: str, spans: tuple[EntitySpan, ...]) -> tuple[Strings, Strings]:
-    """(tokens, tags) with B-/I-<entity type> marking span tokens."""
+    """(tokens, tags) with B-/I-<entity type> marking the tokens that lie
+    within a span. `spans` are in text order and do not overlap, as a user
+    turn's are, so one pass over the tokens meets them in order."""
     tokens = tokenize(text)
-    tags = ["O"] * len(tokens)
+    n = len(tokens)
+    tags = ["O"] * n
+    k = 0
     for span in spans:
-        inside = False
-        for k, (_, start, end) in enumerate(tokens):
-            if start >= span.start and end <= span.end:
-                tags[k] = ("I-" if inside else "B-") + (span.entity_type or "value")
-                inside = True
+        while k < n and tokens[k][1] < span.start:
+            k += 1
+        kind = span.entity_type or "value"
+        tag = "B-" + kind
+        # token ends rise with their starts, so the tokens within the span
+        # are the run from k whose ends lie within it
+        while k < n and tokens[k][2] <= span.end:
+            tags[k] = tag
+            tag = "I-" + kind
+            k += 1
     return tuple([t[0] for t in tokens]), tuple(tags)
 
 

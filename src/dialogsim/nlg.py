@@ -5,21 +5,25 @@ turn; system responses are named definitions. Signatures never seen in the
 seeds fall back to per-act templates or canned fragments, since the
 interplay loop produces act groupings the seed dialogs do not contain.
 Either way a user turn is a list of pieces, one for the whole turn or one
-per act, and one loop in `realize_user` fills and joins them.
+per act, and one loop in `_fill_user` fills and joins them, for self-play
+and replay alike.
 
 Every user template, from the schema or delexicalized from a seed turn,
 passes `schema.utterance_problems`: its slots, in text order, are the names
-NLG fills in act order. So every act of a user turn is filled by one path,
-`_fill_template`, and the spans come out in text order, which is act order.
+NLG fills in act order. `TemplateIndex.user_plan` splits each template and
+checks its slots once, when it builds the plan of an act list. So every act
+of a user turn is filled by one path, and the spans come out in text order,
+which is act order.
 
-A response template's args are filled one of two ways: `sample_response_args`
-draws each from a catalog (API announcements, replayed seeds), and
-`fill_response_args` takes each from a policy act group's own values.
+A response template's args are filled one of three ways:
+`sample_response_args` draws each from a catalog (API announcements), a
+replay draws each from a catalog looked up once per seed (`engine.replay_plan`),
+and `fill_response_args` takes each from a policy act group's own values.
 """
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from random import Random
@@ -40,15 +44,24 @@ class RealizationError(RuntimeError):
     pass
 
 
+class _Piece(NamedTuple):
+    """One piece of a user turn's text: the literal parts of each template
+    it may take, split once (one more part than slots), whether it draws
+    one (a canned fragment takes no draw), and its slot types."""
+
+    templates: tuple[tuple[str, ...], ...]
+    draws: bool
+    types: tuple[str, ...]
+
+
 class _UserPlan(NamedTuple):
     """What a user act list resolves to: the entity types of its slots, and
-    the pieces its text is joined from, each the templates to draw from (or
-    a canned fragment, which takes no draw) and its slot types. The list's
-    exact-signature templates are one piece; without them, each act is one,
-    from its single-act templates or its canned fragment."""
+    the pieces its text is joined from. The list's exact-signature templates
+    are one piece; without them, each act is one, from its single-act
+    templates or its canned fragment."""
 
-    types: list[str]
-    pieces: list[tuple[tuple[str, ...] | str, list[str]]]
+    types: tuple[str, ...]
+    pieces: tuple[_Piece, ...]
 
 
 @dataclass
@@ -62,23 +75,27 @@ class TemplateIndex:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def user_plan(self, acts: tuple[DialogAct, ...]) -> _UserPlan:
+    def user_plan(self, acts: tuple[DialogAct, ...], n_values: int) -> _UserPlan:
+        """The plan of a user turn with `acts`, which must take `n_values`
+        values, one per entity-bearing inform act."""
         signature = turn_acts_string(acts)
         plan = self._user_plans.get(signature)
         if plan is None:
-            types = [a.entity for a in value_bearing(acts)]
-            exact = tuple(self.user.get(signature, ()))
-            pieces = [(exact, types)] if exact else [
-                (
-                    tuple(self.user.get(turn_acts_string([a]), ()))
-                    or _user_fragment(a),
-                    [a.entity for a in value_bearing([a])],
-                )
-                for a in acts
-            ]
-            plan = _UserPlan(types, pieces)
+            types = tuple([a.entity for a in value_bearing(acts)])
+            exact = self.user.get(signature)
+            if exact:
+                pieces = [_piece(exact, True, types)]
+            else:
+                pieces = []
+                for a in acts:
+                    single = self.user.get(turn_acts_string([a]))
+                    piece_types = tuple([b.entity for b in value_bearing([a])])
+                    pieces.append(_piece(single or [_user_fragment(a)], bool(single), piece_types))
+            plan = _UserPlan(types, tuple(pieces))
             if acts:
                 self._user_plans[signature] = plan
+        if n_values != len(plan.types):
+            raise RealizationError(f"{n_values} values for {len(plan.types)} entity informs")
         return plan
 
     def response(self, acts: tuple[DialogAct, ...]) -> ResponseTemplateDef | None:
@@ -139,30 +156,17 @@ def _split(template: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(pieces[::2]), tuple(pieces[1::2])
 
 
-def _fill_template(
-    template: str,
-    types: list[str],
-    values: Iterator[str],
-    alloc: VarAllocator,
-    offset: int,
-) -> tuple[str, list[EntitySpan]]:
-    """`template` with its slots filled from `values`, one per entry of
-    `types`, and their spans in text order, counted from `offset`. The
-    slots must be `slot_names_for(types)` in text order."""
-    literals, names = _split(template)
+def _piece(templates: list[str], draws: bool, types: tuple[str, ...]) -> _Piece:
+    """A piece of `templates`, each split once; their slots must be
+    `slot_names_for(types)` in text order."""
     slots = slot_names_for(types)
-    if list(names) != slots:
-        raise RealizationError(f"template {template!r} does not have the slots {slots}")
-    parts = [literals[0]]
-    spans: list[EntitySpan] = []
-    out = offset + len(literals[0])
-    for entity_type, literal in zip(types, literals[1:]):
-        surface = next(values)
-        end = out + len(surface)
-        spans.append(EntitySpan(surface, alloc.new(entity_type), entity_type, out, end))
-        parts += (surface, literal)
-        out = end + len(literal)
-    return "".join(parts), spans
+    split = []
+    for template in templates:
+        literals, names = _split(template)
+        if list(names) != slots:
+            raise RealizationError(f"template {template!r} does not have the slots {slots}")
+        split.append(literals)
+    return _Piece(tuple(split), draws, types)
 
 
 def humanize(name: str) -> str:
@@ -196,37 +200,58 @@ def realize_user(
     values: list[str],
     index: TemplateIndex,
     rng: Random,
-    alloc: VarAllocator,
+    alloc: VarAllocator | tuple[str, ...],
 ) -> tuple[str, tuple[EntitySpan, ...]]:
     """Surface form plus entity spans (in text order, which is act order)
     for a user turn.
 
     `values` holds one surface per entity-bearing inform act, in act order;
     the slot names (T, T2, ... on repeated types) are derived from the acts.
-    One loop fills the pieces of the turn's plan (see `_UserPlan`), each
-    from a uniformly drawn template, and joins them in act order.
+    Each span's var id is new from `alloc`, or, when `alloc` is a tuple, is
+    its entry: a replay's var ids are fixed per seed.
     """
-    types, pieces = index.user_plan(acts)
-    if len(values) != len(types):
-        raise RealizationError(f"{len(values)} values for {len(types)} entity informs")
-    value_iter = iter(values)
+    plan = index.user_plan(acts, len(values))
+    var_ids = alloc if isinstance(alloc, tuple) else [alloc.new(t) for t in plan.types]
+    return _fill_user(plan, values, var_ids, rng)
+
+
+def _fill_user(
+    plan: _UserPlan, values: Sequence[str], var_ids: Sequence[str], rng: Random
+) -> tuple[str, tuple[EntitySpan, ...]]:
+    """The text and spans of a user turn of `plan`: one loop fills its
+    pieces, each from a uniformly drawn template (see `_UserPlan`), and
+    joins them in act order. Slot k takes `values[k]` and its span
+    `var_ids[k]`."""
     parts: list[str] = []
     spans: list[EntitySpan] = []
-    out = 0
-    for drawn, piece_types in pieces:
-        template = drawn if isinstance(drawn, str) else drawn[rng.randrange(len(drawn))]
-        text, piece_spans = _fill_template(template, piece_types, value_iter, alloc, out)
-        parts.append(text)
-        spans += piece_spans
-        out += len(text) + 2
-    return ", ".join(parts), tuple(spans)
+    out = k = 0
+    for templates, draws, types in plan.pieces:
+        literals = templates[rng.randrange(len(templates))] if draws else templates[0]
+        if parts:
+            parts.append(", ")
+            out += 2
+        parts.append(literals[0])
+        out += len(literals[0])
+        for entity_type, literal in zip(types, literals[1:]):
+            surface = values[k]
+            end = out + len(surface)
+            spans.append(EntitySpan(surface, var_ids[k], entity_type, out, end))
+            parts += (surface, literal)
+            out = end + len(literal)
+            k += 1
+    return "".join(parts), tuple(spans)
 
 
 def realize_response(
     defn: ResponseTemplateDef, arg_values: dict[str, str], rng: Random
 ) -> str:
     """Uniformly sampled template string with `{arg}` slots filled."""
-    literals, names = _split(defn.templates[rng.randrange(len(defn.templates))])
+    return response_text(defn, defn.templates[rng.randrange(len(defn.templates))], arg_values)
+
+
+def response_text(defn: ResponseTemplateDef, template: str, arg_values: dict[str, str]) -> str:
+    """`template`, one of `defn`'s, with its `{arg}` slots filled."""
+    literals, names = _split(template)
     parts = [literals[0]]
     for name, literal in zip(names, literals[1:]):
         if name not in arg_values:

@@ -172,13 +172,17 @@ class SchemaBundle:
         return et.catalog if et is not None else ()
 
     def draw(self, type_name: str, rng: Random) -> str | None:
-        """One uniform draw from the type's catalog; None, and no draw, if it has none."""
-        catalog = self.catalog(type_name)
-        return catalog[rng.randrange(len(catalog))] if catalog else None
+        """`draw_from` the type's catalog."""
+        return draw_from(self.catalog(type_name), rng)
 
     def entity_type_for_prefix(self, prefix: str) -> EntityType | None:
         """Resolve a var-id prefix back to its entity type (see var_prefix)."""
         return self._prefixes.get(prefix)
+
+
+def draw_from(catalog: tuple[str, ...], rng: Random) -> str | None:
+    """One uniform draw from `catalog`; None, and no draw, if it is empty."""
+    return catalog[rng.randrange(len(catalog))] if catalog else None
 
 
 def var_prefix(type_name: str) -> str:

@@ -23,7 +23,7 @@ from dialogsim.acts import (
     turn_acts_string,
     validate_act,
 )
-from dialogsim.engine import GenerationConfig, run_base_dialog
+from dialogsim.engine import GenerationConfig, replay_plan, run_base_dialog
 from dialogsim.markup import Dialog, NlgResponse, UserUtterance
 from dialogsim.nlg import build_template_index
 
@@ -76,8 +76,9 @@ def test_empty_dialog_sequence():
 def test_sequence_ignores_catalog_values(demo_bundle, demo_seeds_annotated):
     index = build_template_index(demo_bundle, demo_seeds_annotated)
     seed = demo_seeds_annotated[0]
-    a = run_base_dialog(seed, demo_bundle, index, Random(1))
-    b = run_base_dialog(seed, demo_bundle, index, Random(2))
+    plan = replay_plan(seed, demo_bundle, index)
+    a = run_base_dialog(plan, index, Random(1))
+    b = run_base_dialog(plan, index, Random(2))
     texts_a = [t.text for t in a.turns if hasattr(t, "text")]
     texts_b = [t.text for t in b.turns if hasattr(t, "text")]
     assert texts_a != texts_b  # different catalog draws

@@ -1,14 +1,20 @@
 import hashlib
 import itertools
 import json
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import dialogsim
 from dialogsim import engine, system_agent
 from dialogsim.acts import DialogAct, sequence_string
+from dialogsim.cli import main
 from dialogsim.engine import (
     SAMPLERS,
     GenerationConfig,
@@ -16,28 +22,40 @@ from dialogsim.engine import (
     derive_rng,
     generate_one,
     prepare_batch,
+    run_base_dialog,
     run_batch,
     run_dialog,
 )
+from dialogsim.export import export_training
 from dialogsim.goals import (
     IntentInstance,
     ReturnRef,
     UserGoal,
     UserValue,
     extract_goals,
+    sample_golden,
+    sample_markov,
     validate_goal,
 )
 from dialogsim.markup import (
     ApiCall,
+    Dialog,
     MarkupError,
     ValueRef,
     NlgResponse,
     UserUtterance,
+    VarAllocator,
     parse_corpus,
+    ref,
     serialize_corpus,
     serialize_dialog,
 )
-from dialogsim.nlg import build_template_index
+from dialogsim.nlg import (
+    build_template_index,
+    realize_response,
+    realize_user,
+    sample_response_args,
+)
 from dialogsim.user_agent import UserTurnOutput
 
 
@@ -607,5 +625,173 @@ def test_user_entity_acts_always_name_their_role(
                         named.add(act.intent)
                     elif act.entity is not None:
                         assert act.api in named and act.arg is not None, act
+
+    check()
+
+
+def _replay_by_lookup(seed, bundle, index, rng, metadata=None):
+    """The reference for a planned replay: each replay resolves every lookup
+    and allocates every var id itself, and builds every turn anew."""
+    alloc = VarAllocator()
+    var_map: dict[str, str] = {}
+    out = Dialog(metadata=dict(metadata or {}))
+    for p in seed.turns:
+        if isinstance(p, UserUtterance):
+            surfaces = []
+            for span in p.spans:
+                value = bundle.draw(span.entity_type, rng)
+                surfaces.append(span.surface if value is None else value)
+            text, new_spans = realize_user(p.acts, surfaces, index, rng, alloc)
+            for old, new in zip(p.spans, new_spans):
+                var_map[old.var_id] = new.var_id
+            out.turns.append(UserUtterance(text, new_spans, p.acts))
+        elif isinstance(p, ApiCall):
+            api = bundle.api(p.api)
+            new_ret = alloc.new(api.return_type)
+            bindings = {}
+            for arg, valref in p.bindings.items():
+                if valref.var is not None:
+                    bindings[arg] = ref(var_map[valref.var])
+                else:
+                    bindings[arg] = valref
+            var_map[p.return_var] = new_ret
+            out.turns.append(ApiCall(p.api, bindings, new_ret))
+        else:
+            resp = index.response(p.acts)
+            if resp is not None:
+                text = realize_response(resp, sample_response_args(resp, bundle, rng), rng)
+            else:
+                text = p.text
+            out.turns.append(NlgResponse(text, p.acts))
+    return out
+
+
+def _seeded_cases(demo_bundle, demo_seeds, flow_bundle, flow_seed, catalog_return_bundle,
+                  catalog_return_seeds, chain_bundle, two_domain_bundle):
+    """(name, bundle, seeds) for every test schema that has seeds."""
+    return [
+        ("demo", demo_bundle, demo_seeds),
+        ("flow", flow_bundle, [flow_seed]),
+        # a call returns a catalog-kind type
+        ("catalog-return", catalog_return_bundle, catalog_return_seeds),
+        ("chain", chain_bundle, parse_corpus(CHAIN_SEED, chain_bundle)),
+        # a user span and a call's return var share the `restaurant` var
+        # prefix, so one counter numbers both
+        ("two-domain", two_domain_bundle, parse_corpus(TWO_DOMAIN_SEED, two_domain_bundle)),
+    ]
+
+
+def test_a_planned_replay_equals_the_replay_by_lookup(
+    demo_bundle, demo_seeds, flow_bundle, flow_seed, catalog_return_bundle,
+    catalog_return_seeds, chain_bundle, two_domain_bundle,
+):
+    """For every seed and drawn RNG seed, playing the seed's plan gives the
+    dialog, the text and the RNG state that the replay by lookup gives."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    cases = _seeded_cases(demo_bundle, demo_seeds, flow_bundle, flow_seed,
+                          catalog_return_bundle, catalog_return_seeds, chain_bundle,
+                          two_domain_bundle)
+    config = GenerationConfig(sampler_mix={"base": 1.0})
+    contexts = [prepare_batch(bundle, seeds, config) for _, bundle, seeds in cases]
+    assert {len(ctx.seeds) for ctx in contexts} > {1}
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(0, 2**64))
+    def check(rng_seed):
+        for ctx in contexts:
+            for pick, seed in enumerate(ctx.seeds):
+                metadata = {"dialog": str(rng_seed)}
+                expected_rng, rng = Random(rng_seed), Random(rng_seed)
+                expected = _replay_by_lookup(seed, ctx.bundle, ctx.index, expected_rng, metadata)
+                got = run_base_dialog(ctx.replay_plan(pick), ctx.index, rng, metadata)
+                assert got == expected
+                assert serialize_dialog(got) == serialize_dialog(expected)
+                assert rng.random() == expected_rng.random()
+
+    check()
+    book = contexts[-1].replay_plan(0)[-2]
+    assert str(book) == "BookTable(when=$time0,place=$restaurant0) -> restaurant1"
+
+
+def test_replays_of_one_seed_share_their_call_turns(demo_bundle, demo_seeds):
+    """In a base-only batch, every replay of a seed holds that seed's call
+    turns themselves, so the export's row memo meets each once; the export
+    of the batch equals the export of its parsed corpus."""
+    config = GenerationConfig(n_dialogs=200, sampler_mix={"base": 1.0}, rng_seed=3)
+    dialogs = run_batch(demo_bundle, demo_seeds, config).dialogs
+    calls: dict[str, list[int]] = {}
+    for dialog in dialogs:
+        ids = [id(t) for t in dialog.turns if isinstance(t, ApiCall)]
+        assert calls.setdefault(dialog.metadata["source_seed"], ids) == ids
+    assert len(calls) == len(demo_seeds)
+    index = build_template_index(demo_bundle, [])
+    parsed = parse_corpus(serialize_corpus(dialogs), demo_bundle)
+
+    def jsonl(corpus):
+        examples = export_training(corpus, demo_bundle, index)
+        return [e.to_json() for kind in sorted(examples) for e in examples[kind]]
+
+    assert jsonl(dialogs) == jsonl(parsed)
+
+
+def test_interleaved_batches_match_batches_run_alone(tmp_path, capsys, demo_schema_text,
+                                                     demo_seeds_text, demo_bundle, demo_seeds):
+    """Replay plans belong to their batch: a batch starts with none and
+    keeps each one it builds, and replay batches on two schemas, run in
+    turn in one process, give the bytes each gives alone in a fresh
+    process."""
+    config = GenerationConfig(n_dialogs=1, sampler_mix={"base": 1.0})
+    ctx = prepare_batch(demo_bundle, demo_seeds, config)
+    assert ctx.plans == {}
+    dialog, _ = generate_one(ctx, 0)
+    (pick,) = ctx.plans
+    assert dialog.metadata["source_seed"] == ctx.seeds[pick].metadata["id"]
+    assert prepare_batch(demo_bundle, demo_seeds, config).plans == {}
+    from conftest import CATALOG_RETURN_SCHEMA, CATALOG_RETURN_SEED
+
+    commands = []
+    for name, schema, seeds in [("demo", demo_schema_text, demo_seeds_text),
+                                ("catalog-return", CATALOG_RETURN_SCHEMA, CATALOG_RETURN_SEED)]:
+        (tmp_path / f"{name}.json").write_text(schema, encoding="utf-8")
+        (tmp_path / f"{name}.txt").write_text(seeds, encoding="utf-8")
+        commands.append(["generate", "--schema", str(tmp_path / f"{name}.json"),
+                         "--seeds", str(tmp_path / f"{name}.txt"),
+                         "--mix", "base=1", "--n", "40", "--seed", "8"])
+    env = dict(os.environ, PYTHONPATH=str(Path(dialogsim.__file__).parents[1]))
+    alone = []
+    for command in commands:
+        proc = subprocess.run([sys.executable, "-m", "dialogsim.cli", *command],
+                              capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        alone.append(proc.stdout.decode("utf-8"))
+    for _ in range(3):
+        for command, expected in zip(commands, alone):
+            assert main(command) == 0
+            assert capsys.readouterr().out == expected
+
+
+def test_sampled_goals_need_no_second_validation(
+    demo_bundle, demo_seeds, flow_bundle, flow_seed, catalog_return_bundle,
+    catalog_return_seeds, chain_bundle, two_domain_bundle,
+):
+    """`generate_one` plays golden and Markov goals without `validate_goal`:
+    each sampler returns only goals that it accepts."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    cases = _seeded_cases(demo_bundle, demo_seeds, flow_bundle, flow_seed,
+                          catalog_return_bundle, catalog_return_seeds, chain_bundle,
+                          two_domain_bundle)
+    contexts = [prepare_batch(bundle, seeds, GenerationConfig()) for _, bundle, seeds in cases]
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(0, 2**64), st.integers(1, 8))
+    def check(rng_seed, max_len):
+        rng = Random(rng_seed)
+        for ctx in contexts:
+            golden = sample_golden(ctx.goals, ctx.bundle, rng)
+            markov = sample_markov(ctx.model, ctx.bundle, rng, max_len=max_len)
+            assert validate_goal(golden, ctx.bundle) == []
+            assert validate_goal(markov, ctx.bundle) == []
 
     check()

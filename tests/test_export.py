@@ -150,6 +150,45 @@ def test_ner_tags_for_table2_opening(demo_bundle, demo_seeds):
     assert tags == ("O", "O", "O", "O", "O", "B-location", "O", "B-Time", "I-Time", "O")
 
 
+def _iob_tags_per_span(text, spans):
+    """Reference: the tagger that scans every token once per span."""
+    tokens = tokenize(text)
+    tags = ["O"] * len(tokens)
+    for span in spans:
+        inside = False
+        for k, (_, start, end) in enumerate(tokens):
+            if start >= span.start and end <= span.end:
+                tags[k] = ("I-" if inside else "B-") + (span.entity_type or "value")
+                inside = True
+    return tuple([t[0] for t in tokens]), tuple(tags)
+
+
+def test_iob_tags_match_the_scan_per_span():
+    """On any text and spans in text order that do not overlap, whether or
+    not they fall on token boundaries, one pass tags as the scan per span."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    alphabet = "ab ." + "".join(sorted(_PUNCT))[:4]
+
+    @st.composite
+    def texts_and_spans(draw):
+        text = draw(st.text(alphabet=alphabet, max_size=24))
+        cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=8)))
+        types = st.sampled_from([None, "Time", "location"])
+        spans = tuple(
+            EntitySpan(text[a:b], f"v{k}", draw(types), a, b)
+            for k, (a, b) in enumerate(zip(cuts[::2], cuts[1::2]))
+        )
+        return text, spans
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(texts_and_spans())
+    def check(case):
+        assert iob_tags(*case) == _iob_tags_per_span(*case)
+
+    check()
+
+
 def test_iob_round_trip_on_seed_spans(demo_bundle, demo_seeds):
     for seed in demo_seeds:
         for utt in seed.turns:

@@ -8,7 +8,9 @@ from dialogsim.markup import EntitySpan, UserUtterance, VarAllocator
 from dialogsim.nlg import (
     RealizationError,
     TemplateIndex,
-    _fill_template,
+    _UserPlan,
+    _fill_user,
+    _piece,
     build_template_index,
     delexicalize_turn,
     fill_response_args,
@@ -158,7 +160,7 @@ def test_slot_value_mismatch_rejected(demo_bundle, demo_seeds_annotated):
     with pytest.raises(RealizationError):
         realize_user(acts, ["x", "y"], index, Random(0), VarAllocator())
     with pytest.raises(RealizationError, match=r"does not have the slots \['location'\]"):
-        _fill_template("in {city}", ["location"], iter(["x"]), VarAllocator(), 0)
+        _piece(["in {city}"], True, ("location",))
 
 
 def test_realize_response_fills_args(demo_bundle):
@@ -348,7 +350,7 @@ def test_equal_acts_with_other_roles_keep_their_own_signature():
 
 
 def _regex_fill(template, types, values, alloc, offset):
-    """The slot fill by regex match, the reference for `_fill_template`."""
+    """The slot fill by regex match, the reference for `_fill_user`."""
     slots = slot_names_for(types)
     parts, spans, pos, out = [], [], 0, offset
     for k, m in enumerate(SLOT_RE.finditer(template)):
@@ -365,8 +367,10 @@ def _regex_fill(template, types, values, alloc, offset):
 
 
 def test_split_fill_matches_the_regex_fill(demo_bundle):
-    """On templates that pass the utterance rule, `_fill_template` and
-    `realize_response` fill as a regex substitution does."""
+    """On templates that pass the utterance rule, `_fill_user` and
+    `realize_response` fill as a regex substitution does; a template after
+    a canned piece of `offset` characters has its spans counted from the
+    end of that piece and its ", "."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     literal = st.text(alphabet="ab {}|.,?!'", max_size=4)
@@ -385,8 +389,12 @@ def test_split_fill_matches_the_regex_fill(demo_bundle):
         hypothesis.assume(not utterance_problems(UtteranceTemplateDef(tuple(acts), template)))
         values = data.draw(st.lists(st.text(alphabet="xy {}", max_size=3),
                                     min_size=len(types), max_size=len(types)))
-        got = _fill_template(template, types, iter(values), VarAllocator(), offset)
-        assert got == _regex_fill(template, types, values, VarAllocator(), offset)
+        lead = [_piece(["p" * offset], False, ())] if offset else []
+        plan = _UserPlan(tuple(types), (*lead, _piece([template], True, tuple(types))))
+        alloc = VarAllocator()
+        got = _fill_user(plan, values, [alloc.new(t) for t in types], Random(0))
+        text, spans = _regex_fill(template, types, values, VarAllocator(), offset + 2 * bool(lead))
+        assert got == (", ".join(["p" * offset] * bool(lead) + [text]), tuple(spans))
         args = dict(zip(slots, values))
         response = ResponseTemplateDef("r", (), (), (template,))
         expected = SLOT_RE.sub(lambda m: args[m.group(1)], template)
