@@ -11,9 +11,18 @@ Everything in a replay that the random stream does not decide is fixed by
 the seed: its var ids, its calls, its nlg lines without a response
 template, the text of each template of an arg-less response, and the
 lookups of catalogs, APIs and response definitions. The plan holds them
-once, and every replay of the seed shares its fixed turns, so a pool chunk
-pickles each once and the export's row memo meets each once. Per dialog a
-replay makes only its draws, in turn order, and its joins.
+once. Per dialog a replay makes only its draws, in turn order, and its
+joins.
+
+A batch holds one object per distinct turn, shared where it is made, in
+self-play and replay alike: every turn comes from the batch's turn memo,
+which its `TemplateIndex` keeps. User turns come from `nlg.realize_user`,
+calls from `TemplateIndex.call_turn`, one per (api, bindings, return var),
+and nlg lines from `TemplateIndex.nlg_turn`, one per (text, act ids). So a
+pool chunk pickles each distinct turn once, `markup.serialize_corpus`
+writes each one's line body once, and the export's row memo meets each
+once. No generation code builds a turn past the memo: only `markup`'s
+parser and those three call a turn's constructor.
 """
 from __future__ import annotations
 
@@ -185,16 +194,16 @@ def _play_goal(
         uout = next_user_turn(user, view, bundle, config, rng)
         if not uout.acts:
             raise GenerationError("user policy produced an empty turn")
-        text, spans = realize_user(uout.acts, uout.values, index, rng, alloc)
-        turns.append(UserUtterance(text, spans, uout.acts))
+        user_turn = realize_user(uout.acts, uout.values, index, rng, alloc)
+        turns.append(user_turn)
         if len(turns) >= config.max_turns:
             break
-        view = next_system_turn(system, uout.acts, spans, bundle, config, rng, alloc)
+        view = next_system_turn(system, uout.acts, user_turn.spans, bundle, config, rng, alloc)
         for plan in view.nlg:
             call = plan.result
             if call is not None and call.ok:
                 bindings = {a: ref(v) for a, v in call.bindings.items()}
-                turns.append(ApiCall(call.api, bindings, call.return_var))
+                turns.append(index.call_turn(call.api, bindings, call.return_var))
             resp, args = plan.response, plan.arg_values
             if resp is None:  # a policy act group: its own values fill a matching response
                 resp = index.response(plan.acts)
@@ -203,7 +212,7 @@ def _play_goal(
                 text = realize_system_backoff(plan.acts, plan.backoff_values)
             else:
                 text = realize_response(resp, args, rng)
-            turns.append(NlgResponse(text, plan.acts))
+            turns.append(index.nlg_turn(text, plan.acts))
     truncated = len(turns) > config.max_turns or not system.closed
     if truncated:
         del turns[config.max_turns :]
@@ -259,7 +268,7 @@ def replay_plan(seed: Dialog, bundle: SchemaBundle, index: TemplateIndex) -> tup
     """What every replay of `seed` shares. A replay allocates its var ids
     in one order for a seed, so each span and call gets the same var id in
     every replay, and every call is one shared turn; so is every nlg line
-    without a response template (the seed's own turn), and each template
+    without a response template (the seed line's value), and each template
     of an arg-less response. The response definitions, the APIs and the
     catalogs are looked up here once."""
     alloc = VarAllocator()
@@ -281,11 +290,11 @@ def replay_plan(seed: Dialog, bundle: SchemaBundle, index: TemplateIndex) -> tup
                 for arg, valref in p.bindings.items()
             }
             var_map[p.return_var] = new_ret
-            steps.append(ApiCall(p.api, bindings, new_ret))
+            steps.append(index.call_turn(p.api, bindings, new_ret))
         elif (resp := index.response(p.acts)) is None:
-            steps.append(p)
+            steps.append(index.nlg_turn(p.text, p.acts))
         elif not resp.args:
-            steps.append(tuple([NlgResponse(response_text(resp, t, {}), p.acts)
+            steps.append(tuple([index.nlg_turn(response_text(resp, t, {}), p.acts)
                                 for t in resp.templates]))
         else:
             names = tuple([a.name for a in resp.args])
@@ -307,12 +316,11 @@ def run_base_dialog(
     for step in plan:
         kind = type(step)
         if kind is _UserStep:
-            text, spans = realize_user(step.acts, _draw(step.sources, rng), index, rng,
-                                       step.var_ids)
-            turns.append(UserUtterance(text, spans, step.acts))
+            turns.append(realize_user(step.acts, _draw(step.sources, rng), index, rng,
+                                      step.var_ids))
         elif kind is _ResponseStep:
             args = dict(zip(step.names, _draw(step.sources, rng)))
-            turns.append(NlgResponse(realize_response(step.defn, args, rng), step.acts))
+            turns.append(index.nlg_turn(realize_response(step.defn, args, rng), step.acts))
         elif kind is tuple:
             turns.append(step[rng.randrange(len(step))])
         else:

@@ -32,6 +32,12 @@ side letter and its body without the turn number, and every later
 occurrence is that same turn object. The turn number, the metadata lines
 and `_link` are still checked for every dialog. The memo lives for one
 call only.
+
+Generated corpora share their turns where they are made (see `engine`), so
+`serialize_corpus` writes each distinct turn object's line body once per
+call: a local dict maps `id(turn)` to the body, and the dialogs it was
+given keep every turn alive until it returns. `_line_body` is the one home
+of the line grammar, and `serialize_dialog` uses it too.
 """
 from __future__ import annotations
 
@@ -370,33 +376,44 @@ def load_corpus(path, bundle: SchemaBundle | None = None) -> list[Dialog]:
     return parse_corpus(read_input(path, MarkupError), bundle)
 
 
-def serialize_dialog(dialog: Dialog) -> str:
+def _line_body(p: Turn) -> str:
+    """A turn's line after its `U-<n>: ` or `S-<n>: ` head."""
+    if isinstance(p, UserUtterance):
+        text, spans, acts = p
+        parts = []
+        pos = 0
+        for surface, var_id, _, start, end in spans:
+            parts.append(text[pos:start])
+            parts.append(f"[{surface}|{var_id}]")
+            pos = end
+        parts.append(text[pos:])
+        body = "".join(parts)
+    elif isinstance(p, ApiCall):
+        return f"call: {p}"
+    else:
+        body, acts = f"nlg: {p.text}", p.acts
+    return f"{body} |acts: {turn_acts_string(acts)}" if acts else body
+
+
+def _serialize(dialog: Dialog, bodies: dict[int, str]) -> str:
+    """`dialog`'s block; `bodies` maps the id of each turn serialized
+    before, which the caller keeps alive, to its line body."""
     lines = [f"# {k}={v}" for k, v in dialog.metadata.items()]
     for n, p in enumerate(dialog.turns, start=1):
-        if isinstance(p, UserUtterance):
-            text, spans, acts = p
-            parts = []
-            pos = 0
-            for surface, var_id, _, start, end in spans:
-                parts.append(text[pos:start])
-                parts.append(f"[{surface}|{var_id}]")
-                pos = end
-            parts.append(text[pos:])
-            line = f"U-{n}: {''.join(parts)}"
-            if acts:
-                line += f" |acts: {turn_acts_string(acts)}"
-        elif isinstance(p, ApiCall):
-            line = f"S-{n}: call: {p}"
-        else:
-            line = f"S-{n}: nlg: {p.text}"
-            if p.acts:
-                line += f" |acts: {turn_acts_string(p.acts)}"
-        lines.append(line)
+        body = bodies.get(id(p))
+        if body is None:
+            body = bodies[id(p)] = _line_body(p)
+        lines.append(f"{'U' if isinstance(p, UserUtterance) else 'S'}-{n}: {body}")
     return "\n".join(lines)
 
 
+def serialize_dialog(dialog: Dialog) -> str:
+    return _serialize(dialog, {})
+
+
 def serialize_corpus(dialogs: list[Dialog]) -> str:
-    return "\n\n".join(serialize_dialog(d) for d in dialogs) + "\n"
+    bodies: dict[int, str] = {}
+    return "\n\n".join([_serialize(d, bodies) for d in dialogs]) + "\n"
 
 
 def annotate_seed_acts(dialog: Dialog, bundle: SchemaBundle) -> Dialog:

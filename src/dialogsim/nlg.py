@@ -8,6 +8,12 @@ Either way a user turn is a list of pieces, one for the whole turn or one
 per act, and one loop in `_fill_user` fills and joins them, for self-play
 and replay alike.
 
+A batch holds one object per distinct generated turn: its `TemplateIndex`
+keeps the batch's turn memo, and lives as long as the batch. `realize_user`
+makes its draws, then looks the turn up by its act ids, values, var ids
+and template choices, and fills it only on a miss. `engine` gets its call
+and nlg lines from `TemplateIndex.call_turn` and `nlg_turn`.
+
 Every user template, from the schema or delexicalized from a seed turn,
 passes `schema.utterance_problems`: its slots, in text order, are the names
 NLG fills in act order. `TemplateIndex.user_plan` splits each template and
@@ -30,7 +36,17 @@ from random import Random
 from typing import NamedTuple
 
 from .acts import DialogAct, slot_names_for, turn_acts_string, value_bearing
-from .markup import Dialog, EntitySpan, MarkupError, UserUtterance, VarAllocator
+from .markup import (
+    ApiCall,
+    Dialog,
+    EntitySpan,
+    MarkupError,
+    NlgResponse,
+    Turn,
+    UserUtterance,
+    ValueRef,
+    VarAllocator,
+)
 from .schema import (
     SLOT_RE,
     ResponseTemplateDef,
@@ -74,6 +90,12 @@ class TemplateIndex:
     _user_plans: dict[str, _UserPlan] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # the batch's turn memo, one object per distinct generated turn. A user
+    # turn's key starts with its act-id tuple, a call's or an nlg line's
+    # with a string, and only an nlg line's second item is a tuple, so the
+    # kinds never meet. Each entry holds its turn and the turn its acts, so
+    # no id in a live key is reused
+    _turns: dict[tuple, Turn] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def user_plan(self, acts: tuple[DialogAct, ...], n_values: int) -> _UserPlan:
         """The plan of a user turn with `acts`, which must take `n_values`
@@ -101,6 +123,22 @@ class TemplateIndex:
     def response(self, acts: tuple[DialogAct, ...]) -> ResponseTemplateDef | None:
         """The response template whose acts are the signature of `acts`."""
         return self.response_by_signature.get(turn_acts_string(acts))
+
+    def call_turn(self, api: str, bindings: dict[str, ValueRef], return_var: str) -> ApiCall:
+        """The batch's one call turn of this value."""
+        key = (api, return_var, *bindings.items())
+        turn = self._turns.get(key)
+        if turn is None:
+            turn = self._turns[key] = ApiCall(api, bindings, return_var)
+        return turn
+
+    def nlg_turn(self, text: str, acts: tuple[DialogAct, ...]) -> NlgResponse:
+        """The batch's one nlg turn of this text and these acts."""
+        key = (text, tuple([id(a) for a in acts]))
+        turn = self._turns.get(key)
+        if turn is None:
+            turn = self._turns[key] = NlgResponse(text, tuple(acts))
+        return turn
 
 
 def delexicalize_turn(utterance: UserUtterance) -> UtteranceTemplateDef:
@@ -201,32 +239,41 @@ def realize_user(
     index: TemplateIndex,
     rng: Random,
     alloc: VarAllocator | tuple[str, ...],
-) -> tuple[str, tuple[EntitySpan, ...]]:
-    """Surface form plus entity spans (in text order, which is act order)
-    for a user turn.
+) -> UserUtterance:
+    """The user turn with `acts`, its entity spans in text order, which is
+    act order.
 
     `values` holds one surface per entity-bearing inform act, in act order;
     the slot names (T, T2, ... on repeated types) are derived from the acts.
     Each span's var id is new from `alloc`, or, when `alloc` is a tuple, is
-    its entry: a replay's var ids are fixed per seed.
+    its entry: a replay's var ids are fixed per seed. One template is drawn
+    per piece that draws, in piece order; an equal turn made before in the
+    batch is returned itself.
     """
     plan = index.user_plan(acts, len(values))
-    var_ids = alloc if isinstance(alloc, tuple) else [alloc.new(t) for t in plan.types]
-    return _fill_user(plan, values, var_ids, rng)
+    var_ids = alloc if isinstance(alloc, tuple) else tuple([alloc.new(t) for t in plan.types])
+    choices = [rng.randrange(len(piece.templates)) for piece in plan.pieces if piece.draws]
+    key = (tuple([id(a) for a in acts]), *values, *var_ids, *choices)
+    turn = index._turns.get(key)
+    if turn is None:
+        text, spans = _fill_user(plan, values, var_ids, choices)
+        turn = index._turns[key] = UserUtterance(text, spans, tuple(acts))
+    return turn
 
 
 def _fill_user(
-    plan: _UserPlan, values: Sequence[str], var_ids: Sequence[str], rng: Random
+    plan: _UserPlan, values: Sequence[str], var_ids: Sequence[str], choices: Sequence[int]
 ) -> tuple[str, tuple[EntitySpan, ...]]:
     """The text and spans of a user turn of `plan`: one loop fills its
-    pieces, each from a uniformly drawn template (see `_UserPlan`), and
-    joins them in act order. Slot k takes `values[k]` and its span
-    `var_ids[k]`."""
+    pieces, each from its template (see `_UserPlan`), and joins them in act
+    order. `choices` holds the drawn template of each piece that draws, in
+    piece order. Slot k takes `values[k]` and its span `var_ids[k]`."""
     parts: list[str] = []
     spans: list[EntitySpan] = []
     out = k = 0
+    chosen = iter(choices)
     for templates, draws, types in plan.pieces:
-        literals = templates[rng.randrange(len(templates))] if draws else templates[0]
+        literals = templates[next(chosen)] if draws else templates[0]
         if parts:
             parts.append(", ")
             out += 2

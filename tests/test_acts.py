@@ -252,6 +252,24 @@ def test_acts_and_value_refs_have_one_constructor_in_the_package():
     assert offenders == []
 
 
+def test_turns_are_built_only_by_the_parser_and_the_sharing_helpers():
+    """A batch holds one object per distinct turn while no generation path
+    can build a turn past the turn memo: only the markup parser and the
+    sharing helpers call a turn's constructor."""
+    allowed = {
+        ("markup.py", "_parse_user_text"), ("markup.py", "_parse_call"),
+        ("markup.py", "_parse_turn"), ("nlg.py", "realize_user"), ("nlg.py", "call_turn"),
+        ("nlg.py", "nlg_turn"),
+    }
+    offenders = []
+    for path in sorted(Path(dialogsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, name in _constructor_calls(tree, {"UserUtterance", "ApiCall", "NlgResponse"}):
+            if (path.name, func) not in allowed:
+                offenders.append(f"{path.name}: {name}(...) in {func or 'module scope'}")
+    assert offenders == []
+
+
 def test_the_constructor_guard_sees_calls_at_any_depth():
     tree = ast.parse(
         "def f():\n"

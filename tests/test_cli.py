@@ -14,7 +14,7 @@ import pytest
 
 import dialogsim
 import test_engine
-from dialogsim import acts
+from dialogsim import acts, engine
 from dialogsim.cli import main
 from dialogsim.markup import lit, parse_corpus, serialize_corpus
 from dialogsim.schema import load_schema
@@ -950,6 +950,32 @@ def test_bytes_do_not_depend_on_cache_bounds(data_paths, tmp_path, capsys, monke
     evicted = {name for name, c in small.items() if c.cache_info().misses > 1}
     assert evicted == {name for _, name in CACHES} - {"lit"}
     assert len(acts._signatures) == 1
+
+
+class _NoStore(dict):
+    """A turn memo that never stores: every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_bytes_do_not_depend_on_the_turn_memo(data_paths, tmp_path, capsys, monkeypatch,
+                                              demo_bundle, demo_seeds):
+    """Every batch's turn memo defeated, so that each generated turn is
+    built anew: the pinned digests still hold."""
+    build = engine.build_template_index
+    built = []
+
+    def index_without_memo(*args):
+        index = build(*args)
+        index._turns = _NoStore()
+        built.append(index)
+        return index
+
+    monkeypatch.setattr(engine, "build_template_index", index_without_memo)
+    test_output_bytes_are_pinned(data_paths, tmp_path, capsys)
+    test_engine.test_policy_grid_bytes_are_pinned(demo_bundle, demo_seeds)
+    assert len(built) == 5 + 32 and all(index._turns == {} for index in built)
 
 
 @pytest.mark.parametrize("source", ["config", "model"])

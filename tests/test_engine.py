@@ -13,7 +13,7 @@ import pytest
 
 import dialogsim
 from dialogsim import engine, system_agent
-from dialogsim.acts import DialogAct, sequence_string
+from dialogsim.acts import SYSTEM, DialogAct, make_act, sequence_string
 from dialogsim.cli import main
 from dialogsim.engine import (
     SAMPLERS,
@@ -45,6 +45,7 @@ from dialogsim.markup import (
     NlgResponse,
     UserUtterance,
     VarAllocator,
+    lit,
     parse_corpus,
     ref,
     serialize_corpus,
@@ -249,6 +250,49 @@ def test_a_batch_holds_one_instance_per_act_and_ref_value(demo_bundle, demo_seed
     valref = next(r for t in dialog.turns if isinstance(t, ApiCall) for r in t.bindings.values())
     assert pickle.loads(pickle.dumps(act)) is act
     assert pickle.loads(pickle.dumps(valref)) is valref
+
+
+@pytest.mark.parametrize(
+    "mix",
+    [{"golden": 0.4, "markov": 0.6}, {"base": 1.0}, {"base": 1.0, "golden": 1.0, "markov": 1.0}],
+    ids=["selfplay", "replay", "mixed"],
+)
+def test_a_batch_holds_one_object_per_distinct_turn(demo_bundle, demo_seeds, mix):
+    """Turns are shared where they are made: a batch holds one object per
+    distinct (type, line body, act ids), in self-play, in replay and across
+    the two."""
+    config = GenerationConfig(n_dialogs=300, sampler_mix=mix, rng_seed=1)
+    turns = [t for d in run_batch(demo_bundle, demo_seeds, config).dialogs for t in d.turns]
+    objects = {id(t): t for t in turns}
+    values = {
+        (type(t), serialize_dialog(Dialog([t])).split(": ", 1)[1],
+         tuple([id(a) for a in getattr(t, "acts", ())]))
+        for t in objects.values()
+    }
+    assert len(objects) == len(values)
+    assert len(objects) < len(turns) / 3
+
+
+def test_the_turn_memo_keys_every_field(demo_bundle):
+    """A shared call or nlg turn is returned only for an equal value: equal
+    line text with other acts, even acts that differ only in their role,
+    is another turn."""
+    index = build_template_index(demo_bundle, [])
+    after = make_act("inform", SYSTEM, entity="Time", api="FindMovies", arg="timeLowerBound")
+    show = make_act("inform", SYSTEM, entity="Time", api="SelectShow", arg="showTime")
+    first = index.nlg_turn("At 5 PM.", (after,))
+    assert index.nlg_turn("At 5 PM.", (after,)) is first
+    for text, acts in [("At 5 PM.", (show,)), ("At 6 PM.", (after,)), ("At 5 PM.", ())]:
+        turn = index.nlg_turn(text, acts)
+        assert turn is not first and turn == NlgResponse(text, acts)
+        assert [id(a) for a in turn.acts] == [id(a) for a in acts]
+    call = index.call_turn("FindMovies", {"location": ref("location0")}, "movieList0")
+    assert index.call_turn("FindMovies", {"location": ref("location0")}, "movieList0") is call
+    for api, bindings, var in [("FindMovies", {"location": lit("location0")}, "movieList0"),
+                               ("FindMovies", {"location": ref("location0")}, "movieList1"),
+                               ("FindMovies", {}, "movieList0"),
+                               ("GetTimes", {"location": ref("location0")}, "movieList0")]:
+        assert index.call_turn(api, bindings, var) == ApiCall(api, bindings, var) != call
 
 
 @pytest.mark.parametrize(
@@ -631,7 +675,8 @@ def test_user_entity_acts_always_name_their_role(
 
 def _replay_by_lookup(seed, bundle, index, rng, metadata=None):
     """The reference for a planned replay: each replay resolves every lookup
-    and allocates every var id itself, and builds every turn anew."""
+    and allocates every var id itself, and builds every call and nlg turn
+    anew."""
     alloc = VarAllocator()
     var_map: dict[str, str] = {}
     out = Dialog(metadata=dict(metadata or {}))
@@ -641,10 +686,10 @@ def _replay_by_lookup(seed, bundle, index, rng, metadata=None):
             for span in p.spans:
                 value = bundle.draw(span.entity_type, rng)
                 surfaces.append(span.surface if value is None else value)
-            text, new_spans = realize_user(p.acts, surfaces, index, rng, alloc)
-            for old, new in zip(p.spans, new_spans):
+            turn = realize_user(p.acts, surfaces, index, rng, alloc)
+            for old, new in zip(p.spans, turn.spans):
                 var_map[old.var_id] = new.var_id
-            out.turns.append(UserUtterance(text, new_spans, p.acts))
+            out.turns.append(turn)
         elif isinstance(p, ApiCall):
             api = bundle.api(p.api)
             new_ret = alloc.new(api.return_type)

@@ -472,3 +472,41 @@ def test_an_error_after_repeated_lines_names_its_own_line(demo_bundle, corpus, l
     with pytest.raises(MarkupError, match=f"^line {line}: {re.escape(message)}") as err:
         parse_corpus(corpus, demo_bundle)
     assert err.value.line == line
+
+
+def test_the_corpus_is_its_dialogs_serialized_one_by_one(
+    demo_bundle, demo_seeds, flow_bundle, flow_seed, catalog_return_bundle, catalog_return_seeds
+):
+    """`serialize_corpus` writes each turn object's line body once per call;
+    the corpus it writes is still each dialog's block, joined, both for
+    generated dialogs, which share turns where they are made, and for
+    parsed ones, which share a turn per distinct line."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    cases = [
+        (demo_bundle, demo_seeds),
+        (flow_bundle, [flow_seed]),
+        (catalog_return_bundle, catalog_return_seeds),
+    ]
+    probability = st.sampled_from([0.0, 0.15, 0.5, 1.0]) | st.floats(0, 1)
+    weight = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+    mixes = st.fixed_dictionaries({"base": weight, "golden": weight, "markov": weight}).filter(
+        lambda mix: sum(mix.values()) > 0
+    )
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(cases), mixes, probability, probability, probability,
+                      probability, st.integers(1, 4), st.integers(0, 999))
+    def check(case, mix, p_correct, p_offer, failure, multi_act_p, max_acts, seed):
+        bundle, seeds = case
+        config = GenerationConfig(
+            n_dialogs=12, sampler_mix=mix, rng_seed=seed, p_correct=p_correct,
+            p_offer=p_offer, api_failure_rate=failure, multi_act_p=multi_act_p,
+            max_acts_per_turn=max_acts,
+        )
+        generated = run_batch(bundle, seeds, config).dialogs
+        text = serialize_corpus(generated)
+        for dialogs in (generated, parse_corpus(text, bundle)):
+            assert serialize_corpus(dialogs) == "\n\n".join(map(serialize_dialog, dialogs)) + "\n"
+
+    check()

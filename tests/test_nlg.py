@@ -63,7 +63,7 @@ def test_realize_booking_turn(demo_bundle, demo_seeds_annotated):
     rng = Random(4)
     seen = set()
     for _ in range(50):
-        text, spans = realize_user(
+        text, spans, _ = realize_user(
             acts, ["two", "adult"], index, rng, VarAllocator()
         )
         seen.add(text)
@@ -119,7 +119,7 @@ def test_backoff_spans_are_exact(demo_bundle):
         DialogAct("inform", "user", entity="Time", api="SelectShow", arg="showTime"),
         DialogAct("inform", "user", entity="movieTitle", api="SelectShow", arg="movieTitle"),
     ]
-    text, spans = realize_user(
+    text, spans, _ = realize_user(
         acts, ["17:00", "Up"], index, Random(0), VarAllocator()
     )
     assert [s.surface for s in spans] == ["17:00", "Up"]
@@ -245,7 +245,7 @@ def test_system_backoff_text():
 def test_canned_text(act, value, text):
     if act.side == "user":
         values = [value] if value is not None else []
-        realized, _ = realize_user([act], values, TemplateIndex(), Random(0), VarAllocator())
+        realized = realize_user([act], values, TemplateIndex(), Random(0), VarAllocator()).text
         assert realized == text
     else:
         assert realize_system_backoff([act], [value]) == text
@@ -292,7 +292,7 @@ def _realized(acts, index, seed):
     rng = Random(seed)
     values = [f"v{k}" for k, a in enumerate(acts) if a.name == "inform" and a.entity]
     try:
-        text, spans = realize_user(acts, values, index, rng, VarAllocator())
+        text, spans, _ = realize_user(acts, values, index, rng, VarAllocator())
     except RealizationError as e:
         return str(e)
     return text, spans, rng.random()
@@ -392,7 +392,7 @@ def test_split_fill_matches_the_regex_fill(demo_bundle):
         lead = [_piece(["p" * offset], False, ())] if offset else []
         plan = _UserPlan(tuple(types), (*lead, _piece([template], True, tuple(types))))
         alloc = VarAllocator()
-        got = _fill_user(plan, values, [alloc.new(t) for t in types], Random(0))
+        got = _fill_user(plan, values, [alloc.new(t) for t in types], [0])
         text, spans = _regex_fill(template, types, values, VarAllocator(), offset + 2 * bool(lead))
         assert got == (", ".join(["p" * offset] * bool(lead) + [text]), tuple(spans))
         args = dict(zip(slots, values))
