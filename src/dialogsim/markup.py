@@ -26,12 +26,27 @@ instance.
 
 Turns and spans are immutable records (`NamedTuple`s, with tuples for
 `spans` and `acts`), and `ApiCall.bindings` is a dict that nothing writes
-after construction. So a corpus, which repeats its own lines, shares them:
-`parse_corpus` parses each distinct turn line once per call, keyed by its
-side letter and its body without the turn number, and every later
-occurrence is that same turn object. The turn number, the metadata lines
-and `_link` are still checked for every dialog. The memo lives for one
-call only.
+after construction. So a corpus, which repeats its own lines, shares them.
+`parse_corpus` keeps three memos, all local to one call:
+
+- The whole-line memo maps a line, turn number included, to its entry: for
+  a turn line its turn number, its turn and the turn's link part, for a `#`
+  line its `(key, value)` pair, or `()` for a comment. A repeated line costs
+  one lookup and the turn-number check, which still runs for every line.
+- Behind it, the body memo, keyed by the side letter and the body without
+  the turn number, parses each distinct body once, so one body at other
+  turn numbers is still one turn object.
+- The link memo holds the link key of each dialog `_link` passed. `_link`
+  reads only the turn kinds in order, each span's `(var_id, entity_type)`,
+  each call (api, bindings, return var) and the bundle. The key is that
+  projection: per turn the spans' `var_id:entity_type` as one string, the
+  call's identity (the body memo keeps the call alive), or `None` for an
+  nlg line. A dialog whose key is in the memo is not linked again. Only
+  outcomes that raised nothing and replaced no turn are stored, so an error
+  is raised, at its own line, by every dialog that has it, and a span typed
+  by its consuming call is typed in every dialog that holds it.
+
+A parse error is never stored either, so every error names its own line.
 
 Generated corpora share their turns where they are made (see `engine`), so
 `serialize_corpus` writes each distinct turn object's line body once per
@@ -249,46 +264,100 @@ def _parse_turn(side: str, body: str, line_no: int, bundle: SchemaBundle | None)
 
 
 def _parse_dialog_lines(
-    numbered: list[tuple[int, str]], bundle: SchemaBundle | None, memo: dict[str, Turn]
+    numbered: list[tuple[int, str]],
+    bundle: SchemaBundle | None,
+    lines: dict[str, tuple],
+    bodies: dict[str, tuple],
+    linked: set[tuple],
 ) -> Dialog:
-    """`memo` maps a turn line's side letter plus body to the turn parsed at
-    its first occurrence, which every later occurrence shares."""
+    """The dialog of one block, read through the caller's memos (see the
+    module docstring): `lines` maps a whole line to its entry, `bodies` a
+    turn line's side letter plus body to the entry of its first line, and
+    `linked` holds the link keys of the dialogs `_link` passed unchanged."""
     metadata: dict[str, str] = {}
     turns: list[Turn] = []
+    parts: list[object] = []
     for line_no, line in numbered:
-        if line.startswith("#"):
-            m = _META_RE.match(line)
-            if m:
-                metadata[m.group(1)] = m.group(2)
-            continue
-        m = _TURN_RE.match(line)
-        if m is None:
-            raise MarkupError(f"not a turn line: {line!r}", line_no)
-        index, expected = int(m.group(2)), len(turns) + 1
-        if index != expected:
-            raise MarkupError(f"turn index {index} out of order (expected {expected})", line_no)
-        side, body = m.group(1), m.group(3)
-        key = side + body
-        turn = memo.get(key)
-        if turn is None:
-            turn = memo[key] = _parse_turn(side, body, line_no, bundle)
-        turns.append(turn)
+        hit = lines.get(line)
+        if hit is None:
+            if line.startswith("#"):
+                hit = _meta(line, lines)
+            else:
+                hit = lines[line] = _turn_entry(line, line_no, len(turns) + 1, bundle, bodies)
+        if len(hit) == 3:
+            index, turn, part = hit
+            if index != len(turns) + 1:
+                raise _out_of_order(index, len(turns) + 1, line_no)
+            turns.append(turn)
+            parts.append(part)
+        elif hit:
+            metadata[hit[0]] = hit[1]
     if not turns:
         raise MarkupError("dialog has no turns", numbered[0][0] if numbered else None)
     if not isinstance(turns[0], UserUtterance):
         raise MarkupError("first turn must be user-side", numbered[0][0])
     dialog = Dialog(turns=turns, metadata=metadata)
     if bundle is not None:
-        _link(dialog, bundle)
+        key = tuple(parts)
+        if key not in linked:
+            before = turns.copy()
+            _link(dialog, bundle, numbered)
+            # a span typed by its call makes a turn unequal to its line's
+            if turns == before:
+                linked.add(key)
     return dialog
 
 
-def _link(dialog: Dialog, bundle: SchemaBundle) -> None:
+def _meta(line: str, lines: dict[str, tuple]) -> tuple[str, ...]:
+    """A `#` line's `(key, value)` pair, or `()` for a comment line."""
+    hit = lines.get(line)
+    if hit is None:
+        m = _META_RE.match(line)
+        hit = lines[line] = m.groups() if m else ()
+    return hit
+
+
+def _turn_entry(
+    line: str, line_no: int, expected: int, bundle: SchemaBundle | None, bodies: dict[str, tuple]
+) -> tuple[int, Turn, object]:
+    """A turn line's turn number, its turn and the turn's link part. The
+    checks run in the order the line is read, so a line with two faults
+    names the first."""
+    m = _TURN_RE.match(line)
+    if m is None:
+        raise MarkupError(f"not a turn line: {line!r}", line_no)
+    side, number, body = m.groups()
+    index = int(number)
+    if index != expected:
+        raise _out_of_order(index, expected, line_no)
+    entry = bodies.get(side + body)
+    if entry is None:
+        turn = _parse_turn(side, body, line_no, bundle)
+        entry = bodies[side + body] = (index, turn, _link_part(turn))
+    return entry if entry[0] == index else (index, entry[1], entry[2])
+
+
+def _out_of_order(index: int, expected: int, line_no: int) -> MarkupError:
+    return MarkupError(f"turn index {index} out of order (expected {expected})", line_no)
+
+
+def _link_part(turn: Turn) -> object:
+    """What `_link` reads of a turn: a user turn's `var_id:entity_type` per
+    span (`var_id:` when untyped; both are `NAME`s), as one string, which
+    the collector does not track; a call's identity, which the body memo
+    keeps alive; and nothing of an nlg line."""
+    if isinstance(turn, UserUtterance):
+        return " ".join([f"{s.var_id}:{s.entity_type or ''}" for s in turn.spans])
+    return id(turn) if isinstance(turn, ApiCall) else None
+
+
+def _link(dialog: Dialog, bundle: SchemaBundle, numbered: list[tuple[int, str]]) -> None:
     """Resolve var references and check every span's type. A span that
     `_parse_user_text` left untyped is typed by the call that consumes it,
     in a copy of its turn that replaces the turn in this dialog only. A user
     value, span or call literal, may not be of an object-kind type. The spans
-    are cut from the text in order, so they need no order or surface check."""
+    are cut from the text in order, so they need no order or surface check.
+    An error names the line of its turn in `numbered`, the dialog's block."""
     # var -> (introducing turn, its span, or the return type of its call)
     intro: dict[str, tuple[int, EntitySpan | str]] = {}
     turns = dialog.turns
@@ -296,22 +365,24 @@ def _link(dialog: Dialog, bundle: SchemaBundle) -> None:
         if isinstance(p, UserUtterance):
             for span in p.spans:
                 if span.var_id in intro:
-                    raise MarkupError(f"var {span.var_id!r} reintroduced in turn {n}")
+                    raise _at_turn(numbered, n, f"var {span.var_id!r} reintroduced in turn {n}")
                 intro[span.var_id] = (n, span)
         elif isinstance(p, ApiCall):
             api = bundle.api(p.api)
             if api is None:
-                raise MarkupError(f"unknown API {p.api!r} in turn {n}")
+                raise _at_turn(numbered, n, f"unknown API {p.api!r} in turn {n}")
             for arg_name, valref in p.bindings.items():
                 spec = api.arg(arg_name)
                 if spec is None:
-                    raise MarkupError(f"API {p.api} has no argument {arg_name!r}")
+                    raise _at_turn(
+                        numbered, n, f"API {p.api} has no argument {arg_name!r} in turn {n}"
+                    )
                 if valref.var is None:
-                    _check_user_value(bundle, spec.entity_type, n)
+                    _check_user_value(bundle, spec.entity_type, n, numbered)
                     continue
                 at, source = intro.get(valref.var, (n, None))
                 if at >= n:
-                    raise MarkupError(f"unresolved reference ${valref.var} in turn {n}")
+                    raise _at_turn(numbered, n, f"unresolved reference ${valref.var} in turn {n}")
                 if isinstance(source, EntitySpan) and source.entity_type is None:
                     typed = source._replace(entity_type=spec.entity_type)
                     intro[valref.var] = (at, typed)
@@ -321,12 +392,10 @@ def _link(dialog: Dialog, bundle: SchemaBundle) -> None:
                     continue
                 var_type = source.entity_type if isinstance(source, EntitySpan) else source
                 if var_type != spec.entity_type:
-                    raise MarkupError(
-                        f"${valref.var} is a {var_type} but "
-                        f"{p.api}.{arg_name} takes {spec.entity_type}"
-                    )
+                    raise _at_turn(numbered, n, f"${valref.var} is a {var_type} but "
+                                   f"{p.api}.{arg_name} takes {spec.entity_type}")
             if p.return_var in intro:
-                raise MarkupError(f"var {p.return_var!r} reintroduced in turn {n}")
+                raise _at_turn(numbered, n, f"var {p.return_var!r} reintroduced in turn {n}")
             intro[p.return_var] = (n, api.return_type)
     # by now a span is typed by its var prefix or by the call that consumed it
     for n, p in enumerate(turns, start=1):
@@ -334,40 +403,50 @@ def _link(dialog: Dialog, bundle: SchemaBundle) -> None:
             continue
         for span in p.spans:
             if span.entity_type is None:
-                raise MarkupError(
-                    f"cannot infer entity type for span var {span.var_id!r} in turn {n}"
-                )
-            _check_user_value(bundle, span.entity_type, n)
+                message = f"cannot infer entity type for span var {span.var_id!r} in turn {n}"
+                raise _at_turn(numbered, n, message)
+            _check_user_value(bundle, span.entity_type, n, numbered)
 
 
-def _check_user_value(bundle: SchemaBundle, type_name: str, n: int) -> None:
+def _check_user_value(
+    bundle: SchemaBundle, type_name: str, n: int, numbered: list[tuple[int, str]]
+) -> None:
     """Golden sampling redraws a user value from its type's catalog, and an
     object-kind type has none."""
     et = bundle.entity_type(type_name)
     if et is not None and et.kind == OBJECT:
-        raise MarkupError(f"object-kind type {et.name!r} cannot appear as a user value (turn {n})")
+        raise _at_turn(
+            numbered, n, f"object-kind type {et.name!r} cannot appear as a user value (turn {n})"
+        )
+
+
+def _at_turn(numbered: list[tuple[int, str]], n: int, message: str) -> MarkupError:
+    """`message` at the line of turn `n` of a block whose other lines are `#` lines."""
+    return MarkupError(message, [no for no, line in numbered if not line.startswith("#")][n - 1])
 
 
 def parse_dialog(text: str, bundle: SchemaBundle | None = None) -> Dialog:
     numbered = [
         (no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()
     ]
-    return _parse_dialog_lines(numbered, bundle, {})
+    return _parse_dialog_lines(numbered, bundle, {}, {}, set())
 
 
 def parse_corpus(text: str, bundle: SchemaBundle | None = None) -> list[Dialog]:
     """Dialogs are separated by blank lines. A block made only of `#` lines
     that are not `key=value` metadata is a comment, not a dialog."""
     dialogs = []
-    memo: dict[str, Turn] = {}
+    lines: dict[str, tuple] = {}
+    bodies: dict[str, tuple] = {}
+    linked: set[tuple] = set()
     block: list[tuple[int, str]] = []
     # the closing "" ends the last block
     for no, line in enumerate([*text.splitlines(), ""], start=1):
         if line.strip():
             block.append((no, line))
         elif block:
-            if not all(row.startswith("#") and not _META_RE.match(row) for _, row in block):
-                dialogs.append(_parse_dialog_lines(block, bundle, memo))
+            if not all(row.startswith("#") and not _meta(row, lines) for _, row in block):
+                dialogs.append(_parse_dialog_lines(block, bundle, lines, bodies, linked))
             block = []
     return dialogs
 

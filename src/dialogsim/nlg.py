@@ -84,10 +84,10 @@ class _UserPlan(NamedTuple):
 class TemplateIndex:
     user: dict[str, list[str]] = field(default_factory=dict)  # signature -> templates
     response_by_signature: dict[str, ResponseTemplateDef] = field(default_factory=dict)
-    # what each user act list resolved to, keyed by its signature, of which
-    # the plan is a pure function; a run meets the same few signatures
-    # thousands of times, and `turn_acts_string` builds each one once
-    _user_plans: dict[str, _UserPlan] = field(
+    # what each user act list resolved to, keyed by its act-id tuple; a run
+    # meets the same few lists thousands of times. Each entry holds its
+    # acts, so no id in a live key is reused (the rule of `acts._signatures`)
+    _user_plans: dict[tuple[int, ...], tuple[tuple[DialogAct, ...], _UserPlan]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     # the batch's turn memo, one object per distinct generated turn. A user
@@ -97,12 +97,19 @@ class TemplateIndex:
     # no id in a live key is reused
     _turns: dict[tuple, Turn] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def user_plan(self, acts: tuple[DialogAct, ...], n_values: int) -> _UserPlan:
+    def user_plan(
+        self, acts: tuple[DialogAct, ...], n_values: int, ids: tuple[int, ...] | None = None
+    ) -> _UserPlan:
         """The plan of a user turn with `acts`, which must take `n_values`
-        values, one per entity-bearing inform act."""
-        signature = turn_acts_string(acts)
-        plan = self._user_plans.get(signature)
-        if plan is None:
+        values, one per entity-bearing inform act. `ids`, when given, is
+        the tuple of the acts' ids."""
+        if ids is None:
+            ids = tuple([id(a) for a in acts])
+        hit = self._user_plans.get(ids)
+        if hit is not None:
+            plan = hit[1]
+        else:
+            signature = turn_acts_string(acts)
             types = tuple([a.entity for a in value_bearing(acts)])
             exact = self.user.get(signature)
             if exact:
@@ -115,7 +122,7 @@ class TemplateIndex:
                     pieces.append(_piece(single or [_user_fragment(a)], bool(single), piece_types))
             plan = _UserPlan(types, tuple(pieces))
             if acts:
-                self._user_plans[signature] = plan
+                self._user_plans[ids] = (tuple(acts), plan)
         if n_values != len(plan.types):
             raise RealizationError(f"{n_values} values for {len(plan.types)} entity informs")
         return plan
@@ -250,10 +257,11 @@ def realize_user(
     per piece that draws, in piece order; an equal turn made before in the
     batch is returned itself.
     """
-    plan = index.user_plan(acts, len(values))
+    ids = tuple([id(a) for a in acts])
+    plan = index.user_plan(acts, len(values), ids)
     var_ids = alloc if isinstance(alloc, tuple) else tuple([alloc.new(t) for t in plan.types])
     choices = [rng.randrange(len(piece.templates)) for piece in plan.pieces if piece.draws]
-    key = (tuple([id(a) for a in acts]), *values, *var_ids, *choices)
+    key = (ids, *values, *var_ids, *choices)
     turn = index._turns.get(key)
     if turn is None:
         text, spans = _fill_user(plan, values, var_ids, choices)

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from dialogsim import markup
 from dialogsim.acts import DialogAct, act_to_string
 from dialogsim.engine import GenerationConfig, run_batch
 from dialogsim.markup import (
@@ -463,10 +464,13 @@ def test_a_repeated_line_is_linked_per_dialog(demo_bundle):
     [
         ("U-1: hi\nS-2: nlg: ok\n\nU-1: hi\nS-3: nlg: ok", 5,
          "turn index 3 out of order (expected 2)"),
+        ("U-1: hi\nS-2: nlg: ok\n\nU-1: hi\nS-2: nlg: ok\nS-2: nlg: ok", 6,
+         "turn index 2 out of order (expected 3)"),
         ("U-1: hi |acts: bye()\nS-2: nlg: ok\n\n" * 40 + "U-1: hi |acts: bye()\nS-2: nlg ok", 122,
          "system turn must be 'call:' or 'nlg:'"),
     ],
-    ids=["repeated-out-of-order", "malformed-after-repeats"],
+    ids=["repeated-out-of-order", "a-whole-line-met-again-out-of-order",
+         "malformed-after-repeats"],
 )
 def test_an_error_after_repeated_lines_names_its_own_line(demo_bundle, corpus, line, message):
     with pytest.raises(MarkupError, match=f"^line {line}: {re.escape(message)}") as err:
@@ -508,5 +512,160 @@ def test_the_corpus_is_its_dialogs_serialized_one_by_one(
         text = serialize_corpus(generated)
         for dialogs in (generated, parse_corpus(text, bundle)):
             assert serialize_corpus(dialogs) == "\n\n".join(map(serialize_dialog, dialogs)) + "\n"
+
+    check()
+
+
+_GOOD_BLOCK = (
+    "# id=ok\nU-1: in [Sunnyvale|location0]\n"
+    "S-2: call: FindMovies(location=$location0) -> movieList0\n\n"
+)
+
+
+@pytest.mark.parametrize(
+    "third, line, message",
+    [
+        ("U-1: in [Sunnyvale|location0]\nS-2: call: FindMovies(location=$location1) -> movieList0",
+         11, "unresolved reference $location1 in turn 2"),
+        ('U-1: hi\nS-2: call: FindMovies(place="Sunnyvale") -> movieList0',
+         11, "API FindMovies has no argument 'place' in turn 2"),
+        ("U-1: in [Sunnyvale|location0]\nS-2: call: SelectShow(showTime=$location0) -> showInfo0",
+         11, "$location0 is a location but SelectShow.showTime takes Time"),
+        ("U-1: maybe [Sunnyvale|place0]\nS-2: nlg: ok", 10,
+         "cannot infer entity type for span var 'place0' in turn 1"),
+        ("U-1: hi\nS-2: nlg: ok\nU-3: that [list|movieList0]", 12,
+         "object-kind type 'movieList' cannot appear as a user value (turn 3)"),
+    ],
+    ids=["unresolved", "no-argument", "type-mismatch", "uninferable", "object-span"],
+)
+def test_a_link_error_names_its_line(demo_bundle, third, line, message):
+    # two clean dialogs of one flow, then the faulty one after its metadata line
+    corpus = _GOOD_BLOCK * 2 + "# id=bad\n" + third
+    with pytest.raises(MarkupError, match=f"^line {line}: {re.escape(message)}$") as err:
+        parse_corpus(corpus, demo_bundle)
+    assert err.value.line == line
+
+
+def test_the_memos_hit(monkeypatch, demo_bundle, demo_seeds):
+    """2,000 replays of 5 seeds hold 5 var flows: `_link` runs once per
+    flow, `_parse_turn` once per distinct body and `_turn_entry` once per
+    distinct turn line."""
+    config = GenerationConfig(n_dialogs=2000, sampler_mix={"base": 1.0}, rng_seed=1)
+    text = serialize_corpus(run_batch(demo_bundle, demo_seeds, config).dialogs)
+    turn_lines = [line for line in text.splitlines() if line[:1] in ("U", "S")]
+    bodies = {re.sub(r"-\d+:\s?", "", line, count=1) for line in turn_lines}
+    calls = {"_link": 0, "_parse_turn": 0, "_turn_entry": 0}
+    for name in calls:
+        def counted(*args, name=name, inner=getattr(markup, name)):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(markup, name, counted)
+    dialogs = parse_corpus(text, demo_bundle)
+    assert len(dialogs) == 2000
+    assert calls == {"_link": 5, "_parse_turn": len(bodies), "_turn_entry": len(set(turn_lines))}
+    assert len(bodies) < len(set(turn_lines)) < len(turn_lines)
+
+
+def test_the_memos_change_nothing(
+    demo_bundle, demo_seeds, flow_bundle, flow_seed, catalog_return_bundle, catalog_return_seeds
+):
+    """A corpus parses to its blocks parsed one by one, with and without the
+    per-call memos' hits: generated dialogs mixed with one-line mutations of
+    them. Where either side raises, both raise the same message at the same
+    line, shifted by the block's offset."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    cases = []
+    for bundle, seeds in ((demo_bundle, demo_seeds), (flow_bundle, [flow_seed]),
+                          (catalog_return_bundle, catalog_return_seeds)):
+        blocks = []
+        for mix in ({"base": 1.0}, {"golden": 1.0}, {"markov": 1.0}):
+            config = GenerationConfig(n_dialogs=8, sampler_mix=mix, rng_seed=len(blocks))
+            blocks += [serialize_dialog(d) for d in run_batch(bundle, seeds, config).dialogs]
+        cases.append((bundle, blocks))
+    var_id = re.compile(r"(?<=[|$])[A-Za-z]+\d+|(?<=-> )[A-Za-z]+\d+$")
+
+    def renumber(lines, k, draw):
+        found = list(var_id.finditer(lines[k]))
+        if found:
+            m = draw(st.sampled_from(found))
+            new = re.sub(r"\d+$", str(draw(st.integers(0, 3))), m.group())
+            lines[k] = lines[k][: m.start()] + new + lines[k][m.end() :]
+
+    def swap_binding(lines, k, draw):
+        refs = [m for line in lines for m in re.finditer(r"\$[A-Za-z]+\d+", line)]
+        found = list(re.finditer(r"\$[A-Za-z]+\d+", lines[k]))
+        if found:
+            m, other = draw(st.sampled_from(found)), draw(st.sampled_from(refs))
+            lines[k] = lines[k][: m.start()] + other.group() + lines[k][m.end() :]
+
+    def drop_brackets(lines, k, draw):
+        found = list(re.finditer(r"\[([^\[\]|]+)\|[A-Za-z0-9]+\]", lines[k]))
+        if found:
+            m = draw(st.sampled_from(found))
+            lines[k] = lines[k][: m.start()] + m.group(1) + lines[k][m.end() :]
+
+    def repeat_line(lines, k, draw):
+        # renumbered, or left as it is: a whole line met again out of order
+        if not lines[k].startswith("#"):
+            lines.insert(draw(st.integers(0, len(lines))), lines[k])
+            if draw(st.booleans()):
+                n = 0
+                for i, line in enumerate(lines):
+                    if not line.startswith("#"):
+                        n += 1
+                        lines[i] = re.sub(r"^([US])-\d+:", rf"\g<1>-{n}:", line)
+
+    def change_metadata(lines, k, draw):
+        if lines[k].startswith("# "):
+            lines[k] = lines[k].split("=", 1)[0] + "=" + draw(st.sampled_from(["x", "", " y "]))
+
+    def insert_comment(lines, k, draw):
+        lines.insert(k, draw(st.sampled_from(["# a comment", "#", "# k=v"])))
+
+    def untype_var(lines, k, draw):
+        # the prefix `v` declares no type: a call, if any, types the span
+        found = var_id.findall(lines[k])
+        if found:
+            old = draw(st.sampled_from(found))
+            lines[:] = [re.sub(rf"(?<=[|$ ]){old}\b", "v0", line) for line in lines]
+
+    mutations = [renumber, swap_binding, drop_brackets, repeat_line, change_metadata,
+                 insert_comment, untype_var]
+
+    @st.composite
+    def corpora(draw):
+        bundle, pool = draw(st.sampled_from(cases))
+        blocks = []
+        for block in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10)):
+            lines = block.splitlines()
+            if draw(st.booleans()):
+                mutate = draw(st.sampled_from(mutations))
+                mutate(lines, draw(st.integers(0, len(lines) - 1)), draw)
+            blocks.append("\n".join(lines))
+        # a mutated block may come back, so its link outcome could be reused
+        blocks += [blocks[i] for i in draw(st.lists(st.integers(0, len(blocks) - 1), max_size=3))]
+        return bundle, blocks
+
+    @hypothesis.settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(corpora())
+    def check(case):
+        bundle, blocks = case
+        expected, error, offset = [], None, 0
+        for block in blocks:
+            try:
+                expected.append(parse_dialog(block, bundle))
+            except MarkupError as e:
+                assert e.line is not None
+                error = f"line {e.line + offset}: {str(e).split(': ', 1)[1]}"
+                break
+            offset += block.count("\n") + 2
+        try:
+            dialogs = parse_corpus("\n\n".join(blocks), bundle)
+        except MarkupError as e:
+            assert str(e) == error
+        else:
+            assert error is None
+            assert dialogs == expected
 
     check()
