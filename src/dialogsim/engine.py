@@ -19,10 +19,13 @@ self-play and replay alike: every turn comes from the batch's turn memo,
 which its `TemplateIndex` keeps. User turns come from `nlg.realize_user`,
 calls from `TemplateIndex.call_turn`, one per (api, bindings, return var),
 and nlg lines from `TemplateIndex.nlg_turn`, one per (text, act ids). So a
-pool chunk pickles each distinct turn once, `markup.serialize_corpus`
-writes each one's line body once, and the export's row memo meets each
-once. No generation code builds a turn past the memo: only `markup`'s
-parser and those three call a turn's constructor.
+pool worker sends each distinct turn it makes once, and its dialogs as
+positions in the turns it has sent; the parent keeps one object per turn
+value across its workers (see `run_batch`). In serial and pooled batches
+alike, `markup.serialize_corpus` writes each turn's line body once, and
+the export's row memo meets each once. No generation code builds a turn
+past the memo: only `markup`'s parser and those three call a turn's
+constructor.
 """
 from __future__ import annotations
 
@@ -407,15 +410,39 @@ def generate_one(ctx: BatchContext, i: int) -> tuple[Dialog, dict[str, int]]:
 # dialogs per task sent to a pool worker
 CHUNK = 256
 _WORKER_CTX: BatchContext | None = None
+# the turns this worker has sent the parent, in order, and the position of
+# each by its id. The list keeps every sent turn alive, so no id in a live
+# key is reused
+_SENT: list[Turn] = []
+_SENT_AT: dict[int, int] = {}
+
+# a pool task's dialog: the positions of its turns in its worker's sent
+# turns, its metadata and its stats
+Row = tuple[list[int], dict[str, str], dict[str, int]]
 
 
 def _init_worker(ctx: BatchContext) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
+    global _WORKER_CTX, _SENT, _SENT_AT
+    _WORKER_CTX, _SENT, _SENT_AT = ctx, [], {}
 
 
-def _worker_generate(i: int) -> tuple[Dialog, dict[str, int]]:
-    return generate_one(_WORKER_CTX, i)
+def _generate_range(indices: range) -> tuple[int, list[Turn], list[Row]]:
+    """A pool task: the dialogs at `indices` as this worker's token (its
+    pid), the turns it had not sent before, in first-use order, and one
+    row per dialog."""
+    sent, sent_at = _SENT, _SENT_AT
+    start = len(sent)
+    rows = []
+    for i in indices:
+        dialog, stats = generate_one(_WORKER_CTX, i)
+        positions = []
+        for turn in dialog.turns:
+            at = sent_at.setdefault(id(turn), len(sent))
+            if at == len(sent):
+                sent.append(turn)
+            positions.append(at)
+        rows.append((positions, dialog.metadata, stats))
+    return os.getpid(), sent[start:], rows
 
 
 def run_batch(
@@ -425,20 +452,50 @@ def run_batch(
     model: MarkovGoalModel | None = None,
 ) -> BatchResult:
     """Generate config.n_dialogs dialogs. Output is a pure function of
-    (bundle, seeds, config): the worker count never changes the corpus."""
+    (bundle, seeds, config): the worker count never changes the corpus.
+
+    A pool task generates a range of `CHUNK` dialogs and sends each turn
+    its worker has not sent before once, with each dialog as the positions
+    of its turns in that worker's sent turns. `pool.map` yields the results
+    in submission order, and each worker takes its tasks in that order, so
+    a dialog only ever points at turns the parent has already received.
+    The parent keeps one list per worker and puts in it the batch's one
+    object for each new turn's value, so a pool batch holds one object per
+    distinct turn, as a serial one does."""
     ctx = prepare_batch(bundle, seeds, config, model)
-    # a worker beyond the chunks of work or the CPUs would sit idle, yet be forked
-    chunks = -(-config.n_dialogs // CHUNK)
-    workers = min(config.workers, chunks, os.cpu_count() or 1)
+    n = config.n_dialogs
+    tasks = [range(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
+    # a worker beyond the tasks or the CPUs would sit idle, yet be forked
+    workers = min(config.workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        index = ctx.index
+        tables: dict[int, list[Turn]] = {}
+        # the parent's user turns by (text, spans, act ids); calls and nlg
+        # lines go through the index's memo
+        users: dict[tuple, UserUtterance] = {}
+        results = []
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(ctx,)
         ) as pool:
-            results = list(pool.map(_worker_generate, range(config.n_dialogs), chunksize=CHUNK))
+            for token, new, rows in pool.map(_generate_range, tasks):
+                table = tables.setdefault(token, [])
+                for turn in new:
+                    kind = type(turn)
+                    if kind is UserUtterance:
+                        key = (turn.text, turn.spans, tuple([id(a) for a in turn.acts]))
+                        turn = users.setdefault(key, turn)
+                    elif kind is ApiCall:
+                        turn = index.call_turn(turn.api, turn.bindings, turn.return_var)
+                    else:
+                        turn = index.nlg_turn(turn.text, turn.acts)
+                    table.append(turn)
+                for positions, metadata, dialog_stats in rows:
+                    results.append((Dialog([table[p] for p in positions], metadata), dialog_stats))
     else:
-        results = [generate_one(ctx, i) for i in range(config.n_dialogs)]
-    # the per-dialog records stay plain dicts: they cross the process pool,
-    # and unpickling a Counter per dialog costs a Python-level __init__
+        results = [generate_one(ctx, i) for i in range(n)]
+    # the per-dialog stats stay plain dicts: they cross the process pool in
+    # each row, and unpickling a Counter per dialog costs a Python-level
+    # __init__
     stats = Counter(dict.fromkeys(RUN_STATS, 0))
     for dialog, dialog_stats in results:
         stats[dialog.metadata["sampler"]] += 1

@@ -5,10 +5,11 @@ into the same training data. Tokenization is whitespace splitting with
 leading/trailing punctuation detached into separate tokens.
 
 `export_training` works out what a turn gives its examples once per call
-and turn object (`parse_corpus` hands every occurrence of a line one turn):
-its context line and that line's JSON, its example's input, labels and
-their JSON, and its AP label. Examples of one turn share its token and tag
-tuples and its AF labels dict, which nothing writes. Every example of a
+and turn object (`parse_corpus` hands every occurrence of a line one turn,
+and a `run_batch` batch, serial or pooled, holds one object per distinct
+turn): its context line and that line's JSON, its example's input, labels
+and their JSON, and its AP label. Examples of one turn share its token and
+tag tuples and its AF labels dict, which nothing writes. Every example of a
 dialog shares one context, the dialog's turn lines and their JSON joined,
 so an example holds only its turn number `k` and sees the first `k` lines.
 `TrainingExample.to_json` writes one JSONL line as `json.dumps` with its
@@ -135,18 +136,14 @@ def spans_from_tags(text: str, tokens: Strings, tags: Strings) -> list[tuple[int
     return out
 
 
-def _row(p: Turn, index: TemplateIndex, ner: dict) -> tuple:
+def _row(p: Turn, index: TemplateIndex) -> tuple:
     """(p, its context line, the line's JSON, its NER or AF example's fields
-    but `shared` and `k`, its AP label, the label's JSON). Equal user turns
-    share one NER example's fields through `ner`, keyed by (text, spans)."""
+    but `shared` and `k`, its AP label, the label's JSON)."""
     if isinstance(p, UserUtterance):
         line, name = f"U: {p.text}", None
-        key = (p.text, tuple(p.spans))
-        example = ner.get(key)
-        if example is None:
-            tokens, tags = iob_tags(*key)
-            io_json = f'"input": {_json(tokens)}, "labels": {_json(tags)}'
-            example = ner[key] = ("ner", tokens, tags, io_json)
+        tokens, tags = iob_tags(p.text, p.spans)
+        io_json = f'"input": {_json(tokens)}, "labels": {_json(tags)}'
+        example = ("ner", tokens, tags, io_json)
     elif isinstance(p, ApiCall):
         line, name = f"S: call: {p}", p.api
         labels = {a: v.var for a, v in p.bindings.items() if v.var is not None}
@@ -173,7 +170,6 @@ def export_training(
     # its turn, so no id in a live key is reused, even when `corpus` is a
     # generator that drops each dialog after use.
     rows: dict[int, tuple] = {}
-    ner: dict[tuple, tuple] = {}
     for dialog in corpus:
         shared = _Context([], "", [])
         lines, encoded = shared.lines, []
@@ -181,7 +177,7 @@ def export_training(
         for k, p in enumerate(dialog.turns):
             row = rows.get(id(p))
             if row is None:
-                row = rows[id(p)] = _row(p, index, ner)
+                row = rows[id(p)] = _row(p, index)
             _, line, line_json, example, name, name_json = row
             if example is not None:
                 examples[example[0]].append(TrainingExample(*example, shared, k))

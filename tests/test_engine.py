@@ -222,9 +222,10 @@ def test_parallel_matches_serial(demo_bundle, demo_seeds):
     # three chunks of work, so a 2-CPU host runs a real 2-process pool
     serial = GenerationConfig(n_dialogs=3 * engine.CHUNK, rng_seed=4, workers=1)
     parallel = GenerationConfig(n_dialogs=3 * engine.CHUNK, rng_seed=4, workers=2)
-    a = serialize_corpus(run_batch(demo_bundle, demo_seeds, serial).dialogs)
-    b = serialize_corpus(run_batch(demo_bundle, demo_seeds, parallel).dialogs)
-    assert a == b
+    a = run_batch(demo_bundle, demo_seeds, serial)
+    b = run_batch(demo_bundle, demo_seeds, parallel)
+    assert serialize_corpus(a.dialogs) == serialize_corpus(b.dialogs)
+    assert a.stats == b.stats
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -252,16 +253,23 @@ def test_a_batch_holds_one_instance_per_act_and_ref_value(demo_bundle, demo_seed
     assert pickle.loads(pickle.dumps(valref)) is valref
 
 
+_MIXES = {"selfplay": {"golden": 0.4, "markov": 0.6}, "replay": {"base": 1.0},
+           "mixed": {"base": 1.0, "golden": 1.0, "markov": 1.0}}
+
+
 @pytest.mark.parametrize(
-    "mix",
-    [{"golden": 0.4, "markov": 0.6}, {"base": 1.0}, {"base": 1.0, "golden": 1.0, "markov": 1.0}],
-    ids=["selfplay", "replay", "mixed"],
+    "mix, workers",
+    [pytest.param(mix, workers, id=name if workers == 1 else f"{name}-workers-2")
+     for workers in (1, 2) for name, mix in _MIXES.items()],
 )
-def test_a_batch_holds_one_object_per_distinct_turn(demo_bundle, demo_seeds, mix):
+def test_a_batch_holds_one_object_per_distinct_turn(demo_bundle, demo_seeds, mix, workers):
     """Turns are shared where they are made: a batch holds one object per
     distinct (type, line body, act ids), in self-play, in replay and across
-    the two."""
-    config = GenerationConfig(n_dialogs=300, sampler_mix=mix, rng_seed=1)
+    the two. A pool batch holds as many as a serial one: the parent keeps
+    one object per turn value across its workers' chunks."""
+    # two chunks of work, so a 2-CPU host runs a real 2-process pool
+    n = 2 * engine.CHUNK
+    config = GenerationConfig(n_dialogs=n, sampler_mix=mix, rng_seed=1, workers=workers)
     turns = [t for d in run_batch(demo_bundle, demo_seeds, config).dialogs for t in d.turns]
     objects = {id(t): t for t in turns}
     values = {
@@ -271,6 +279,10 @@ def test_a_batch_holds_one_object_per_distinct_turn(demo_bundle, demo_seeds, mix
     }
     assert len(objects) == len(values)
     assert len(objects) < len(turns) / 3
+    serial = GenerationConfig(n_dialogs=n, sampler_mix=mix, rng_seed=1)
+    serial_turns = {id(t) for d in run_batch(demo_bundle, demo_seeds, serial).dialogs
+                    for t in d.turns}
+    assert len(objects) == len(serial_turns)
 
 
 def test_the_turn_memo_keys_every_field(demo_bundle):
@@ -306,12 +318,29 @@ def test_the_turn_memo_keys_every_field(demo_bundle):
         (1, 600, 8, None),
     ],
 )
-def test_pool_is_sized_by_the_work(demo_bundle, demo_seeds, monkeypatch, workers, n, cpus,
-                                   expected):
+def test_pool_is_sized_by_the_work(demo_bundle, demo_seeds, monkeypatch, _worker_state, workers,
+                                   n, cpus, expected):
     """The pool asks for min(workers, chunks, CPUs) processes; an in-process
     fake stands in for it, so no process starts."""
     sizes = []
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", _fake_pool(sizes, []))
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+    config = GenerationConfig(n_dialogs=n, sampler_mix={"base": 1.0}, workers=workers)
+    assert len(run_batch(demo_bundle, demo_seeds, config).dialogs) == n
+    assert sizes == ([] if expected is None else [expected])
 
+
+@pytest.fixture
+def _worker_state(monkeypatch):
+    """Puts back the worker globals that an in-process fake pool sets."""
+    for name in ("_WORKER_CTX", "_SENT", "_SENT_AT"):
+        monkeypatch.setattr(engine, name, getattr(engine, name))
+
+
+def _fake_pool(sizes: list[int], results: list[tuple]):
+    """An in-process stand-in for `ProcessPoolExecutor`: one worker, this
+    process, that runs each task in order. It records the pool size asked
+    for in `sizes` and each task's result in `results`."""
     class FakePool:
         def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
@@ -323,15 +352,41 @@ def test_pool_is_sized_by_the_work(demo_bundle, demo_seeds, monkeypatch, workers
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize):
-            return map(fn, items)
+        def map(self, fn, items):
+            for item in items:
+                results.append(fn(item))
+                yield results[-1]
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(engine, "_WORKER_CTX", None)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
-    config = GenerationConfig(n_dialogs=n, sampler_mix={"base": 1.0}, workers=workers)
-    assert len(run_batch(demo_bundle, demo_seeds, config).dialogs) == n
-    assert sizes == ([] if expected is None else [expected])
+    return FakePool
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_each_worker_sends_each_turn_once(demo_bundle, demo_seeds, monkeypatch, _worker_state,
+                                          chunk):
+    """A pool task sends only the turns its worker has not sent before, and
+    its rows point into every one of them; a second batch in the same
+    process starts from an empty sent-table. The in-process fake pool runs
+    every task in one worker, so that worker's distinct turns are a serial
+    batch's."""
+    mix = {"base": 1.0, "golden": 1.0, "markov": 1.0}
+    serial = run_batch(demo_bundle, demo_seeds,
+                       GenerationConfig(n_dialogs=60, sampler_mix=mix, rng_seed=3))
+    distinct = len({id(t) for d in serial.dialogs for t in d.turns})
+    monkeypatch.setattr(engine, "CHUNK", chunk)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    config = GenerationConfig(n_dialogs=60, sampler_mix=mix, rng_seed=3, workers=2)
+    for _ in range(2):
+        results = []
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", _fake_pool([], results))
+        pooled = run_batch(demo_bundle, demo_seeds, config)
+        assert len(results) == -(-60 // chunk)
+        assert {token for token, _, _ in results} == {os.getpid()}
+        sent = [t for _, new, _ in results for t in new]
+        assert len(sent) == len({id(t) for t in sent}) == distinct
+        positions = {p for _, _, rows in results for row in rows for p in row[0]}
+        assert positions == set(range(distinct))
+        assert serialize_corpus(pooled.dialogs) == serialize_corpus(serial.dialogs)
+        assert pooled.stats == serial.stats
 
 
 def test_truncation_flagged_not_dropped(demo_bundle, demo_seeds):
