@@ -297,8 +297,8 @@ def replay_plan(seed: Dialog, bundle: SchemaBundle, index: TemplateIndex) -> tup
         elif (resp := index.response(p.acts)) is None:
             steps.append(index.nlg_turn(p.text, p.acts))
         elif not resp.args:
-            steps.append(tuple([index.nlg_turn(response_text(resp, t, {}), p.acts)
-                                for t in resp.templates]))
+            steps.append(tuple([index.nlg_turn(response_text(resp, k, {}), p.acts)
+                                for k in range(len(resp.split))]))
         else:
             names = tuple([a.name for a in resp.args])
             sources = tuple([(bundle.catalog(a.entity_type), a.name) for a in resp.args])

@@ -10,7 +10,7 @@ from random import Random
 
 from .acts import END
 from .markup import ApiCall, Dialog, EntitySpan, UserUtterance
-from .schema import BUILTIN, Diagnostic, SchemaBundle, read_json
+from .schema import BUILTIN, ApiDef, Diagnostic, SchemaBundle, read_json
 
 log = logging.getLogger(__name__)
 
@@ -166,9 +166,17 @@ def extract_goals(seeds: list[Dialog], bundle: SchemaBundle) -> list[UserGoal]:
     return goals
 
 
+def may_share(bundle: SchemaBundle, type_name: str, source: str | None, api: ApiDef) -> bool:
+    """The cross-domain rule: a value of type `type_name` may fill an arg
+    of `api` if the user gave it (`source` None), if an API of `api`'s own
+    domain returned it (`source` is that domain), or if its type is builtin."""
+    et = bundle.entity_type(type_name)
+    return source in (None, api.domain) or (et is not None and et.kind == BUILTIN)
+
+
 def validate_goal(goal: UserGoal, bundle: SchemaBundle) -> list[Diagnostic]:
     """Empty iff required args are bound, ReturnRefs point backward at a
-    type-matching return, and cross-domain sharing uses builtin types only."""
+    type-matching return, and every return shared obeys `may_share`."""
     diags = []
 
     def err(loc, msg):
@@ -204,14 +212,12 @@ def validate_goal(goal: UserGoal, bundle: SchemaBundle) -> list[Diagnostic]:
                         f"arg {arg_name!r} takes {spec.entity_type} but intent "
                         f"{binding.intent_index} returns {source.return_type}",
                     )
-                elif source.domain != api.domain:
-                    et = bundle.entity_type(spec.entity_type)
-                    if et is None or et.kind != BUILTIN:
-                        err(
-                            loc,
-                            f"cross-domain sharing of non-builtin type "
-                            f"{spec.entity_type!r} (from {source.domain} to {api.domain})",
-                        )
+                elif not may_share(bundle, spec.entity_type, source.domain, api):
+                    err(
+                        loc,
+                        f"cross-domain sharing of non-builtin type "
+                        f"{spec.entity_type!r} (from {source.domain} to {api.domain})",
+                    )
             else:
                 if binding.entity_type != spec.entity_type:
                     err(

@@ -14,12 +14,12 @@ makes its draws, then looks the turn up by its act ids, values, var ids
 and template choices, and fills it only on a miss. `engine` gets its call
 and nlg lines from `TemplateIndex.call_turn` and `nlg_turn`.
 
-Every user template, from the schema or delexicalized from a seed turn,
-passes `schema.utterance_problems`: its slots, in text order, are the names
-NLG fills in act order. `TemplateIndex.user_plan` splits each template and
-checks its slots once, when it builds the plan of an act list. So every act
-of a user turn is filled by one path, and the spans come out in text order,
-which is act order.
+`schema.split_template` alone splits templates into literals and slots: a
+response definition splits its own when it is made, `TemplateIndex.user_plan`
+a user act list's once, when it builds its plan. Every user template, from
+the schema or delexicalized from a seed turn, passes `utterance_problems`:
+its slots, in text order, are the names NLG fills in act order, so the
+spans of a user turn come out in act order.
 
 A response template's args are filled one of three ways:
 `sample_response_args` draws each from a catalog (API announcements), a
@@ -31,7 +31,6 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 from random import Random
 from typing import NamedTuple
 
@@ -48,10 +47,10 @@ from .markup import (
     VarAllocator,
 )
 from .schema import (
-    SLOT_RE,
     ResponseTemplateDef,
     SchemaBundle,
     UtteranceTemplateDef,
+    split_template,
     utterance_problems,
 )
 
@@ -184,7 +183,7 @@ def build_template_index(bundle: SchemaBundle, seeds: list[Dialog]) -> TemplateI
             if isinstance(turn, UserUtterance):
                 defn = delexicalize_turn(turn)
                 problems = utterance_problems(defn)
-                if len(SLOT_RE.findall(defn.template)) != len(turn.spans):
+                if len(split_template(defn.template)[1]) != len(turn.spans):
                     problems.append("its text holds a {slot} outside its spans")
                 if problems:
                     name = seed.metadata.get("id", str(i))
@@ -193,21 +192,13 @@ def build_template_index(bundle: SchemaBundle, seeds: list[Dialog]) -> TemplateI
     return index
 
 
-@lru_cache(maxsize=4096)
-def _split(template: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """A template's literal pieces and its slot names, both in text order;
-    there is one more piece than there are slots."""
-    pieces = SLOT_RE.split(template)
-    return tuple(pieces[::2]), tuple(pieces[1::2])
-
-
 def _piece(templates: list[str], draws: bool, types: tuple[str, ...]) -> _Piece:
     """A piece of `templates`, each split once; their slots must be
     `slot_names_for(types)` in text order."""
     slots = slot_names_for(types)
     split = []
     for template in templates:
-        literals, names = _split(template)
+        literals, names = split_template(template)
         if list(names) != slots:
             raise RealizationError(f"template {template!r} does not have the slots {slots}")
         split.append(literals)
@@ -300,13 +291,13 @@ def _fill_user(
 def realize_response(
     defn: ResponseTemplateDef, arg_values: dict[str, str], rng: Random
 ) -> str:
-    """Uniformly sampled template string with `{arg}` slots filled."""
-    return response_text(defn, defn.templates[rng.randrange(len(defn.templates))], arg_values)
+    """Uniformly sampled template of `defn`, with its `{arg}` slots filled."""
+    return response_text(defn, rng.randrange(len(defn.templates)), arg_values)
 
 
-def response_text(defn: ResponseTemplateDef, template: str, arg_values: dict[str, str]) -> str:
-    """`template`, one of `defn`'s, with its `{arg}` slots filled."""
-    literals, names = _split(template)
+def response_text(defn: ResponseTemplateDef, k: int, arg_values: dict[str, str]) -> str:
+    """`defn`'s template `k`, its `{arg}` slots filled from its split parts."""
+    literals, names = defn.split[k]
     parts = [literals[0]]
     for name, literal in zip(names, literals[1:]):
         if name not in arg_values:

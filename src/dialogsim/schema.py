@@ -39,9 +39,18 @@ BUILTIN_CATALOGS: dict[str, tuple[str, ...]] = {
 
 
 # entity type names and template slot names: a letter, then letters or
-# digits; var ids in the markup are a type name plus a counter
+# digits; var ids in the markup are a type name plus a counter. Only
+# `split_template` reads a template's slots with it
 NAME = r"[A-Za-z][A-Za-z0-9]*"
 SLOT_RE = re.compile(r"\{(%s)\}" % NAME)
+Split = tuple[tuple[str, ...], tuple[str, ...]]  # a template's literal parts, slot names
+
+
+def split_template(text: str) -> Split:
+    """The literal parts and slot names of template `text`, in text order:
+    one more literal than there are slots."""
+    parts = SLOT_RE.split(text)
+    return tuple(parts[::2]), tuple(parts[1::2])
 
 
 class SchemaError(ValueError):
@@ -100,6 +109,11 @@ class ResponseTemplateDef:
     args: tuple[ArgSpec, ...]
     acts: tuple[DialogAct, ...]
     templates: tuple[str, ...]
+    # each template's parts, split once: the validator checks what `nlg` fills
+    split: tuple[Split, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "split", tuple(map(split_template, self.templates)))
 
 
 @dataclass(frozen=True)
@@ -120,20 +134,14 @@ class DomainSchema:
 @dataclass
 class SchemaBundle:
     domains: list[DomainSchema]
-    _types: dict[str, EntityType] = field(default_factory=dict, compare=False, repr=False)
-    _apis: dict[str, ApiDef] = field(default_factory=dict, compare=False, repr=False)
-    _responses: dict[str, ResponseTemplateDef] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    _prefixes: dict[str, EntityType] = field(default_factory=dict, compare=False, repr=False)
+    # lookups derived from `domains`, built once, when the bundle is made
+    _types: dict[str, EntityType] = field(init=False, repr=False, compare=False)
+    _apis: dict[str, ApiDef] = field(init=False, repr=False, compare=False)
+    _responses: dict[str, ResponseTemplateDef] = field(init=False, repr=False, compare=False)
+    _prefixes: dict[str, EntityType] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._reindex()
-
-    def _reindex(self) -> None:
-        self._types = {}
-        self._apis = {}
-        self._responses = {}
+        self._types, self._apis, self._responses = {}, {}, {}
         extensions: dict[str, list[str]] = {name: [] for name in BUILTIN_CATALOGS}
         for dom in self.domains:
             for et in dom.entity_types:
@@ -354,8 +362,8 @@ def _breaks(text: str) -> bool:
     return "".join(text.splitlines()) != text
 
 
-def _stray_brace(template: str) -> list[str]:
-    stray = SLOT_RE.sub("", template)
+def _stray_brace(template: str, literals: tuple[str, ...]) -> list[str]:
+    stray = "".join(literals)
     if "{" in stray or "}" in stray:
         return [f"brace outside a {{slot}} in {template!r} (a slot name is a letter, "
                 "then letters or digits)"]
@@ -370,11 +378,11 @@ def utterance_problems(ut: UtteranceTemplateDef) -> list[str]:
     problems = []
     if "[" in ut.template or "]" in ut.template or _breaks(ut.template):
         problems.append("template contains '[', ']' or a line break")
-    problems += _stray_brace(ut.template)
+    literals, slots = split_template(ut.template)
+    problems += _stray_brace(ut.template, literals)
     wanted = slot_names_for([a.entity for a in value_bearing(ut.acts)])
-    slots = SLOT_RE.findall(ut.template)
-    if slots != wanted:
-        problems.append(f"slots {slots} are not {wanted}, the slots its entity informs fill "
+    if list(slots) != wanted:
+        problems.append(f"slots {list(slots)} are not {wanted}, the slots its entity informs fill "
                         "in text order")
     return problems
 
@@ -448,12 +456,12 @@ def validate_schema(bundle: SchemaBundle) -> list[Diagnostic]:
                 # its nlg lines would carry no acts for metrics and export to read
                 err(loc, "response template declares no acts")
             arg_names = {a.name for a in resp.args}
-            for t in resp.templates:
+            for t, (literals, slots) in zip(resp.templates, resp.split):
                 if _breaks(t):
                     err(loc, f"template {t!r} contains a line break")
-                for problem in _stray_brace(t):
+                for problem in _stray_brace(t, literals):
                     err(loc, problem)
-                for slot in SLOT_RE.findall(t):
+                for slot in slots:
                     if slot not in arg_names:
                         err(loc, f"template slot {{{slot}}} names no arg of this definition")
 

@@ -9,7 +9,9 @@ and makes proactive offers sampled from the fitted goal-transition model.
 The dialog context is two maps keyed by entity type, updated as each var
 is made: `latest` (newest var and surface, a user span or a return) fills
 offers, and `returns` (newest return var) fills return-valued args. No var
-id is reused in a dialog, so the newest var is the one made last.
+id is reused in a dialog, so the newest var is the one made last. Each
+return var's domain is kept too, and neither fill crosses a domain that
+`goals.may_share` forbids: such an arg is left to the user instead.
 
 Each turn yields a SystemTurnOutput, which the engine renders and the user
 policy reads as its view of the turn; the protocol types live here. The
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .acts import END, SYSTEM, DialogAct, make_act
-from .goals import MarkovGoalModel, weighted_choice
+from .goals import MarkovGoalModel, may_share, weighted_choice
 from .markup import EntitySpan, VarAllocator
 from .nlg import sample_response_args
 from .schema import ApiDef, ResponseTemplateDef, SchemaBundle
@@ -79,6 +81,7 @@ class SystemState:
     # entity type -> newest (var, surface) of any origin; surface None if opaque
     latest: dict[str, tuple[str, str | None]] = field(default_factory=dict)
     returns: dict[str, str] = field(default_factory=dict)  # entity type -> newest return var
+    domains: dict[str, str] = field(default_factory=dict)  # return var -> its API's domain
     denied_offers: set = field(default_factory=set)
     pending_offer: ApiView | None = None
     awaiting_confirm: Frame | None = None
@@ -150,6 +153,7 @@ def simulate_api_call(
     surface = bundle.draw(api.return_type, rng)
     state.latest[api.return_type] = (var, surface)
     state.returns[api.return_type] = var
+    state.domains[var] = api.domain
     frame.status = CALLED_OK
     return True, var
 
@@ -168,20 +172,21 @@ def propose_offer(
 ) -> tuple[ApiView, SystemNlg] | None:
     """Offer the next API drawn from the transition row of the API just
     fulfilled (END mass dropped, previously denied offers excluded), with
-    args pre-filled from the newest context var of each arg's type."""
+    args pre-filled from the newest context var of each arg's type that
+    `may_share` lets fill it."""
     row = state.offer_model.transition.get(last_api, {})
     candidates = {
         api: p for api, p in row.items() if api != END and api not in state.denied_offers and p > 0
     }
     if not candidates:
         return None
-    api_name = weighted_choice(rng, candidates)
+    api = bundle.api(weighted_choice(rng, candidates))
     args = []
-    for spec in bundle.api(api_name).args:
-        if spec.entity_type in state.latest:
-            var, surface = state.latest[spec.entity_type]
+    for spec in api.args:
+        var, surface = state.latest.get(spec.entity_type, (None, None))
+        if var is not None and may_share(bundle, spec.entity_type, state.domains.get(var), api):
             args.append(ArgView(spec.name, var, surface, spec.entity_type))
-    return _view_and_plan("offer", api_name, args)
+    return _view_and_plan("offer", api.name, args)
 
 
 def _announce(api: ApiDef, bundle: SchemaBundle, rng: Random) -> SystemNlg:
@@ -280,7 +285,7 @@ def next_system_turn(
             if spec.name in frame.args:
                 continue
             var = state.returns.get(spec.entity_type)
-            if var is not None:
+            if var is not None and may_share(bundle, spec.entity_type, state.domains[var], api):
                 frame.args[spec.name] = ArgView(spec.name, var, None, spec.entity_type)
         missing = [s for s in api.args if s.required and s.name not in frame.args]
         if missing:

@@ -886,7 +886,6 @@ CACHES = {
     ("export", "tokenize"),
     ("markup", "lit"),
     ("markup", "ref"),
-    ("nlg", "_split"),
 }
 
 

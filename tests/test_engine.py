@@ -57,6 +57,7 @@ from dialogsim.nlg import (
     realize_user,
     sample_response_args,
 )
+from dialogsim.schema import BUILTIN
 from dialogsim.user_agent import UserTurnOutput
 
 
@@ -689,6 +690,36 @@ S-8: call: BookTable(when=$time0,place=$restaurant0) -> restaurant1
 S-9: nlg: Booked.
 """
 
+# BookTable takes its movie from the user, while a Movies API returns one:
+# neither an offer nor a call may bind that return in the Dining domain
+TWO_DOMAIN_USER_MOVIE_SEED = """\
+U-1: Pick a movie
+S-2: call: PickMovie() -> movieName0
+S-3: nlg: Here.
+U-4: And a time
+S-5: call: PickTime() -> time0
+S-6: nlg: Here.
+U-7: Book a table at [Nopa|restaurant0] after [Tenet|movieName1]
+S-8: call: BookTable(movie=$movieName1,when=$time0,place=$restaurant0) -> restaurant1
+S-9: nlg: Booked.
+"""
+
+
+def _cross_domain_bindings(bundle, dialog):
+    """Each `api.arg=$var` of `dialog` whose var is a non-builtin value
+    that an API of another domain returned."""
+    returned_in = {}
+    found = []
+    for call in (t for t in dialog.turns if isinstance(t, ApiCall)):
+        api = bundle.api(call.api)
+        for arg, value in call.bindings.items():
+            domain = returned_in.get(value.var, api.domain)
+            builtin = bundle.entity_type(api.arg(arg).entity_type).kind == BUILTIN
+            if domain != api.domain and not builtin:
+                found.append(f"{call.api}.{arg}={value}")
+        returned_in[call.return_var] = api.domain
+    return found
+
 
 def test_user_entity_acts_always_name_their_role(
     flow_bundle, flow_seed, chain_bundle, two_domain_bundle
@@ -696,13 +727,15 @@ def test_user_entity_acts_always_name_their_role(
     """Whatever the policy knobs, self-play completes, and every user entity
     act carries the api and arg it refers to, an api the user has already
     named or affirmed: the system routes informs and denies by that role to
-    the api's frame, and never makes a frame for one."""
+    the api's frame, and never makes a frame for one. No call binds a
+    non-builtin value that another domain's API returned."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     cases = [
         (flow_bundle, [flow_seed]),
         (chain_bundle, parse_corpus(CHAIN_SEED, chain_bundle)),
         (two_domain_bundle, parse_corpus(TWO_DOMAIN_SEED, two_domain_bundle)),
+        (two_domain_bundle, parse_corpus(TWO_DOMAIN_USER_MOVIE_SEED, two_domain_bundle)),
     ]
     probability = st.sampled_from([0.0, 0.15, 0.5, 1.0]) | st.floats(0, 1)
 
@@ -724,6 +757,7 @@ def test_user_entity_acts_always_name_their_role(
                         named.add(act.intent)
                     elif act.entity is not None:
                         assert act.api in named and act.arg is not None, act
+                assert _cross_domain_bindings(bundle, dialog) == []
 
     check()
 
@@ -779,6 +813,30 @@ def _seeded_cases(demo_bundle, demo_seeds, flow_bundle, flow_seed, catalog_retur
         # prefix, so one counter numbers both
         ("two-domain", two_domain_bundle, parse_corpus(TWO_DOMAIN_SEED, two_domain_bundle)),
     ]
+
+
+@pytest.mark.parametrize("stress", [False, True], ids=["default", "stress"])
+def test_generated_corpora_are_valid_seeds(
+    demo_bundle, demo_seeds, flow_bundle, flow_seed, catalog_return_bundle,
+    catalog_return_seeds, chain_bundle, two_domain_bundle, stress,
+):
+    """Closure: a generated corpus, written out and read back, is itself a
+    seed set that `prepare_batch` accepts, under the default policy and
+    under many corrections, failures, offers and multi-act turns."""
+    cases = _seeded_cases(demo_bundle, demo_seeds, flow_bundle, flow_seed,
+                          catalog_return_bundle, catalog_return_seeds, chain_bundle,
+                          two_domain_bundle)
+    cases.append(("two-domain user movie", two_domain_bundle,
+                  parse_corpus(TWO_DOMAIN_USER_MOVIE_SEED, two_domain_bundle)))
+    knobs = dict(p_correct=0.6, api_failure_rate=0.5, p_offer=1.0, multi_act_p=1.0)
+    config = GenerationConfig(n_dialogs=200, rng_seed=1, **(knobs if stress else {}),
+                              sampler_mix={"base": 1.0, "golden": 1.0, "markov": 1.0})
+    for name, bundle, seeds in cases:
+        text = serialize_corpus(run_batch(bundle, seeds, config).dialogs)
+        try:
+            prepare_batch(bundle, parse_corpus(text, bundle), config)
+        except (GenerationError, MarkupError) as err:
+            pytest.fail(f"{name}: {err}")
 
 
 def test_a_planned_replay_equals_the_replay_by_lookup(

@@ -1,9 +1,12 @@
+import ast
 import copy
 import json
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import dialogsim
 from dialogsim.engine import GenerationConfig, GenerationError, run_batch
 from dialogsim.export import export_training
 from dialogsim.markup import MarkupError, parse_corpus, serialize_corpus
@@ -16,11 +19,13 @@ from dialogsim.schema import (
     Diagnostic,
     DomainSchema,
     EntityType,
+    ResponseTemplateDef,
     SchemaBundle,
     SchemaError,
     loads_schema,
     read_input,
     serialize_schema,
+    split_template,
     validate_schema,
 )
 
@@ -297,6 +302,61 @@ def test_schema_document_the_loader_cannot_read(text, message):
 
 def test_schema_round_trip(demo_bundle):
     assert loads_schema(serialize_schema(demo_bundle)) == demo_bundle
+
+
+def test_a_response_definition_splits_its_templates_when_made(demo_bundle, two_domain_bundle):
+    """A response definition holds each template's `split_template` parts,
+    derived when it is made: not an init argument, and outside equality and
+    repr, so a bundle still round-trips."""
+    assert split_template("at {Time} or {Time2}!") == (("at ", " or ", "!"), ("Time", "Time2"))
+    assert split_template("{a b} {}") == (("{a b} {}",), ())
+    for bundle in (demo_bundle, two_domain_bundle):
+        responses = [r for dom in bundle.domains for r in dom.response_templates]
+        assert responses
+        for resp in responses:
+            assert resp.split == tuple(split_template(t) for t in resp.templates)
+            assert "split" not in repr(resp)
+        assert loads_schema(serialize_schema(bundle)) == bundle
+    made = ResponseTemplateDef("r", (), (), ("{x} y",))
+    assert made.split == ((("", " y"), ("x",)),)
+    with pytest.raises(TypeError):
+        ResponseTemplateDef("r", (), (), ("{x} y",), ((("x",), ()),))
+
+
+def _readers(tree: ast.Module, name: str) -> list[str | None]:
+    """The innermost function or class around each read or import of
+    `name` in `tree`; None at module level."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name
+            if (isinstance(child, ast.Name) and child.id == name
+                    and not isinstance(child.ctx, ast.Store)
+                    or isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.alias) and child.name == name):
+                yield owner
+            yield from walk(child, inner)
+    return list(walk(tree, None))
+
+
+def test_only_split_template_reads_the_slot_grammar():
+    """Every template is split by one function, so a template that
+    validates is the one that renders: in the package, `SLOT_RE` is read
+    only inside `schema.split_template`."""
+    found = []
+    for path in sorted(Path(dialogsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.stem, owner) for owner in _readers(tree, "SLOT_RE")]
+    assert found == [("schema", "split_template")]
+    tree = ast.parse(
+        "from .schema import SLOT_RE\n"
+        "R = SLOT_RE\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return schema.SLOT_RE.findall('')\n"
+    )
+    assert _readers(tree, "SLOT_RE") == [None, None, "m"]
 
 
 def test_validate_is_pure(demo_bundle):
