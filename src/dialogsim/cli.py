@@ -167,8 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mix", type=_parse_mix, help="sampler mix, e.g. golden=0.4,markov=0.6")
     p.add_argument("--seed", type=int, help="rng seed")
     p.add_argument("--workers", type=int,
-                   help="worker processes; the output never depends on it, and the pool "
-                        "is capped by the chunks of work and the CPUs")
+                   help="worker processes, this one included; the output never depends "
+                        "on it, and the count is capped by the chunks of work and the CPUs "
+                        "this process may use")
     p.add_argument("--model", help="pre-fitted goal model JSON (skips fitting)")
     p.set_defaults(func=cmd_generate)
 

@@ -18,14 +18,21 @@ A batch holds one object per distinct turn, shared where it is made, in
 self-play and replay alike: every turn comes from the batch's turn memo,
 which its `TemplateIndex` keeps. User turns come from `nlg.realize_user`,
 calls from `TemplateIndex.call_turn`, one per (api, bindings, return var),
-and nlg lines from `TemplateIndex.nlg_turn`, one per (text, act ids). So a
-pool worker sends each distinct turn it makes once, and its dialogs as
-positions in the turns it has sent; the parent keeps one object per turn
-value across its workers (see `run_batch`). In serial and pooled batches
-alike, `markup.serialize_corpus` writes each turn's line body once, and
-the export's row memo meets each once. No generation code builds a turn
-past the memo: only `markup`'s parser and those three call a turn's
-constructor.
+and nlg lines from `TemplateIndex.nlg_turn`, one per (text, act ids). In
+serial and pooled batches alike, `markup.serialize_corpus` writes each
+turn's line body once, and the export's row memo meets each once. No
+generation code builds a turn past the memo: only `markup`'s parser and
+those three call a turn's constructor.
+
+With `workers` > 1, this process is one of the batch's workers: it forks
+the others (`run_batch` gives the count), and they and it share the
+batch's chunks of `CHUNK` dialogs. Workers take chunks from the front of
+the queue, and this process takes them from the back, each by cancelling
+a chunk's future before a worker has claimed it. Its own dialogs hold its
+own turns. A worker sends each distinct turn it makes once, and its
+dialogs as positions in the turns it has sent; this process maps each
+turn it receives to the batch's one object for its value, its own turns
+included (see `run_batch`).
 """
 from __future__ import annotations
 
@@ -407,8 +414,9 @@ def generate_one(ctx: BatchContext, i: int) -> tuple[Dialog, dict[str, int]]:
     return _play_goal(goal, ctx.bundle, ctx.config, rng, ctx.index, ctx.model, metadata)
 
 
-# dialogs per task sent to a pool worker
-CHUNK = 256
+# dialogs per chunk of a pooled batch: small enough that this process and
+# its workers, which meet in the middle of the queue, end close together
+CHUNK = 64
 _WORKER_CTX: BatchContext | None = None
 # the turns this worker has sent the parent, in order, and the position of
 # each by its id. The list keeps every sent turn alive, so no id in a live
@@ -445,6 +453,66 @@ def _generate_range(indices: range) -> tuple[int, list[Turn], list[Row]]:
     return os.getpid(), sent[start:], rows
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; the machine's count where the
+    platform cannot tell, and 1 where neither is known."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_pool(
+    ctx: BatchContext, tasks: list[range], children: int
+) -> list[tuple[Dialog, dict[str, int]]]:
+    """Every dialog of `tasks`, in order, generated by this process and
+    `children` forked workers."""
+    pool = ProcessPoolExecutor(max_workers=children, initializer=_init_worker, initargs=(ctx,))
+    try:
+        futures = [pool.submit(_generate_range, task) for task in tasks]
+        # steal from the back until a worker has claimed the chunk; the
+        # stolen chunks are tasks[first:]
+        own: list[list[tuple[Dialog, dict[str, int]]]] = []
+        error: Exception | None = None
+        first = len(tasks)
+        while first and futures[first - 1].cancel():
+            first -= 1
+            try:
+                own.append([generate_one(ctx, i) for i in tasks[first]])
+            except Exception as e:  # a lower chunk's error replaces it, as in serial
+                error = e
+        index = ctx.index
+        # user turns by (text, spans, act ids), this process's own first;
+        # calls and nlg lines go through the index's memo
+        users = {(t.text, t.spans, tuple([id(a) for a in t.acts])): t
+                 for t in index._turns.values() if type(t) is UserUtterance}
+        tables: dict[int, list[Turn]] = {}
+        results = []
+        for future in futures[:first]:
+            # a worker's error is in a lower chunk than any stolen one
+            token, new, rows = future.result()
+            table = tables.setdefault(token, [])
+            for turn in new:
+                kind = type(turn)
+                if kind is UserUtterance:
+                    key = (turn.text, turn.spans, tuple([id(a) for a in turn.acts]))
+                    turn = users.setdefault(key, turn)
+                elif kind is ApiCall:
+                    turn = index.call_turn(turn.api, turn.bindings, turn.return_var)
+                else:
+                    turn = index.nlg_turn(turn.text, turn.acts)
+                table.append(turn)
+            for positions, metadata, dialog_stats in rows:
+                results.append((Dialog([table[p] for p in positions], metadata), dialog_stats))
+        if error is not None:
+            raise error
+        for part in reversed(own):
+            results += part
+        return results
+    finally:
+        # after a failure, no worker starts a chunk of a batch that is lost
+        pool.shutdown(cancel_futures=True)
+
+
 def run_batch(
     bundle: SchemaBundle,
     seeds: list[Dialog],
@@ -452,45 +520,29 @@ def run_batch(
     model: MarkovGoalModel | None = None,
 ) -> BatchResult:
     """Generate config.n_dialogs dialogs. Output is a pure function of
-    (bundle, seeds, config): the worker count never changes the corpus.
+    (bundle, seeds, config): the worker count never changes the corpus,
+    nor the error a failing batch raises, which is the lowest-index one.
 
-    A pool task generates a range of `CHUNK` dialogs and sends each turn
-    its worker has not sent before once, with each dialog as the positions
-    of its turns in that worker's sent turns. `pool.map` yields the results
-    in submission order, and each worker takes its tasks in that order, so
-    a dialog only ever points at turns the parent has already received.
-    The parent keeps one list per worker and puts in it the batch's one
-    object for each new turn's value, so a pool batch holds one object per
+    With `workers` k > 1, the batch is cut into chunks of `CHUNK` dialogs
+    and this process is one of min(k, chunks, usable CPUs) workers; it
+    forks the others. Every chunk is submitted in order, and the workers
+    take them from the front. This process walks the chunks from the back
+    and generates each one whose future it can still cancel, until it
+    meets one a worker has claimed. It then receives the workers' chunks
+    in order. A worker sends each turn it has not sent before once, with
+    each dialog as the positions of its turns in that worker's sent turns;
+    each worker takes its chunks in order, so a dialog only ever points at
+    turns this process has already received. This process keeps one list
+    per worker and puts in it the batch's one object for each new turn's
+    value, its own turns included, so a pooled batch holds one object per
     distinct turn, as a serial one does."""
     ctx = prepare_batch(bundle, seeds, config, model)
     n = config.n_dialogs
     tasks = [range(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
-    # a worker beyond the tasks or the CPUs would sit idle, yet be forked
-    workers = min(config.workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        index = ctx.index
-        tables: dict[int, list[Turn]] = {}
-        # the parent's user turns by (text, spans, act ids); calls and nlg
-        # lines go through the index's memo
-        users: dict[tuple, UserUtterance] = {}
-        results = []
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(ctx,)
-        ) as pool:
-            for token, new, rows in pool.map(_generate_range, tasks):
-                table = tables.setdefault(token, [])
-                for turn in new:
-                    kind = type(turn)
-                    if kind is UserUtterance:
-                        key = (turn.text, turn.spans, tuple([id(a) for a in turn.acts]))
-                        turn = users.setdefault(key, turn)
-                    elif kind is ApiCall:
-                        turn = index.call_turn(turn.api, turn.bindings, turn.return_var)
-                    else:
-                        turn = index.nlg_turn(turn.text, turn.acts)
-                    table.append(turn)
-                for positions, metadata, dialog_stats in rows:
-                    results.append((Dialog([table[p] for p in positions], metadata), dialog_stats))
+    # a worker beyond the chunks or the CPUs would sit idle, yet be forked
+    children = min(config.workers, len(tasks), _usable_cpus()) - 1
+    if children > 0:
+        results = _run_pool(ctx, tasks, children)
     else:
         results = [generate_one(ctx, i) for i in range(n)]
     # the per-dialog stats stay plain dicts: they cross the process pool in

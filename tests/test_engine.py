@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
 from random import Random
@@ -220,7 +222,8 @@ def test_different_seed_differs(demo_bundle, demo_seeds):
 
 
 def test_parallel_matches_serial(demo_bundle, demo_seeds):
-    # three chunks of work, so a 2-CPU host runs a real 2-process pool
+    # three chunks of work: with two usable CPUs, this process and one
+    # forked worker share them
     serial = GenerationConfig(n_dialogs=3 * engine.CHUNK, rng_seed=4, workers=1)
     parallel = GenerationConfig(n_dialogs=3 * engine.CHUNK, rng_seed=4, workers=2)
     a = run_batch(demo_bundle, demo_seeds, serial)
@@ -233,7 +236,8 @@ def test_parallel_matches_serial(demo_bundle, demo_seeds):
 def test_a_batch_holds_one_instance_per_act_and_ref_value(demo_bundle, demo_seeds, workers):
     """Acts and call-line refs are interned values, in the pool's parent too:
     unpickling rebuilds each one through `make_act`, `ref` or `lit`."""
-    # three chunks of work, so a 2-CPU host runs a real 2-process pool
+    # three chunks of work: with two usable CPUs, this process and one
+    # forked worker share them
     config = GenerationConfig(n_dialogs=3 * engine.CHUNK, rng_seed=4, workers=workers)
     instances: dict[tuple, set[int]] = {}
     for dialog in run_batch(demo_bundle, demo_seeds, config).dialogs:
@@ -267,9 +271,11 @@ def test_a_batch_holds_one_object_per_distinct_turn(demo_bundle, demo_seeds, mix
     """Turns are shared where they are made: a batch holds one object per
     distinct (type, line body, act ids), in self-play, in replay and across
     the two. A pool batch holds as many as a serial one: the parent keeps
-    one object per turn value across its workers' chunks."""
-    # two chunks of work, so a 2-CPU host runs a real 2-process pool
-    n = 2 * engine.CHUNK
+    one object per turn value across its workers' chunks and its own."""
+    # four chunks of work: with two usable CPUs, this process and one
+    # forked worker share them. Until its first result, the worker has
+    # claimed at most three chunks, so this process steals at least the last
+    n = 4 * engine.CHUNK
     config = GenerationConfig(n_dialogs=n, sampler_mix=mix, rng_seed=1, workers=workers)
     turns = [t for d in run_batch(demo_bundle, demo_seeds, config).dialogs for t in d.turns]
     objects = {id(t): t for t in turns}
@@ -315,20 +321,38 @@ def test_the_turn_memo_keys_every_field(demo_bundle):
         (8, 600, 8, 3),  # three chunks
         (8, 600, 2, 2),  # two CPUs
         (2, 1000, 2, 2),  # the benchmark's pool
+        (8, 600, 1, None),  # one usable CPU: serial
         (3, 600, None, None),  # CPU count unknown: serial
         (1, 600, 8, None),
     ],
 )
 def test_pool_is_sized_by_the_work(demo_bundle, demo_seeds, monkeypatch, _worker_state, workers,
                                    n, cpus, expected):
-    """The pool asks for min(workers, chunks, CPUs) processes; an in-process
-    fake stands in for it, so no process starts."""
+    """A batch runs in min(workers, chunks, usable CPUs) processes, this one
+    included, so the pool asks for one fewer; an in-process fake stands in
+    for it, so no process starts."""
     sizes = []
+    monkeypatch.setattr(engine, "CHUNK", 256)
     monkeypatch.setattr(engine, "ProcessPoolExecutor", _fake_pool(sizes, []))
+    if cpus is None:
+        monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
     config = GenerationConfig(n_dialogs=n, sampler_mix={"base": 1.0}, workers=workers)
     assert len(run_batch(demo_bundle, demo_seeds, config).dialogs) == n
-    assert sizes == ([] if expected is None else [expected])
+    assert sizes == ([] if expected is None else [expected - 1])
+
+
+def test_usable_cpus_are_the_affinity_mask_where_the_platform_has_one(monkeypatch):
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert engine._usable_cpus() == 1
+    monkeypatch.delattr(engine.os, "sched_getaffinity")
+    assert engine._usable_cpus() == 8
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
+    assert engine._usable_cpus() == 1
 
 
 @pytest.fixture
@@ -338,25 +362,35 @@ def _worker_state(monkeypatch):
         monkeypatch.setattr(engine, name, getattr(engine, name))
 
 
-def _fake_pool(sizes: list[int], results: list[tuple]):
+def _fake_pool(sizes: list[int], results: list[tuple], held: int = 0):
     """An in-process stand-in for `ProcessPoolExecutor`: one worker, this
-    process, that runs each task in order. It records the pool size asked
-    for in `sizes` and each task's result in `results`."""
+    process, that starts from a pickled copy of the initializer's arguments,
+    as a worker forked from the parent holds its own copy of the batch. The
+    futures of the first `held` tasks refuse `cancel()`: the worker runs
+    each of them when it is submitted, in order, and sends its result, or
+    its error, through pickle. The other futures stay pending until
+    cancelled. It records the pool size asked for in `sizes` and each
+    result the worker sent in `results`."""
     class FakePool:
         def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
-            initializer(*initargs)
+            initializer(*pickle.loads(pickle.dumps(initargs)))
+            self.submitted = 0
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, *args):
+            future = Future()
+            self.submitted += 1
+            if self.submitted <= held:
+                future.set_running_or_notify_cancel()
+                try:
+                    results.append(pickle.loads(pickle.dumps(fn(*args))))
+                    future.set_result(results[-1])
+                except Exception as e:
+                    future.set_exception(pickle.loads(pickle.dumps(e)))
+            return future
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            for item in items:
-                results.append(fn(item))
-                yield results[-1]
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
 
     return FakePool
 
@@ -366,21 +400,22 @@ def test_each_worker_sends_each_turn_once(demo_bundle, demo_seeds, monkeypatch, 
                                           chunk):
     """A pool task sends only the turns its worker has not sent before, and
     its rows point into every one of them; a second batch in the same
-    process starts from an empty sent-table. The in-process fake pool runs
-    every task in one worker, so that worker's distinct turns are a serial
-    batch's."""
+    process starts from an empty sent-table. The in-process fake pool's one
+    worker runs the chunks that cover the first half of the batch, so its
+    distinct turns are those of the same dialogs in a serial batch."""
     mix = {"base": 1.0, "golden": 1.0, "markov": 1.0}
     serial = run_batch(demo_bundle, demo_seeds,
                        GenerationConfig(n_dialogs=60, sampler_mix=mix, rng_seed=3))
-    distinct = len({id(t) for d in serial.dialogs for t in d.turns})
+    held = 30 // chunk
+    distinct = len({id(t) for d in serial.dialogs[:held * chunk] for t in d.turns})
     monkeypatch.setattr(engine, "CHUNK", chunk)
-    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     config = GenerationConfig(n_dialogs=60, sampler_mix=mix, rng_seed=3, workers=2)
     for _ in range(2):
         results = []
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", _fake_pool([], results))
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", _fake_pool([], results, held))
         pooled = run_batch(demo_bundle, demo_seeds, config)
-        assert len(results) == -(-60 // chunk)
+        assert len(results) == held
         assert {token for token, _, _ in results} == {os.getpid()}
         sent = [t for _, new, _ in results for t in new]
         assert len(sent) == len({id(t) for t in sent}) == distinct
@@ -388,6 +423,72 @@ def test_each_worker_sends_each_turn_once(demo_bundle, demo_seeds, monkeypatch, 
         assert positions == set(range(distinct))
         assert serialize_corpus(pooled.dialogs) == serialize_corpus(serial.dialogs)
         assert pooled.stats == serial.stats
+
+
+@pytest.mark.parametrize("held", [0, 1, 9], ids=["all-stolen", "one-worker-chunk", "none-stolen"])
+def test_stolen_and_worker_chunks_match_serial(demo_bundle, demo_seeds, monkeypatch,
+                                               _worker_state, held):
+    """Whichever chunks this process steals and whichever a worker runs,
+    the batch has serial's bytes, stats and number of turn objects: the
+    worker makes its own objects, and this process maps each one it
+    receives to the batch's object for its value, its own turns included."""
+    mix = {"base": 1.0, "golden": 1.0, "markov": 1.0}
+    serial = run_batch(demo_bundle, demo_seeds,
+                       GenerationConfig(n_dialogs=60, sampler_mix=mix, rng_seed=3))
+    monkeypatch.setattr(engine, "CHUNK", 7)  # nine chunks
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    results = []
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", _fake_pool([], results, held))
+    config = GenerationConfig(n_dialogs=60, sampler_mix=mix, rng_seed=3, workers=2)
+    pooled = run_batch(demo_bundle, demo_seeds, config)
+    assert len(results) == held
+    assert serialize_corpus(pooled.dialogs) == serialize_corpus(serial.dialogs)
+    assert pooled.stats == serial.stats
+    objects = {id(t) for d in pooled.dialogs for t in d.turns}
+    assert len(objects) == len({id(t) for d in serial.dialogs for t in d.turns})
+
+
+def _fail_at(monkeypatch, failing: set[int]) -> None:
+    """Makes `generate_one` raise at the dialog indices in `failing`; a
+    forked worker inherits the patch."""
+    real = engine.generate_one
+
+    def generate_one(ctx, i):
+        if i in failing:
+            raise GenerationError(f"dialog {i}")
+        return real(ctx, i)
+
+    monkeypatch.setattr(engine, "generate_one", generate_one)
+
+
+@pytest.mark.parametrize("held", [0, 2, 9])
+def test_a_failing_batch_raises_serials_error_whoever_ran_the_chunk(
+        demo_bundle, demo_seeds, monkeypatch, _worker_state, held):
+    """The lowest-index error is raised, as in serial, whether this process
+    or a worker met it: here in chunks 1 and 7 of nine, both stolen, one
+    each, or both a worker's."""
+    monkeypatch.setattr(engine, "CHUNK", 7)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _fail_at(monkeypatch, {9, 50})
+    for workers in (1, 2):
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", _fake_pool([], [], held))
+        config = GenerationConfig(n_dialogs=60, rng_seed=3, workers=workers)
+        with pytest.raises(GenerationError, match=r"^dialog 9$"):
+            run_batch(demo_bundle, demo_seeds, config)
+
+
+def test_a_failing_pool_raises_serials_error_and_leaves_no_process(demo_bundle, demo_seeds,
+                                                                   monkeypatch):
+    """A real pool: the errors fall in the last chunk, which this process
+    steals, and in the second, which a worker holds or this process steals;
+    either way serial's error is raised, and no worker outlives the batch."""
+    n = 4 * engine.CHUNK
+    _fail_at(monkeypatch, {engine.CHUNK + 5, n - 3})
+    for workers in (1, 2):
+        config = GenerationConfig(n_dialogs=n, rng_seed=3, workers=workers)
+        with pytest.raises(GenerationError, match=rf"^dialog {engine.CHUNK + 5}$"):
+            run_batch(demo_bundle, demo_seeds, config)
+        assert multiprocessing.active_children() == []
 
 
 def test_truncation_flagged_not_dropped(demo_bundle, demo_seeds):
