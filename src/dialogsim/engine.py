@@ -28,11 +28,11 @@ With `workers` > 1, this process is one of the batch's workers: it forks
 the others (`run_batch` gives the count), and they and it share the
 batch's chunks of `CHUNK` dialogs. Workers take chunks from the front of
 the queue, and this process takes them from the back, each by cancelling
-a chunk's future before a worker has claimed it. Its own dialogs hold its
-own turns. A worker sends each distinct turn it makes once, and its
-dialogs as positions in the turns it has sent; this process maps each
-turn it receives to the batch's one object for its value, its own turns
-included (see `run_batch`).
+a chunk's future before a worker has claimed it. A worker sends each
+distinct turn it makes once, and its dialogs as positions in the turns it
+has sent; this process maps each turn it receives through
+`TemplateIndex.share` to the batch's one object for its value, whichever
+process made that value first (see `run_batch`).
 """
 from __future__ import annotations
 
@@ -40,6 +40,7 @@ import hashlib
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from random import Random
 from typing import NamedTuple
@@ -465,7 +466,9 @@ def _run_pool(
     ctx: BatchContext, tasks: list[range], children: int
 ) -> list[tuple[Dialog, dict[str, int]]]:
     """Every dialog of `tasks`, in order, generated by this process and
-    `children` forked workers."""
+    `children` forked workers. Each turn a worker sends is mapped through
+    `TemplateIndex.share`; a worker that stops before its chunk is done
+    is a `GenerationError`."""
     pool = ProcessPoolExecutor(max_workers=children, initializer=_init_worker, initargs=(ctx,))
     try:
         futures = [pool.submit(_generate_range, task) for task in tasks]
@@ -480,27 +483,17 @@ def _run_pool(
                 own.append([generate_one(ctx, i) for i in tasks[first]])
             except Exception as e:  # a lower chunk's error replaces it, as in serial
                 error = e
-        index = ctx.index
-        # user turns by (text, spans, act ids), this process's own first;
-        # calls and nlg lines go through the index's memo
-        users = {(t.text, t.spans, tuple([id(a) for a in t.acts])): t
-                 for t in index._turns.values() if type(t) is UserUtterance}
         tables: dict[int, list[Turn]] = {}
         results = []
         for future in futures[:first]:
             # a worker's error is in a lower chunk than any stolen one
-            token, new, rows = future.result()
+            try:
+                token, new, rows = future.result()
+            except BrokenProcessPool as e:
+                raise GenerationError(
+                    f"a pool worker stopped before its chunk was done: {e}") from e
             table = tables.setdefault(token, [])
-            for turn in new:
-                kind = type(turn)
-                if kind is UserUtterance:
-                    key = (turn.text, turn.spans, tuple([id(a) for a in turn.acts]))
-                    turn = users.setdefault(key, turn)
-                elif kind is ApiCall:
-                    turn = index.call_turn(turn.api, turn.bindings, turn.return_var)
-                else:
-                    turn = index.nlg_turn(turn.text, turn.acts)
-                table.append(turn)
+            table += map(ctx.index.share, new)
             for positions, metadata, dialog_stats in rows:
                 results.append((Dialog([table[p] for p in positions], metadata), dialog_stats))
         if error is not None:
@@ -533,9 +526,9 @@ def run_batch(
     each dialog as the positions of its turns in that worker's sent turns;
     each worker takes its chunks in order, so a dialog only ever points at
     turns this process has already received. This process keeps one list
-    per worker and puts in it the batch's one object for each new turn's
-    value, its own turns included, so a pooled batch holds one object per
-    distinct turn, as a serial one does."""
+    per worker and puts in it `TemplateIndex.share` of each new turn, the
+    batch's one object for its value, so a pooled batch holds one object
+    per distinct turn, as a serial one does."""
     ctx = prepare_batch(bundle, seeds, config, model)
     n = config.n_dialogs
     tasks = [range(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]

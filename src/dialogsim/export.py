@@ -27,9 +27,8 @@ from json.encoder import encode_basestring_ascii as _encode
 
 from .markup import ApiCall, Dialog, EntitySpan, Turn, UserUtterance
 from .nlg import TemplateIndex
-from .schema import SchemaBundle
+from .schema import PUNCT, SchemaBundle
 
-_PUNCT = set(".,!?;:\"'()[]")
 Strings = tuple[str, ...]
 
 
@@ -78,15 +77,15 @@ def tokenize(text: str) -> tuple[tuple[str, int, int], ...]:
     for word in text.split():  # splits where str.isspace is true
         start = text.find(word, end)  # only whitespace lies between
         end = start + len(word)
-        if word[0] not in _PUNCT and word[-1] not in _PUNCT:
+        if word[0] not in PUNCT and word[-1] not in PUNCT:
             tokens.append((word, start, end))
             continue
         last = end
-        while start < last - 1 and text[start] in _PUNCT:
+        while start < last - 1 and text[start] in PUNCT:
             tokens.append((text[start], start, start + 1))
             start += 1
         trailing = []
-        while last - 1 > start and text[last - 1] in _PUNCT:
+        while last - 1 > start and text[last - 1] in PUNCT:
             trailing.append((text[last - 1], last - 1, last))
             last -= 1
         tokens.append((text[start:last], start, last))

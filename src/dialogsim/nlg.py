@@ -9,10 +9,19 @@ per act, and one loop in `_fill_user` fills and joins them, for self-play
 and replay alike.
 
 A batch holds one object per distinct generated turn: its `TemplateIndex`
-keeps the batch's turn memo, and lives as long as the batch. `realize_user`
-makes its draws, then looks the turn up by its act ids, values, var ids
-and template choices, and fills it only on a miss. `engine` gets its call
-and nlg lines from `TemplateIndex.call_turn` and `nlg_turn`.
+keeps the batch's turn memo, and lives as long as the batch. The memo keys
+a user turn by its recipe, `(act ids, *values, *var ids, *template
+choices)`, and by its value, `(text, spans, act ids)`; a call by `(api,
+return var, *bindings' items)`; and an nlg line by `(text, act ids)`. Only
+a recipe key starts with a tuple, only a call key's second item is a
+string, and a user turn's value key has three items where an nlg line's
+has two, so no two kinds of turn share a key. `realize_user` makes its
+draws, looks the turn up by its recipe, and fills it only on a miss.
+`TemplateIndex.share` gives the batch's one object for any turn's value:
+`realize_user` passes each turn it fills through it, and `engine` each
+turn a pool worker sends, so of two equal turns the first is kept,
+whichever process made it. `engine` gets its call and nlg lines from
+`TemplateIndex.call_turn` and `nlg_turn`.
 
 `schema.split_template` alone splits templates into literals and slots: a
 response definition splits its own when it is made, `TemplateIndex.user_plan`
@@ -89,11 +98,9 @@ class TemplateIndex:
     _user_plans: dict[tuple[int, ...], tuple[tuple[DialogAct, ...], _UserPlan]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # the batch's turn memo, one object per distinct generated turn. A user
-    # turn's key starts with its act-id tuple, a call's or an nlg line's
-    # with a string, and only an nlg line's second item is a tuple, so the
-    # kinds never meet. Each entry holds its turn and the turn its acts, so
-    # no id in a live key is reused
+    # the batch's turn memo, one object per distinct generated turn, under
+    # the keys of the module docstring. Each entry holds its turn and the
+    # turn its acts, so no id in a live key is reused
     _turns: dict[tuple, Turn] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def user_plan(
@@ -129,6 +136,21 @@ class TemplateIndex:
     def response(self, acts: tuple[DialogAct, ...]) -> ResponseTemplateDef | None:
         """The response template whose acts are the signature of `acts`."""
         return self.response_by_signature.get(turn_acts_string(acts))
+
+    def share(self, turn: Turn) -> Turn:
+        """The batch's one turn of `turn`'s value. A call or an nlg line
+        goes through `call_turn` or `nlg_turn`; a user turn the batch has
+        no equal of is entered itself."""
+        kind = type(turn)
+        if kind is ApiCall:
+            return self.call_turn(turn.api, turn.bindings, turn.return_var)
+        if kind is NlgResponse:
+            return self.nlg_turn(turn.text, turn.acts)
+        key = (turn.text, turn.spans, tuple([id(a) for a in turn.acts]))
+        shared = self._turns.get(key)
+        if shared is None:
+            shared = self._turns[key] = turn
+        return shared
 
     def call_turn(self, api: str, bindings: dict[str, ValueRef], return_var: str) -> ApiCall:
         """The batch's one call turn of this value."""
@@ -256,7 +278,7 @@ def realize_user(
     turn = index._turns.get(key)
     if turn is None:
         text, spans = _fill_user(plan, values, var_ids, choices)
-        turn = index._turns[key] = UserUtterance(text, spans, tuple(acts))
+        turn = index._turns[key] = index.share(UserUtterance(text, spans, tuple(acts)))
     return turn
 
 

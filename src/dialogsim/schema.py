@@ -44,6 +44,11 @@ BUILTIN_CATALOGS: dict[str, tuple[str, ...]] = {
 NAME = r"[A-Za-z][A-Za-z0-9]*"
 SLOT_RE = re.compile(r"\{(%s)\}" % NAME)
 Split = tuple[tuple[str, ...], tuple[str, ...]]  # a template's literal parts, slot names
+# the characters the training export splits off the edges of a word; a
+# user template's slot is parted from the text around it by whitespace or
+# the template's edge, with only these in between, so its value is whole
+# tokens
+PUNCT = ".,!?;:\"'()[]"
 
 
 def split_template(text: str) -> Split:
@@ -374,7 +379,8 @@ def utterance_problems(ut: UtteranceTemplateDef) -> list[str]:
     """Why `ut` cannot realize a user turn; empty when it can. Its text
     becomes one markup line, where brackets delimit spans, and its slots, in
     text order, must be the names NLG fills (T, T2, ... on a repeated type)
-    from its entity informs, in act order."""
+    from its entity informs, in act order. Each slot is parted from the
+    words around it (see `PUNCT`), so the export's NER tags find its value."""
     problems = []
     if "[" in ut.template or "]" in ut.template or _breaks(ut.template):
         problems.append("template contains '[', ']' or a line break")
@@ -384,6 +390,13 @@ def utterance_problems(ut: UtteranceTemplateDef) -> list[str]:
     if list(slots) != wanted:
         problems.append(f"slots {list(slots)} are not {wanted}, the slots its entity informs fill "
                         "in text order")
+    for k, slot in enumerate(slots):
+        before, after = literals[k].rstrip(PUNCT), literals[k + 1].lstrip(PUNCT)
+        at_start, at_end = k == 0 and not before, k == len(slots) - 1 and not after
+        if not (at_start or before[-1:].isspace()) or not (at_end or after[:1].isspace()):
+            problems.append(f"slot {{{slot}}} is glued to a word; whitespace or the template's "
+                            "edge must part it from the text around it, with only punctuation "
+                            "between")
     return problems
 
 

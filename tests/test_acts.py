@@ -282,3 +282,59 @@ def test_the_constructor_guard_sees_calls_at_any_depth():
     assert _constructor_calls(tree, {"DialogAct", "ValueRef"}) == [
         ("f", "DialogAct"), (None, "ValueRef"), ("inner", "DialogAct"),
     ]
+
+
+# the NamedTuple API is public although its names start with "_"
+_NAMEDTUPLE_API = {"_replace", "_fields", "_asdict", "_make"}
+
+
+def _private_attributes(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The `_`-prefixed attribute names `tree` defines, in a class body or
+    by a `self._x =` assignment, and those it uses on anything but `self`
+    or `cls`; dunders and the NamedTuple API aside."""
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.add(child.name)
+                elif isinstance(child, (ast.Assign, ast.AnnAssign)):
+                    targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                    defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            defined.add(node.attr)
+    used = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not node.attr.startswith("__") and node.attr not in _NAMEDTUPLE_API
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    }
+    return {name for name in defined if name.startswith("_")}, used
+
+
+def test_private_attributes_are_used_only_where_they_are_defined():
+    """A `_`-prefixed attribute is an implementation detail of its module:
+    another module that reads it would depend on how that one keys its
+    memos or keeps its state. A turn of the batch's value comes from
+    `TemplateIndex.share`, not from a look into its memo."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(dialogsim.__file__).parent.glob("*.py"))}
+    found = {name: _private_attributes(tree) for name, tree in trees.items()}
+    offenders = [f"{name}: {attr}" for name, (defined, used) in found.items()
+                 for attr in sorted(used - defined)]
+    assert offenders == []
+
+
+def test_the_private_attribute_guard_sees_uses_on_any_object():
+    tree = ast.parse(
+        "class A:\n"
+        "    _x: int = 0\n"
+        "    _v = 1\n"
+        "    def _m(self):\n"
+        "        self._y = other._x\n"
+        "        return cls._z, t._replace(a=1), o.__class__, self._w\n"
+        "def f(a):\n"
+        "    return a._y, a._m(), g()._w, a.b._v\n"
+    )
+    assert _private_attributes(tree) == ({"_x", "_v", "_m", "_y"}, {"_x", "_y", "_m", "_w", "_v"})

@@ -977,6 +977,21 @@ def test_bytes_do_not_depend_on_the_turn_memo(data_paths, tmp_path, capsys, monk
     assert len(built) == 5 + 32 and all(index._turns == {} for index in built)
 
 
+def test_a_stopped_pool_worker_is_one_error_line(data_paths, capsys, monkeypatch):
+    schema, seeds = data_paths
+    for name in ("_WORKER_CTX", "_SENT", "_SENT_AT"):  # the fake pool's worker sets them
+        monkeypatch.setattr(engine, name, getattr(engine, name))
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", test_engine._fake_pool([], [], held=1))
+    test_engine._stopped_worker(monkeypatch)
+    assert main(["generate", "--schema", str(schema), "--seeds", str(seeds), "--n", "256",
+                 "--workers", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+    assert "a pool worker stopped before its chunk was done" in captured.err
+
+
 @pytest.mark.parametrize("source", ["config", "model"])
 def test_generate_rejects_weight_too_large_for_a_float(data_paths, tmp_path, capsys, source):
     schema, seeds = data_paths

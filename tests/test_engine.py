@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
 from random import Random
@@ -15,7 +16,7 @@ import pytest
 
 import dialogsim
 from dialogsim import engine, system_agent
-from dialogsim.acts import SYSTEM, DialogAct, make_act, sequence_string
+from dialogsim.acts import SYSTEM, USER, DialogAct, make_act, sequence_string
 from dialogsim.cli import main
 from dialogsim.engine import (
     SAMPLERS,
@@ -42,6 +43,7 @@ from dialogsim.goals import (
 from dialogsim.markup import (
     ApiCall,
     Dialog,
+    EntitySpan,
     MarkupError,
     ValueRef,
     NlgResponse,
@@ -293,10 +295,19 @@ def test_a_batch_holds_one_object_per_distinct_turn(demo_bundle, demo_seeds, mix
 
 
 def test_the_turn_memo_keys_every_field(demo_bundle):
-    """A shared call or nlg turn is returned only for an equal value: equal
-    line text with other acts, even acts that differ only in their role,
-    is another turn."""
+    """A shared turn is returned only for an equal value: equal line text
+    with other spans, other var ids or other acts, even acts that differ
+    only in their role, is another turn."""
     index = build_template_index(demo_bundle, [])
+    bare = make_act("inform", USER, entity="location")
+    located = make_act("inform", USER, entity="location", api="FindMovies", arg="location")
+    span = EntitySpan("Fremont", "location0", "location", 3, 10)
+    user = index.share(UserUtterance("in Fremont", (span,), (located,)))
+    assert index.share(UserUtterance("in Fremont", (span,), (located,))) is user
+    for spans, acts in [((), (located,)), ((span._replace(start=2),), (located,)),
+                        ((span._replace(var_id="location1"),), (located,)), ((span,), (bare,))]:
+        turn = UserUtterance("in Fremont", spans, acts)
+        assert index.share(turn) is turn
     after = make_act("inform", SYSTEM, entity="Time", api="FindMovies", arg="timeLowerBound")
     show = make_act("inform", SYSTEM, entity="Time", api="SelectShow", arg="showTime")
     first = index.nlg_turn("At 5 PM.", (after,))
@@ -312,6 +323,27 @@ def test_the_turn_memo_keys_every_field(demo_bundle):
                                ("FindMovies", {}, "movieList0"),
                                ("GetTimes", {"location": ref("location0")}, "movieList0")]:
         assert index.call_turn(api, bindings, var) == ApiCall(api, bindings, var) != call
+
+
+def test_a_turn_shared_before_it_is_made_is_the_one_made(demo_bundle):
+    """A turn a worker sent before this process made its equal is one
+    object either way: `share` enters it under its value (a received user
+    turn is entered itself), and the equal turns `realize_user`,
+    `call_turn` and `nlg_turn` make later are the object `share` gave."""
+    index = build_template_index(demo_bundle, [])
+    worker = build_template_index(demo_bundle, [])
+    located = (make_act("inform", USER, entity="location", api="FindMovies", arg="location"),)
+    after = (make_act("inform", SYSTEM, entity="Time", api="FindMovies", arg="timeLowerBound"),)
+    sent = [
+        realize_user(located, ["Fremont"], worker, Random(0), ("location0",)),
+        worker.call_turn("FindMovies", {"location": ref("location0")}, "movieList0"),
+        worker.nlg_turn("At 5 PM.", after),
+    ]
+    shared = [index.share(turn) for turn in sent]
+    assert shared == sent and shared[0] is sent[0]
+    assert realize_user(located, ["Fremont"], index, Random(0), ("location0",)) is shared[0]
+    assert index.call_turn("FindMovies", {"location": ref("location0")}, "movieList0") is shared[1]
+    assert index.nlg_turn("At 5 PM.", after) is shared[2]
 
 
 @pytest.mark.parametrize(
@@ -489,6 +521,26 @@ def test_a_failing_pool_raises_serials_error_and_leaves_no_process(demo_bundle, 
         with pytest.raises(GenerationError, match=rf"^dialog {engine.CHUNK + 5}$"):
             run_batch(demo_bundle, demo_seeds, config)
         assert multiprocessing.active_children() == []
+
+
+def _stopped_worker(monkeypatch):
+    """Makes every pool task end as the task of a worker that died does:
+    its future holds `BrokenProcessPool`."""
+    def generate_range(indices):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    monkeypatch.setattr(engine, "_generate_range", generate_range)
+
+
+def test_a_stopped_pool_worker_is_a_generation_error(demo_bundle, demo_seeds, monkeypatch,
+                                                     _worker_state):
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", _fake_pool([], [], held=1))
+    _stopped_worker(monkeypatch)
+    config = GenerationConfig(n_dialogs=4 * engine.CHUNK, workers=2)
+    with pytest.raises(GenerationError, match=r"^a pool worker stopped before its chunk was "
+                                              r"done: A process in the process pool"):
+        run_batch(demo_bundle, demo_seeds, config)
 
 
 def test_truncation_flagged_not_dropped(demo_bundle, demo_seeds):

@@ -6,7 +6,7 @@ import pytest
 from dialogsim.acts import SYSTEM, DialogAct, turn_acts_string
 from dialogsim.engine import GenerationConfig, run_batch
 from dialogsim.export import (
-    _PUNCT,
+    PUNCT,
     export_training,
     iob_tags,
     spans_from_tags,
@@ -59,11 +59,11 @@ def _char_scan_tokenize(text):
         while j < n and not text[j].isspace():
             j += 1
         start, end = i, j
-        while start < end - 1 and text[start] in _PUNCT:
+        while start < end - 1 and text[start] in PUNCT:
             tokens.append((text[start], start, start + 1))
             start += 1
         trailing = []
-        while end - 1 > start and text[end - 1] in _PUNCT:
+        while end - 1 > start and text[end - 1] in PUNCT:
             trailing.append((text[end - 1], end - 1, end))
             end -= 1
         tokens.append((text[start:end], start, end))
@@ -77,7 +77,7 @@ def test_tokenize_matches_character_scan():
     st = pytest.importorskip("hypothesis.strategies")
     # every str.isspace character, plus zero-width ones that are not spaces
     spaces = "".join(c for c in map(chr, range(0x3001)) if c.isspace()) + "\u200b\ufeff"
-    alphabet = string.ascii_letters + "".join(sorted(_PUNCT)) + spaces
+    alphabet = string.ascii_letters + "".join(sorted(PUNCT)) + spaces
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
     @hypothesis.given(st.text(alphabet=alphabet, max_size=40))
@@ -168,7 +168,7 @@ def test_iob_tags_match_the_scan_per_span():
     not they fall on token boundaries, one pass tags as the scan per span."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    alphabet = "ab ." + "".join(sorted(_PUNCT))[:4]
+    alphabet = "ab ." + "".join(sorted(PUNCT))[:4]
 
     @st.composite
     def texts_and_spans(draw):

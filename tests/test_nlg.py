@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from dialogsim.acts import ActError, DialogAct, slot_names_for, turn_acts_string, validate_act
-from dialogsim.markup import EntitySpan, UserUtterance, VarAllocator
+from dialogsim.markup import EntitySpan, MarkupError, UserUtterance, VarAllocator, parse_corpus
 from dialogsim.nlg import (
     RealizationError,
     TemplateIndex,
@@ -39,6 +39,19 @@ def test_index_contains_delexicalized_seed_turn(demo_bundle, demo_seeds_annotate
     index = build_template_index(demo_bundle, demo_seeds_annotated)
     key = _sig_key("inform(intent:FindMovies)", "inform(entity:location)", "inform(entity:Time)")
     assert "What movies are playing in {location} after {Time}?" in index.user[key]
+
+
+def test_a_seed_span_glued_to_a_word_is_rejected(demo_bundle):
+    """A seed's user turns become templates, held to the schema's rule: a
+    span glued to the text after it names the seed and the turn."""
+    seeds = parse_corpus(
+        "# id=glued\n"
+        "U-1: I want to see a movie |acts: inform(intent:FindMovies)\n"
+        "U-2: [Sunnyvale|location0]'s theaters |acts: inform(entity:location)\n",
+        demo_bundle,
+    )
+    with pytest.raises(MarkupError, match=r"^seed 'glued' turn 2: slot \{location\} is glued"):
+        build_template_index(demo_bundle, seeds)
 
 
 def test_empty_index_without_seeds_or_templates(chain_bundle):

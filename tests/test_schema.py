@@ -8,8 +8,8 @@ import pytest
 
 import dialogsim
 from dialogsim.engine import GenerationConfig, GenerationError, run_batch
-from dialogsim.export import export_training
-from dialogsim.markup import MarkupError, parse_corpus, serialize_corpus
+from dialogsim.export import export_training, iob_tags, spans_from_tags
+from dialogsim.markup import MarkupError, UserUtterance, parse_corpus, serialize_corpus
 from dialogsim.metrics import variation_report
 from dialogsim.nlg import build_template_index
 from dialogsim.schema import (
@@ -209,6 +209,44 @@ def test_repeated_type_slots_in_act_order_load(demo_schema_text):
     doc["domains"][0]["utterance_templates"].append(
         {"acts": ["inform(entity:Time),inform(entity:Time)"], "template": "from {Time} to {Time2}"}
     )
+    loads_schema(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "acts, template, glued",
+    [
+        ("inform(entity:location)", "{location}'s", ["location"]),
+        ("inform(entity:location)", "x{location}", ["location"]),
+        ("inform(entity:location),inform(entity:Time)", "{location},{Time}",
+         ["location", "Time"]),
+    ],
+)
+def test_utterance_slot_glued_to_a_word(demo_schema_text, acts, template, glued):
+    """The export splits a user turn at whitespace and peels punctuation off
+    each word's edges: a value glued to other text would share its token,
+    and the NER tags would not mark it."""
+    doc = json.loads(demo_schema_text)
+    doc["domains"][0]["utterance_templates"].append({"acts": [acts], "template": template})
+    with pytest.raises(SchemaError) as err:
+        loads_schema(json.dumps(doc))
+    assert [d.message for d in err.value.diagnostics] == [
+        f"slot {{{slot}}} is glued to a word; whitespace or the template's edge must part it "
+        "from the text around it, with only punctuation between"
+        for slot in glued
+    ]
+
+
+@pytest.mark.parametrize(
+    "acts, template",
+    [
+        ("inform(entity:location)", "({location})"),
+        ("inform(entity:location),inform(entity:Time)", "near '{location}', after {Time}!"),
+        ("inform(entity:location),inform(entity:Time)", "{location} ,{Time}"),
+    ],
+)
+def test_utterance_slot_parted_by_punctuation_and_space_loads(demo_schema_text, acts, template):
+    doc = json.loads(demo_schema_text)
+    doc["domains"][0]["utterance_templates"].append({"acts": [acts], "template": template})
     loads_schema(json.dumps(doc))
 
 
@@ -414,13 +452,15 @@ def test_every_accepted_schema_round_trips(demo_schema_text, demo_seeds_text):
     chunk = st.lists(st.one_of(markup, st.text(max_size=3)), max_size=3).map("".join)
     # (template, insert position or None to replace the whole text, inserted text)
     text_edit = st.tuples(st.sampled_from(texts), st.one_of(st.none(), st.integers(0, 60)), chunk)
-    # (utterance template, replacement for its first slot): a slot no act fills
+    # (utterance template, replacement for its first slot): a slot no act
+    # fills, or the slot glued to a word
     slotted = [
         ("utterance_templates", i, None)
         for i, u in enumerate(domain["utterance_templates"])
         if SLOT_RE.search(u["template"])
     ]
-    slot_edit = st.tuples(st.sampled_from(slotted), st.sampled_from(["{city}", "{Time2}"]))
+    slot_edit = st.tuples(st.sampled_from(slotted),
+                          st.sampled_from(["{city}", "{Time2}", r"\g<0>'s", r"x\g<0>"]))
     acts_edit = st.sampled_from([(kind, i) for kind, i, _ in texts])
 
     def edited(text_edits, slot_edits, acts_edits):
@@ -454,6 +494,9 @@ def test_every_accepted_schema_round_trips(demo_schema_text, demo_seeds_text):
             return
         corpus = run_batch(bundle, parse_corpus(demo_seeds_text, bundle), config).dialogs
         assert parse_corpus(serialize_corpus(corpus), bundle) == corpus
+        for turn in (t for d in corpus for t in d.turns if isinstance(t, UserUtterance)):
+            spans = [(s.start, s.end, s.entity_type) for s in turn.spans]
+            assert spans_from_tags(turn.text, *iob_tags(turn.text, turn.spans)) == spans
         variation_report(corpus)
         export_training(corpus, bundle, build_template_index(bundle, []))
 
