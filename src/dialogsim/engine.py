@@ -26,22 +26,25 @@ those three call a turn's constructor.
 
 With `workers` > 1, this process is one of the batch's workers: it forks
 the others (`run_batch` gives the count), and they and it share the
-batch's chunks of `CHUNK` dialogs. Workers take chunks from the front of
-the queue, and this process takes them from the back, each by cancelling
-a chunk's future before a worker has claimed it. A worker sends each
-distinct turn it makes once, and its dialogs as positions in the turns it
-has sent; this process maps each turn it receives through
-`TemplateIndex.share` to the batch's one object for its value, whichever
-process made that value first (see `run_batch`).
+batch's chunks of `CHUNK` dialogs through one claim counter. A worker
+claims the chunk at the front of the unclaimed ones when it is ready to
+start it, and this process claims the one at the back. Each worker sends
+its chunks over its own pipe, and this process receives whatever is ready
+after each chunk it makes. A worker sends each distinct turn it makes
+once, and its dialogs as positions in the turns it has sent; this process
+maps each turn it receives through `TemplateIndex.share` to the batch's
+one object for its value, whichever process made that value first (see
+`run_batch`).
 """
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
+from multiprocessing.connection import Connection, wait
+from multiprocessing.sharedctypes import SynchronizedArray
 from random import Random
 from typing import NamedTuple
 
@@ -415,43 +418,130 @@ def generate_one(ctx: BatchContext, i: int) -> tuple[Dialog, dict[str, int]]:
     return _play_goal(goal, ctx.bundle, ctx.config, rng, ctx.index, ctx.model, metadata)
 
 
-# dialogs per chunk of a pooled batch: small enough that this process and
-# its workers, which meet in the middle of the queue, end close together
+# dialogs per chunk of a pooled batch. A process claims one chunk at a
+# time, when it is ready to start it, so after the claims meet no process
+# waits longer than another takes to finish one chunk
 CHUNK = 64
-_WORKER_CTX: BatchContext | None = None
-# the turns this worker has sent the parent, in order, and the position of
-# each by its id. The list keeps every sent turn alive, so no id in a live
-# key is reused
-_SENT: list[Turn] = []
-_SENT_AT: dict[int, int] = {}
 
-# a pool task's dialog: the positions of its turns in its worker's sent
-# turns, its metadata and its stats
+# a pooled dialog as its worker sends it: the positions of its turns in the
+# turns that worker has sent, its metadata and its stats
 Row = tuple[list[int], dict[str, str], dict[str, int]]
 
 
-def _init_worker(ctx: BatchContext) -> None:
-    global _WORKER_CTX, _SENT, _SENT_AT
-    _WORKER_CTX, _SENT, _SENT_AT = ctx, [], {}
+def _claim(claims: SynchronizedArray, back: bool) -> int | None:
+    """Takes the lowest unclaimed chunk, or with `back` the highest, for the
+    caller. `claims` holds [front, back]: the chunks from front up to, but
+    not including, back are unclaimed. None once the claims have met."""
+    with claims.get_lock():
+        front, end = claims[0], claims[1]
+        if front >= end:
+            return None
+        if back:
+            claims[1] = end - 1
+            return end - 1
+        claims[0] = front + 1
+        return front
 
 
-def _generate_range(indices: range) -> tuple[int, list[Turn], list[Row]]:
-    """A pool task: the dialogs at `indices` as this worker's token (its
-    pid), the turns it had not sent before, in first-use order, and one
-    row per dialog."""
-    sent, sent_at = _SENT, _SENT_AT
-    start = len(sent)
-    rows = []
-    for i in indices:
-        dialog, stats = generate_one(_WORKER_CTX, i)
-        positions = []
-        for turn in dialog.turns:
-            at = sent_at.setdefault(id(turn), len(sent))
-            if at == len(sent):
-                sent.append(turn)
-            positions.append(at)
-        rows.append((positions, dialog.metadata, stats))
-    return os.getpid(), sent[start:], rows
+def _close_claims(claims: SynchronizedArray) -> None:
+    """No chunk can be claimed after this."""
+    with claims.get_lock():
+        claims[0] = claims[1]
+
+
+def _pool_worker(ctx: BatchContext, tasks: list[range], claims: SynchronizedArray,
+                 writer: Connection, inherited: tuple[Connection, ...] = ()) -> None:
+    """A pool worker's loop. It claims chunks from the front, each when it
+    is ready to start it, and sends `writer` each one as (chunk number, the
+    turns it had not sent before, in first-use order, one row per dialog),
+    or as (chunk number, error). After an error no later chunk counts, so
+    it closes the claims and stops. Closing `writer` ends its messages.
+    `inherited` are the pool's read ends that the fork copied into this
+    worker; closing them leaves each pipe's parent its only reader, so a
+    pipe the parent has closed breaks instead of filling."""
+    for reader in inherited:
+        reader.close()
+    # the turns this worker has sent, in order, and the position of each by
+    # its id. The list keeps every sent turn alive, so no id in a live key
+    # is reused
+    sent: list[Turn] = []
+    sent_at: dict[int, int] = {}
+    try:
+        while (k := _claim(claims, back=False)) is not None:
+            start = len(sent)
+            rows: list[Row] = []
+            try:
+                for i in tasks[k]:
+                    dialog, stats = generate_one(ctx, i)
+                    positions = []
+                    for turn in dialog.turns:
+                        at = sent_at.setdefault(id(turn), len(sent))
+                        if at == len(sent):
+                            sent.append(turn)
+                        positions.append(at)
+                    rows.append((positions, dialog.metadata, stats))
+            except Exception as e:
+                _close_claims(claims)
+                writer.send((k, e))
+                return
+            writer.send((k, sent[start:], rows))
+    except BrokenPipeError:
+        pass  # the parent has stopped reading: the batch is lost
+    finally:
+        writer.close()
+
+
+def _pool_parent(
+    ctx: BatchContext, tasks: list[range], claims: SynchronizedArray, readers: list[Connection]
+) -> list[tuple[Dialog, dict[str, int]]]:
+    """This process's part of a pooled batch. It claims chunks from the
+    back and generates them, and after each one receives every message
+    that is ready on `readers`, one per worker. Once the claims meet, it
+    waits for the rest, until each reader is at its end. Each received
+    turn is entered in its reader's table through `TemplateIndex.share`.
+    Returns every dialog in order, or raises the error of the lowest chunk
+    that failed or that never came (its worker stopped)."""
+    done: dict[int, list[tuple[Dialog, dict[str, int]]] | Exception] = {}
+    tables: dict[Connection, list[Turn]] = {reader: [] for reader in readers}
+
+    def receive(ready: list[Connection]) -> None:
+        for reader in ready:
+            try:
+                message = reader.recv()
+            except EOFError:
+                del tables[reader]
+                continue
+            if len(message) == 2:  # (chunk number, error)
+                k, error = message
+                done[k] = error
+                continue
+            k, new, rows = message
+            # a worker sends its chunks in order, so a row only points at
+            # turns already in the table
+            table = tables[reader]
+            table += map(ctx.index.share, new)
+            done[k] = [(Dialog([table[p] for p in positions], metadata), stats)
+                       for positions, metadata, stats in rows]
+
+    while (k := _claim(claims, back=True)) is not None:
+        try:
+            done[k] = [generate_one(ctx, i) for i in tasks[k]]
+        except Exception as e:  # a lower chunk's error replaces it, as in serial
+            done[k] = e
+        while ready := wait(list(tables), 0):
+            receive(ready)
+    while tables:
+        receive(wait(list(tables)))
+    results = []
+    for k, task in enumerate(tasks):
+        chunk = done.get(k)
+        if chunk is None:
+            raise GenerationError("a pool worker stopped before its chunk was done: "
+                                  f"dialogs {task.start} to {task.stop - 1}")
+        if isinstance(chunk, Exception):
+            raise chunk
+        results += chunk
+    return results
 
 
 def _usable_cpus() -> int:
@@ -466,44 +556,31 @@ def _run_pool(
     ctx: BatchContext, tasks: list[range], children: int
 ) -> list[tuple[Dialog, dict[str, int]]]:
     """Every dialog of `tasks`, in order, generated by this process and
-    `children` forked workers. Each turn a worker sends is mapped through
-    `TemplateIndex.share`; a worker that stops before its chunk is done
-    is a `GenerationError`."""
-    pool = ProcessPoolExecutor(max_workers=children, initializer=_init_worker, initargs=(ctx,))
+    `children` forked workers (`_pool_parent` and `_pool_worker`), which
+    share one claim counter. Each worker sends its chunks over its own
+    pipe."""
+    fork = multiprocessing.get_context("fork")
+    claims = fork.Array("q", [0, len(tasks)])
+    readers: list[Connection] = []
+    workers = []
     try:
-        futures = [pool.submit(_generate_range, task) for task in tasks]
-        # steal from the back until a worker has claimed the chunk; the
-        # stolen chunks are tasks[first:]
-        own: list[list[tuple[Dialog, dict[str, int]]]] = []
-        error: Exception | None = None
-        first = len(tasks)
-        while first and futures[first - 1].cancel():
-            first -= 1
-            try:
-                own.append([generate_one(ctx, i) for i in tasks[first]])
-            except Exception as e:  # a lower chunk's error replaces it, as in serial
-                error = e
-        tables: dict[int, list[Turn]] = {}
-        results = []
-        for future in futures[:first]:
-            # a worker's error is in a lower chunk than any stolen one
-            try:
-                token, new, rows = future.result()
-            except BrokenProcessPool as e:
-                raise GenerationError(
-                    f"a pool worker stopped before its chunk was done: {e}") from e
-            table = tables.setdefault(token, [])
-            table += map(ctx.index.share, new)
-            for positions, metadata, dialog_stats in rows:
-                results.append((Dialog([table[p] for p in positions], metadata), dialog_stats))
-        if error is not None:
-            raise error
-        for part in reversed(own):
-            results += part
-        return results
+        for _ in range(children):
+            reader, writer = fork.Pipe(duplex=False)
+            readers.append(reader)
+            worker = fork.Process(target=_pool_worker,
+                                  args=(ctx, tasks, claims, writer, tuple(readers)))
+            worker.start()
+            workers.append(worker)
+            writer.close()
+        return _pool_parent(ctx, tasks, claims, readers)
     finally:
-        # after a failure, no worker starts a chunk of a batch that is lost
-        pool.shutdown(cancel_futures=True)
+        # on any exit, no worker starts another chunk, and none can block
+        # on a full pipe, since its writes break; so each join ends
+        _close_claims(claims)
+        for reader in readers:
+            reader.close()
+        for worker in workers:
+            worker.join()
 
 
 def run_batch(
@@ -518,23 +595,26 @@ def run_batch(
 
     With `workers` k > 1, the batch is cut into chunks of `CHUNK` dialogs
     and this process is one of min(k, chunks, usable CPUs) workers; it
-    forks the others. Every chunk is submitted in order, and the workers
-    take them from the front. This process walks the chunks from the back
-    and generates each one whose future it can still cancel, until it
-    meets one a worker has claimed. It then receives the workers' chunks
-    in order. A worker sends each turn it has not sent before once, with
-    each dialog as the positions of its turns in that worker's sent turns;
-    each worker takes its chunks in order, so a dialog only ever points at
-    turns this process has already received. This process keeps one list
-    per worker and puts in it `TemplateIndex.share` of each new turn, the
-    batch's one object for its value, so a pooled batch holds one object
-    per distinct turn, as a serial one does."""
+    forks the others. They share one claim counter: each worker claims the
+    lowest unclaimed chunk when it is ready to start it, and this process
+    the highest, until the claims meet. A worker sends each chunk it makes
+    over its own pipe, with each turn it has not sent before once and each
+    dialog as the positions of its turns in that worker's sent turns; a
+    worker sends its chunks in order, so a dialog only ever points at turns
+    this process has already received. After each chunk it makes, this
+    process receives every chunk that is ready, and once the claims meet
+    it waits for the rest. It keeps one list per worker and puts in it
+    `TemplateIndex.share` of each new turn, the batch's one object for its
+    value, so a pooled batch holds one object per distinct turn, as a
+    serial one does. A worker that stops before its chunk is done is a
+    `GenerationError`, unless a lower chunk failed."""
     ctx = prepare_batch(bundle, seeds, config, model)
     n = config.n_dialogs
     tasks = [range(start, min(start + CHUNK, n)) for start in range(0, n, CHUNK)]
-    # a worker beyond the chunks or the CPUs would sit idle, yet be forked
+    # a worker beyond the chunks or the CPUs would sit idle, yet be forked;
+    # where the platform cannot fork, the batch runs here alone
     children = min(config.workers, len(tasks), _usable_cpus()) - 1
-    if children > 0:
+    if children > 0 and "fork" in multiprocessing.get_all_start_methods():
         results = _run_pool(ctx, tasks, children)
     else:
         results = [generate_one(ctx, i) for i in range(n)]

@@ -977,19 +977,53 @@ def test_bytes_do_not_depend_on_the_turn_memo(data_paths, tmp_path, capsys, monk
     assert len(built) == 5 + 32 and all(index._turns == {} for index in built)
 
 
-def test_a_stopped_pool_worker_is_one_error_line(data_paths, capsys, monkeypatch):
+def test_a_stopped_pool_worker_is_one_error_line(data_paths, capsys, monkeypatch, tmp_path):
     schema, seeds = data_paths
-    for name in ("_WORKER_CTX", "_SENT", "_SENT_AT"):  # the fake pool's worker sets them
-        monkeypatch.setattr(engine, name, getattr(engine, name))
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", test_engine._fake_pool([], [], held=1))
-    test_engine._stopped_worker(monkeypatch)
+    monkeypatch.setattr(engine, "_run_pool",
+                        test_engine._in_process_pool(tmp_path, [], [], held=1, stopped=True))
     assert main(["generate", "--schema", str(schema), "--seeds", str(seeds), "--n", "256",
                  "--workers", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     _assert_one_error_line(captured.err)
     assert "a pool worker stopped before its chunk was done" in captured.err
+
+
+# Runs the CLI with two usable CPUs and a pool worker that dies at its first
+# dialog. This process holds its first dialog until the worker is gone, so
+# that the worker has claimed a chunk.
+_DYING_WORKER_MAIN = """import multiprocessing, os, sys, time
+from dialogsim import cli, engine
+parent = os.getpid()
+real = engine.generate_one
+def generate_one(ctx, i):
+    if os.getpid() != parent:
+        os._exit(3)
+    deadline = time.monotonic() + 60
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return real(ctx, i)
+engine.generate_one = generate_one
+engine.os.sched_getaffinity = lambda pid: {0, 1}
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_pool_worker_that_dies_is_one_error_line(data_paths):
+    """A real forked worker that exits in its chunk: `generate` exits 1 and
+    its stderr is the one `error:` line, with no traceback from any
+    thread."""
+    schema, seeds = data_paths
+    env = dict(os.environ, PYTHONPATH=str(Path(dialogsim.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _DYING_WORKER_MAIN, "generate", "--schema",
+                           str(schema), "--seeds", str(seeds), "--n", "256", "--workers", "2"],
+                          capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    err = proc.stderr.decode("utf-8")
+    _assert_one_error_line(err)
+    assert err.startswith("error: a pool worker stopped before its chunk was done"), err
 
 
 @pytest.mark.parametrize("source", ["config", "model"])

@@ -6,9 +6,10 @@ import os
 import pickle
 import subprocess
 import sys
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import fields
+import time
+from dataclasses import fields, replace
+from functools import partial
+from multiprocessing.connection import Connection
 from pathlib import Path
 from random import Random
 
@@ -275,8 +276,8 @@ def test_a_batch_holds_one_object_per_distinct_turn(demo_bundle, demo_seeds, mix
     the two. A pool batch holds as many as a serial one: the parent keeps
     one object per turn value across its workers' chunks and its own."""
     # four chunks of work: with two usable CPUs, this process and one
-    # forked worker share them. Until its first result, the worker has
-    # claimed at most three chunks, so this process steals at least the last
+    # forked worker share them. This process claims the last chunk first, so
+    # it makes at least one
     n = 4 * engine.CHUNK
     config = GenerationConfig(n_dialogs=n, sampler_mix=mix, rng_seed=1, workers=workers)
     turns = [t for d in run_batch(demo_bundle, demo_seeds, config).dialogs for t in d.turns]
@@ -358,14 +359,14 @@ def test_a_turn_shared_before_it_is_made_is_the_one_made(demo_bundle):
         (1, 600, 8, None),
     ],
 )
-def test_pool_is_sized_by_the_work(demo_bundle, demo_seeds, monkeypatch, _worker_state, workers,
-                                   n, cpus, expected):
+def test_pool_is_sized_by_the_work(demo_bundle, demo_seeds, monkeypatch, tmp_path, workers, n,
+                                   cpus, expected):
     """A batch runs in min(workers, chunks, usable CPUs) processes, this one
-    included, so the pool asks for one fewer; an in-process fake stands in
-    for it, so no process starts."""
+    included, so the pool forks one fewer; an in-process stand-in runs it,
+    so no process starts."""
     sizes = []
     monkeypatch.setattr(engine, "CHUNK", 256)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", _fake_pool(sizes, []))
+    monkeypatch.setattr(engine, "_run_pool", _in_process_pool(tmp_path, sizes, [], held=0))
     if cpus is None:
         monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
     else:
@@ -375,6 +376,19 @@ def test_pool_is_sized_by_the_work(demo_bundle, demo_seeds, monkeypatch, _worker
     config = GenerationConfig(n_dialogs=n, sampler_mix={"base": 1.0}, workers=workers)
     assert len(run_batch(demo_bundle, demo_seeds, config).dialogs) == n
     assert sizes == ([] if expected is None else [expected - 1])
+
+
+def test_a_platform_that_cannot_fork_runs_the_batch_serially(demo_bundle, demo_seeds,
+                                                             monkeypatch, tmp_path):
+    sizes = []
+    monkeypatch.setattr(engine, "_run_pool", _in_process_pool(tmp_path, sizes, [], held=0))
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(engine.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    config = GenerationConfig(n_dialogs=3 * engine.CHUNK, rng_seed=4, workers=2)
+    pooled = run_batch(demo_bundle, demo_seeds, config)
+    serial = run_batch(demo_bundle, demo_seeds, replace(config, workers=1))
+    assert sizes == []
+    assert serialize_corpus(pooled.dialogs) == serialize_corpus(serial.dialogs)
 
 
 def test_usable_cpus_are_the_affinity_mask_where_the_platform_has_one(monkeypatch):
@@ -387,54 +401,59 @@ def test_usable_cpus_are_the_affinity_mask_where_the_platform_has_one(monkeypatc
     assert engine._usable_cpus() == 1
 
 
-@pytest.fixture
-def _worker_state(monkeypatch):
-    """Puts back the worker globals that an in-process fake pool sets."""
-    for name in ("_WORKER_CTX", "_SENT", "_SENT_AT"):
-        monkeypatch.setattr(engine, name, getattr(engine, name))
+def _reader(path: Path, messages: list[tuple] = (), worker=None):
+    """A pool pipe's read end, backed by the file at `path`: the write end
+    gets `messages`, or is handed to `worker`, and is closed before the
+    read end opens. So the writer can run to its end in this process before
+    anything reads, as no pipe would let it."""
+    writer = Connection(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), readable=False)
+    if worker is not None:
+        worker(writer)
+    with writer:
+        for message in messages:
+            writer.send(message)
+    return Connection(os.open(path, os.O_RDONLY), writable=False)
 
 
-def _fake_pool(sizes: list[int], results: list[tuple], held: int = 0):
-    """An in-process stand-in for `ProcessPoolExecutor`: one worker, this
-    process, that starts from a pickled copy of the initializer's arguments,
-    as a worker forked from the parent holds its own copy of the batch. The
-    futures of the first `held` tasks refuse `cancel()`: the worker runs
-    each of them when it is submitted, in order, and sends its result, or
-    its error, through pickle. The other futures stay pending until
-    cancelled. It records the pool size asked for in `sizes` and each
-    result the worker sent in `results`."""
-    class FakePool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*pickle.loads(pickle.dumps(initargs)))
-            self.submitted = 0
-
-        def submit(self, fn, *args):
-            future = Future()
-            self.submitted += 1
-            if self.submitted <= held:
-                future.set_running_or_notify_cancel()
+def _in_process_pool(tmp_path: Path, sizes: list[int], sent: list[tuple], held: int,
+                     stopped: bool = False):
+    """An in-process stand-in for `engine._run_pool`, with one worker: it
+    runs `_pool_worker` in this process on a pickled copy of the batch, as
+    a forked worker holds its own copy, with claims set to the first
+    `held` chunks, and then runs `_pool_parent` with claims on the rest.
+    A `stopped` worker holds its chunks but sends nothing, as one that
+    died. It records the worker count asked for in `sizes` and each message
+    the worker sent in `sent`."""
+    def run_pool(ctx, tasks, children):
+        sizes.append(children)
+        path = tmp_path / f"pipe-{len(sizes)}"
+        if stopped:
+            worker = None
+        else:
+            copy = pickle.loads(pickle.dumps(ctx))
+            claims = multiprocessing.Array("q", [0, held])
+            worker = partial(engine._pool_worker, copy, tasks, claims)
+        with _reader(path, worker=worker) as reader:
+            while True:
                 try:
-                    results.append(pickle.loads(pickle.dumps(fn(*args))))
-                    future.set_result(results[-1])
-                except Exception as e:
-                    future.set_exception(pickle.loads(pickle.dumps(e)))
-            return future
+                    sent.append(reader.recv())
+                except EOFError:
+                    break
+        claims = multiprocessing.Array("q", [held, len(tasks)])
+        with Connection(os.open(path, os.O_RDONLY), writable=False) as reader:
+            return engine._pool_parent(ctx, tasks, claims, [reader])
 
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            pass
-
-    return FakePool
+    return run_pool
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
-def test_each_worker_sends_each_turn_once(demo_bundle, demo_seeds, monkeypatch, _worker_state,
-                                          chunk):
-    """A pool task sends only the turns its worker has not sent before, and
-    its rows point into every one of them; a second batch in the same
-    process starts from an empty sent-table. The in-process fake pool's one
-    worker runs the chunks that cover the first half of the batch, so its
-    distinct turns are those of the same dialogs in a serial batch."""
+def test_each_worker_sends_each_turn_once(demo_bundle, demo_seeds, monkeypatch, tmp_path, chunk):
+    """A worker sends its chunks in order, each with only the turns it has
+    not sent before, and its rows point into every one of them; a second
+    batch in the same process starts from an empty sent-table. The
+    in-process worker runs the chunks that cover the first half of the
+    batch, so its distinct turns are those of the same dialogs in a serial
+    batch."""
     mix = {"base": 1.0, "golden": 1.0, "markov": 1.0}
     serial = run_batch(demo_bundle, demo_seeds,
                        GenerationConfig(n_dialogs=60, sampler_mix=mix, rng_seed=3))
@@ -444,23 +463,22 @@ def test_each_worker_sends_each_turn_once(demo_bundle, demo_seeds, monkeypatch, 
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     config = GenerationConfig(n_dialogs=60, sampler_mix=mix, rng_seed=3, workers=2)
     for _ in range(2):
-        results = []
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", _fake_pool([], results, held))
+        sent = []
+        monkeypatch.setattr(engine, "_run_pool", _in_process_pool(tmp_path, [], sent, held))
         pooled = run_batch(demo_bundle, demo_seeds, config)
-        assert len(results) == held
-        assert {token for token, _, _ in results} == {os.getpid()}
-        sent = [t for _, new, _ in results for t in new]
-        assert len(sent) == len({id(t) for t in sent}) == distinct
-        positions = {p for _, _, rows in results for row in rows for p in row[0]}
+        assert [k for k, _, _ in sent] == list(range(held))
+        turns = [t for _, new, _ in sent for t in new]
+        assert len(turns) == len({id(t) for t in turns}) == distinct
+        positions = {p for _, _, rows in sent for row in rows for p in row[0]}
         assert positions == set(range(distinct))
         assert serialize_corpus(pooled.dialogs) == serialize_corpus(serial.dialogs)
         assert pooled.stats == serial.stats
 
 
 @pytest.mark.parametrize("held", [0, 1, 9], ids=["all-stolen", "one-worker-chunk", "none-stolen"])
-def test_stolen_and_worker_chunks_match_serial(demo_bundle, demo_seeds, monkeypatch,
-                                               _worker_state, held):
-    """Whichever chunks this process steals and whichever a worker runs,
+def test_stolen_and_worker_chunks_match_serial(demo_bundle, demo_seeds, monkeypatch, tmp_path,
+                                               held):
+    """Whichever chunks this process claims and whichever a worker runs,
     the batch has serial's bytes, stats and number of turn objects: the
     worker makes its own objects, and this process maps each one it
     receives to the batch's object for its value, its own turns included."""
@@ -469,15 +487,96 @@ def test_stolen_and_worker_chunks_match_serial(demo_bundle, demo_seeds, monkeypa
                        GenerationConfig(n_dialogs=60, sampler_mix=mix, rng_seed=3))
     monkeypatch.setattr(engine, "CHUNK", 7)  # nine chunks
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    results = []
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", _fake_pool([], results, held))
+    sent = []
+    monkeypatch.setattr(engine, "_run_pool", _in_process_pool(tmp_path, [], sent, held))
     config = GenerationConfig(n_dialogs=60, sampler_mix=mix, rng_seed=3, workers=2)
     pooled = run_batch(demo_bundle, demo_seeds, config)
-    assert len(results) == held
+    assert len(sent) == held
     assert serialize_corpus(pooled.dialogs) == serialize_corpus(serial.dialogs)
     assert pooled.stats == serial.stats
     objects = {id(t) for d in pooled.dialogs for t in d.turns}
     assert len(objects) == len({id(t) for d in serial.dialogs for t in d.turns})
+
+
+def _log_made(monkeypatch, log: Path, hold=None) -> None:
+    """Makes `generate_one` append "pid index" to `log` for each dialog, in
+    whichever process makes it, and then call `hold(index)`."""
+    real = engine.generate_one
+
+    def generate_one(ctx, i):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{os.getpid()} {i}\n".encode())
+        finally:
+            os.close(fd)
+        if hold is not None:
+            hold(i)
+        return real(ctx, i)
+
+    monkeypatch.setattr(engine, "generate_one", generate_one)
+
+
+def _made(log: Path) -> list[tuple[int, int]]:
+    text = log.read_text(encoding="utf-8") if log.exists() else ""
+    return [tuple(map(int, line.split())) for line in text.splitlines()]
+
+
+def test_a_worker_holds_one_unfinished_chunk_at_a_time(demo_bundle, demo_seeds, monkeypatch,
+                                                       tmp_path):
+    """A real pool: a worker claims a chunk only when it is ready to start
+    it. The worker is held on dialog 0 until this process has started
+    chunk 1, and this process on its first dialog until the worker has
+    started, so the worker makes chunk 0 alone and this process every
+    other chunk."""
+    n = 4 * engine.CHUNK
+    config = GenerationConfig(n_dialogs=n, rng_seed=5, workers=2)
+    serial = serialize_corpus(run_batch(demo_bundle, demo_seeds,
+                                        replace(config, workers=1)).dialogs)
+    log = tmp_path / "made"
+    parent = os.getpid()
+
+    def hold_until(ready) -> None:
+        deadline = time.monotonic() + 60
+        while not ready(_made(log)):
+            if time.monotonic() > deadline:
+                raise GenerationError(f"process {os.getpid()} waited in vain")
+            time.sleep(0.005)
+
+    def hold(i):
+        if os.getpid() != parent and i == 0:
+            hold_until(lambda records: (parent, engine.CHUNK) in records)
+        elif os.getpid() == parent and i == n - engine.CHUNK:
+            hold_until(lambda records: any(pid != parent for pid, _ in records))
+
+    _log_made(monkeypatch, log, hold)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pooled = serialize_corpus(run_batch(demo_bundle, demo_seeds, config).dialogs)
+    by_process: dict[int, list[int]] = {}
+    for pid, i in _made(log):
+        by_process.setdefault(pid, []).append(i)
+    assert sorted(by_process.pop(parent)) == list(range(engine.CHUNK, n))
+    assert list(by_process.values()) == [list(range(engine.CHUNK))]
+    assert pooled == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_the_claims_give_each_chunk_to_one_process(demo_bundle, demo_seeds, monkeypatch,
+                                                   tmp_path):
+    """A real pool of more processes than this host's two CPUs, on chunks
+    of one dialog: a lost update of the shared claims would make a dialog
+    twice or never, and each is made once."""
+    n = 96
+    config = GenerationConfig(n_dialogs=n, sampler_mix={"base": 1.0}, rng_seed=2, workers=4)
+    serial = serialize_corpus(run_batch(demo_bundle, demo_seeds,
+                                        replace(config, workers=1)).dialogs)
+    log = tmp_path / "made"
+    _log_made(monkeypatch, log)
+    monkeypatch.setattr(engine, "CHUNK", 1)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    pooled = serialize_corpus(run_batch(demo_bundle, demo_seeds, config).dialogs)
+    assert sorted(i for _, i in _made(log)) == list(range(n))
+    assert pooled == serial
+    assert multiprocessing.active_children() == []
 
 
 def _fail_at(monkeypatch, failing: set[int]) -> None:
@@ -495,15 +594,15 @@ def _fail_at(monkeypatch, failing: set[int]) -> None:
 
 @pytest.mark.parametrize("held", [0, 2, 9])
 def test_a_failing_batch_raises_serials_error_whoever_ran_the_chunk(
-        demo_bundle, demo_seeds, monkeypatch, _worker_state, held):
+        demo_bundle, demo_seeds, monkeypatch, tmp_path, held):
     """The lowest-index error is raised, as in serial, whether this process
-    or a worker met it: here in chunks 1 and 7 of nine, both stolen, one
-    each, or both a worker's."""
+    or a worker met it: here in chunks 1 and 7 of nine, both this
+    process's, one each, or both a worker's."""
     monkeypatch.setattr(engine, "CHUNK", 7)
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     _fail_at(monkeypatch, {9, 50})
     for workers in (1, 2):
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", _fake_pool([], [], held))
+        monkeypatch.setattr(engine, "_run_pool", _in_process_pool(tmp_path, [], [], held))
         config = GenerationConfig(n_dialogs=60, rng_seed=3, workers=workers)
         with pytest.raises(GenerationError, match=r"^dialog 9$"):
             run_batch(demo_bundle, demo_seeds, config)
@@ -512,7 +611,7 @@ def test_a_failing_batch_raises_serials_error_whoever_ran_the_chunk(
 def test_a_failing_pool_raises_serials_error_and_leaves_no_process(demo_bundle, demo_seeds,
                                                                    monkeypatch):
     """A real pool: the errors fall in the last chunk, which this process
-    steals, and in the second, which a worker holds or this process steals;
+    claims first, and in the second, which a worker or this process claims;
     either way serial's error is raised, and no worker outlives the batch."""
     n = 4 * engine.CHUNK
     _fail_at(monkeypatch, {engine.CHUNK + 5, n - 3})
@@ -523,24 +622,35 @@ def test_a_failing_pool_raises_serials_error_and_leaves_no_process(demo_bundle, 
         assert multiprocessing.active_children() == []
 
 
-def _stopped_worker(monkeypatch):
-    """Makes every pool task end as the task of a worker that died does:
-    its future holds `BrokenProcessPool`."""
-    def generate_range(indices):
-        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
-
-    monkeypatch.setattr(engine, "_generate_range", generate_range)
-
-
 def test_a_stopped_pool_worker_is_a_generation_error(demo_bundle, demo_seeds, monkeypatch,
-                                                     _worker_state):
+                                                     tmp_path):
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", _fake_pool([], [], held=1))
-    _stopped_worker(monkeypatch)
+    monkeypatch.setattr(engine, "_run_pool",
+                        _in_process_pool(tmp_path, [], [], held=1, stopped=True))
     config = GenerationConfig(n_dialogs=4 * engine.CHUNK, workers=2)
     with pytest.raises(GenerationError, match=r"^a pool worker stopped before its chunk was "
-                                              r"done: A process in the process pool"):
+                                              rf"done: dialogs 0 to {engine.CHUNK - 1}$"):
         run_batch(demo_bundle, demo_seeds, config)
+
+
+@pytest.mark.parametrize("failed, stopped, expected",
+                         [(0, 1, r"^dialog 3$"), (1, 0, r"^a pool worker stopped")])
+def test_the_lowest_chunk_decides_between_an_error_and_a_stopped_worker(
+        demo_bundle, demo_seeds, tmp_path, failed, stopped, expected):
+    """Two workers, one whose chunk failed and one that stopped holding
+    its chunk: the lower of the two chunks decides what is raised. This
+    process makes the rest."""
+    ctx = prepare_batch(demo_bundle, demo_seeds, GenerationConfig(n_dialogs=12))
+    tasks = [range(start, start + 3) for start in range(0, 12, 3)]
+    readers = [_reader(tmp_path / "failed", [(failed, GenerationError("dialog 3"))]),
+               _reader(tmp_path / "stopped")]
+    claims = multiprocessing.Array("q", [2, len(tasks)])
+    try:
+        with pytest.raises(GenerationError, match=expected):
+            engine._pool_parent(ctx, tasks, claims, readers)
+    finally:
+        for reader in readers:
+            reader.close()
 
 
 def test_truncation_flagged_not_dropped(demo_bundle, demo_seeds):
