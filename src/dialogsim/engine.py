@@ -418,14 +418,26 @@ def generate_one(ctx: BatchContext, i: int) -> tuple[Dialog, dict[str, int]]:
     return _play_goal(goal, ctx.bundle, ctx.config, rng, ctx.index, ctx.model, metadata)
 
 
+def _generate(ctx: BatchContext, task: range, stats: Counter[str]) -> list[Dialog]:
+    """The dialogs of `task`, in order, each one's run stats added to
+    `stats`."""
+    dialogs = []
+    for i in task:
+        dialog, dialog_stats = generate_one(ctx, i)
+        stats[dialog.metadata["sampler"]] += 1
+        stats.update(dialog_stats)
+        dialogs.append(dialog)
+    return dialogs
+
+
 # dialogs per chunk of a pooled batch. A process claims one chunk at a
 # time, when it is ready to start it, so after the claims meet no process
 # waits longer than another takes to finish one chunk
 CHUNK = 64
 
 # a pooled dialog as its worker sends it: the positions of its turns in the
-# turns that worker has sent, its metadata and its stats
-Row = tuple[list[int], dict[str, str], dict[str, int]]
+# turns that worker has sent, and its metadata
+Row = tuple[list[int], dict[str, str]]
 
 
 def _claim(claims: SynchronizedArray, back: bool) -> int | None:
@@ -453,9 +465,10 @@ def _pool_worker(ctx: BatchContext, tasks: list[range], claims: SynchronizedArra
                  writer: Connection, inherited: tuple[Connection, ...] = ()) -> None:
     """A pool worker's loop. It claims chunks from the front, each when it
     is ready to start it, and sends `writer` each one as (chunk number, the
-    turns it had not sent before, in first-use order, one row per dialog),
-    or as (chunk number, error). After an error no later chunk counts, so
-    it closes the claims and stops. Closing `writer` ends its messages.
+    turns it had not sent before, in first-use order, one row per dialog,
+    the chunk's run stats), or as (chunk number, error). After an error no
+    later chunk counts, so it closes the claims and stops. Closing `writer`
+    ends its messages.
     `inherited` are the pool's read ends that the fork copied into this
     worker; closing them leaves each pipe's parent its only reader, so a
     pipe the parent has closed breaks instead of filling."""
@@ -470,21 +483,22 @@ def _pool_worker(ctx: BatchContext, tasks: list[range], claims: SynchronizedArra
         while (k := _claim(claims, back=False)) is not None:
             start = len(sent)
             rows: list[Row] = []
+            stats: Counter[str] = Counter()
             try:
-                for i in tasks[k]:
-                    dialog, stats = generate_one(ctx, i)
-                    positions = []
-                    for turn in dialog.turns:
-                        at = sent_at.setdefault(id(turn), len(sent))
-                        if at == len(sent):
-                            sent.append(turn)
-                        positions.append(at)
-                    rows.append((positions, dialog.metadata, stats))
+                dialogs = _generate(ctx, tasks[k], stats)
             except Exception as e:
                 _close_claims(claims)
                 writer.send((k, e))
                 return
-            writer.send((k, sent[start:], rows))
+            for dialog in dialogs:
+                positions = []
+                for turn in dialog.turns:
+                    at = sent_at.setdefault(id(turn), len(sent))
+                    if at == len(sent):
+                        sent.append(turn)
+                    positions.append(at)
+                rows.append((positions, dialog.metadata))
+            writer.send((k, sent[start:], rows, stats))
     except BrokenPipeError:
         pass  # the parent has stopped reading: the batch is lost
     finally:
@@ -492,16 +506,19 @@ def _pool_worker(ctx: BatchContext, tasks: list[range], claims: SynchronizedArra
 
 
 def _pool_parent(
-    ctx: BatchContext, tasks: list[range], claims: SynchronizedArray, readers: list[Connection]
-) -> list[tuple[Dialog, dict[str, int]]]:
+    ctx: BatchContext, tasks: list[range], claims: SynchronizedArray, readers: list[Connection],
+    stats: Counter[str],
+) -> list[Dialog]:
     """This process's part of a pooled batch. It claims chunks from the
     back and generates them, and after each one receives every message
     that is ready on `readers`, one per worker. Once the claims meet, it
     waits for the rest, until each reader is at its end. Each received
     turn is entered in its reader's table through `TemplateIndex.share`.
-    Returns every dialog in order, or raises the error of the lowest chunk
-    that failed or that never came (its worker stopped)."""
-    done: dict[int, list[tuple[Dialog, dict[str, int]]] | Exception] = {}
+    Each chunk's run stats are added to `stats`, as this process makes the
+    chunk or receives it. Returns every dialog in order, or raises the
+    error of the lowest chunk that failed or that never came (its worker
+    stopped)."""
+    done: dict[int, list[Dialog] | Exception] = {}
     tables: dict[Connection, list[Turn]] = {reader: [] for reader in readers}
 
     def receive(ready: list[Connection]) -> None:
@@ -515,17 +532,18 @@ def _pool_parent(
                 k, error = message
                 done[k] = error
                 continue
-            k, new, rows = message
+            k, new, rows, chunk_stats = message
             # a worker sends its chunks in order, so a row only points at
             # turns already in the table
             table = tables[reader]
             table += map(ctx.index.share, new)
-            done[k] = [(Dialog([table[p] for p in positions], metadata), stats)
-                       for positions, metadata, stats in rows]
+            done[k] = [Dialog([table[p] for p in positions], metadata)
+                       for positions, metadata in rows]
+            stats.update(chunk_stats)  # `+` would drop the keys whose count is 0
 
     while (k := _claim(claims, back=True)) is not None:
         try:
-            done[k] = [generate_one(ctx, i) for i in tasks[k]]
+            done[k] = _generate(ctx, tasks[k], stats)
         except Exception as e:  # a lower chunk's error replaces it, as in serial
             done[k] = e
         while ready := wait(list(tables), 0):
@@ -553,12 +571,12 @@ def _usable_cpus() -> int:
 
 
 def _run_pool(
-    ctx: BatchContext, tasks: list[range], children: int
-) -> list[tuple[Dialog, dict[str, int]]]:
+    ctx: BatchContext, tasks: list[range], children: int, stats: Counter[str]
+) -> list[Dialog]:
     """Every dialog of `tasks`, in order, generated by this process and
     `children` forked workers (`_pool_parent` and `_pool_worker`), which
-    share one claim counter. Each worker sends its chunks over its own
-    pipe."""
+    share one claim counter, with their run stats added to `stats`. Each
+    worker sends its chunks over its own pipe."""
     fork = multiprocessing.get_context("fork")
     claims = fork.Array("q", [0, len(tasks)])
     readers: list[Connection] = []
@@ -572,7 +590,7 @@ def _run_pool(
             worker.start()
             workers.append(worker)
             writer.close()
-        return _pool_parent(ctx, tasks, claims, readers)
+        return _pool_parent(ctx, tasks, claims, readers, stats)
     finally:
         # on any exit, no worker starts another chunk, and none can block
         # on a full pipe, since its writes break; so each join ends
@@ -614,15 +632,9 @@ def run_batch(
     # a worker beyond the chunks or the CPUs would sit idle, yet be forked;
     # where the platform cannot fork, the batch runs here alone
     children = min(config.workers, len(tasks), _usable_cpus()) - 1
-    if children > 0 and "fork" in multiprocessing.get_all_start_methods():
-        results = _run_pool(ctx, tasks, children)
-    else:
-        results = [generate_one(ctx, i) for i in range(n)]
-    # the per-dialog stats stay plain dicts: they cross the process pool in
-    # each row, and unpickling a Counter per dialog costs a Python-level
-    # __init__
     stats = Counter(dict.fromkeys(RUN_STATS, 0))
-    for dialog, dialog_stats in results:
-        stats[dialog.metadata["sampler"]] += 1
-        stats.update(dialog_stats)
-    return BatchResult(dialogs=[dialog for dialog, _ in results], stats=stats)
+    if children > 0 and "fork" in multiprocessing.get_all_start_methods():
+        dialogs = _run_pool(ctx, tasks, children, stats)
+    else:
+        dialogs = _generate(ctx, range(n), stats)
+    return BatchResult(dialogs=dialogs, stats=stats)

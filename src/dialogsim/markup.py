@@ -27,7 +27,7 @@ instance.
 Turns and spans are immutable records (`NamedTuple`s, with tuples for
 `spans` and `acts`), and `ApiCall.bindings` is a dict that nothing writes
 after construction. So a corpus, which repeats its own lines, shares them.
-`parse_corpus` keeps three memos, all local to one call:
+`parse_corpus` keeps four memos, all local to one call:
 
 - The whole-line memo maps a line, turn number included, to its entry: for
   a turn line its turn number, its turn and the turn's link part, for a `#`
@@ -36,15 +36,28 @@ after construction. So a corpus, which repeats its own lines, shares them.
 - Behind it, the body memo, keyed by the side letter and the body without
   the turn number, parses each distinct body once, so one body at other
   turn numbers is still one turn object.
-- The link memo holds the link key of each dialog `_link` passed. `_link`
-  reads only the turn kinds in order, each span's `(var_id, entity_type)`,
-  each call (api, bindings, return var) and the bundle. The key is that
-  projection: per turn the spans' `var_id:entity_type` as one string, the
-  call's identity (the body memo keeps the call alive), or `None` for an
-  nlg line. A dialog whose key is in the memo is not linked again. Only
-  outcomes that raised nothing and replaced no turn are stored, so an error
-  is raised, at its own line, by every dialog that has it, and a span typed
-  by its consuming call is typed in every dialog that holds it.
+- The link memo holds the link key of each dialog that passed the fact
+  check below. The key is what linking reads of the dialog: per turn its
+  link part (`_link_part`), which is the spans' `var_id:entity_type` as one
+  string for a user turn, the call's identity for a call (the body memo
+  keeps the call alive), and `None` for an nlg line. A dialog whose key is
+  in the memo is not checked again.
+- The facts memo maps the link part of each user turn and call to the
+  turn's link facts (`_link_facts`), made when a dialog outside the link
+  memo first holds the part, so a corpus whose dialogs all hit the link
+  memo makes none.
+
+Most of what `_link` checks depends on the turn alone: a call's API and arg
+names exist and none of its literals is of an object kind, and a span is
+typed and not of an object kind. A turn that fails one of these is unfit.
+The facts of a fit turn are the `(var, type)` pairs it needs bound and the
+pairs it introduces. The fact check (`_facts_hold`) walks a dialog's facts
+in turn order with one `types` dict: an unfit turn, a need missing from
+`types` or of another type, or an intro already in it fails the check. A
+dialog passes exactly when `_link` would pass it unchanged. Only a dialog
+that fails runs `_link`, which then raises or types a span by its
+consuming call, so an error is raised, at its own line, by every dialog
+that has it, and a turn typed by its call belongs to its own dialog alone.
 
 A parse error is never stored either, so every error names its own line.
 
@@ -269,11 +282,13 @@ def _parse_dialog_lines(
     lines: dict[str, tuple],
     bodies: dict[str, tuple],
     linked: set[tuple],
+    facts: dict[object, tuple],
 ) -> Dialog:
     """The dialog of one block, read through the caller's memos (see the
     module docstring): `lines` maps a whole line to its entry, `bodies` a
-    turn line's side letter plus body to the entry of its first line, and
-    `linked` holds the link keys of the dialogs `_link` passed unchanged."""
+    turn line's side letter plus body to the entry of its first line,
+    `linked` holds the link keys of the dialogs that passed the fact check,
+    and `facts` maps a link part to its link facts."""
     metadata: dict[str, str] = {}
     turns: list[Turn] = []
     parts: list[object] = []
@@ -300,11 +315,10 @@ def _parse_dialog_lines(
     if bundle is not None:
         key = tuple(parts)
         if key not in linked:
-            before = turns.copy()
-            _link(dialog, bundle, numbered)
-            # a span typed by its call makes a turn unequal to its line's
-            if turns == before:
+            if _facts_hold(turns, parts, bundle, facts):
                 linked.add(key)
+            else:
+                _link(dialog, bundle, numbered)
     return dialog
 
 
@@ -327,7 +341,11 @@ def _turn_entry(
     if m is None:
         raise MarkupError(f"not a turn line: {line!r}", line_no)
     side, number, body = m.groups()
-    index = int(number)
+    try:
+        index = int(number)
+    except ValueError:  # more digits than `int` reads: far from the expected index
+        message = f"turn index of {len(number)} digits out of order (expected {expected})"
+        raise MarkupError(message, line_no) from None
     if index != expected:
         raise _out_of_order(index, expected, line_no)
     entry = bodies.get(side + body)
@@ -351,13 +369,69 @@ def _link_part(turn: Turn) -> object:
     return id(turn) if isinstance(turn, ApiCall) else None
 
 
+def _link_facts(turn: UserUtterance | ApiCall, bundle: SchemaBundle) -> tuple:
+    """A user turn's or a call's link facts: the `(var, type)` pairs it
+    needs bound, in binding order, and those it introduces, as `(needs,
+    intros)`. `()` when the turn is unfit, so that `_link` raises at it or
+    types one of its spans by a call: an unknown API or arg, a literal or
+    span of an object kind, or an untyped span."""
+    if isinstance(turn, UserUtterance):
+        intros = []
+        for span in turn.spans:
+            if span.entity_type is None or _object_kind(bundle, span.entity_type):
+                return ()
+            intros.append((span.var_id, span.entity_type))
+        return (), tuple(intros)
+    api = bundle.api(turn.api)
+    if api is None:
+        return ()
+    needs = []
+    for arg_name, valref in turn.bindings.items():
+        spec = api.arg(arg_name)
+        if spec is None or (valref.var is None and _object_kind(bundle, spec.entity_type)):
+            return ()
+        if valref.var is not None:
+            needs.append((valref.var, spec.entity_type))
+    return tuple(needs), ((turn.return_var, api.return_type),)
+
+
+def _facts_hold(
+    turns: list[Turn], parts: list[object], bundle: SchemaBundle, facts: dict[object, tuple]
+) -> bool:
+    """The fact check: whether `_link` would pass the dialog of `turns`, whose
+    link parts are `parts`, without raising or replacing a turn. `facts`
+    maps each link part met before to its link facts."""
+    types: dict[str, str] = {}
+    for turn, part in zip(turns, parts):
+        if part is None:  # an nlg line, which `_link` does not read
+            continue
+        fact = facts.get(part)
+        if fact is None:
+            fact = facts[part] = _link_facts(turn, bundle)
+        if not fact:
+            return False
+        needs, intros = fact
+        for var, type_name in needs:
+            if types.get(var) != type_name:
+                return False
+        for var, type_name in intros:
+            if var in types:
+                return False
+            types[var] = type_name
+    return True
+
+
 def _link(dialog: Dialog, bundle: SchemaBundle, numbered: list[tuple[int, str]]) -> None:
-    """Resolve var references and check every span's type. A span that
+    """Resolve var references and check every span's type: the one place
+    that types a span by its call and words each link error. A span that
     `_parse_user_text` left untyped is typed by the call that consumes it,
     in a copy of its turn that replaces the turn in this dialog only. A user
     value, span or call literal, may not be of an object-kind type. The spans
     are cut from the text in order, so they need no order or surface check.
-    An error names the line of its turn in `numbered`, the dialog's block."""
+    An error names the line of its turn in `numbered`, the dialog's block.
+
+    The parser runs it only on a dialog that fails the fact check
+    (`_facts_hold`), so each run raises or replaces a turn."""
     # var -> (introducing turn, its span, or the return type of its call)
     intro: dict[str, tuple[int, EntitySpan | str]] = {}
     turns = dialog.turns
@@ -408,15 +482,19 @@ def _link(dialog: Dialog, bundle: SchemaBundle, numbered: list[tuple[int, str]])
             _check_user_value(bundle, span.entity_type, n, numbered)
 
 
+def _object_kind(bundle: SchemaBundle, type_name: str) -> bool:
+    et = bundle.entity_type(type_name)
+    return et is not None and et.kind == OBJECT
+
+
 def _check_user_value(
     bundle: SchemaBundle, type_name: str, n: int, numbered: list[tuple[int, str]]
 ) -> None:
     """Golden sampling redraws a user value from its type's catalog, and an
     object-kind type has none."""
-    et = bundle.entity_type(type_name)
-    if et is not None and et.kind == OBJECT:
+    if _object_kind(bundle, type_name):
         raise _at_turn(
-            numbered, n, f"object-kind type {et.name!r} cannot appear as a user value (turn {n})"
+            numbered, n, f"object-kind type {type_name!r} cannot appear as a user value (turn {n})"
         )
 
 
@@ -429,7 +507,7 @@ def parse_dialog(text: str, bundle: SchemaBundle | None = None) -> Dialog:
     numbered = [
         (no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()
     ]
-    return _parse_dialog_lines(numbered, bundle, {}, {}, set())
+    return _parse_dialog_lines(numbered, bundle, {}, {}, set(), {})
 
 
 def parse_corpus(text: str, bundle: SchemaBundle | None = None) -> list[Dialog]:
@@ -439,6 +517,7 @@ def parse_corpus(text: str, bundle: SchemaBundle | None = None) -> list[Dialog]:
     lines: dict[str, tuple] = {}
     bodies: dict[str, tuple] = {}
     linked: set[tuple] = set()
+    facts: dict[object, tuple] = {}
     block: list[tuple[int, str]] = []
     # the closing "" ends the last block
     for no, line in enumerate([*text.splitlines(), ""], start=1):
@@ -446,7 +525,7 @@ def parse_corpus(text: str, bundle: SchemaBundle | None = None) -> list[Dialog]:
             block.append((no, line))
         elif block:
             if not all(row.startswith("#") and not _meta(row, lines) for _, row in block):
-                dialogs.append(_parse_dialog_lines(block, bundle, lines, bodies, linked))
+                dialogs.append(_parse_dialog_lines(block, bundle, lines, bodies, linked, facts))
             block = []
     return dialogs
 

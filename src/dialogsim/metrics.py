@@ -59,6 +59,12 @@ def variation_report(corpus: list[Dialog]) -> VariationReport:
     mean, p75, p95 = turn_stats(corpus)  # rejects an empty corpus
     counts = Counter(sequence_string(d) for d in corpus)
     n = len(corpus)
+    # added left to right from the integer 0, as `sum` adds floats before
+    # Python 3.12; from 3.12 on, `sum` compensates its rounding, which moves
+    # the last digits
+    total = 0
+    for c in counts.values():
+        total += (c / n) * math.log(c / n)
     return VariationReport(
         n_dialogs=n,
         turns_mean=mean,
@@ -66,7 +72,7 @@ def variation_report(corpus: list[Dialog]) -> VariationReport:
         turns_p95=p95,
         unique_sequences=len(counts),
         fraction_unique=len(counts) / n,
-        entropy_nats=-sum((c / n) * math.log(c / n) for c in counts.values()),
+        entropy_nats=-total,
     )
 
 

@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -728,6 +729,18 @@ def test_metrics_bad_corpus_is_one_error_line(data_paths, tmp_path, capsys, corp
     _assert_one_error_line(captured.err)
 
 
+def test_an_overlong_turn_number_is_one_error_line(data_paths, tmp_path, capsys):
+    # more digits than `int` reads from a string by default
+    schema, _ = data_paths
+    path = tmp_path / "corpus.txt"
+    path.write_text(f"U-{'1' * 5000}: hi\n", encoding="utf-8")
+    assert main(["metrics", "--schema", str(schema), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_error_line(captured.err)
+    assert "line 1: turn index of 5000 digits out of order (expected 1)" in captured.err
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -876,6 +889,56 @@ def test_bytes_do_not_depend_on_hash_seed_or_pool_chunks(data_paths, hash_seed, 
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN[name]
         assert proc.stderr.decode("utf-8") == STATS_LINES[name] + "\n"
+
+
+def _other_interpreters() -> list[str]:
+    """Every `python3.<minor>` on PATH with minor >= 10 but for this
+    interpreter's, that runs as that CPython. A name that cannot run, such
+    as a version manager's shim for a version it does not select, counts as
+    absent."""
+    names = set()
+    for folder in os.environ.get("PATH", "").split(os.pathsep):
+        if os.path.isdir(folder):
+            names.update(name for name in os.listdir(folder)
+                         if re.fullmatch(r"python3\.(1\d|[2-9]\d)", name))
+    found = []
+    for name in sorted(names, key=lambda name: int(name.split(".")[1])):
+        minor = int(name.split(".")[1])
+        probe = ("import sys; assert sys.implementation.name == 'cpython'; "
+                 f"assert sys.version_info[:2] == (3, {minor})")
+        exe = shutil.which(name)
+        if minor != sys.version_info.minor and exe is not None and subprocess.run(
+                [exe, "-c", probe], capture_output=True, timeout=60).returncode == 0:
+            found.append(exe)
+    return found
+
+
+def test_other_interpreters_give_the_pinned_bytes(data_paths, tmp_path):
+    """`pyproject.toml` admits any CPython >= 3.10: under every other one on
+    PATH, the `GOLDEN` generate, export-training and metrics commands give
+    the pinned bytes."""
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10 on PATH")
+    schema, seeds = data_paths
+    env = dict(os.environ, PYTHONPATH=str(Path(dialogsim.__file__).parents[1]))
+    corpus, train = tmp_path / "corpus.txt", tmp_path / "train"
+    for exe in interpreters:
+        def run(*argv):
+            proc = subprocess.run([exe, "-m", "dialogsim.cli", *argv], capture_output=True,
+                                  env=env, timeout=300)
+            assert proc.returncode == 0, (exe, proc.stderr)
+            return proc
+        proc = run("generate", "--schema", str(schema), "--seeds", str(seeds), "--n", "300",
+                   "--seed", "42", "--out", str(corpus))
+        assert proc.stderr.decode("utf-8") == STATS_LINES["generate"] + "\n", exe
+        digests = {"generate": hashlib.sha256(corpus.read_bytes()).hexdigest()}
+        run("export-training", "--schema", str(schema), "--out", str(train), str(corpus))
+        jsonl = b"".join(path.read_bytes() for path in sorted(train.glob("*.jsonl")))
+        digests["export-training"] = hashlib.sha256(jsonl).hexdigest()
+        proc = run("metrics", "--schema", str(schema), str(corpus))
+        digests["metrics"] = hashlib.sha256(proc.stdout).hexdigest()
+        assert digests == {name: GOLDEN[name] for name in digests}, exe
 
 
 # Every `lru_cache` in the package, as (module, the name it caches under).

@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import fields, replace
 from functools import partial
 from multiprocessing.connection import Connection
@@ -424,7 +425,7 @@ def _in_process_pool(tmp_path: Path, sizes: list[int], sent: list[tuple], held: 
     A `stopped` worker holds its chunks but sends nothing, as one that
     died. It records the worker count asked for in `sizes` and each message
     the worker sent in `sent`."""
-    def run_pool(ctx, tasks, children):
+    def run_pool(ctx, tasks, children, stats):
         sizes.append(children)
         path = tmp_path / f"pipe-{len(sizes)}"
         if stopped:
@@ -441,7 +442,7 @@ def _in_process_pool(tmp_path: Path, sizes: list[int], sent: list[tuple], held: 
                     break
         claims = multiprocessing.Array("q", [held, len(tasks)])
         with Connection(os.open(path, os.O_RDONLY), writable=False) as reader:
-            return engine._pool_parent(ctx, tasks, claims, [reader])
+            return engine._pool_parent(ctx, tasks, claims, [reader], stats)
 
     return run_pool
 
@@ -449,16 +450,19 @@ def _in_process_pool(tmp_path: Path, sizes: list[int], sent: list[tuple], held: 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_each_worker_sends_each_turn_once(demo_bundle, demo_seeds, monkeypatch, tmp_path, chunk):
     """A worker sends its chunks in order, each with only the turns it has
-    not sent before, and its rows point into every one of them; a second
-    batch in the same process starts from an empty sent-table. The
-    in-process worker runs the chunks that cover the first half of the
-    batch, so its distinct turns are those of the same dialogs in a serial
-    batch."""
+    not sent before and its run stats, and its rows point into every one
+    of them; a second batch in the same process starts from an empty
+    sent-table. The in-process worker runs the chunks that cover the first
+    half of the batch, so its distinct turns and stats are those of the
+    same dialogs in a serial batch."""
     mix = {"base": 1.0, "golden": 1.0, "markov": 1.0}
     serial = run_batch(demo_bundle, demo_seeds,
                        GenerationConfig(n_dialogs=60, sampler_mix=mix, rng_seed=3))
     held = 30 // chunk
     distinct = len({id(t) for d in serial.dialogs[:held * chunk] for t in d.turns})
+    # the worker's dialogs: each dialog has its own random substream
+    head = run_batch(demo_bundle, demo_seeds,
+                     GenerationConfig(n_dialogs=held * chunk, sampler_mix=mix, rng_seed=3))
     monkeypatch.setattr(engine, "CHUNK", chunk)
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     config = GenerationConfig(n_dialogs=60, sampler_mix=mix, rng_seed=3, workers=2)
@@ -466,13 +470,15 @@ def test_each_worker_sends_each_turn_once(demo_bundle, demo_seeds, monkeypatch, 
         sent = []
         monkeypatch.setattr(engine, "_run_pool", _in_process_pool(tmp_path, [], sent, held))
         pooled = run_batch(demo_bundle, demo_seeds, config)
-        assert [k for k, _, _ in sent] == list(range(held))
-        turns = [t for _, new, _ in sent for t in new]
+        assert [k for k, *_ in sent] == list(range(held))
+        turns = [t for _, new, _, _ in sent for t in new]
         assert len(turns) == len({id(t) for t in turns}) == distinct
-        positions = {p for _, _, rows in sent for row in rows for p in row[0]}
+        positions = {p for _, _, rows, _ in sent for row in rows for p in row[0]}
         assert positions == set(range(distinct))
         assert serialize_corpus(pooled.dialogs) == serialize_corpus(serial.dialogs)
-        assert pooled.stats == serial.stats
+        # every key in order, zero counts included, as the stats line prints them
+        assert json.dumps(pooled.stats) == json.dumps(serial.stats)
+        assert sum((stats for *_, stats in sent), Counter()) == head.stats
 
 
 @pytest.mark.parametrize("held", [0, 1, 9], ids=["all-stolen", "one-worker-chunk", "none-stolen"])
@@ -493,7 +499,7 @@ def test_stolen_and_worker_chunks_match_serial(demo_bundle, demo_seeds, monkeypa
     pooled = run_batch(demo_bundle, demo_seeds, config)
     assert len(sent) == held
     assert serialize_corpus(pooled.dialogs) == serialize_corpus(serial.dialogs)
-    assert pooled.stats == serial.stats
+    assert json.dumps(pooled.stats) == json.dumps(serial.stats)
     objects = {id(t) for d in pooled.dialogs for t in d.turns}
     assert len(objects) == len({id(t) for d in serial.dialogs for t in d.turns})
 
@@ -647,7 +653,7 @@ def test_the_lowest_chunk_decides_between_an_error_and_a_stopped_worker(
     claims = multiprocessing.Array("q", [2, len(tasks)])
     try:
         with pytest.raises(GenerationError, match=expected):
-            engine._pool_parent(ctx, tasks, claims, readers)
+            engine._pool_parent(ctx, tasks, claims, readers, Counter())
     finally:
         for reader in readers:
             reader.close()

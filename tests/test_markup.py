@@ -547,23 +547,28 @@ def test_a_link_error_names_its_line(demo_bundle, third, line, message):
 
 
 def test_the_memos_hit(monkeypatch, demo_bundle, demo_seeds):
-    """2,000 replays of 5 seeds hold 5 var flows: `_link` runs once per
-    flow, `_parse_turn` once per distinct body and `_turn_entry` once per
-    distinct turn line."""
-    config = GenerationConfig(n_dialogs=2000, sampler_mix={"base": 1.0}, rng_seed=1)
-    text = serialize_corpus(run_batch(demo_bundle, demo_seeds, config).dialogs)
-    turn_lines = [line for line in text.splitlines() if line[:1] in ("U", "S")]
-    bodies = {re.sub(r"-\d+:\s?", "", line, count=1) for line in turn_lines}
-    calls = {"_link": 0, "_parse_turn": 0, "_turn_entry": 0}
-    for name in calls:
+    """2,000 replays of 5 seeds hold 5 var flows, and 1,000 self-played
+    dialogs 740: the fact check runs once per flow and passes each, so
+    `_link` never runs. `_parse_turn` runs once per distinct body and
+    `_turn_entry` once per distinct turn line."""
+    names = ("_link", "_facts_hold", "_parse_turn", "_turn_entry")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         def counted(*args, name=name, inner=getattr(markup, name)):
             calls[name] += 1
             return inner(*args)
         monkeypatch.setattr(markup, name, counted)
-    dialogs = parse_corpus(text, demo_bundle)
-    assert len(dialogs) == 2000
-    assert calls == {"_link": 5, "_parse_turn": len(bodies), "_turn_entry": len(set(turn_lines))}
-    assert len(bodies) < len(set(turn_lines)) < len(turn_lines)
+    for mix, n, flows in (({"base": 1.0}, 2000, 5), (GenerationConfig().sampler_mix, 1000, 740)):
+        config = GenerationConfig(n_dialogs=n, sampler_mix=mix, rng_seed=1)
+        text = serialize_corpus(run_batch(demo_bundle, demo_seeds, config).dialogs)
+        turn_lines = [line for line in text.splitlines() if line[:1] in ("U", "S")]
+        bodies = {re.sub(r"-\d+:\s?", "", line, count=1) for line in turn_lines}
+        calls.update(dict.fromkeys(names, 0))
+        dialogs = parse_corpus(text, demo_bundle)
+        assert len(dialogs) == n
+        assert calls == {"_link": 0, "_facts_hold": flows, "_parse_turn": len(bodies),
+                         "_turn_entry": len(set(turn_lines))}
+        assert len(bodies) < len(set(turn_lines)) < len(turn_lines)
 
 
 def test_the_memos_change_nothing(
@@ -669,3 +674,39 @@ def test_the_memos_change_nothing(
             assert dialogs == expected
 
     check()
+
+
+def test_the_fact_check_passes_exactly_what_link_passes_unchanged(
+    monkeypatch, demo_bundle, demo_seeds, flow_bundle, flow_seed, catalog_return_bundle,
+    catalog_return_seeds
+):
+    """The mutated corpora of `test_the_memos_change_nothing`, whose blocks
+    parsed one by one are here parsed with the fact check forced to fail, so
+    that `_link` runs on every dialog: the corpus parses to the same dialogs,
+    or raises the same message at the same line. Wherever the check fails,
+    `_link` raises or replaces a turn."""
+    link = markup._link
+
+    def checked_link(dialog, bundle, numbered):
+        before = dialog.turns.copy()
+        link(dialog, bundle, numbered)
+        assert dialog.turns != before  # `_link` passed a dialog the check failed
+
+    def linked_parse_dialog(text, bundle=None):
+        with monkeypatch.context() as m:
+            m.setattr(markup, "_facts_hold", lambda *args: False)
+            m.setattr(markup, "_link", link)
+            return markup.parse_dialog(text, bundle)
+
+    monkeypatch.setattr(markup, "_link", checked_link)
+    monkeypatch.setitem(globals(), "parse_dialog", linked_parse_dialog)
+    test_the_memos_change_nothing(demo_bundle, demo_seeds, flow_bundle, flow_seed,
+                                  catalog_return_bundle, catalog_return_seeds)
+
+
+def test_an_overlong_turn_number_is_out_of_order():
+    # more digits than `int` reads from a string by default
+    with pytest.raises(MarkupError, match=r"^line 2: turn index of 5000 digits out of order "
+                                          r"\(expected 2\)$") as err:
+        parse_corpus(f"U-1: hi\nS-{'1' * 5000}: nlg: ok")
+    assert err.value.line == 2
