@@ -36,28 +36,23 @@ after construction. So a corpus, which repeats its own lines, shares them.
 - Behind it, the body memo, keyed by the side letter and the body without
   the turn number, parses each distinct body once, so one body at other
   turn numbers is still one turn object.
-- The link memo holds the link key of each dialog that passed the fact
-  check below. The key is what linking reads of the dialog: per turn its
-  link part (`_link_part`), which is the spans' `var_id:entity_type` as one
-  string for a user turn, the call's identity for a call (the body memo
-  keeps the call alive), and `None` for an nlg line. A dialog whose key is
-  in the memo is not checked again.
+- The link memo holds the link key of each dialog that linked unchanged.
+  The key is what linking reads of the dialog: per turn its link part
+  (`_link_part`), which is the spans' `var_id:entity_type` as one string
+  for a user turn, the call's identity for a call (the body memo keeps the
+  call alive), and `None` for an nlg line. A dialog whose key is in the
+  memo is not linked again.
 - The facts memo maps the link part of each user turn and call to the
-  turn's link facts (`_link_facts`), made when a dialog outside the link
-  memo first holds the part, so a corpus whose dialogs all hit the link
-  memo makes none.
+  turn's link facts (`_link_facts`), the `(var, type)` pairs it needs
+  bound and those it introduces, made on a link-memo miss, so a corpus
+  whose dialogs all hit the link memo makes none.
 
-Most of what `_link` checks depends on the turn alone: a call's API and arg
-names exist and none of its literals is of an object kind, and a span is
-typed and not of an object kind. A turn that fails one of these is unfit.
-The facts of a fit turn are the `(var, type)` pairs it needs bound and the
-pairs it introduces. The fact check (`_facts_hold`) walks a dialog's facts
-in turn order with one `types` dict: an unfit turn, a need missing from
-`types` or of another type, or an intro already in it fails the check. A
-dialog passes exactly when `_link` would pass it unchanged. Only a dialog
-that fails runs `_link`, which then raises or types a span by its
-consuming call, so an error is raised, at its own line, by every dialog
-that has it, and a turn typed by its call belongs to its own dialog alone.
+`_link` is the one linker. It walks a dialog's facts in turn order with
+one `types` dict, and only a turn whose needs are not bound at their
+types, or that its facts mark unfit, takes the slow branch (`_link_slow`),
+which raises the error or types a span by its consuming call. So an error
+is raised, at its own line, by every dialog that has it, and a turn typed
+by its call belongs to its own dialog alone.
 
 A parse error is never stored either, so every error names its own line.
 
@@ -287,8 +282,8 @@ def _parse_dialog_lines(
     """The dialog of one block, read through the caller's memos (see the
     module docstring): `lines` maps a whole line to its entry, `bodies` a
     turn line's side letter plus body to the entry of its first line,
-    `linked` holds the link keys of the dialogs that passed the fact check,
-    and `facts` maps a link part to its link facts."""
+    `linked` holds the link keys of the dialogs that linked unchanged, and
+    `facts` maps a link part to its link facts."""
     metadata: dict[str, str] = {}
     turns: list[Turn] = []
     parts: list[object] = []
@@ -311,15 +306,11 @@ def _parse_dialog_lines(
         raise MarkupError("dialog has no turns", numbered[0][0] if numbered else None)
     if not isinstance(turns[0], UserUtterance):
         raise MarkupError("first turn must be user-side", numbered[0][0])
-    dialog = Dialog(turns=turns, metadata=metadata)
     if bundle is not None:
         key = tuple(parts)
-        if key not in linked:
-            if _facts_hold(turns, parts, bundle, facts):
-                linked.add(key)
-            else:
-                _link(dialog, bundle, numbered)
-    return dialog
+        if key not in linked and _link(turns, parts, bundle, facts, numbered):
+            linked.add(key)
+    return Dialog(turns=turns, metadata=metadata)
 
 
 def _meta(line: str, lines: dict[str, tuple]) -> tuple[str, ...]:
@@ -360,126 +351,133 @@ def _out_of_order(index: int, expected: int, line_no: int) -> MarkupError:
 
 
 def _link_part(turn: Turn) -> object:
-    """What `_link` reads of a turn: a user turn's `var_id:entity_type` per
-    span (`var_id:` when untyped; both are `NAME`s), as one string, which
-    the collector does not track; a call's identity, which the body memo
-    keeps alive; and nothing of an nlg line."""
+    """What `_link` reads of a turn, and the key of its link facts: a user
+    turn's `var_id:entity_type` per span (`var_id:` when untyped; both are
+    `NAME`s), as one string, which the collector does not track; a call's
+    identity, which the body memo keeps alive; and nothing of an nlg line."""
     if isinstance(turn, UserUtterance):
         return " ".join([f"{s.var_id}:{s.entity_type or ''}" for s in turn.spans])
     return id(turn) if isinstance(turn, ApiCall) else None
 
 
+# the needs of an unfit turn: one that no dialog meets, as no var id is empty
+_UNFIT = (("", ""),)
+
+
 def _link_facts(turn: UserUtterance | ApiCall, bundle: SchemaBundle) -> tuple:
     """A user turn's or a call's link facts: the `(var, type)` pairs it
     needs bound, in binding order, and those it introduces, as `(needs,
-    intros)`. `()` when the turn is unfit, so that `_link` raises at it or
-    types one of its spans by a call: an unknown API or arg, a literal or
-    span of an object kind, or an untyped span."""
+    intros)`. An unfit turn needs `_UNFIT`, so that `_link` takes its slow
+    branch there: a call with an unknown API or arg or a literal of an
+    object kind, or a user turn with a span untyped (introduced with type
+    `None`) or of an object kind."""
     if isinstance(turn, UserUtterance):
-        intros = []
-        for span in turn.spans:
-            if span.entity_type is None or _object_kind(bundle, span.entity_type):
-                return ()
-            intros.append((span.var_id, span.entity_type))
-        return (), tuple(intros)
+        intros = tuple([(span.var_id, span.entity_type) for span in turn.spans])
+        for _, type_name in intros:
+            if type_name is None or _object_kind(bundle, type_name):
+                return _UNFIT, intros
+        return (), intros
     api = bundle.api(turn.api)
     if api is None:
-        return ()
+        return _UNFIT, ()
     needs = []
     for arg_name, valref in turn.bindings.items():
         spec = api.arg(arg_name)
         if spec is None or (valref.var is None and _object_kind(bundle, spec.entity_type)):
-            return ()
+            return _UNFIT, ()
         if valref.var is not None:
             needs.append((valref.var, spec.entity_type))
     return tuple(needs), ((turn.return_var, api.return_type),)
 
 
-def _facts_hold(
-    turns: list[Turn], parts: list[object], bundle: SchemaBundle, facts: dict[object, tuple]
+def _link(
+    turns: list[Turn],
+    parts: list[object],
+    bundle: SchemaBundle,
+    facts: dict[object, tuple],
+    numbered: list[tuple[int, str]],
 ) -> bool:
-    """The fact check: whether `_link` would pass the dialog of `turns`, whose
-    link parts are `parts`, without raising or replacing a turn. `facts`
-    maps each link part met before to its link facts."""
-    types: dict[str, str] = {}
-    for turn, part in zip(turns, parts):
-        if part is None:  # an nlg line, which `_link` does not read
+    """Resolve the var references of the dialog of `turns`, whose link parts
+    are `parts`, and check every span's type; whether it linked unchanged.
+    `facts` maps each link part met before to its link facts. A dialog that
+    took the slow branch and did not raise holds a span that is untyped, of
+    an object kind or typed by its call, so its spans are checked once the
+    walk ends, and an error in a later call comes first. The spans are cut
+    from the text in order, so they need no order or surface check. An
+    error names the line of its turn in `numbered`, the dialog's block."""
+    types: dict[str, str | None] = {}
+    unchanged = True
+    for n, part in enumerate(parts, start=1):
+        if part is None:  # an nlg line, which linking does not read
             continue
         fact = facts.get(part)
         if fact is None:
-            fact = facts[part] = _link_facts(turn, bundle)
-        if not fact:
-            return False
+            fact = facts[part] = _link_facts(turns[n - 1], bundle)
         needs, intros = fact
         for var, type_name in needs:
             if types.get(var) != type_name:
-                return False
+                unchanged = False
+                _link_slow(turns, n, types, bundle, numbered)
+                break
         for var, type_name in intros:
             if var in types:
-                return False
+                raise _at_turn(numbered, n, f"var {var!r} reintroduced in turn {n}")
             types[var] = type_name
-    return True
-
-
-def _link(dialog: Dialog, bundle: SchemaBundle, numbered: list[tuple[int, str]]) -> None:
-    """Resolve var references and check every span's type: the one place
-    that types a span by its call and words each link error. A span that
-    `_parse_user_text` left untyped is typed by the call that consumes it,
-    in a copy of its turn that replaces the turn in this dialog only. A user
-    value, span or call literal, may not be of an object-kind type. The spans
-    are cut from the text in order, so they need no order or surface check.
-    An error names the line of its turn in `numbered`, the dialog's block.
-
-    The parser runs it only on a dialog that fails the fact check
-    (`_facts_hold`), so each run raises or replaces a turn."""
-    # var -> (introducing turn, its span, or the return type of its call)
-    intro: dict[str, tuple[int, EntitySpan | str]] = {}
-    turns = dialog.turns
-    for n, p in enumerate(turns, start=1):
-        if isinstance(p, UserUtterance):
-            for span in p.spans:
-                if span.var_id in intro:
-                    raise _at_turn(numbered, n, f"var {span.var_id!r} reintroduced in turn {n}")
-                intro[span.var_id] = (n, span)
-        elif isinstance(p, ApiCall):
-            api = bundle.api(p.api)
-            if api is None:
-                raise _at_turn(numbered, n, f"unknown API {p.api!r} in turn {n}")
-            for arg_name, valref in p.bindings.items():
-                spec = api.arg(arg_name)
-                if spec is None:
-                    raise _at_turn(
-                        numbered, n, f"API {p.api} has no argument {arg_name!r} in turn {n}"
-                    )
-                if valref.var is None:
-                    _check_user_value(bundle, spec.entity_type, n, numbered)
-                    continue
-                at, source = intro.get(valref.var, (n, None))
-                if at >= n:
-                    raise _at_turn(numbered, n, f"unresolved reference ${valref.var} in turn {n}")
-                if isinstance(source, EntitySpan) and source.entity_type is None:
-                    typed = source._replace(entity_type=spec.entity_type)
-                    intro[valref.var] = (at, typed)
-                    user = turns[at - 1]
-                    spans = tuple(typed if s is source else s for s in user.spans)
-                    turns[at - 1] = user._replace(spans=spans)
-                    continue
-                var_type = source.entity_type if isinstance(source, EntitySpan) else source
-                if var_type != spec.entity_type:
-                    raise _at_turn(numbered, n, f"${valref.var} is a {var_type} but "
-                                   f"{p.api}.{arg_name} takes {spec.entity_type}")
-            if p.return_var in intro:
-                raise _at_turn(numbered, n, f"var {p.return_var!r} reintroduced in turn {n}")
-            intro[p.return_var] = (n, api.return_type)
+    if unchanged:
+        return True
     # by now a span is typed by its var prefix or by the call that consumed it
-    for n, p in enumerate(turns, start=1):
-        if not isinstance(p, UserUtterance):
+    for n, turn in enumerate(turns, start=1):
+        if not isinstance(turn, UserUtterance):
             continue
-        for span in p.spans:
+        for span in turn.spans:
             if span.entity_type is None:
                 message = f"cannot infer entity type for span var {span.var_id!r} in turn {n}"
                 raise _at_turn(numbered, n, message)
-            _check_user_value(bundle, span.entity_type, n, numbered)
+            if _object_kind(bundle, span.entity_type):
+                raise _user_value_error(numbered, n, span.entity_type)
+    return False
+
+
+def _link_slow(
+    turns: list[Turn],
+    n: int,
+    types: dict[str, str | None],
+    bundle: SchemaBundle,
+    numbered: list[tuple[int, str]],
+) -> None:
+    """`_link`'s slow branch at turn `n`, whose facts do not hold on
+    `types`, the vars bound before it (`None` for an untyped span). A call
+    raises its first error in binding order, or types each untyped span it
+    consumes, in a copy of the span's turn that replaces it in this dialog
+    only. A user turn's spans are checked after the walk."""
+    call = turns[n - 1]
+    if isinstance(call, UserUtterance):
+        return
+    api = bundle.api(call.api)
+    if api is None:
+        raise _at_turn(numbered, n, f"unknown API {call.api!r} in turn {n}")
+    for arg_name, valref in call.bindings.items():
+        spec = api.arg(arg_name)
+        if spec is None:
+            raise _at_turn(numbered, n, f"API {call.api} has no argument {arg_name!r} in turn {n}")
+        var, type_name = valref.var, spec.entity_type
+        if var is None:
+            if _object_kind(bundle, type_name):
+                raise _user_value_error(numbered, n, type_name)
+        elif var not in types:
+            raise _at_turn(numbered, n, f"unresolved reference ${var} in turn {n}")
+        elif types[var] is None:
+            types[var] = type_name
+            for at, user in enumerate(turns):
+                if isinstance(user, UserUtterance) and any(s.var_id == var for s in user.spans):
+                    turns[at] = user._replace(spans=tuple(
+                        s._replace(entity_type=type_name) if s.var_id == var else s
+                        for s in user.spans
+                    ))
+                    break
+        elif types[var] != type_name:
+            raise _at_turn(numbered, n, f"${var} is a {types[var]} but "
+                           f"{call.api}.{arg_name} takes {type_name}")
 
 
 def _object_kind(bundle: SchemaBundle, type_name: str) -> bool:
@@ -487,15 +485,12 @@ def _object_kind(bundle: SchemaBundle, type_name: str) -> bool:
     return et is not None and et.kind == OBJECT
 
 
-def _check_user_value(
-    bundle: SchemaBundle, type_name: str, n: int, numbered: list[tuple[int, str]]
-) -> None:
-    """Golden sampling redraws a user value from its type's catalog, and an
+def _user_value_error(numbered: list[tuple[int, str]], n: int, type_name: str) -> MarkupError:
+    """A user value, span or call literal, of an object-kind type: golden
+    sampling redraws a user value from its type's catalog, and an
     object-kind type has none."""
-    if _object_kind(bundle, type_name):
-        raise _at_turn(
-            numbered, n, f"object-kind type {type_name!r} cannot appear as a user value (turn {n})"
-        )
+    message = f"object-kind type {type_name!r} cannot appear as a user value (turn {n})"
+    return _at_turn(numbered, n, message)
 
 
 def _at_turn(numbered: list[tuple[int, str]], n: int, message: str) -> MarkupError:

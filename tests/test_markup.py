@@ -347,10 +347,25 @@ def test_literal_bindings_parse(demo_bundle):
             "line 2: argument 'location' bound twice",
         ),
         ("# id=empty", "dialog has no turns"),
+        (
+            # one var bound to two args: the error names the arg that does not take it
+            "U-1: at [4 PM|time0]\n"
+            "S-2: call: SelectShow(showTime=$time0,movieTitle=$time0) -> showInfo0",
+            "$time0 is a Time but SelectShow.movieTitle takes movieTitle",
+        ),
+        (
+            'U-1: hi\nS-2: call: FindMovies(location=$a0,place="x") -> movieList0',
+            "unresolved reference $a0 in turn 2",
+        ),
+        (
+            "U-1: [x|v0]\nS-2: call: FindMovies(location=$v0) -> movieList0\nU-3: [y|v0]",
+            "var 'v0' reintroduced in turn 3",
+        ),
     ],
     ids=["return-type", "span-type", "span-reintroduced", "return-reintroduced",
          "uninferable", "object-span", "object-literal", "embedded-quote", "malformed-arg",
-         "arg-bound-twice", "no-turns"],
+         "arg-bound-twice", "no-turns", "second-arg-of-one-var", "unresolved-before-no-arg",
+         "typed-span-reintroduced"],
 )
 def test_link_errors(demo_bundle, text, message):
     with pytest.raises(MarkupError) as err:
@@ -535,8 +550,17 @@ _GOOD_BLOCK = (
          "cannot infer entity type for span var 'place0' in turn 1"),
         ("U-1: hi\nS-2: nlg: ok\nU-3: that [list|movieList0]", 12,
          "object-kind type 'movieList' cannot appear as a user value (turn 3)"),
+        # a span's type is checked after the walk, so a later call's error comes first
+        ("U-1: that [list|movieList0]\nS-2: call: FindMovies(location=$location9) -> movieList1",
+         11, "unresolved reference $location9 in turn 2"),
+        ("U-1: [x|v0]\nS-2: call: SelectShow(movies=$v0) -> showInfo0", 10,
+         "object-kind type 'movieList' cannot appear as a user value (turn 1)"),
+        ("U-1: [x|v0]\nS-2: call: FindMovies(location=$v0) -> movieList0\n"
+         "S-3: call: SelectShow(showTime=$v0) -> showInfo0", 12,
+         "$v0 is a location but SelectShow.showTime takes Time"),
     ],
-    ids=["unresolved", "no-argument", "type-mismatch", "uninferable", "object-span"],
+    ids=["unresolved", "no-argument", "type-mismatch", "uninferable", "object-span",
+         "object-span-then-unresolved", "typed-as-object-kind", "typed-then-mismatch"],
 )
 def test_a_link_error_names_its_line(demo_bundle, third, line, message):
     # two clean dialogs of one flow, then the faulty one after its metadata line
@@ -548,10 +572,10 @@ def test_a_link_error_names_its_line(demo_bundle, third, line, message):
 
 def test_the_memos_hit(monkeypatch, demo_bundle, demo_seeds):
     """2,000 replays of 5 seeds hold 5 var flows, and 1,000 self-played
-    dialogs 740: the fact check runs once per flow and passes each, so
-    `_link` never runs. `_parse_turn` runs once per distinct body and
+    dialogs 740: `_link` runs once per flow and passes each, and the link
+    memo spares it the rest. `_parse_turn` runs once per distinct body and
     `_turn_entry` once per distinct turn line."""
-    names = ("_link", "_facts_hold", "_parse_turn", "_turn_entry")
+    names = ("_link", "_parse_turn", "_turn_entry")
     calls = dict.fromkeys(names, 0)
     for name in names:
         def counted(*args, name=name, inner=getattr(markup, name)):
@@ -566,7 +590,7 @@ def test_the_memos_hit(monkeypatch, demo_bundle, demo_seeds):
         calls.update(dict.fromkeys(names, 0))
         dialogs = parse_corpus(text, demo_bundle)
         assert len(dialogs) == n
-        assert calls == {"_link": 0, "_facts_hold": flows, "_parse_turn": len(bodies),
+        assert calls == {"_link": flows, "_parse_turn": len(bodies),
                          "_turn_entry": len(set(turn_lines))}
         assert len(bodies) < len(set(turn_lines)) < len(turn_lines)
 
@@ -674,34 +698,6 @@ def test_the_memos_change_nothing(
             assert dialogs == expected
 
     check()
-
-
-def test_the_fact_check_passes_exactly_what_link_passes_unchanged(
-    monkeypatch, demo_bundle, demo_seeds, flow_bundle, flow_seed, catalog_return_bundle,
-    catalog_return_seeds
-):
-    """The mutated corpora of `test_the_memos_change_nothing`, whose blocks
-    parsed one by one are here parsed with the fact check forced to fail, so
-    that `_link` runs on every dialog: the corpus parses to the same dialogs,
-    or raises the same message at the same line. Wherever the check fails,
-    `_link` raises or replaces a turn."""
-    link = markup._link
-
-    def checked_link(dialog, bundle, numbered):
-        before = dialog.turns.copy()
-        link(dialog, bundle, numbered)
-        assert dialog.turns != before  # `_link` passed a dialog the check failed
-
-    def linked_parse_dialog(text, bundle=None):
-        with monkeypatch.context() as m:
-            m.setattr(markup, "_facts_hold", lambda *args: False)
-            m.setattr(markup, "_link", link)
-            return markup.parse_dialog(text, bundle)
-
-    monkeypatch.setattr(markup, "_link", checked_link)
-    monkeypatch.setitem(globals(), "parse_dialog", linked_parse_dialog)
-    test_the_memos_change_nothing(demo_bundle, demo_seeds, flow_bundle, flow_seed,
-                                  catalog_return_bundle, catalog_return_seeds)
 
 
 def test_an_overlong_turn_number_is_out_of_order():
